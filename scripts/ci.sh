@@ -30,6 +30,8 @@
 #                              # PR-3 through PR-8 and PR-10 baselines;
 #                              # failures accumulate and every gate's
 #                              # comparison table lands in the step summary)
+#                              # + perfbench correctness smoke (one short
+#                              # run per workload, output checks only)
 #                              # + telemetry smoke + bench_history.jsonl
 #                              # collection (trend summary in step summary)
 #
@@ -180,12 +182,26 @@ case "$mode" in
       --bench-binary build-release/bench/bench_observability \
       --bench-args=--json \
       --baseline BENCH_pr10.json --key pr10 --check --max-regress 5
+    # End-to-end benchmark correctness smoke: one short run of each
+    # perfbench workload must exit 0 with its output checks passing (the
+    # last line is the result JSON, "correct": true). Only correctness is
+    # gated here; its wall-clock figures are not compared.
+    for workload in mbox-relay tor-circuits control-failover session-churn; do
+      gate="perfbench-${workload}"
+      out="build-release/bench-gates/${gate}.out"
+      if ! python3 perfbench/run.py --workload "$workload" --seed 2015 \
+          --seconds 1 > "$out"; then
+        failed_gates+=("$gate")
+      elif [[ "$(tail -n 1 "$out")" != *'"correct": true'* ]]; then
+        failed_gates+=("$gate")
+      fi
+    done
     if [ "${#failed_gates[@]}" -gt 0 ]; then
       echo "bench gates FAILED: ${failed_gates[*]}" >&2
       echo "(comparison tables above / in the step summary)" >&2
       exit 1
     fi
-    echo "all bench gates passed (pr1 pr3 pr4 pr5 pr6 pr7 pr8 pr10)"
+    echo "all bench gates passed (pr1 pr3 pr4 pr5 pr6 pr7 pr8 pr10 perfbench)"
     # Telemetry smoke: the attestation bench must produce a valid Chrome
     # trace whose counters cross-check against the cost model (the bench
     # exits non-zero on mismatch), and the trace must parse as JSON.

@@ -88,8 +88,9 @@ bool EnclaveNode::restore(crypto::BytesView sealed) {
 
 void EnclaveNode::inject_fault() {
   // The untrusted OS flips a bit in one of the enclave's EPC-resident
-  // pages (vaddr 0 always exists: it is the first image page). The MEE
-  // integrity sweep on the next entry turns this into a HardwareFault.
+  // pages (vaddr 0 always exists: it is the first image page). The entry
+  // check of the next ecall MAC-checks that page and turns this into a
+  // HardwareFault.
   (void)platform_->epc().adversary_corrupt(enclave_->id(), 0, 0);
   crypto::Bytes probe;
   crypto::append_u32(probe, kQueryAttestedPeerCount);

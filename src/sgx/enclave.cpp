@@ -10,8 +10,6 @@
 namespace tenet::sgx {
 
 namespace {
-constexpr uint64_t kHeapBaseVaddr = uint64_t{1} << 20;  // page index, above image
-
 /// Async ocall handlers return empty by convention; a non-empty result is
 /// the untrusted side reporting a failure. Surface it as a typed fault
 /// (and count it) instead of dropping it — the silent-swallow fallback was

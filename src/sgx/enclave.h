@@ -101,6 +101,10 @@ class EnclaveApp {
                                     EnclaveEnv& env) = 0;
 };
 
+/// EPC page index of an enclave's first heap page; image pages occupy
+/// [0, image page count) below it.
+constexpr uint64_t kHeapBaseVaddr = uint64_t{1} << 20;
+
 /// Handles ocalls on the untrusted side.
 using OcallHandler =
     std::function<crypto::Bytes(uint32_t code, crypto::BytesView payload)>;
@@ -116,9 +120,11 @@ class Enclave {
   Enclave& operator=(const Enclave&) = delete;
 
   /// Synchronous call into the enclave. Charges EENTER/EEXIT and boundary
-  /// copies; verifies EPC page integrity on entry (MEE semantics — not
-  /// charged). Throws HardwareFault if the enclave is dead or its pages
-  /// were tampered with.
+  /// copies. On entry, every resident EPC page of this enclave that the
+  /// adversary corrupted is MAC-checked (Epc::verify_owner_pages; MEE
+  /// semantics, not charged). Throws HardwareFault if the enclave is dead
+  /// or one of its resident pages was tampered with, on this entry and
+  /// every later one until the enclave is restarted.
   crypto::Bytes ecall(uint32_t fn, crypto::BytesView arg);
 
   /// Installs the untrusted ocall handler (network I/O etc.).

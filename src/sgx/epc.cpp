@@ -1,5 +1,7 @@
 #include "sgx/epc.h"
 
+#include <iterator>
+#include <limits>
 #include <string>
 
 #include "crypto/work.h"
@@ -29,6 +31,27 @@ bool all_zero(crypto::BytesView bytes) {
 }
 
 crypto::Bytes zero_page_bytes() { return crypto::Bytes(kPageSize, 0); }
+
+/// The [first, last) range of `owner`'s entries in a map or set keyed
+/// (owner, vaddr).
+template <typename Keyed>
+auto owner_range(Keyed& keyed, EnclaveId owner) {
+  return std::pair{
+      keyed.lower_bound({owner, 0}),
+      keyed.upper_bound({owner, std::numeric_limits<uint64_t>::max()})};
+}
+
+template <typename Keyed>
+void erase_owner(Keyed& keyed, EnclaveId owner) {
+  const auto [first, last] = owner_range(keyed, owner);
+  keyed.erase(first, last);
+}
+
+template <typename Keyed>
+size_t count_owner(const Keyed& keyed, EnclaveId owner) {
+  const auto [first, last] = owner_range(keyed, owner);
+  return static_cast<size_t>(std::distance(first, last));
+}
 }  // namespace
 
 Epc::Epc(crypto::BytesView mee_key, size_t capacity_pages)
@@ -126,6 +149,7 @@ void Epc::evict_page(EnclaveId owner, uint64_t vaddr) {
   version_array_[{owner, vaddr}] = version;
   spill_[{owner, vaddr}] = std::move(spilled);
   pages_.erase(it);
+  suspect_.erase({owner, vaddr});  // opened clean above
   ++evictions_;
 }
 
@@ -172,6 +196,7 @@ void Epc::reload_page(EnclaveId owner, uint64_t vaddr) {
   version_array_.erase(va);
   if (pages_.size() >= capacity_) make_room(owner, vaddr);
   pages_.emplace(key, std::move(slot));
+  suspect_.erase(key);  // freshly sealed
   ++reloads_;
 }
 
@@ -214,38 +239,35 @@ void Epc::write_page(EnclaveId owner, uint64_t vaddr,
   page.resize(kPageSize, 0);
   it->second.ciphertext = mee_.seal(owner, vaddr, page);
   it->second.zero = false;
+  suspect_.erase(it->first);  // resealed
 }
 
 void Epc::verify_owner_pages(EnclaveId owner) {
   MeeScope off;
-  for (const auto& [key, slot] : pages_) {
-    if (key.first != owner) continue;
-    if (slot.zero) continue;  // no observable ciphertext to have corrupted
-    if (!mee_.open(slot.ciphertext).has_value()) {
+  // Every resident page outside suspect_ holds exactly what the MEE sealed
+  // (add/write/reload/materialize), so it cannot fail the MAC; only the
+  // pages the adversary wrote need opening. Spilled pages are verified at
+  // reload; verifying them here would defeat the point of paging them out.
+  auto [it, last] = owner_range(suspect_, owner);
+  while (it != last) {
+    if (!mee_.open(pages_.at(*it).ciphertext).has_value()) {
+      // The entry stays: the enclave faults again on every later entry.
       TENET_COUNT("sgx.epc.integrity_faults");
       throw HardwareFault("EPC: MEE integrity check failed (page corrupted)");
     }
+    it = suspect_.erase(it);
   }
-  // Spilled pages are verified lazily at reload; verifying them here
-  // would defeat the point of paging them out.
 }
 
 void Epc::remove_enclave(EnclaveId owner) {
-  std::erase_if(pages_, [owner](const auto& kv) { return kv.first.first == owner; });
-  std::erase_if(spill_, [owner](const auto& kv) { return kv.first.first == owner; });
-  std::erase_if(version_array_,
-                [owner](const auto& kv) { return kv.first.first == owner; });
+  erase_owner(pages_, owner);
+  erase_owner(spill_, owner);
+  erase_owner(version_array_, owner);
+  erase_owner(suspect_, owner);
 }
 
 size_t Epc::pages_of(EnclaveId owner) const {
-  size_t n = 0;
-  for (const auto& [key, slot] : pages_) {
-    if (key.first == owner) ++n;
-  }
-  for (const auto& [key, page] : spill_) {
-    if (key.first == owner) ++n;
-  }
-  return n;
+  return count_owner(pages_, owner) + count_owner(spill_, owner);
 }
 
 bool Epc::resident(EnclaveId owner, uint64_t vaddr) const {
@@ -275,6 +297,7 @@ bool Epc::adversary_corrupt(EnclaveId owner, uint64_t vaddr,
     auto& ct = it->second.ciphertext;
     ct[byte_offset % ct.size()] ^= 0x80;
     it->second.zero = false;
+    suspect_.insert(it->first);
     return true;
   }
   const auto sp = spill_.find({owner, vaddr});

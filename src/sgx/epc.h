@@ -17,6 +17,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 
 #include "crypto/aead.h"
 #include "crypto/bytes.h"
@@ -53,8 +54,13 @@ class Epc {
   /// Rewrites a page (data/heap stores).
   void write_page(EnclaveId owner, uint64_t vaddr, crypto::BytesView plaintext);
 
-  /// Verifies the MAC of every page owned by `owner`; throws HardwareFault
-  /// on the first corrupted page.
+  /// Entry-time integrity check (EENTER): verifies the MAC of every
+  /// resident page of `owner` that the adversary corrupted since the MEE
+  /// last sealed it, and throws HardwareFault on the first that fails. A
+  /// page that fails stays suspect, so every later entry faults again; one
+  /// that verifies clean (e.g. flipped back) is dropped. No other resident
+  /// page can fail: only adversary_corrupt writes ciphertext the MEE did
+  /// not seal. Spilled pages are checked at reload (ELDU) instead.
   void verify_owner_pages(EnclaveId owner);
 
   /// Frees all pages of an enclave (EREMOVE path).
@@ -97,8 +103,9 @@ class Epc {
       EnclaveId owner, uint64_t vaddr) const;
 
   /// Flips bits in the stored ciphertext (a physical / privileged-software
-  /// write). The MEE MAC will catch this on next legitimate access.
-  /// Returns false if the slot is unmapped.
+  /// write). The MEE MAC will catch this on next legitimate access; a
+  /// resident page becomes suspect for verify_owner_pages. Returns false
+  /// if the slot is unmapped.
   bool adversary_corrupt(EnclaveId owner, uint64_t vaddr, size_t byte_offset);
 
  private:
@@ -136,13 +143,23 @@ class Epc {
   [[nodiscard]] const Slot& slot_for_read(EnclaveId owner,
                                           uint64_t vaddr) const;
 
+  // (owner, vaddr). Every container below orders by owner first, so an
+  // operation on one enclave walks only that enclave's key range, never
+  // another enclave's pages.
+  using PageKey = std::pair<EnclaveId, uint64_t>;
+
   crypto::Aead mee_;
   size_t capacity_;
-  std::map<std::pair<EnclaveId, uint64_t>, Slot> pages_;
+  std::map<PageKey, Slot> pages_;
   // Untrusted spill store (ordinary RAM) + trusted version array (in-EPC
   // metadata, not visible to the adversary surface).
-  std::map<std::pair<EnclaveId, uint64_t>, SpilledPage> spill_;
-  std::map<std::pair<EnclaveId, uint64_t>, uint64_t> version_array_;
+  std::map<PageKey, SpilledPage> spill_;
+  std::map<PageKey, uint64_t> version_array_;
+  // Resident pages whose ciphertext adversary_corrupt wrote and no MEE
+  // seal or clean verification has covered since. Always a subset of
+  // pages_' keys: evicting, reloading, rewriting or removing a page
+  // clears its entry.
+  std::set<PageKey> suspect_;
   uint64_t next_version_ = 1;
   uint64_t evictions_ = 0;
   uint64_t reloads_ = 0;

@@ -125,6 +125,40 @@ TEST(Enclave, TamperedEpcPageFaultsOnNextEntry) {
                HardwareFault);
 }
 
+TEST(Enclave, TamperedZeroHeapPageFaultsOnNextEntry) {
+  // A heap page that was allocated but never written has no ciphertext
+  // until something observes it; corrupting it must still fault.
+  World w;
+  Enclave& e = w.platform.launch(w.vendor, apps::echo_image());
+  crypto::Bytes arg;
+  crypto::append_u32(arg, 100);
+  (void)e.ecall(apps::kEchoAlloc, arg);
+  ASSERT_TRUE(w.platform.epc().resident(e.id(), kHeapBaseVaddr));
+  ASSERT_TRUE(w.platform.epc().adversary_corrupt(e.id(), kHeapBaseVaddr, 7));
+  EXPECT_THROW((void)e.ecall(apps::kEchoReverse, crypto::to_bytes("x")),
+               HardwareFault);
+}
+
+TEST(Enclave, TamperFaultRepeatsUntilRestart) {
+  World w;
+  Enclave& e = w.platform.launch(w.vendor, apps::echo_image());
+  const EnclaveId old_id = e.id();
+  ASSERT_TRUE(w.platform.epc().adversary_corrupt(old_id, 0, 123));
+  for (int entry = 0; entry < 3; ++entry) {
+    EXPECT_THROW((void)e.ecall(apps::kEchoReverse, crypto::to_bytes("x")),
+                 HardwareFault)
+        << "entry " << entry;
+  }
+  Enclave& fresh = w.platform.restart_enclave(old_id);
+  EXPECT_NE(fresh.id(), old_id);
+  EXPECT_EQ(w.platform.epc().pages_of(old_id), 0u);
+  for (int entry = 0; entry < 3; ++entry) {
+    EXPECT_EQ(crypto::to_string(
+                  fresh.ecall(apps::kEchoReverse, crypto::to_bytes("ok"))),
+              "ko");
+  }
+}
+
 TEST(Enclave, EinitRejectsBadSigstruct) {
   World w;
   const EnclaveImage image = apps::echo_image();

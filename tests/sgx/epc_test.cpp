@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+
+#include "crypto/rng.h"
+#include "test_seed.h"
+
 namespace tenet::sgx {
 namespace {
 
@@ -137,6 +143,96 @@ TEST(Epc, DifferentMeeKeysProduceDifferentCiphertext) {
   a.add_page(1, 0, content);
   b.add_page(1, 0, content);
   EXPECT_NE(*a.adversary_read_ciphertext(1, 0), *b.adversary_read_ciphertext(1, 0));
+}
+
+// Differential property test: the entry check (verify_owner_pages, which
+// opens only the pages the adversary wrote) must fault exactly when a
+// check of every resident page would, i.e. when read_page faults on at
+// least one of the owner's resident pages. Random interleavings over three
+// owners and a 6-page EPC, so pages are evicted and reloaded throughout.
+TEST(Epc, EntryCheckMatchesFullResidentSweep) {
+  constexpr EnclaveId kOwners = 3;
+  constexpr uint64_t kVaddrs = 5;
+  constexpr std::array<size_t, 3> kOffsets{0, 100, 4000};
+  crypto::Drbg rng = crypto::Drbg::from_label(test::seed(2015), "epc.suspect");
+  Epc epc(mee_key(), /*capacity_pages=*/6);
+  std::map<std::pair<EnclaveId, uint64_t>, crypto::Bytes> snapshots;
+
+  size_t entry_faults = 0;
+  size_t clean_entries = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const EnclaveId o = 1 + rng.uniform(kOwners);
+    const uint64_t v = rng.uniform(kVaddrs);
+    // Each operation may fault (a corrupt victim blocks EWB, a corrupt or
+    // rolled-back spill blocks ELDU); the oracle below must hold anyway.
+    try {
+      switch (rng.uniform(10)) {
+        case 0:
+          if (rng.uniform(2) == 0) {
+            epc.add_page(o, v, {});
+          } else {
+            epc.add_page(o, v, rng.bytes(1 + rng.uniform(kPageSize)));
+          }
+          break;
+        case 1:
+          epc.write_page(o, v, rng.bytes(rng.uniform(64)));
+          break;
+        case 2:
+          (void)epc.read_page(o, v);  // reloads a spilled page
+          break;
+        case 3:
+          epc.evict_page(o, v);
+          break;
+        case 4:
+        case 5:
+          (void)epc.adversary_corrupt(o, v, kOffsets[rng.uniform(3)]);
+          break;
+        case 6:
+          if (auto snap = epc.adversary_snapshot_spill(o, v)) {
+            snapshots[{o, v}] = std::move(*snap);
+          }
+          break;
+        case 7:
+          if (const auto it = snapshots.find({o, v}); it != snapshots.end()) {
+            (void)epc.adversary_replace_spill(o, v, it->second);
+          }
+          break;
+        case 8:
+          if (rng.uniform(4) == 0) epc.remove_enclave(o);
+          break;
+        default:
+          epc.evict_page(o, rng.uniform(kVaddrs));
+          break;
+      }
+    } catch (const HardwareFault&) {
+    }
+
+    for (EnclaveId owner = 1; owner <= kOwners; ++owner) {
+      bool resident_page_faults = false;
+      for (uint64_t vaddr = 0; vaddr < kVaddrs; ++vaddr) {
+        if (!epc.resident(owner, vaddr)) continue;
+        try {
+          (void)epc.read_page(owner, vaddr);
+        } catch (const HardwareFault&) {
+          resident_page_faults = true;
+        }
+      }
+      bool entry_faults_now = false;
+      try {
+        epc.verify_owner_pages(owner);
+      } catch (const HardwareFault&) {
+        entry_faults_now = true;
+      }
+      ASSERT_EQ(entry_faults_now, resident_page_faults)
+          << "step " << step << ", owner " << owner;
+      ++(entry_faults_now ? entry_faults : clean_entries);
+    }
+  }
+  // The interleaving must have exercised both outcomes and the paging path.
+  EXPECT_GT(entry_faults, 0u);
+  EXPECT_GT(clean_entries, 0u);
+  EXPECT_GT(epc.evictions(), 0u);
+  EXPECT_GT(epc.reloads(), 0u);
 }
 
 }  // namespace

@@ -190,6 +190,24 @@ TEST(SwitchlessEnclave, FallbackPathsAccountExactly) {
             os.fallbacks() + ecall_ring->stats().fallbacks());
 }
 
+TEST(SwitchlessEnclave, TamperedPageFaultsOnASwitchlessHit) {
+  // A switchless ecall executes no EENTER, but it still runs on EPC pages:
+  // the entry integrity check must fault exactly as on a synchronous one.
+  SwitchlessWorld swl(true);
+  (void)swl.run(1);  // wakes the ecall worker
+  const SwitchlessRing* ring = swl.enclave->ecall_ring();
+  const uint64_t hits_before = ring->stats().hits;
+  (void)swl.run(1);
+  ASSERT_EQ(ring->stats().hits, hits_before + 1);  // served through the ring
+  ASSERT_FALSE(ring->worker_asleep());
+  ASSERT_FALSE(ring->full());
+
+  ASSERT_TRUE(
+      swl.platform.epc().adversary_corrupt(swl.enclave->id(), 0, 42));
+  EXPECT_THROW((void)swl.run(1), HardwareFault);
+  EXPECT_THROW((void)swl.run(1), HardwareFault);
+}
+
 TEST(SwitchlessEnclave, SurvivesRelaunchDisabled) {
   // A fresh enclave instance of the same image starts with switchless off
   // unless re-enabled (EnclaveNode re-applies it; the raw Enclave API
