@@ -13,7 +13,9 @@
 #   scripts/ci.sh quick [preset]  # tier-1 tests only (fast PR gate);
 #                                 # preset defaults to release (asan etc.)
 #   scripts/ci.sh fault        # release build + fault-injection/recovery slice
-#   scripts/ci.sh lint         # security lint gate (DESIGN.md §15): static
+#   scripts/ci.sh lint         # counter-owner check (no sgx.* counter the
+#                              # CostModel/Epc write is bumped elsewhere) +
+#                              # security lint gate (DESIGN.md §15): static
 #                              # taint pass over the tree (src/ findings are
 #                              # hard failures) + dynamic pass driving the
 #                              # instrumented boundary fuzzer (zero taint
@@ -86,6 +88,18 @@ case "$mode" in
     ctest --test-dir build-release -L fault --output-on-failure -j "$(nproc)"
     ;;
   lint)
+    # One writer per SGX event (DESIGN.md §8): the counters the CostModel
+    # and the Epc tally are bumped only inside those two, so no call site
+    # can count an event without charging it, or charge it twice.
+    owned='sgx\.(eenter|eexit|eresume|ereport|egetkey|eaug|eadd_pages'
+    owned+='|boundary_bytes|switchless\.(hits|fallbacks_full|fallbacks_asleep'
+    owned+='|wakeups)|epc\.(ewb|eldu))"'
+    if grep -rnE "TENET_COUNT\([[:space:]]*\"$owned" src \
+        | grep -vE '^src/sgx/(cost_model|epc)\.cpp:'; then
+      echo "lint: the sgx.* counters above are written by CostModel or Epc;" \
+        "charge the event there instead of counting it here" >&2
+      exit 1
+    fi
     # Any key material reaching an ocall buffer, telemetry label, or trace
     # export in src/ fails the build; tests/, bench/ and tools/ fixtures
     # warn (some leak on purpose as positive controls). The dynamic pass

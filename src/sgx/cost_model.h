@@ -48,11 +48,16 @@ enum class PrivInstr : uint8_t {
   kERemove,
 };
 
+/// Why a switchless-eligible call was or was not served through the ring
+/// (defined in sgx/switchless.h).
+enum class SwitchlessOutcome : uint8_t;
+
 const char* to_string(UserInstr i);
 const char* to_string(PrivInstr i);
 
 /// Calibrated conversion constants (2015-era x86 software implementations;
-/// see DESIGN.md §3 for the calibration rationale).
+/// see DESIGN.md §3 for the calibration rationale). Every model uses the one
+/// instance CostModel::kConstants.
 struct CostConstants {
   uint64_t cycles_per_sgx_instr = 10'000;  // paper's assumption
   double ipc = 1.8;                        // paper's measured IPC
@@ -95,9 +100,13 @@ struct CostConstants {
 
 /// One accounting domain. Each emulated Platform owns one; benches also
 /// create standalone models for native (non-SGX) baselines.
+///
+/// The charge/note methods are also the only writers of the sgx.* telemetry
+/// counters for the events they tally (DESIGN.md §8 lists them), so a call
+/// site that charges an event has counted it.
 class CostModel {
  public:
-  explicit CostModel(CostConstants constants = {}) : constants_(constants) {}
+  static constexpr CostConstants kConstants{};
 
   void charge_user(UserInstr instr, uint64_t count = 1);
   void charge_priv(PrivInstr instr, uint64_t count = 1);
@@ -118,21 +127,19 @@ class CostModel {
   /// Amortised cost of kicking a parked polling worker awake.
   void charge_worker_wakeup();
   /// Book-keeping (no instruction charge): a call was served through the
-  /// ring / fell back to a full synchronous transition. Tests cross-check
-  /// these against the ring's own stats and the telemetry registry.
-  void note_switchless_hit(uint64_t count = 1) { switchless_hits_ += count; }
-  void note_switchless_fallback() { ++switchless_fallbacks_; }
+  /// ring / fell back to a full synchronous transition for the reason the
+  /// ring's begin_call() returned.
+  void note_switchless_hit();
+  void note_switchless_fallback(SwitchlessOutcome outcome);
 
-  [[nodiscard]] const CostConstants& constants() const { return constants_; }
+  [[nodiscard]] static const CostConstants& constants() { return kConstants; }
   [[nodiscard]] crypto::WorkCounters& work() { return work_; }
 
   /// SGX(U) instruction count (steady state tables).
   [[nodiscard]] uint64_t sgx_user_instructions() const { return sgx_user_; }
   /// Privileged instruction count (launch cost, reported separately).
   [[nodiscard]] uint64_t sgx_priv_instructions() const { return sgx_priv_; }
-  /// Per-instruction breakdowns of the two totals above. The telemetry
-  /// layer (src/telemetry) counts the same events independently at the
-  /// instrumentation sites; tests cross-check the two against each other.
+  /// Per-instruction breakdowns of the two totals above.
   [[nodiscard]] uint64_t user_count(UserInstr i) const {
     return user_counts_[static_cast<size_t>(i)];
   }
@@ -186,7 +193,6 @@ class CostModel {
   [[nodiscard]] double cycles_of(const Snapshot& d) const;
 
  private:
-  CostConstants constants_;
   uint64_t sgx_user_ = 0;
   uint64_t sgx_priv_ = 0;
   uint64_t user_counts_[6] = {};

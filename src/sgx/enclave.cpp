@@ -40,89 +40,44 @@ class EnvImpl final : public EnclaveEnv {
   crypto::Bytes ocall(uint32_t code, crypto::BytesView payload) override {
     TENET_SPAN("sgx", "ocall");
     TENET_COUNT("sgx.ocall");
-    SwitchlessRing* ring = e_.ocall_ring_.get();
-    if (ring != nullptr) {
-      const SwitchlessOutcome outcome = ring->begin_call();
-      if (outcome == SwitchlessOutcome::kHit) {
-        // Ring round trip: descriptor write out, spin until the worker
-        // fills the response slot. Payload and result still cross the
-        // boundary as byte copies; no SGX instructions execute.
-        TENET_COUNT("sgx.boundary_bytes", payload.size());
-        CostModel& c = e_.cost_;
-        c.charge_ring_slot_write();
-        c.charge_boundary_bytes(payload.size());
-        c.note_switchless_hit();
-
-        crypto::Bytes result = host_execute(code, payload);
-
-        c.charge_switchless_poll();
-        TENET_COUNT("sgx.boundary_bytes", result.size());
-        c.charge_boundary_bytes(result.size());
-        return result;
-      }
-      e_.cost_.note_switchless_fallback();
-      if (outcome == SwitchlessOutcome::kFallbackAsleep) {
-        // The synchronous fallback doubles as the kick that unparks the
-        // worker; the futex-style wakeup runs on the untrusted side.
-        e_.platform_.host_cost().charge_worker_wakeup();
-      }
+    if (switchless_request(payload)) {
+      // Ring round trip: spin until the worker fills the response slot.
+      // The result still crosses the boundary as a byte copy; no SGX
+      // instructions execute.
+      crypto::Bytes result = host_execute(code, payload);
+      e_.cost_.charge_switchless_poll();
+      e_.cost_.charge_boundary_bytes(result.size());
+      return result;
     }
     return sync_ocall(code, payload);
   }
 
   void ocall_async(uint32_t code, crypto::BytesView payload) override {
     TENET_COUNT("sgx.ocall");
-    SwitchlessRing* ring = e_.ocall_ring_.get();
-    if (ring != nullptr) {
-      const SwitchlessOutcome outcome = ring->begin_call();
-      if (outcome == SwitchlessOutcome::kHit) {
-        // Deferred: the descriptor (and payload copy) sits in the ring
-        // until the worker drains it — no response slot to poll.
-        TENET_COUNT("sgx.boundary_bytes", payload.size());
-        CostModel& c = e_.cost_;
-        c.charge_ring_slot_write();
-        c.charge_boundary_bytes(payload.size());
-        c.note_switchless_hit();
-        ring->push(code, payload);
-        return;
-      }
-      e_.cost_.note_switchless_fallback();
-      if (outcome == SwitchlessOutcome::kFallbackAsleep) {
-        e_.platform_.host_cost().charge_worker_wakeup();
-      }
-      // A ring-full fallback drains the backlog too: the synchronous
-      // transition proves the untrusted side is running (host_execute
-      // flushes before dispatching).
+    if (switchless_request(payload)) {
+      // Deferred: the descriptor (and payload copy) sits in the ring
+      // until the worker drains it — no response slot to poll.
+      e_.ocall_ring_->push(code, payload);
+      return;
     }
+    // A ring-full fallback drains the backlog too: the synchronous
+    // transition proves the untrusted side is running (host_execute
+    // flushes before dispatching).
     check_async_result(code, sync_ocall(code, payload));
   }
 
   void ocall_async(uint32_t code, crypto::Bytes&& payload) override {
     TENET_COUNT("sgx.ocall");
-    SwitchlessRing* ring = e_.ocall_ring_.get();
-    if (ring != nullptr) {
-      const SwitchlessOutcome outcome = ring->begin_call();
-      if (outcome == SwitchlessOutcome::kHit) {
-        // Same accounting as the copying form — the bytes still cross the
-        // boundary; only the slot copy disappears.
-        TENET_COUNT("sgx.boundary_bytes", payload.size());
-        CostModel& c = e_.cost_;
-        c.charge_ring_slot_write();
-        c.charge_boundary_bytes(payload.size());
-        c.note_switchless_hit();
-        ring->push(code, std::move(payload));
-        return;
-      }
-      e_.cost_.note_switchless_fallback();
-      if (outcome == SwitchlessOutcome::kFallbackAsleep) {
-        e_.platform_.host_cost().charge_worker_wakeup();
-      }
+    if (switchless_request(payload)) {
+      // Same accounting as the copying form — the bytes still cross the
+      // boundary; only the slot copy disappears.
+      e_.ocall_ring_->push(code, std::move(payload));
+      return;
     }
     check_async_result(code, sync_ocall(code, payload));
   }
 
   Report ereport(const Measurement& target, const ReportData& data) override {
-    TENET_COUNT("sgx.ereport");
     e_.cost_.charge_user(UserInstr::kEReport);
     // The MAC below is computed by the EREPORT microcode, not software:
     // keep it out of the work meter.
@@ -140,14 +95,12 @@ class EnvImpl final : public EnclaveEnv {
   }
 
   crypto::Bytes report_key() override {
-    TENET_COUNT("sgx.egetkey");
     e_.cost_.charge_user(UserInstr::kEGetKey);
     crypto::work::Scope hw(nullptr);
     return e_.platform_.derive_report_key(e_.measurement_);
   }
 
   crypto::Bytes seal_key(crypto::BytesView label) override {
-    TENET_COUNT("sgx.egetkey");
     e_.cost_.charge_user(UserInstr::kEGetKey);
     crypto::work::Scope hw(nullptr);
     return e_.platform_.derive_seal_key(e_.measurement_, label);
@@ -161,8 +114,6 @@ class EnvImpl final : public EnclaveEnv {
     const Report report = ereport(Platform::quoting_enclave_measurement(), data);
 
     CostModel& c = e_.cost_;
-    TENET_COUNT("sgx.eexit");
-    TENET_COUNT("sgx.boundary_bytes", report.serialize().size());
     c.charge_user(UserInstr::kEExit);
     c.charge_context_switch();
     c.charge_boundary_bytes(report.serialize().size());
@@ -172,14 +123,12 @@ class EnvImpl final : public EnclaveEnv {
     e_.flush_switchless();
     auto quote = e_.platform_.quote_via_qe(report);
 
-    TENET_COUNT("sgx.eresume");
     c.charge_user(UserInstr::kEResume);
     c.charge_context_switch();
     if (e_.ocall_ring_) e_.ocall_ring_->note_sync_transition();
     if (!quote.has_value()) {
       throw HardwareFault("quoting enclave rejected report");
     }
-    TENET_COUNT("sgx.boundary_bytes", quote->serialize().size());
     c.charge_boundary_bytes(quote->serialize().size());
     return *quote;
   }
@@ -192,7 +141,6 @@ class EnvImpl final : public EnclaveEnv {
     const size_t needed =
         (e_.heap_bytes_ + kPageSize - 1) / kPageSize;
     while (e_.heap_pages_ < needed) {
-      TENET_COUNT("sgx.eaug");
       CostModel& c = e_.cost_;
       // SGX1 semantics (what OpenSGX emulates, and what the paper ran on):
       // heap pages were added at launch, so growing live state costs no
@@ -217,6 +165,24 @@ class EnvImpl final : public EnclaveEnv {
   Platform& platform() override { return e_.platform_; }
 
  private:
+  /// Offers one ocall to the switchless ring. On a hit, charges the
+  /// request half (descriptor write + payload copy) and returns true; the
+  /// caller then completes the call through the ring. Otherwise (no ring,
+  /// or a fallback, which is noted) returns false.
+  bool switchless_request(crypto::BytesView payload) {
+    if (!e_.ocall_ring_) return false;
+    const SwitchlessOutcome outcome = e_.ocall_ring_->begin_call();
+    if (outcome != SwitchlessOutcome::kHit) {
+      e_.note_switchless_fallback(outcome);
+      return false;
+    }
+    CostModel& c = e_.cost_;
+    c.charge_ring_slot_write();
+    c.charge_boundary_bytes(payload.size());
+    c.note_switchless_hit();
+    return true;
+  }
+
   /// Untrusted-side handler dispatch shared by the synchronous path and
   /// the switchless hit path. Drains the deferred backlog first so
   /// host-visible effects keep the order a synchronous run would produce.
@@ -236,8 +202,6 @@ class EnvImpl final : public EnclaveEnv {
   /// The full EEXIT/ERESUME transition — the only ocall path when
   /// switchless mode is off, and the fallback when it is on.
   crypto::Bytes sync_ocall(uint32_t code, crypto::BytesView payload) {
-    TENET_COUNT("sgx.eexit");
-    TENET_COUNT("sgx.boundary_bytes", payload.size());
     CostModel& c = e_.cost_;
     c.charge_user(UserInstr::kEExit);
     c.charge_context_switch();
@@ -245,8 +209,6 @@ class EnvImpl final : public EnclaveEnv {
 
     crypto::Bytes result = host_execute(code, payload);
 
-    TENET_COUNT("sgx.eresume");
-    TENET_COUNT("sgx.boundary_bytes", result.size());
     c.charge_user(UserInstr::kEResume);
     c.charge_context_switch();
     c.charge_boundary_bytes(result.size());
@@ -277,8 +239,6 @@ Enclave::Enclave(Platform& platform, EnclaveId id, const SigStruct& sigstruct,
   // visible through the privileged-instruction counter.
   crypto::work::Scope launch_scope(nullptr);
   TENET_SPAN("sgx", "enclave_launch");
-  TENET_COUNT("sgx.enclave_launches");
-  TENET_COUNT("sgx.eadd_pages", image_pages_);
 
   // EINIT preconditions: vendor signature verifies and covers exactly this
   // image's measurement.
@@ -304,6 +264,7 @@ Enclave::Enclave(Platform& platform, EnclaveId id, const SigStruct& sigstruct,
 
   app_ = image.factory();
   if (!app_) throw HardwareFault("EINIT: image has no app factory");
+  TENET_COUNT("sgx.enclave_launches");
 }
 
 Enclave::~Enclave() {
@@ -325,14 +286,10 @@ crypto::Bytes Enclave::ecall(uint32_t fn, crypto::BytesView arg) {
     if (outcome == SwitchlessOutcome::kHit) {
       switchless = true;
     } else {
-      cost_.note_switchless_fallback();
-      if (outcome == SwitchlessOutcome::kFallbackAsleep) {
-        platform_.host_cost().charge_worker_wakeup();
-      }
+      note_switchless_fallback(outcome);
     }
   }
 
-  TENET_COUNT("sgx.boundary_bytes", arg.size());
   TENET_HISTOGRAM("sgx.ecall_arg_bytes", arg.size());
   if (switchless) {
     // The untrusted caller writes the request descriptor and polls for
@@ -345,7 +302,6 @@ crypto::Bytes Enclave::ecall(uint32_t fn, crypto::BytesView arg) {
     cost_.charge_boundary_bytes(arg.size());
     cost_.note_switchless_hit();
   } else {
-    TENET_COUNT("sgx.eenter");
     cost_.charge_user(UserInstr::kEEnter);
     cost_.charge_boundary_bytes(arg.size());
   }
@@ -365,7 +321,6 @@ crypto::Bytes Enclave::ecall(uint32_t fn, crypto::BytesView arg) {
       // Asynchronous exit on fault: an in-enclave exception always
       // leaves through AEX, however the call was submitted.
       TENET_COUNT("sgx.aex");
-      TENET_COUNT("sgx.eexit");
       cost_.charge_user(UserInstr::kEExit);
       cost_.charge_context_switch();
       throw;
@@ -378,12 +333,10 @@ crypto::Bytes Enclave::ecall(uint32_t fn, crypto::BytesView arg) {
   // synchronous run would produce.
   flush_switchless();
 
-  TENET_COUNT("sgx.boundary_bytes", result.size());
   if (switchless) {
     cost_.charge_ring_slot_write();
     cost_.charge_boundary_bytes(result.size());
   } else {
-    TENET_COUNT("sgx.eexit");
     cost_.charge_user(UserInstr::kEExit);
     cost_.charge_boundary_bytes(result.size());
     // One boundary crossing elapsed in this enclave's domain: tick both
@@ -399,6 +352,15 @@ void Enclave::enable_switchless(const SwitchlessConfig& config) {
       config, "sgx.switchless.ocall_ring_occupancy");
   ecall_ring_ = std::make_unique<SwitchlessRing>(
       config, "sgx.switchless.ecall_ring_occupancy");
+}
+
+void Enclave::note_switchless_fallback(SwitchlessOutcome outcome) {
+  cost_.note_switchless_fallback(outcome);
+  // The synchronous fallback doubles as the kick that unparks the worker;
+  // the futex-style wakeup runs on the untrusted side.
+  if (outcome == SwitchlessOutcome::kFallbackAsleep) {
+    platform_.host_cost().charge_worker_wakeup();
+  }
 }
 
 void Enclave::flush_switchless() {

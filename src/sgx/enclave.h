@@ -173,6 +173,10 @@ class Enclave {
  private:
   friend class EnvImpl;
 
+  /// A switchless-eligible call fell back to a synchronous transition:
+  /// notes why, and charges the host the kick a parked worker needs.
+  void note_switchless_fallback(SwitchlessOutcome outcome);
+
   Platform& platform_;
   EnclaveId id_;
   std::string name_;

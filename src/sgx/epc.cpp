@@ -79,8 +79,6 @@ void Epc::make_room(EnclaveId keep_owner, uint64_t keep_vaddr) {
 void Epc::add_page(EnclaveId owner, uint64_t vaddr,
                    crypto::BytesView plaintext) {
   MeeScope off;
-  TENET_COUNT("sgx.epc.pages_added");
-  TENET_COUNT("sgx.epc.mee_seals");
   if (plaintext.size() > kPageSize) {
     throw HardwareFault("EPC: page larger than 4096 bytes");
   }
@@ -100,6 +98,8 @@ void Epc::add_page(EnclaveId owner, uint64_t vaddr,
     slot.ciphertext = mee_.seal(owner, vaddr, page);
   }
   pages_.emplace(key, std::move(slot));
+  TENET_COUNT("sgx.epc.pages_added");
+  TENET_COUNT("sgx.epc.mee_seals");
 }
 
 void Epc::materialize(const Slot& slot, EnclaveId owner,
@@ -122,7 +122,6 @@ void Epc::materialize_spill(const SpilledPage& spilled, EnclaveId owner,
 void Epc::evict_page(EnclaveId owner, uint64_t vaddr) {
   MeeScope off;
   TENET_SPAN("epc", "ewb");
-  TENET_COUNT("sgx.epc.ewb");
   TENET_COUNT("sgx.epc.mee_opens");
   TENET_COUNT("sgx.epc.mee_seals");
   const auto it = pages_.find({owner, vaddr});
@@ -151,12 +150,12 @@ void Epc::evict_page(EnclaveId owner, uint64_t vaddr) {
   pages_.erase(it);
   suspect_.erase({owner, vaddr});  // opened clean above
   ++evictions_;
+  TENET_COUNT("sgx.epc.ewb");
 }
 
 void Epc::reload_page(EnclaveId owner, uint64_t vaddr) {
   MeeScope off;
   TENET_SPAN("epc", "eldu");
-  TENET_COUNT("sgx.epc.eldu");
   TENET_COUNT("sgx.epc.mee_opens");
   TENET_COUNT("sgx.epc.mee_seals");
   const auto key = std::make_pair(owner, vaddr);
@@ -198,6 +197,7 @@ void Epc::reload_page(EnclaveId owner, uint64_t vaddr) {
   pages_.emplace(key, std::move(slot));
   suspect_.erase(key);  // freshly sealed
   ++reloads_;
+  TENET_COUNT("sgx.epc.eldu");
 }
 
 const Epc::Slot& Epc::slot_for_read(EnclaveId owner, uint64_t vaddr) const {

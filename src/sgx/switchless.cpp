@@ -19,21 +19,11 @@ void SwitchlessRing::note_sync_transition() {
 
 SwitchlessOutcome SwitchlessRing::begin_call() {
   if (worker_asleep()) {
-    ++stats_.fallbacks_asleep;
-    ++stats_.wakeups;
     idle_polls_ = 0;  // the synchronous fallback doubles as the kick
-    TENET_COUNT("sgx.switchless.fallbacks_asleep");
-    TENET_COUNT("sgx.switchless.wakeups");
     return SwitchlessOutcome::kFallbackAsleep;
   }
-  if (full()) {
-    ++stats_.fallbacks_full;
-    TENET_COUNT("sgx.switchless.fallbacks_full");
-    return SwitchlessOutcome::kFallbackFull;
-  }
-  ++stats_.hits;
+  if (full()) return SwitchlessOutcome::kFallbackFull;
   idle_polls_ = 0;
-  TENET_COUNT("sgx.switchless.hits");
 #if TENET_TELEMETRY_ENABLED
   // Occupancy *including* this call: a sync-result call occupies one slot
   // for its round trip; a deferred call joins the backlog. The TENET_*
@@ -76,10 +66,7 @@ size_t SwitchlessRing::drain(
     }
     ++n;
   }
-  if (n > 0) {
-    stats_.drained += n;
-    TENET_COUNT("sgx.switchless.drained", n);
-  }
+  if (n > 0) TENET_COUNT("sgx.switchless.drained", n);
   return n;
 }
 

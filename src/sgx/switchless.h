@@ -50,25 +50,13 @@ struct SwitchlessConfig {
   uint32_t spin_budget = 64;    // empty polls before the worker parks
 };
 
-/// Outcome of classifying one would-be switchless call.
+/// Outcome of classifying one would-be switchless call. The ring keeps no
+/// tally of its own: the caller hands the outcome to its CostModel
+/// (note_switchless_hit / note_switchless_fallback), which counts it.
 enum class SwitchlessOutcome : uint8_t {
   kHit,             // served through the ring, no transition
   kFallbackFull,    // ring full -> synchronous transition
   kFallbackAsleep,  // worker parked -> synchronous transition + wakeup
-};
-
-/// Independent event tally kept by the ring itself; tests cross-check it
-/// against both the cost model's counters and the telemetry registry.
-struct SwitchlessStats {
-  uint64_t hits = 0;              // calls served without a transition
-  uint64_t fallbacks_full = 0;    // ring-full synchronous fallbacks
-  uint64_t fallbacks_asleep = 0;  // parked-worker synchronous fallbacks
-  uint64_t wakeups = 0;           // times a fallback had to kick the worker
-  uint64_t drained = 0;           // deferred requests executed by the worker
-
-  [[nodiscard]] uint64_t fallbacks() const {
-    return fallbacks_full + fallbacks_asleep;
-  }
 };
 
 /// One direction of the switchless machinery (ocall ring or ecall ring).
@@ -79,7 +67,6 @@ class SwitchlessRing {
                           const char* occupancy_metric);
 
   [[nodiscard]] const SwitchlessConfig& config() const { return config_; }
-  [[nodiscard]] const SwitchlessStats& stats() const { return stats_; }
 
   /// The deterministic idle clock: one synchronous boundary crossing
   /// elapsed in this enclave's domain. While the ring is empty each such
@@ -120,8 +107,6 @@ class SwitchlessRing {
   /// belongs to.
   size_t drain(const std::function<void(uint32_t, const crypto::Bytes&)>& exec);
 
-  void reset_stats() { stats_ = SwitchlessStats{}; }
-
  private:
   struct Request {
     uint32_t code;
@@ -133,7 +118,6 @@ class SwitchlessRing {
   const char* occupancy_metric_;  // telemetry histogram name (string literal)
   std::deque<Request> pending_;
   uint32_t idle_polls_;  // starts at spin_budget: workers begin parked
-  SwitchlessStats stats_;
 };
 
 }  // namespace tenet::sgx

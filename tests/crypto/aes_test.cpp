@@ -23,10 +23,16 @@ AesBlock block_from_hex(std::string_view hex) {
 
 // FIPS-197 Appendix C.1 and NIST SP 800-38A F.1.1 vectors.
 struct AesVector {
+  const char* name;
   const char* key;
   const char* plaintext;
   const char* ciphertext;
 };
+
+// Parameters print as their name. gtest would otherwise print the raw bytes
+// of the struct, pointers included, and the ctest names derived from that
+// output would change from run to run with the address-space layout.
+void PrintTo(const AesVector& v, std::ostream* os) { *os << v.name; }
 
 class AesKat : public ::testing::TestWithParam<AesVector> {};
 
@@ -49,20 +55,20 @@ TEST_P(AesKat, DecryptInverts) {
 INSTANTIATE_TEST_SUITE_P(
     NistVectors, AesKat,
     ::testing::Values(
-        // FIPS-197 C.1
-        AesVector{"000102030405060708090a0b0c0d0e0f",
+        AesVector{"fips197_c1",
+                  "000102030405060708090a0b0c0d0e0f",
                   "00112233445566778899aabbccddeeff",
                   "69c4e0d86a7b0430d8cdb78070b4c55a"},
-        // SP 800-38A ECB-AES128 block 1
-        AesVector{"2b7e151628aed2a6abf7158809cf4f3c",
+        AesVector{"sp800_38a_ecb_block1",
+                  "2b7e151628aed2a6abf7158809cf4f3c",
                   "6bc1bee22e409f96e93d7e117393172a",
                   "3ad77bb40d7a3660a89ecaf32466ef97"},
-        // SP 800-38A ECB-AES128 block 2
-        AesVector{"2b7e151628aed2a6abf7158809cf4f3c",
+        AesVector{"sp800_38a_ecb_block2",
+                  "2b7e151628aed2a6abf7158809cf4f3c",
                   "ae2d8a571e03ac9c9eb76fac45af8e51",
                   "f5d3d58503b9699de785895a96fdbaaf"},
-        // SP 800-38A ECB-AES128 block 3
-        AesVector{"2b7e151628aed2a6abf7158809cf4f3c",
+        AesVector{"sp800_38a_ecb_block3",
+                  "2b7e151628aed2a6abf7158809cf4f3c",
                   "30c81c46a35ce411e5fbc1191a0a52ef",
                   "43b1cd7f598ece23881b00e3ed030688"}));
 

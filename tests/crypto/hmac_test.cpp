@@ -7,10 +7,16 @@ namespace {
 
 // RFC 4231 test cases for HMAC-SHA256.
 struct HmacVector {
+  const char* name;
   const char* key_hex;
   const char* data;
   const char* mac_hex;
 };
+
+// Parameters print as their name. gtest would otherwise print the raw bytes
+// of the struct, pointers included, and the ctest names derived from that
+// output would change from run to run with the address-space layout.
+void PrintTo(const HmacVector& v, std::ostream* os) { *os << v.name; }
 
 class HmacKat : public ::testing::TestWithParam<HmacVector> {};
 
@@ -26,12 +32,15 @@ TEST_P(HmacKat, MatchesRfc4231) {
 INSTANTIATE_TEST_SUITE_P(
     Rfc4231, HmacKat,
     ::testing::Values(
-        HmacVector{"0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b", "Hi There",
+        HmacVector{"rfc4231_case1",
+                   "0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b", "Hi There",
                    "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
-        HmacVector{"4a656665",  // "Jefe"
+        HmacVector{"rfc4231_case2",
+                   "4a656665",  // "Jefe"
                    "what do ya want for nothing?",
                    "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
-        HmacVector{"aa131",  // expanded below: 131 bytes of 0xaa (RFC 4231 case 6)
+        HmacVector{"rfc4231_case6",
+                   "aa131",  // expanded below: 131 bytes of 0xaa (RFC 4231 case 6)
                    "Test Using Larger Than Block-Size Key - Hash Key First",
                    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"}));
 

@@ -9,9 +9,15 @@ namespace {
 
 // FIPS 180-4 / NIST CAVP known-answer vectors.
 struct ShaVector {
+  const char* name;
   const char* message;
   const char* digest_hex;
 };
+
+// Parameters print as their name. gtest would otherwise print the raw bytes
+// of the struct, pointers included, and the ctest names derived from that
+// output would change from run to run with the address-space layout.
+void PrintTo(const ShaVector& v, std::ostream* os) { *os << v.name; }
 
 class Sha256Kat : public ::testing::TestWithParam<ShaVector> {};
 
@@ -24,16 +30,19 @@ TEST_P(Sha256Kat, MatchesKnownAnswer) {
 INSTANTIATE_TEST_SUITE_P(
     NistVectors, Sha256Kat,
     ::testing::Values(
-        ShaVector{"",
+        ShaVector{"empty", "",
                   "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
-        ShaVector{"abc",
+        ShaVector{"abc", "abc",
                   "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
-        ShaVector{"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+        ShaVector{"448_bits",
+                  "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
                   "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
-        ShaVector{"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+        ShaVector{"896_bits",
+                  "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
                   "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
                   "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
-        ShaVector{"The quick brown fox jumps over the lazy dog",
+        ShaVector{"quick_brown_fox",
+                  "The quick brown fox jumps over the lazy dog",
                   "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592"}));
 
 TEST(Sha256, MillionAs) {

@@ -1,8 +1,9 @@
-// Integration cross-check: the telemetry counters (incremented at the
-// instrumentation sites) must agree exactly with the cost model's and the
-// EPC's own tallies of the same events. The two are counted independently,
-// so agreement here means the exported metrics can be trusted to reproduce
-// the paper's instruction-count tables.
+// Integration cross-check: the exported sgx.* counters must agree exactly
+// with the cost model's and the EPC's tallies of the same events. Those two
+// owners are the only writers of the counters (CostModel::charge_* and the
+// Epc's EWB/ELDU/add paths), so these tests pin what the writers count:
+// absolute values catch a double count inside a writer, and the
+// failure-path test checks an event is counted only once it has happened.
 #include <gtest/gtest.h>
 
 #include "sgx/apps.h"
@@ -93,6 +94,43 @@ TEST(TelemetryCrosscheck, RollbackDetectionIsCounted) {
   ASSERT_TRUE(epc.adversary_replace_spill(1, 0, *old_spill));
   EXPECT_THROW((void)epc.read_page(1, 0), HardwareFault);
   EXPECT_EQ(counted("sgx.epc.rollbacks_detected"), 1u);
+}
+
+TEST(TelemetryCrosscheck, FailedOperationsAreNotCounted) {
+  TelemetryOn on;
+  // An oversized page is refused before it is mapped.
+  Epc epc(crypto::Bytes(32, 0x77));
+  epc.add_page(1, 0, crypto::to_bytes("v1"));
+  EXPECT_THROW(epc.add_page(1, 1, crypto::Bytes(kPageSize + 1, 1)),
+               HardwareFault);
+  EXPECT_EQ(counted("sgx.epc.pages_added"), 1u);
+
+  // A rolled-back spill faults at ELDU: the page is not reloaded.
+  epc.evict_page(1, 0);
+  const auto old_spill = epc.adversary_snapshot_spill(1, 0);
+  ASSERT_TRUE(old_spill.has_value());
+  (void)epc.read_page(1, 0);  // reload
+  epc.evict_page(1, 0);
+  ASSERT_TRUE(epc.adversary_replace_spill(1, 0, *old_spill));
+  EXPECT_THROW((void)epc.read_page(1, 0), HardwareFault);
+  EXPECT_EQ(epc.reloads(), 1u);
+  EXPECT_EQ(counted("sgx.epc.eldu"), epc.reloads());
+  EXPECT_EQ(counted("sgx.epc.ewb"), epc.evictions());
+
+  // EINIT rejects a sigstruct that covers a different image: nothing was
+  // launched and no page was added.
+  Authority authority;
+  Vendor vendor{"xcheck-vendor"};
+  Platform platform{authority, "xcheck-host"};
+  const EnclaveImage image = apps::echo_image();
+  EXPECT_THROW(
+      (void)platform.launch(vendor.sign(apps::packet_sender_image(), 1), image),
+      HardwareFault);
+  EXPECT_EQ(counted("sgx.enclave_launches"), 0u);
+  EXPECT_EQ(counted("sgx.eadd_pages"), 0u);
+  const Enclave& e = platform.launch(vendor, image);
+  EXPECT_EQ(counted("sgx.enclave_launches"), 1u);
+  EXPECT_EQ(counted("sgx.eadd_pages"), e.cost().priv_count(PrivInstr::kEAdd));
 }
 
 }  // namespace
