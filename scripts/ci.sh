@@ -15,6 +15,8 @@
 #   scripts/ci.sh fault        # release build + fault-injection/recovery slice
 #   scripts/ci.sh lint         # counter-owner check (no sgx.* counter the
 #                              # CostModel/Epc write is bumped elsewhere) +
+#                              # one-AES check (no _mm_aesenc or kTe* table
+#                              # in src/ outside crypto/aes.cpp) +
 #                              # security lint gate (DESIGN.md §15): static
 #                              # taint pass over the tree (src/ findings are
 #                              # hard failures) + dynamic pass driving the
@@ -98,6 +100,15 @@ case "$mode" in
         | grep -vE '^src/sgx/(cost_model|epc)\.cpp:'; then
       echo "lint: the sgx.* counters above are written by CostModel or Epc;" \
         "charge the event there instead of counting it here" >&2
+      exit 1
+    fi
+    # One AES (DESIGN.md §3.1): Aes128 is the only place AES runs, so every
+    # caller gets the same AES-NI dispatch and the same canonical charge,
+    # and no key-indexed T-table comes back.
+    if grep -rnE '_mm_aesenc|\bkTe[0-9]' src \
+        | grep -v '^src/crypto/aes\.cpp:'; then
+      echo "lint: AES runs only in src/crypto/aes.cpp;" \
+        "call Aes128::encrypt_block or Aes128::ctr_xor instead" >&2
       exit 1
     fi
     # Any key material reaching an ocall buffer, telemetry label, or trace

@@ -25,6 +25,14 @@ constexpr std::string_view kCheckpointLabel = "app.checkpoint";
 /// sharding existed); the restore path only unwraps when the magic AND the
 /// length structure match exactly.
 constexpr uint32_t kShardCheckpointMagic = 0x53485244;  // "SHRD"
+
+/// Modeled enclave heap bytes for one peer's state (attestation session,
+/// channel keys and sequence state), charged when a handshake starts. A
+/// constant rather than sizeof(PeerState), so the modeled cost and the
+/// tables derived from it do not follow the emulator's host-side layout
+/// (such as how Aes128 stores its key schedule). 1248 is the value the
+/// published tables were derived with.
+constexpr size_t kPeerStateHeapBytes = 1248;
 }  // namespace
 
 netsim::NodeId Ctx::self() const { return app_.self_; }
@@ -276,7 +284,7 @@ void SecureApp::start_connect(sgx::EnclaveEnv& env, netsim::NodeId peer) {
   TENET_TRACE_ROOT("app", "connect");
   PeerState& st = peers_[peer];
   if (st.attested || st.in_progress) return;
-  env.heap_alloc(sizeof(PeerState));
+  env.heap_alloc(kPeerStateHeapBytes);
   st.in_progress = true;
   st.challenger.emplace(authority_, config_, env.rng(),
                         config_.mutual ? &env : nullptr);
@@ -325,7 +333,7 @@ void SecureApp::deliver(sgx::EnclaveEnv& env, netsim::NodeId src,
         }
         st.target.reset();  // a new challenge replaces the old session
       }
-      env.heap_alloc(sizeof(PeerState));
+      env.heap_alloc(kPeerStateHeapBytes);
       st.target.emplace(authority_, config_, env);
       const crypto::Bytes msg2 = st.target->handle_challenge(payload);
       if (msg2.empty()) {

@@ -6,9 +6,20 @@
 
 #include "crypto/work.h"
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#define TENET_AESNI_KERNEL 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace tenet::crypto {
 
 namespace {
+
+using RoundKeys = std::array<std::array<uint8_t, 16>, 11>;
+
+// The S-box is used by the portable path only (key expansion and
+// encryption); on the AES-NI path no lookup is indexed by key or state.
 
 constexpr uint8_t kSbox[256] = {
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b,
@@ -51,37 +62,6 @@ constexpr uint8_t xtime(uint8_t x) {
   return static_cast<uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
 }
 
-// T-table encryption (classic Rijndael "Te" tables): each table maps one
-// state byte to the 32-bit column contribution of SubBytes + MixColumns, so
-// a round is 16 loads + 16 XORs instead of byte-wise GF(2^8) arithmetic.
-// Te0[x] packs {2s, s, s, 3s} big-endian; Te1..Te3 are byte rotations of
-// Te0, matching the byte's row position after ShiftRows.
-constexpr std::array<uint32_t, 256> make_te0() {
-  std::array<uint32_t, 256> t{};
-  for (int i = 0; i < 256; ++i) {
-    const uint8_t s = kSbox[i];
-    const uint8_t s2 = xtime(s);
-    const uint8_t s3 = static_cast<uint8_t>(s2 ^ s);
-    t[static_cast<size_t>(i)] = (static_cast<uint32_t>(s2) << 24) |
-                                (static_cast<uint32_t>(s) << 16) |
-                                (static_cast<uint32_t>(s) << 8) |
-                                static_cast<uint32_t>(s3);
-  }
-  return t;
-}
-
-constexpr std::array<uint32_t, 256> rotr_each(
-    const std::array<uint32_t, 256>& in, int r) {
-  std::array<uint32_t, 256> t{};
-  for (size_t i = 0; i < 256; ++i) t[i] = (in[i] >> r) | (in[i] << (32 - r));
-  return t;
-}
-
-constexpr auto kTe0 = make_te0();
-constexpr auto kTe1 = rotr_each(kTe0, 8);
-constexpr auto kTe2 = rotr_each(kTe0, 16);
-constexpr auto kTe3 = rotr_each(kTe0, 24);
-
 inline uint8_t gmul(uint8_t a, uint8_t b) {
   uint8_t p = 0;
   for (int i = 0; i < 8; ++i) {
@@ -92,95 +72,248 @@ inline uint8_t gmul(uint8_t a, uint8_t b) {
   return p;
 }
 
-}  // namespace
+// ---------------------------------------------------------------------------
+// Portable FIPS-197 reference (byte-wise; the fallback without AES-NI)
+// ---------------------------------------------------------------------------
 
-Aes128::Aes128(const AesKey128& key) {
-  work::charge_aes_key_schedule(1);
-  std::memcpy(round_keys_[0].data(), key.data(), 16);
-  for (int r = 1; r <= 10; ++r) {
-    const auto& prev = round_keys_[r - 1];
-    auto& rk = round_keys_[r];
+void expand_key_portable(const AesKey128& key, RoundKeys& rks) {
+  std::memcpy(rks[0].data(), key.data(), 16);
+  for (size_t r = 1; r <= 10; ++r) {
+    const auto& prev = rks[r - 1];
+    auto& rk = rks[r];
     // First word: RotWord + SubWord + Rcon.
     rk[0] = static_cast<uint8_t>(prev[0] ^ kSbox[prev[13]] ^ kRcon[r]);
     rk[1] = static_cast<uint8_t>(prev[1] ^ kSbox[prev[14]]);
     rk[2] = static_cast<uint8_t>(prev[2] ^ kSbox[prev[15]]);
     rk[3] = static_cast<uint8_t>(prev[3] ^ kSbox[prev[12]]);
-    for (int i = 4; i < 16; ++i) {
+    for (size_t i = 4; i < 16; ++i) {
       rk[i] = static_cast<uint8_t>(prev[i] ^ rk[i - 4]);
-    }
-  }
-  for (int r = 0; r <= 10; ++r) {
-    const auto& rk = round_keys_[static_cast<size_t>(r)];
-    for (int c = 0; c < 4; ++c) {
-      enc_keys_[static_cast<size_t>(4 * r + c)] =
-          (static_cast<uint32_t>(rk[static_cast<size_t>(4 * c)]) << 24) |
-          (static_cast<uint32_t>(rk[static_cast<size_t>(4 * c + 1)]) << 16) |
-          (static_cast<uint32_t>(rk[static_cast<size_t>(4 * c + 2)]) << 8) |
-          static_cast<uint32_t>(rk[static_cast<size_t>(4 * c + 3)]);
     }
   }
 }
 
-void Aes128::encrypt_words(uint32_t s[4]) const {
-  uint32_t s0 = s[0] ^ enc_keys_[0];
-  uint32_t s1 = s[1] ^ enc_keys_[1];
-  uint32_t s2 = s[2] ^ enc_keys_[2];
-  uint32_t s3 = s[3] ^ enc_keys_[3];
+// One encryption of the block at `b` (byte r + 4c is row r, column c); no
+// work-meter charge (callers charge).
+void encrypt_portable(const RoundKeys& rks, uint8_t* b) {
+  auto add_round_key = [&](int r) {
+    for (int i = 0; i < 16; ++i) b[i] ^= rks[static_cast<size_t>(r)][static_cast<size_t>(i)];
+  };
+  auto sub_bytes_shift_rows = [&] {
+    uint8_t t[16];
+    for (int r = 0; r < 4; ++r) {
+      for (int c = 0; c < 4; ++c) t[r + 4 * c] = kSbox[b[r + 4 * ((c + r) % 4)]];
+    }
+    std::memcpy(b, t, 16);
+  };
+  auto mix_columns = [&] {
+    for (int c = 0; c < 4; ++c) {
+      uint8_t* col = &b[4 * c];
+      const uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
+      const uint8_t all = static_cast<uint8_t>(a0 ^ a1 ^ a2 ^ a3);
+      col[0] = static_cast<uint8_t>(a0 ^ all ^ xtime(static_cast<uint8_t>(a0 ^ a1)));
+      col[1] = static_cast<uint8_t>(a1 ^ all ^ xtime(static_cast<uint8_t>(a1 ^ a2)));
+      col[2] = static_cast<uint8_t>(a2 ^ all ^ xtime(static_cast<uint8_t>(a2 ^ a3)));
+      col[3] = static_cast<uint8_t>(a3 ^ all ^ xtime(static_cast<uint8_t>(a3 ^ a0)));
+    }
+  };
+
+  add_round_key(0);
   for (int round = 1; round <= 9; ++round) {
-    const uint32_t* rk = &enc_keys_[static_cast<size_t>(4 * round)];
-    const uint32_t t0 = kTe0[s0 >> 24] ^ kTe1[(s1 >> 16) & 0xff] ^
-                        kTe2[(s2 >> 8) & 0xff] ^ kTe3[s3 & 0xff] ^ rk[0];
-    const uint32_t t1 = kTe0[s1 >> 24] ^ kTe1[(s2 >> 16) & 0xff] ^
-                        kTe2[(s3 >> 8) & 0xff] ^ kTe3[s0 & 0xff] ^ rk[1];
-    const uint32_t t2 = kTe0[s2 >> 24] ^ kTe1[(s3 >> 16) & 0xff] ^
-                        kTe2[(s0 >> 8) & 0xff] ^ kTe3[s1 & 0xff] ^ rk[2];
-    const uint32_t t3 = kTe0[s3 >> 24] ^ kTe1[(s0 >> 16) & 0xff] ^
-                        kTe2[(s1 >> 8) & 0xff] ^ kTe3[s2 & 0xff] ^ rk[3];
-    s0 = t0;
-    s1 = t1;
-    s2 = t2;
-    s3 = t3;
+    sub_bytes_shift_rows();
+    mix_columns();
+    add_round_key(round);
   }
-  // Final round: SubBytes + ShiftRows only (no MixColumns).
-  const uint32_t* rk = &enc_keys_[40];
-  s[0] = ((static_cast<uint32_t>(kSbox[s0 >> 24]) << 24) |
-          (static_cast<uint32_t>(kSbox[(s1 >> 16) & 0xff]) << 16) |
-          (static_cast<uint32_t>(kSbox[(s2 >> 8) & 0xff]) << 8) |
-          static_cast<uint32_t>(kSbox[s3 & 0xff])) ^
-         rk[0];
-  s[1] = ((static_cast<uint32_t>(kSbox[s1 >> 24]) << 24) |
-          (static_cast<uint32_t>(kSbox[(s2 >> 16) & 0xff]) << 16) |
-          (static_cast<uint32_t>(kSbox[(s3 >> 8) & 0xff]) << 8) |
-          static_cast<uint32_t>(kSbox[s0 & 0xff])) ^
-         rk[1];
-  s[2] = ((static_cast<uint32_t>(kSbox[s2 >> 24]) << 24) |
-          (static_cast<uint32_t>(kSbox[(s3 >> 16) & 0xff]) << 16) |
-          (static_cast<uint32_t>(kSbox[(s0 >> 8) & 0xff]) << 8) |
-          static_cast<uint32_t>(kSbox[s1 & 0xff])) ^
-         rk[2];
-  s[3] = ((static_cast<uint32_t>(kSbox[s3 >> 24]) << 24) |
-          (static_cast<uint32_t>(kSbox[(s0 >> 16) & 0xff]) << 16) |
-          (static_cast<uint32_t>(kSbox[(s1 >> 8) & 0xff]) << 8) |
-          static_cast<uint32_t>(kSbox[s2 & 0xff])) ^
-         rk[3];
+  sub_bytes_shift_rows();
+  add_round_key(10);
+}
+
+void ctr_xor_portable(const RoundKeys& rks, uint64_t nonce, uint64_t counter,
+                      uint8_t* data, size_t len) {
+  for (size_t off = 0; off < len; off += 16, ++counter) {
+    uint8_t ks[16];
+    for (int i = 0; i < 8; ++i) {
+      ks[i] = static_cast<uint8_t>(nonce >> (56 - 8 * i));
+      ks[8 + i] = static_cast<uint8_t>(counter >> (56 - 8 * i));
+    }
+    encrypt_portable(rks, ks);
+    const size_t n = std::min<size_t>(16, len - off);
+    for (size_t i = 0; i < n; ++i) data[off + i] ^= ks[i];
+  }
+}
+
+mb::Backend g_backend = mb::Backend::kBatched;
+
+// ---------------------------------------------------------------------------
+// AES-NI kernel
+// ---------------------------------------------------------------------------
+
+#if defined(TENET_AESNI_KERNEL)
+
+bool cpu_has_aesni() {
+  static const bool ok = [] {
+    unsigned a = 0, b = 0, c = 0, d = 0;
+    if (!__get_cpuid(1, &a, &b, &c, &d)) return false;
+    return (c & bit_AES) != 0;
+  }();
+  return ok;
+}
+
+// One key-expansion step: `assist` is AESKEYGENASSIST of the previous round
+// key, whose top word is SubWord(RotWord(w3)) ^ Rcon.
+__attribute__((target("aes,sse2"))) inline __m128i expand_step(
+    __m128i key, __m128i assist) {
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  return _mm_xor_si128(key, _mm_shuffle_epi32(assist, 0xff));
+}
+
+__attribute__((target("aes,sse2"))) void expand_key_aesni(
+    const AesKey128& key, RoundKeys& rks) {
+  __m128i rk[11];
+  rk[0] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key.data()));
+  // The round constant is an instruction immediate, hence no loop.
+  rk[1] = expand_step(rk[0], _mm_aeskeygenassist_si128(rk[0], 0x01));
+  rk[2] = expand_step(rk[1], _mm_aeskeygenassist_si128(rk[1], 0x02));
+  rk[3] = expand_step(rk[2], _mm_aeskeygenassist_si128(rk[2], 0x04));
+  rk[4] = expand_step(rk[3], _mm_aeskeygenassist_si128(rk[3], 0x08));
+  rk[5] = expand_step(rk[4], _mm_aeskeygenassist_si128(rk[4], 0x10));
+  rk[6] = expand_step(rk[5], _mm_aeskeygenassist_si128(rk[5], 0x20));
+  rk[7] = expand_step(rk[6], _mm_aeskeygenassist_si128(rk[6], 0x40));
+  rk[8] = expand_step(rk[7], _mm_aeskeygenassist_si128(rk[7], 0x80));
+  rk[9] = expand_step(rk[8], _mm_aeskeygenassist_si128(rk[8], 0x1b));
+  rk[10] = expand_step(rk[9], _mm_aeskeygenassist_si128(rk[9], 0x36));
+  for (size_t i = 0; i < 11; ++i) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(rks[i].data()), rk[i]);
+  }
+}
+
+__attribute__((target("aes,sse2"))) inline void load_schedule(
+    const RoundKeys& rks, __m128i rk[11]) {
+  for (size_t i = 0; i < 11; ++i) {
+    rk[i] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rks[i].data()));
+  }
+}
+
+__attribute__((target("aes,sse2"))) inline __m128i encrypt1(
+    __m128i b, const __m128i rk[11]) {
+  b = _mm_xor_si128(b, rk[0]);
+  for (int r = 1; r < 10; ++r) b = _mm_aesenc_si128(b, rk[r]);
+  return _mm_aesenclast_si128(b, rk[10]);
+}
+
+__attribute__((target("aes,sse2"))) void encrypt_block_aesni(
+    const RoundKeys& rks, uint8_t* b) {
+  __m128i rk[11];
+  load_schedule(rks, rk);
+  __m128i* p = reinterpret_cast<__m128i*>(b);
+  _mm_storeu_si128(p, encrypt1(_mm_loadu_si128(p), rk));
+}
+
+// Counter block bytes are [nonce BE64 | counter BE64]; as two little-endian
+// u64 lanes that is (bswap(nonce), bswap(counter)).
+__attribute__((target("aes,sse2"))) inline __m128i ctr_block(
+    uint64_t nonce_sw, uint64_t counter) {
+  return _mm_set_epi64x(
+      static_cast<long long>(__builtin_bswap64(counter)),
+      static_cast<long long>(nonce_sw));
+}
+
+__attribute__((target("aes,sse2"))) inline void xor_into(uint8_t* p,
+                                                         __m128i ks) {
+  __m128i* q = reinterpret_cast<__m128i*>(p);
+  _mm_storeu_si128(q, _mm_xor_si128(_mm_loadu_si128(q), ks));
+}
+
+__attribute__((target("aes,sse2"))) void ctr_xor_aesni(
+    const RoundKeys& rks, uint64_t nonce, uint64_t ctr, uint8_t* p,
+    size_t len) {
+  __m128i rk[11];
+  load_schedule(rks, rk);
+  const uint64_t nonce_sw = __builtin_bswap64(nonce);
+  size_t blocks = len / 16;
+  const size_t tail = len % 16;
+
+  // Four counter blocks in flight per iteration: enough to cover the
+  // aesenc latency on every core that has the instruction.
+  while (blocks >= 4) {
+    __m128i b0 = _mm_xor_si128(ctr_block(nonce_sw, ctr + 0), rk[0]);
+    __m128i b1 = _mm_xor_si128(ctr_block(nonce_sw, ctr + 1), rk[0]);
+    __m128i b2 = _mm_xor_si128(ctr_block(nonce_sw, ctr + 2), rk[0]);
+    __m128i b3 = _mm_xor_si128(ctr_block(nonce_sw, ctr + 3), rk[0]);
+    for (int r = 1; r < 10; ++r) {
+      b0 = _mm_aesenc_si128(b0, rk[r]);
+      b1 = _mm_aesenc_si128(b1, rk[r]);
+      b2 = _mm_aesenc_si128(b2, rk[r]);
+      b3 = _mm_aesenc_si128(b3, rk[r]);
+    }
+    xor_into(p + 0, _mm_aesenclast_si128(b0, rk[10]));
+    xor_into(p + 16, _mm_aesenclast_si128(b1, rk[10]));
+    xor_into(p + 32, _mm_aesenclast_si128(b2, rk[10]));
+    xor_into(p + 48, _mm_aesenclast_si128(b3, rk[10]));
+    ctr += 4;
+    p += 64;
+    blocks -= 4;
+  }
+  for (; blocks > 0; --blocks, ++ctr, p += 16) {
+    xor_into(p, encrypt1(ctr_block(nonce_sw, ctr), rk));
+  }
+  if (tail > 0) {
+    alignas(16) uint8_t ks[16];
+    _mm_store_si128(reinterpret_cast<__m128i*>(ks),
+                    encrypt1(ctr_block(nonce_sw, ctr), rk));
+    for (size_t i = 0; i < tail; ++i) p[i] ^= ks[i];
+  }
+}
+
+bool use_aesni() {
+  return g_backend == mb::Backend::kBatched && cpu_has_aesni();
+}
+
+#endif  // TENET_AESNI_KERNEL
+
+}  // namespace
+
+namespace mb {
+
+Backend backend() { return g_backend; }
+
+Backend set_backend(Backend b) {
+  const Backend prev = g_backend;
+  g_backend = b;
+  return prev;
+}
+
+bool aesni_available() {
+#if defined(TENET_AESNI_KERNEL)
+  return cpu_has_aesni();
+#else
+  return false;
+#endif
+}
+
+}  // namespace mb
+
+Aes128::Aes128(const AesKey128& key) {
+  work::charge_aes_key_schedule(1);
+#if defined(TENET_AESNI_KERNEL)
+  if (use_aesni()) {
+    expand_key_aesni(key, round_keys_);
+    return;
+  }
+#endif
+  expand_key_portable(key, round_keys_);
 }
 
 void Aes128::encrypt_block(AesBlock& b) const {
   work::charge_aes_blocks(1);
-  uint32_t s[4];
-  for (int c = 0; c < 4; ++c) {
-    s[c] = (static_cast<uint32_t>(b[static_cast<size_t>(4 * c)]) << 24) |
-           (static_cast<uint32_t>(b[static_cast<size_t>(4 * c + 1)]) << 16) |
-           (static_cast<uint32_t>(b[static_cast<size_t>(4 * c + 2)]) << 8) |
-           static_cast<uint32_t>(b[static_cast<size_t>(4 * c + 3)]);
+#if defined(TENET_AESNI_KERNEL)
+  if (use_aesni()) {
+    encrypt_block_aesni(round_keys_, b.data());
+    return;
   }
-  encrypt_words(s);
-  for (int c = 0; c < 4; ++c) {
-    b[static_cast<size_t>(4 * c)] = static_cast<uint8_t>(s[c] >> 24);
-    b[static_cast<size_t>(4 * c + 1)] = static_cast<uint8_t>(s[c] >> 16);
-    b[static_cast<size_t>(4 * c + 2)] = static_cast<uint8_t>(s[c] >> 8);
-    b[static_cast<size_t>(4 * c + 3)] = static_cast<uint8_t>(s[c]);
-  }
+#endif
+  encrypt_portable(round_keys_, b.data());
 }
 
 void Aes128::decrypt_block(AesBlock& b) const {
@@ -281,25 +414,13 @@ Bytes Aes128::ctr_crypt(uint64_t nonce, uint64_t initial_counter,
 void Aes128::ctr_xor(uint64_t nonce, uint64_t initial_counter, uint8_t* data,
                      size_t len) const {
   work::charge_aes_blocks((len + 15) / 16);
-  // The counter block as column words: the nonce occupies words 0-1 and is
-  // invariant across the buffer; the block counter occupies words 2-3.
-  const uint32_t n0 = static_cast<uint32_t>(nonce >> 32);
-  const uint32_t n1 = static_cast<uint32_t>(nonce);
-  uint64_t counter = initial_counter;
-  for (size_t off = 0; off < len; off += 16, ++counter) {
-    uint32_t s[4] = {n0, n1, static_cast<uint32_t>(counter >> 32),
-                     static_cast<uint32_t>(counter)};
-    encrypt_words(s);
-    uint8_t ks[16];
-    for (int c = 0; c < 4; ++c) {
-      ks[4 * c] = static_cast<uint8_t>(s[c] >> 24);
-      ks[4 * c + 1] = static_cast<uint8_t>(s[c] >> 16);
-      ks[4 * c + 2] = static_cast<uint8_t>(s[c] >> 8);
-      ks[4 * c + 3] = static_cast<uint8_t>(s[c]);
-    }
-    const size_t n = std::min<size_t>(16, len - off);
-    for (size_t i = 0; i < n; ++i) data[off + i] ^= ks[i];
+#if defined(TENET_AESNI_KERNEL)
+  if (use_aesni()) {
+    ctr_xor_aesni(round_keys_, nonce, initial_counter, data, len);
+    return;
   }
+#endif
+  ctr_xor_portable(round_keys_, nonce, initial_counter, data, len);
 }
 
 }  // namespace tenet::crypto

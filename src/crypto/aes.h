@@ -5,6 +5,11 @@
 // for the Table 1/2 reproductions and CTR for the secure channel (ECB is
 // not semantically secure; the paper used it only as a cost proxy — see
 // DESIGN.md).
+//
+// This is the one place AES runs. Key expansion, block encryption and CTR
+// dispatch at runtime to AES-NI where the CPU has it, and otherwise to a
+// byte-wise FIPS-197 reference; both write identical bytes and charge the
+// work meter identically.
 #pragma once
 
 #include <array>
@@ -40,7 +45,7 @@ class Aes128 {
   /// CTR keystream XOR; encryption and decryption are the same operation.
   /// `nonce` occupies the first 8 bytes of the counter block; the counter
   /// is a 64-bit big-endian value in the last 8 bytes starting at
-  /// `initial_counter`.
+  /// `initial_counter` (it wraps mod 2^64 without carrying into the nonce).
   Bytes ctr_crypt(uint64_t nonce, uint64_t initial_counter,
                   BytesView data) const;
 
@@ -50,22 +55,31 @@ class Aes128 {
   void ctr_xor(uint64_t nonce, uint64_t initial_counter, uint8_t* data,
                size_t len) const;
 
-  /// Raw expanded schedule (11 round keys x 16 bytes) for the multi-buffer
-  /// AES-NI kernels (multibuf.cpp), which load round keys as whole blocks.
+  /// The expanded schedule (11 round keys x 16 bytes), so tests can compare
+  /// the AES-NI and the portable key expansion.
   const std::array<std::array<uint8_t, 16>, 11>& round_key_bytes() const {
     return round_keys_;
   }
 
  private:
-  // One encryption pass over the state as four big-endian column words,
-  // using the T-tables; no work-meter charge (callers charge).
-  void encrypt_words(uint32_t s[4]) const;
-
-  // 11 round keys x 16 bytes.
   std::array<std::array<uint8_t, 16>, 11> round_keys_{};
-  // The same schedule packed as big-endian column words (enc_keys_[4r+c] =
-  // round_keys_[r] column c) for the T-table encryption path.
-  std::array<uint32_t, 44> enc_keys_{};
 };
+
+namespace mb {
+
+enum class Backend : uint8_t {
+  kScalar,   ///< the portable byte-wise reference AES
+  kBatched,  ///< AES-NI when the CPU has it (the default)
+};
+
+/// Currently selected AES backend (default kBatched).
+Backend backend();
+/// Sets the backend (test hook: kScalar forces the portable AES everywhere,
+/// key expansion included); returns the previous one.
+Backend set_backend(Backend b);
+/// True when the AES-NI kernel is compiled in and the CPU supports it.
+bool aesni_available();
+
+}  // namespace mb
 
 }  // namespace tenet::crypto

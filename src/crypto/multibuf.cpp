@@ -2,152 +2,17 @@
 
 #include <cstring>
 
-#include "crypto/work.h"
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#define TENET_AESNI_KERNEL 1
-#include <cpuid.h>
-#include <immintrin.h>
-#endif
-
 namespace tenet::crypto::mb {
 
-namespace {
-
-Backend g_backend = Backend::kBatched;
-
-#if defined(TENET_AESNI_KERNEL)
-
-bool cpu_has_aesni() {
-  static const bool ok = [] {
-    unsigned a = 0, b = 0, c = 0, d = 0;
-    if (!__get_cpuid(1, &a, &b, &c, &d)) return false;
-    return (c & bit_AES) != 0;
-  }();
-  return ok;
-}
-
-// Counter block bytes are [nonce BE64 | counter BE64]; as two little-endian
-// u64 lanes that is (bswap(nonce), bswap(counter)).
-__attribute__((target("aes,sse2"))) inline __m128i ctr_block(
-    uint64_t nonce_sw, uint64_t counter) {
-  return _mm_set_epi64x(
-      static_cast<long long>(__builtin_bswap64(counter)),
-      static_cast<long long>(nonce_sw));
-}
-
-__attribute__((target("aes,sse2"))) void ctr_xor_aesni(
-    const std::array<std::array<uint8_t, 16>, 11>& schedule,
-    std::span<const CtrJob> jobs) {
-  __m128i rk[11];
-  for (int i = 0; i < 11; ++i) {
-    rk[i] = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(schedule[static_cast<size_t>(i)].data()));
-  }
-
-  for (const CtrJob& job : jobs) {
-    const uint64_t nonce_sw = __builtin_bswap64(job.nonce);
-    uint64_t ctr = job.counter;
-    uint8_t* p = job.data;
-    size_t blocks = job.len / 16;
-    const size_t tail = job.len % 16;
-
-    // Four counter blocks in flight per iteration: enough to cover the
-    // aesenc latency on every core that has the instruction.
-    while (blocks >= 4) {
-      __m128i b0 = _mm_xor_si128(ctr_block(nonce_sw, ctr + 0), rk[0]);
-      __m128i b1 = _mm_xor_si128(ctr_block(nonce_sw, ctr + 1), rk[0]);
-      __m128i b2 = _mm_xor_si128(ctr_block(nonce_sw, ctr + 2), rk[0]);
-      __m128i b3 = _mm_xor_si128(ctr_block(nonce_sw, ctr + 3), rk[0]);
-      for (int r = 1; r < 10; ++r) {
-        b0 = _mm_aesenc_si128(b0, rk[r]);
-        b1 = _mm_aesenc_si128(b1, rk[r]);
-        b2 = _mm_aesenc_si128(b2, rk[r]);
-        b3 = _mm_aesenc_si128(b3, rk[r]);
-      }
-      b0 = _mm_aesenclast_si128(b0, rk[10]);
-      b1 = _mm_aesenclast_si128(b1, rk[10]);
-      b2 = _mm_aesenclast_si128(b2, rk[10]);
-      b3 = _mm_aesenclast_si128(b3, rk[10]);
-      _mm_storeu_si128(
-          reinterpret_cast<__m128i*>(p + 0),
-          _mm_xor_si128(_mm_loadu_si128(reinterpret_cast<__m128i*>(p + 0)), b0));
-      _mm_storeu_si128(
-          reinterpret_cast<__m128i*>(p + 16),
-          _mm_xor_si128(_mm_loadu_si128(reinterpret_cast<__m128i*>(p + 16)), b1));
-      _mm_storeu_si128(
-          reinterpret_cast<__m128i*>(p + 32),
-          _mm_xor_si128(_mm_loadu_si128(reinterpret_cast<__m128i*>(p + 32)), b2));
-      _mm_storeu_si128(
-          reinterpret_cast<__m128i*>(p + 48),
-          _mm_xor_si128(_mm_loadu_si128(reinterpret_cast<__m128i*>(p + 48)), b3));
-      ctr += 4;
-      p += 64;
-      blocks -= 4;
-    }
-    while (blocks > 0) {
-      __m128i b = _mm_xor_si128(ctr_block(nonce_sw, ctr), rk[0]);
-      for (int r = 1; r < 10; ++r) b = _mm_aesenc_si128(b, rk[r]);
-      b = _mm_aesenclast_si128(b, rk[10]);
-      _mm_storeu_si128(
-          reinterpret_cast<__m128i*>(p),
-          _mm_xor_si128(_mm_loadu_si128(reinterpret_cast<__m128i*>(p)), b));
-      ++ctr;
-      p += 16;
-      --blocks;
-    }
-    if (tail > 0) {
-      __m128i b = _mm_xor_si128(ctr_block(nonce_sw, ctr), rk[0]);
-      for (int r = 1; r < 10; ++r) b = _mm_aesenc_si128(b, rk[r]);
-      b = _mm_aesenclast_si128(b, rk[10]);
-      alignas(16) uint8_t ks[16];
-      _mm_store_si128(reinterpret_cast<__m128i*>(ks), b);
-      for (size_t i = 0; i < tail; ++i) p[i] ^= ks[i];
-    }
-  }
-}
-
-#endif  // TENET_AESNI_KERNEL
-
-}  // namespace
-
-Backend backend() { return g_backend; }
-
-Backend set_backend(Backend b) {
-  const Backend prev = g_backend;
-  g_backend = b;
-  return prev;
-}
-
-bool aesni_available() {
-#if defined(TENET_AESNI_KERNEL)
-  return cpu_has_aesni();
-#else
-  return false;
-#endif
-}
-
 void ctr_xor_batch(const Aes128& key, std::span<const CtrJob> jobs) {
-#if defined(TENET_AESNI_KERNEL)
-  if (g_backend == Backend::kBatched && aesni_available()) {
-    // Canonical charge first: ⌈len/16⌉ blocks per job, exactly what the
-    // per-job scalar path would charge.
-    uint64_t total_blocks = 0;
-    for (const CtrJob& job : jobs) total_blocks += (job.len + 15) / 16;
-    work::charge_aes_blocks(total_blocks);
-    ctr_xor_aesni(key.round_key_bytes(), jobs);
-    return;
-  }
-#endif
   for (const CtrJob& job : jobs) {
     key.ctr_xor(job.nonce, job.counter, job.data, job.len);
   }
 }
 
 void hmac_batch(const HmacKey& key, std::span<const MacJob> jobs) {
-  // Both backends share the midstate path: the batching win is the cached
-  // ipad/opad states plus whichever sha256_kernel backend is active. Kept
-  // as one loop so the tag bytes and charges cannot diverge by backend.
+  // The batching win is the cached ipad/opad states plus whichever
+  // sha256_kernel backend is active.
   for (const MacJob& job : jobs) {
     const Digest d = key.mac_parts({job.a, job.b});
     std::memcpy(job.tag_out, d.data(), job.tag_len);

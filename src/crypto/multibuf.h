@@ -1,15 +1,14 @@
-// Multi-buffer record kernels: N independent AES-CTR / HMAC-SHA256 jobs per
-// dispatch.
+// Multi-buffer record helpers: N independent AES-CTR / HMAC-SHA256 jobs per
+// call.
 //
 // The secure-channel record path seals one record per call today; at a
 // million sessions the per-call overhead (counter-block setup, pad schedule,
-// dispatch) dominates. These kernels take a whole batch of independent jobs
-// and run them through one dispatch: the AES-NI backend pipelines four
-// counter blocks per iteration, and the HMAC path resumes from per-key
-// cached ipad/opad midstates (HmacKey). Both backends write byte-identical
-// output and charge identical canonical work-meter costs — the same
-// contract as the PR1 bignum backends — so the PR3/PR5/PR6 replay and
-// cost-attribution invariants hold no matter which backend ran.
+// dispatch) dominates. These helpers take a whole batch of independent jobs:
+// CTR runs each job through Aes128::ctr_xor (AES-NI where available, see
+// aes.h), and the HMAC path resumes from per-key cached ipad/opad midstates
+// (HmacKey). Each job writes the bytes and charges the canonical work-meter
+// cost of the single-buffer primitive, so the PR3/PR5/PR6 replay and
+// cost-attribution invariants hold whichever AES backend ran.
 #pragma once
 
 #include <cstdint>
@@ -21,18 +20,6 @@
 
 namespace tenet::crypto::mb {
 
-enum class Backend : uint8_t {
-  kScalar,   ///< per-job loop over the single-buffer primitives
-  kBatched,  ///< multi-buffer dispatch (AES-NI / SHA-NI when available)
-};
-
-/// Currently selected backend (default kBatched).
-Backend backend();
-/// Sets the backend (test hook for equivalence suites); returns previous.
-Backend set_backend(Backend b);
-/// True when the AES-NI counter-mode kernel is compiled in and supported.
-bool aesni_available();
-
 /// One CTR keystream job: XORs keystream(nonce, counter…) into
 /// data[0..len). Identical semantics to Aes128::ctr_xor.
 struct CtrJob {
@@ -42,8 +29,7 @@ struct CtrJob {
   size_t len = 0;
 };
 
-/// Runs every job under one dispatch. Byte-identical to calling
-/// key.ctr_xor per job; charges the same ⌈len/16⌉ aes_blocks per job.
+/// Runs key.ctr_xor over every job, in order: ⌈len/16⌉ aes_blocks per job.
 void ctr_xor_batch(const Aes128& key, std::span<const CtrJob> jobs);
 
 /// One MAC job over the concatenation a‖b (records MAC aad ‖ header ‖

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/rng.h"
 #include "crypto/work.h"
+#include "test_seed.h"
 
 namespace tenet::crypto {
 namespace {
@@ -129,6 +131,28 @@ TEST(Aes, WorkMeterCountsBlocksAndSchedules) {
   EXPECT_EQ(wc.aes_key_schedules, 1u);
   (void)aes.ecb_encrypt(Bytes(160, 0));
   EXPECT_EQ(wc.aes_blocks, 10u);
+}
+
+TEST(Aes, AesniKeyScheduleMatchesPortable) {
+  if (!mb::aesni_available()) GTEST_SKIP() << "no AES-NI on this CPU";
+  Drbg rng = Drbg::from_label(tenet::test::seed(82), "aes.schedule");
+  for (int iter = 0; iter < 256; ++iter) {
+    AesKey128 key{};
+    const Bytes b = rng.bytes(16);
+    std::copy(b.begin(), b.end(), key.begin());
+    const mb::Backend prev = mb::set_backend(mb::Backend::kScalar);
+    const Aes128 portable(key);
+    mb::set_backend(mb::Backend::kBatched);
+    WorkCounters wc;
+    {
+      work::Scope scope(&wc);
+      const Aes128 aesni(key);
+      EXPECT_EQ(aesni.round_key_bytes(), portable.round_key_bytes())
+          << "iter " << iter;
+    }
+    mb::set_backend(prev);
+    EXPECT_EQ(wc.aes_key_schedules, 1u);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 // The optimized paths (4-bit windowed Montgomery exponentiation, the
 // radix-52 IFMA backend where the CPU has one, the fixed-base generator
-// table, and T-table AES) must be bit-identical to the straightforward
+// table, and AES on AES-NI) must be bit-identical to the straightforward
 // reference algorithms and must charge the work meter for exactly the
 // operations the window structure implies. Each equivalence suite runs
 // >= 1000 seeded-DRBG inputs so a digit-indexing or carry bug cannot hide.
@@ -128,7 +128,8 @@ TEST(FastPath, FixedBaseTableOversizedExponentFallsBack) {
 }
 
 // ---------------------------------------------------------------------------
-// T-table AES vs. an independent byte-wise reference
+// Both AES backends (AES-NI and the portable reference) vs. an independent
+// byte-wise reference
 // ---------------------------------------------------------------------------
 
 // Self-contained FIPS-197 reference implementation (S-box derived from the
@@ -228,6 +229,31 @@ struct RefAes {
     round(false);
     ark(10);
   }
+
+  // CTR keystream XOR: [nonce BE64 | counter BE64] blocks, the counter
+  // wrapping mod 2^64 without touching the nonce half.
+  void ctr_xor(uint64_t nonce, uint64_t counter, uint8_t* data,
+               size_t len) const {
+    for (size_t off = 0; off < len; off += 16, ++counter) {
+      AesBlock ks{};
+      for (size_t i = 0; i < 8; ++i) {
+        ks[i] = static_cast<uint8_t>(nonce >> (56 - 8 * i));
+        ks[8 + i] = static_cast<uint8_t>(counter >> (56 - 8 * i));
+      }
+      encrypt(ks);
+      for (size_t i = 0; i < 16 && off + i < len; ++i) data[off + i] ^= ks[i];
+    }
+  }
+};
+
+/// Forces an AES backend for one scope and restores the previous on exit.
+class BackendScope {
+ public:
+  explicit BackendScope(mb::Backend b) : prev_(mb::set_backend(b)) {}
+  ~BackendScope() { mb::set_backend(prev_); }
+
+ private:
+  mb::Backend prev_;
 };
 
 AesKey128 key_from(BytesView b) {
@@ -236,36 +262,106 @@ AesKey128 key_from(BytesView b) {
   return k;
 }
 
-TEST(FastPath, TTableAesMatchesFips197Vector) {
+TEST(FastPath, AesMatchesFips197Vector) {
   const AesKey128 key = key_from(
       BigInt::from_hex("000102030405060708090a0b0c0d0e0f").to_bytes_be(16));
-  AesBlock block{};
   const Bytes pt =
       BigInt::from_hex("00112233445566778899aabbccddeeff").to_bytes_be(16);
-  std::copy(pt.begin(), pt.end(), block.begin());
-  Aes128(key).encrypt_block(block);
-  EXPECT_EQ(BigInt::from_bytes_be(block).to_hex(),
-            "69c4e0d86a7b0430d8cdb78070b4c55a");
+  for (const mb::Backend b : {mb::Backend::kScalar, mb::Backend::kBatched}) {
+    BackendScope scope(b);
+    AesBlock block{};
+    std::copy(pt.begin(), pt.end(), block.begin());
+    Aes128(key).encrypt_block(block);
+    EXPECT_EQ(BigInt::from_bytes_be(block).to_hex(),
+              "69c4e0d86a7b0430d8cdb78070b4c55a");
+  }
 }
 
-TEST(FastPath, TTableAesMatchesReferenceRandomized) {
-  Drbg rng = Drbg::from_label(test::seed(65), "fastpath.aes.random");
+// encrypt_block on `backend` (key expanded on that backend too) against
+// RefAes and, for AES-NI, against the forced-portable path; decrypt_block
+// must invert it.
+void expect_blocks_match_reference(mb::Backend backend, uint64_t seed) {
+  Drbg rng = Drbg::from_label(seed, "fastpath.aes.random");
   for (int iter = 0; iter < 1000; ++iter) {
     const AesKey128 key = key_from(rng.bytes(16));
     const Bytes pt = rng.bytes(16);
-    AesBlock fast{}, ref{};
+    AesBlock fast{}, ref{}, portable{};
     std::copy(pt.begin(), pt.end(), fast.begin());
-    ref = fast;
+    ref = portable = fast;
+    {
+      BackendScope scope(mb::Backend::kScalar);
+      Aes128(key).encrypt_block(portable);
+    }
+    BackendScope scope(backend);
     const Aes128 aes(key);
     aes.encrypt_block(fast);
     RefAes(key).encrypt(ref);
     EXPECT_EQ(fast, ref) << "iter " << iter;
-    // Decrypt (still the byte-wise reference path) must invert the T-table
-    // encryption exactly.
+    EXPECT_EQ(fast, portable) << "iter " << iter;
     AesBlock back = fast;
     aes.decrypt_block(back);
     EXPECT_EQ(Bytes(back.begin(), back.end()), pt) << "iter " << iter;
   }
+}
+
+TEST(FastPath, AesPortableMatchesReference) {
+  expect_blocks_match_reference(mb::Backend::kScalar, test::seed(65));
+}
+
+TEST(FastPath, AesAesniMatchesReference) {
+  if (!mb::aesni_available()) GTEST_SKIP() << "no AES-NI on this CPU";
+  expect_blocks_match_reference(mb::Backend::kBatched, test::seed(65));
+}
+
+// ctr_xor on `backend` at every length 0..80 plus 4096 and 65536, random
+// keys and counter blocks, against RefAes and the forced-portable path;
+// then a counter that wraps past 2^64 (the nonce half must not carry).
+void expect_ctr_matches_reference(mb::Backend backend, uint64_t seed) {
+  Drbg rng = Drbg::from_label(seed, "fastpath.aes.ctr.ref");
+  std::vector<size_t> lens;
+  for (size_t n = 0; n <= 80; ++n) lens.push_back(n);
+  lens.push_back(4096);
+  lens.push_back(65536);
+  for (const size_t len : lens) {
+    const AesKey128 key = key_from(rng.bytes(16));
+    const uint64_t nonce = rng.next_u64();
+    const uint64_t ctr = rng.next_u64();
+    const Bytes data = rng.bytes(len);
+    Bytes ref = data, portable = data, fast = data;
+    RefAes(key).ctr_xor(nonce, ctr, ref.data(), ref.size());
+    {
+      BackendScope scope(mb::Backend::kScalar);
+      Aes128(key).ctr_xor(nonce, ctr, portable.data(), portable.size());
+    }
+    BackendScope scope(backend);
+    Aes128(key).ctr_xor(nonce, ctr, fast.data(), fast.size());
+    EXPECT_EQ(fast, ref) << "len " << len;
+    EXPECT_EQ(fast, portable) << "len " << len;
+  }
+
+  const AesKey128 key = key_from(rng.bytes(16));
+  const uint64_t nonce = 0x0123456789abcdefull;
+  const uint64_t start = ~uint64_t{0} - 2;  // 2^64 - 3: five blocks wrap
+  BackendScope scope(backend);
+  const Aes128 aes(key);
+  Bytes wrapped(5 * 16, 0);
+  aes.ctr_xor(nonce, start, wrapped.data(), wrapped.size());
+  Bytes expected(5 * 16, 0);
+  RefAes(key).ctr_xor(nonce, start, expected.data(), expected.size());
+  EXPECT_EQ(wrapped, expected);
+  // Blocks 3 and 4 are counters 0 and 1 under the same nonce.
+  Bytes after_wrap(2 * 16, 0);
+  aes.ctr_xor(nonce, 0, after_wrap.data(), after_wrap.size());
+  EXPECT_EQ(Bytes(wrapped.begin() + 48, wrapped.end()), after_wrap);
+}
+
+TEST(FastPath, CtrPortableMatchesReference) {
+  expect_ctr_matches_reference(mb::Backend::kScalar, test::seed(70));
+}
+
+TEST(FastPath, CtrAesniMatchesReference) {
+  if (!mb::aesni_available()) GTEST_SKIP() << "no AES-NI on this CPU";
+  expect_ctr_matches_reference(mb::Backend::kBatched, test::seed(70));
 }
 
 TEST(FastPath, CtrMatchesNistSp80038aVector) {

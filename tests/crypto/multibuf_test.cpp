@@ -1,7 +1,8 @@
-// Multi-buffer kernel equivalence (DESIGN.md §13): the batched AES-CTR /
-// HMAC paths and the cached-midstate HmacKey must be byte-identical to the
-// scalar primitives at every size — including ragged batches — and must
-// charge identical canonical work, or the PR3/PR5/PR6 replay and
+// Multi-buffer equivalence (DESIGN.md §13): the batched AES-CTR / HMAC
+// paths and the cached-midstate HmacKey must be byte-identical to the
+// single-buffer primitives at every size — including ragged batches — on
+// both AES backends (AES-NI and the portable reference), and must charge
+// exactly the canonical work, or the PR3/PR5/PR6 replay and
 // cost-attribution invariants break silently.
 #include "crypto/multibuf.h"
 
@@ -9,6 +10,8 @@
 
 #include <array>
 #include <cstring>
+#include <initializer_list>
+#include <optional>
 #include <vector>
 
 #include "crypto/aead.h"
@@ -19,7 +22,7 @@
 namespace tenet::crypto {
 namespace {
 
-/// Forces a backend for one scope and restores the previous on exit.
+/// Forces an AES backend for one scope and restores the previous on exit.
 class BackendScope {
  public:
   explicit BackendScope(mb::Backend b) : prev_(mb::set_backend(b)) {}
@@ -35,8 +38,7 @@ Bytes aead_key(uint8_t tag = 0) {
   return k;
 }
 
-// Sizes covering the satellite's 1B→64KB span with block-boundary ragged
-// edges (the AES-NI kernel's 4-wide main loop, 1-wide loop, and sub-block
+// Sizes covering the 1B→64KB span with block-boundary ragged edges (the AES-NI kernel's 4-wide main loop, 1-wide loop, and sub-block
 // tail all get exercised).
 const std::vector<size_t> kRecordSizes = {0,  1,   15,  16,   17,   63,  64,
                                           65, 256, 257, 1500, 4096, 65536};
@@ -98,29 +100,42 @@ TEST(MultiBuf, CtrRaggedBatch) {
   EXPECT_EQ(batched, scalar);
 }
 
+// ⌈len/16⌉ per CTR job: the one canonical AES charge.
+uint64_t ctr_blocks(std::initializer_list<size_t> lens) {
+  uint64_t total = 0;
+  for (const size_t n : lens) total += (n + 15) / 16;
+  return total;
+}
+
+// Canonical HMAC-SHA256 blocks for one record MAC over `msg_len` bytes:
+// the ipad block plus the padded message, then the opad block plus the
+// padded 32-byte inner digest.
+uint64_t hmac_blocks(size_t msg_len) { return (64 + msg_len + 9 + 63) / 64 + 2; }
+
 TEST(MultiBuf, CtrBatchChargesCanonicalCost) {
   const Aes128 key(AesKey128{});
   Drbg rng = Drbg::from_label(tenet::test::seed(73), "mb.cost");
+  const std::initializer_list<size_t> lens = {1, 16, 17, 1500};
   std::vector<Bytes> bufs;
   std::vector<mb::CtrJob> jobs;
-  for (const size_t n : {size_t{1}, size_t{16}, size_t{17}, size_t{1500}}) {
+  for (const size_t n : lens) {
     bufs.push_back(rng.bytes(n));
     jobs.push_back(mb::CtrJob{7, 0, bufs.back().data(), bufs.back().size()});
   }
 
-  WorkCounters batched_cost, scalar_cost;
-  {
-    work::Scope meter(&batched_cost);
-    BackendScope scope(mb::Backend::kBatched);
-    mb::ctr_xor_batch(key, jobs);
+  // Absolute totals, not batched == scalar: both backends run through
+  // Aes128::ctr_xor, so a double charge would show on both sides alike.
+  for (const mb::Backend b : {mb::Backend::kBatched, mb::Backend::kScalar}) {
+    WorkCounters cost;
+    {
+      work::Scope meter(&cost);
+      BackendScope scope(b);
+      mb::ctr_xor_batch(key, jobs);
+    }
+    EXPECT_EQ(cost.aes_blocks, ctr_blocks(lens));
+    EXPECT_EQ(cost.aes_key_schedules, 0u);
+    EXPECT_EQ(cost.sha256_blocks, 0u);
   }
-  {
-    work::Scope meter(&scalar_cost);
-    BackendScope scope(mb::Backend::kScalar);
-    mb::ctr_xor_batch(key, jobs);
-  }
-  EXPECT_EQ(batched_cost.aes_blocks, scalar_cost.aes_blocks);
-  EXPECT_EQ(batched_cost.sha256_blocks, scalar_cost.sha256_blocks);
 }
 
 TEST(MultiBuf, HmacKeyMatchesUncachedHmac) {
@@ -241,15 +256,16 @@ TEST(MultiBuf, AeadSealBatchByteIdenticalToSequential) {
 TEST(MultiBuf, AeadSealBatchChargesCanonicalCost) {
   const Aead aead(aead_key(3));
   Drbg rng = Drbg::from_label(tenet::test::seed(80), "mb.ac");
+  const std::initializer_list<size_t> lens = {1, 64, 1500};
   std::vector<Bytes> plains;
-  for (const size_t n : {size_t{1}, size_t{64}, size_t{1500}}) {
-    plains.push_back(rng.bytes(n));
-  }
+  for (const size_t n : lens) plains.push_back(rng.bytes(n));
+  uint64_t expect_sha = 0;
+  for (const size_t n : lens) expect_sha += hmac_blocks(Aead::kHeaderSize + n);
 
-  WorkCounters batched_cost, scalar_cost;
+  WorkCounters batched_cost, scalar_cost, open_cost;
+  std::vector<Bytes> out;
+  for (const Bytes& p : plains) out.emplace_back(Aead::sealed_size(p.size()));
   {
-    std::vector<Bytes> out;
-    for (const Bytes& p : plains) out.emplace_back(Aead::sealed_size(p.size()));
     std::vector<Aead::SealJob> jobs;
     for (size_t i = 0; i < plains.size(); ++i) {
       jobs.push_back(
@@ -264,8 +280,21 @@ TEST(MultiBuf, AeadSealBatchChargesCanonicalCost) {
     BackendScope scope(mb::Backend::kScalar);
     for (size_t i = 0; i < plains.size(); ++i) (void)aead.seal(1, i, plains[i]);
   }
-  EXPECT_EQ(batched_cost.aes_blocks, scalar_cost.aes_blocks);
-  EXPECT_EQ(batched_cost.sha256_blocks, scalar_cost.sha256_blocks);
+  {
+    std::vector<Aead::OpenJob> jobs;
+    for (Bytes& record : out) jobs.push_back(Aead::OpenJob{record, BytesView{}});
+    std::vector<std::optional<size_t>> results(jobs.size());
+    work::Scope meter(&open_cost);
+    aead.open_batch(jobs, results);
+    for (size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].has_value()) << "record " << i;
+    }
+  }
+  for (const WorkCounters* cost : {&batched_cost, &scalar_cost, &open_cost}) {
+    EXPECT_EQ(cost->aes_blocks, ctr_blocks(lens));
+    EXPECT_EQ(cost->aes_key_schedules, 0u);
+    EXPECT_EQ(cost->sha256_blocks, expect_sha);
+  }
   EXPECT_EQ(batched_cost.bytes_moved, scalar_cost.bytes_moved);
 }
 
