@@ -17,6 +17,8 @@
 #                              # CostModel/Epc write is bumped elsewhere) +
 #                              # one-AES check (no _mm_aesenc or kTe* table
 #                              # in src/ outside crypto/aes.cpp) +
+#                              # one-AMM check (no _mm512_madd52 in src/
+#                              # outside crypto/bignum_ifma.cpp) +
 #                              # security lint gate (DESIGN.md §15): static
 #                              # taint pass over the tree (src/ findings are
 #                              # hard failures) + dynamic pass driving the
@@ -109,6 +111,15 @@ case "$mode" in
         | grep -v '^src/crypto/aes\.cpp:'; then
       echo "lint: AES runs only in src/crypto/aes.cpp;" \
         "call Aes128::encrypt_block or Aes128::ctr_xor instead" >&2
+      exit 1
+    fi
+    # One Montgomery vector kernel (DESIGN.md §3.1): the IFMA multiply-adds
+    # live only in the radix-52 AMM, so every modexp gets the same kernel
+    # and the same canonical charge from its caller.
+    if grep -rn '_mm512_madd52' src \
+        | grep -v '^src/crypto/bignum_ifma\.cpp:'; then
+      echo "lint: IFMA multiply-adds run only in src/crypto/bignum_ifma.cpp;" \
+        "call ifma::amm instead" >&2
       exit 1
     fi
     # Any key material reaching an ocall buffer, telemetry label, or trace

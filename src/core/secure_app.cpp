@@ -33,6 +33,14 @@ constexpr uint32_t kShardCheckpointMagic = 0x53485244;  // "SHRD"
 /// (such as how Aes128 stores its key schedule). 1248 is the value the
 /// published tables were derived with.
 constexpr size_t kPeerStateHeapBytes = 1248;
+
+/// Modeled enclave heap bytes for a shard replica, charged once when
+/// sharding is enabled, plus one member-table entry per shard member.
+/// Pinned for the same reason as kPeerStateHeapBytes: 480 and 8 were
+/// sizeof(ShardReplica) and sizeof(ShardMember) when the published tables
+/// were derived.
+constexpr size_t kShardReplicaHeapBytes = 480;
+constexpr size_t kShardMemberHeapBytes = 8;
 }  // namespace
 
 netsim::NodeId Ctx::self() const { return app_.self_; }
@@ -266,8 +274,8 @@ void SecureApp::peer_attested_event(Ctx& ctx, netsim::NodeId peer) {
 
 ShardReplica& SecureApp::enable_sharding(Ctx& ctx, ShardConfig cfg,
                                          ShardReplica::Hooks hooks) {
-  ctx.alloc(sizeof(ShardReplica) +
-            cfg.members.size() * sizeof(ShardMember));
+  ctx.alloc(kShardReplicaHeapBytes +
+            cfg.members.size() * kShardMemberHeapBytes);
   shard_ = std::make_unique<ShardReplica>(*this, std::move(cfg),
                                           std::move(hooks));
   if (!restored_shard_state_.empty()) {

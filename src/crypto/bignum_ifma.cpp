@@ -58,15 +58,32 @@ namespace {
 //
 // Row structure (operand scanning, one row per a-limb): add the low halves
 // of a_i*b and m*n into the accumulator, shift the accumulator down one
-// limb (the freed weight-2^0 position is exactly zero mod 2^52), then add
-// the high halves — which post-shift land on the same lanes as their
-// weight-52(j+1) positions, so no second shifted register set is needed.
+// limb, then add the high halves — which post-shift land on the same lanes
+// as their weight-52(j+1) positions, so no second shifted register set is
+// needed.
+//
+// The reduction digit m comes from a scalar copy x0 of the weight-2^0
+// limb, which takes the full 104-bit a_i*b_0 and m*n_0 products. m and the
+// carry out of the freed limb are then known without waiting on the vector
+// madds, and a row reads the vector unit once: lane 0 after the shift,
+// which refreshes x0. Vector lane 0 is dead weight after each shift (its
+// low madds are shifted out, its high madds are already in x0), and x0 is
+// written back into it once, before the final carry pass. m =
+// t*(-n^-1) mod 2^52 depends only on the value mod 2^52, so it is the same
+// digit any exact AMM picks and the output is the same value in [0, 2n).
+//
 // Accumulator lanes grow by at most 4*(2^52-1) per row and migrate down one
-// lane per row, so they stay far below 2^64 for any supported size.
+// lane per row, so they stay far below 2^64 for any supported size; x0 adds
+// less than 2^54 to that bound.
+//
+// The maskz_ forms of the shift intrinsics compile to the plain
+// instructions; GCC 12's unmasked forms pass an undefined source operand
+// that trips -Wmaybe-uninitialized.
 template <int NC>
 __attribute__((target("avx512f,avx512ifma"))) void amm_t(
     const uint64_t* a, const uint64_t* b, const uint64_t* n, uint64_t n0inv52,
     int l, uint64_t* out) {
+  using u128 = unsigned __int128;
   __m512i acc[NC], bv[NC], nv[NC];
   const __m512i zero = _mm512_setzero_si512();
   for (int c = 0; c < NC; ++c) {
@@ -74,39 +91,55 @@ __attribute__((target("avx512f,avx512ifma"))) void amm_t(
     bv[c] = _mm512_loadu_si512(b + 8 * c);
     nv[c] = _mm512_loadu_si512(n + 8 * c);
   }
+  const uint64_t b0 = b[0], n0 = n[0];
+  uint64_t x0 = 0;
   for (int i = 0; i < l; ++i) {
+    u128 t = static_cast<u128>(a[i]) * b0 + x0;
+    const uint64_t m = (static_cast<uint64_t>(t) * n0inv52) & kMask52;
+    t += static_cast<u128>(m) * n0;  // low 52 bits now zero
     const __m512i ai = _mm512_set1_epi64(static_cast<long long>(a[i]));
-    for (int c = 0; c < NC; ++c)
-      acc[c] = _mm512_madd52lo_epu64(acc[c], ai, bv[c]);
-    const uint64_t acc0 = static_cast<uint64_t>(
-        _mm_cvtsi128_si64(_mm512_castsi512_si128(acc[0])));
-    const uint64_t m = (acc0 * n0inv52) & kMask52;
     const __m512i mv = _mm512_set1_epi64(static_cast<long long>(m));
     for (int c = 0; c < NC; ++c)
+      acc[c] = _mm512_madd52lo_epu64(acc[c], ai, bv[c]);
+    for (int c = 0; c < NC; ++c)
       acc[c] = _mm512_madd52lo_epu64(acc[c], mv, nv[c]);
-    // Lane 0 is now 0 mod 2^52; its upper bits carry into the next limb.
-    const uint64_t lo0 = static_cast<uint64_t>(
-        _mm_cvtsi128_si64(_mm512_castsi512_si128(acc[0])));
-    const uint64_t carry = lo0 >> 52;
     for (int c = 0; c < NC; ++c) {
       const __m512i next = (c + 1 < NC) ? acc[c + 1] : zero;
-      acc[c] = _mm512_alignr_epi64(next, acc[c], 1);
+      acc[c] = _mm512_maskz_alignr_epi64(0xFF, next, acc[c], 1);
     }
-    acc[0] = _mm512_mask_add_epi64(
-        acc[0], 1, acc[0], _mm512_set1_epi64(static_cast<long long>(carry)));
+    x0 = static_cast<uint64_t>(t >> 52) + static_cast<uint64_t>(acc[0][0]);
     for (int c = 0; c < NC; ++c)
       acc[c] = _mm512_madd52hi_epu64(acc[c], ai, bv[c]);
     for (int c = 0; c < NC; ++c)
       acc[c] = _mm512_madd52hi_epu64(acc[c], mv, nv[c]);
   }
-  // Carry-propagate the redundant lanes to canonical 52-bit limbs.
-  alignas(64) uint64_t tmp[8 * NC];
-  for (int c = 0; c < NC; ++c) _mm512_storeu_si512(tmp + 8 * c, acc[c]);
-  uint64_t cy = 0;
-  for (int j = 0; j < 8 * NC; ++j) {
-    const uint64_t v = tmp[j] + cy;
-    out[j] = v & kMask52;
-    cy = v >> 52;
+  acc[0] = _mm512_mask_set1_epi64(acc[0], 1, static_cast<long long>(x0));
+  // Carry-propagate the redundant lanes to canonical 52-bit limbs,
+  // branch-free. First fold every lane's bits above 52 into the next
+  // lane; that leaves each lane below 2^52 + 2^12, so the carries still
+  // owed are single bits. A lane then generates a carry if it exceeds the
+  // mask and propagates one if it equals it; one 64-bit add over the
+  // per-lane bit masks resolves the whole chain at once, as in a
+  // carry-lookahead adder. The value is < 2n < 2^(52l), so nothing carries
+  // out of the top lane.
+  const __m512i mask = _mm512_set1_epi64(static_cast<long long>(kMask52));
+  __m512i below = zero;  // previous chunk's bits above 52
+  uint64_t gen = 0, prop = 0;
+  for (int c = 0; c < NC; ++c) {
+    const __m512i hi = _mm512_maskz_srli_epi64(0xFF, acc[c], 52);
+    const __m512i carried = _mm512_maskz_alignr_epi64(0xFF, hi, below, 7);
+    below = hi;
+    acc[c] = _mm512_add_epi64(_mm512_and_si512(acc[c], mask), carried);
+    gen |= uint64_t{_mm512_cmpgt_epu64_mask(acc[c], mask)} << (8 * c);
+    prop |= uint64_t{_mm512_cmpeq_epu64_mask(acc[c], mask)} << (8 * c);
+  }
+  const uint64_t carry_in = ((gen << 1) + prop) ^ prop;
+  for (int c = 0; c < NC; ++c) {
+    // Adding the carry and masking is subtracting the mask, mod 2^52.
+    const auto k = static_cast<__mmask8>(carry_in >> (8 * c));
+    acc[c] = _mm512_and_si512(_mm512_mask_sub_epi64(acc[c], k, acc[c], mask),
+                              mask);
+    _mm512_storeu_si512(out + 8 * c, acc[c]);
   }
 }
 

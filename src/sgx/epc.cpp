@@ -122,8 +122,6 @@ void Epc::materialize_spill(const SpilledPage& spilled, EnclaveId owner,
 void Epc::evict_page(EnclaveId owner, uint64_t vaddr) {
   MeeScope off;
   TENET_SPAN("epc", "ewb");
-  TENET_COUNT("sgx.epc.mee_opens");
-  TENET_COUNT("sgx.epc.mee_seals");
   const auto it = pages_.find({owner, vaddr});
   if (it == pages_.end()) throw HardwareFault("EWB: page not resident");
 
@@ -136,14 +134,19 @@ void Epc::evict_page(EnclaveId owner, uint64_t vaddr) {
   SpilledPage spilled;
   spilled.version = version;
   if (it->second.zero) {
+    // Deferred like add_page's seal, and counted the same way.
     spilled.zero = true;
+    TENET_COUNT("sgx.epc.mee_opens");
+    TENET_COUNT("sgx.epc.mee_seals");
   } else {
     auto plain = mee_.open(it->second.ciphertext);
+    TENET_COUNT("sgx.epc.mee_opens");
     if (!plain.has_value()) {
       throw HardwareFault("EPC: MEE integrity check failed (page corrupted)");
     }
     spilled.ciphertext = mee_.seal(owner ^ 0x5350494Cu, version, *plain,
                                    vaddr_aad(vaddr));
+    TENET_COUNT("sgx.epc.mee_seals");
   }
   version_array_[{owner, vaddr}] = version;
   spill_[{owner, vaddr}] = std::move(spilled);
@@ -156,8 +159,6 @@ void Epc::evict_page(EnclaveId owner, uint64_t vaddr) {
 void Epc::reload_page(EnclaveId owner, uint64_t vaddr) {
   MeeScope off;
   TENET_SPAN("epc", "eldu");
-  TENET_COUNT("sgx.epc.mee_opens");
-  TENET_COUNT("sgx.epc.mee_seals");
   const auto key = std::make_pair(owner, vaddr);
   const auto it = spill_.find(key);
   if (it == spill_.end()) throw HardwareFault("ELDU: page not spilled");
@@ -175,8 +176,11 @@ void Epc::reload_page(EnclaveId owner, uint64_t vaddr) {
     // the full rollback check (a replaced snapshot materializes first and
     // takes the non-zero path).
     slot.zero = true;
+    TENET_COUNT("sgx.epc.mee_opens");
+    TENET_COUNT("sgx.epc.mee_seals");
   } else {
     auto plain = mee_.open(it->second.ciphertext, vaddr_aad(vaddr));
+    TENET_COUNT("sgx.epc.mee_opens");
     if (!plain.has_value()) {
       TENET_COUNT("sgx.epc.integrity_faults");
       throw HardwareFault("ELDU: MAC failure on spilled page");
@@ -189,6 +193,7 @@ void Epc::reload_page(EnclaveId owner, uint64_t vaddr) {
       throw HardwareFault("ELDU: version mismatch (rollback attack detected)");
     }
     slot.ciphertext = mee_.seal(owner, vaddr, *plain);
+    TENET_COUNT("sgx.epc.mee_seals");
   }
 
   spill_.erase(it);

@@ -4,6 +4,15 @@
 
 namespace tenet::tor {
 
+namespace {
+/// Modeled enclave heap bytes for one relay circuit (hop keys, both
+/// circuit ids and the cell sequence numbers), charged when a CREATE is
+/// accepted. A constant rather than sizeof(Circuit), so the modeled cost
+/// does not follow the emulator's host-side layout; 96 is the value the
+/// published tables were derived with.
+constexpr size_t kCircuitHeapBytes = 96;
+}  // namespace
+
 crypto::Bytes encode_extend(netsim::NodeId target,
                             crypto::BytesView client_dh_pub) {
   crypto::Bytes out;
@@ -123,7 +132,7 @@ void RelayApp::handle_create(core::Ctx& ctx, netsim::NodeId from,
   circ.prev_node = from;
   circ.prev_circ = cell.circuit;
   circ.keys = HopKeys::derive(shared);
-  ctx.alloc(sizeof(Circuit));
+  ctx.alloc(kCircuitHeapBytes);
 
   const crypto::Digest confirm =
       crypto::hmac_sha256(circ.keys.digest_key, crypto::to_bytes("created"));

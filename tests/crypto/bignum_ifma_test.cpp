@@ -1,0 +1,173 @@
+// Kernel-level differential test for the radix-52 IFMA Montgomery multiply.
+//
+// ifma::amm is otherwise only reached through Montgomery::exp and
+// FixedBaseTable::power, where a wrong low limb or a lost carry shows up as
+// one wrong exponentiation among many inputs. Here each AMM is checked on
+// its own, for every supported chunk count, against two oracles:
+//   * the AMM definition: out = (a*b + M*n) / R52 with the unique
+//     M = -a*b*n^-1 mod R52 in [0, R52) — so the output value is exact,
+//     not merely congruent;
+//   * the scalar CIOS kernel: out*R52 ≡ a*b (mod n) via Montgomery::mul_mod.
+// Operands span the whole redundant range [0, 2n), edges included.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "crypto/bignum.h"
+#include "crypto/bignum_ifma.h"
+#include "crypto/dh.h"
+#include "crypto/rng.h"
+#include "test_seed.h"
+
+namespace tenet::crypto {
+namespace {
+
+constexpr uint64_t kMask52 = (uint64_t{1} << 52) - 1;
+
+// x mod 2^bits.
+BigInt low_bits(const BigInt& x, size_t bits) {
+  return x.sub(x.shr(bits).shl(bits));
+}
+
+std::vector<uint64_t> to_limbs(const BigInt& x, size_t count, size_t width) {
+  std::vector<uint64_t> out(count);
+  const uint64_t mask =
+      width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+  for (size_t j = 0; j < count; ++j) {
+    out[j] = x.shr(width * j).low_u64() & mask;
+  }
+  return out;
+}
+
+BigInt from_limbs52(const std::vector<uint64_t>& x) {
+  BigInt v;
+  for (size_t j = x.size(); j-- > 0;) v = v.shl(52).add(BigInt(x[j]));
+  return v;
+}
+
+// Smallest and largest 64-bit limb counts whose radix-52 form needs `nc`
+// zmm chunks.
+std::vector<size_t> limb_counts_for_chunks(int nc) {
+  std::vector<size_t> ks;
+  for (size_t k = 1; k < 64; ++k) {
+    if (static_cast<int>((ifma::limbs52(k) + 7) / 8) == nc) ks.push_back(k);
+  }
+  if (ks.size() > 2) ks.erase(ks.begin() + 1, ks.end() - 1);
+  return ks;
+}
+
+BigInt random_odd_modulus(Drbg& rng, size_t k) {
+  Bytes raw = rng.bytes(8 * k);
+  raw.front() |= 0x80;
+  raw.back() |= 0x01;
+  return BigInt::from_bytes_be(raw);
+}
+
+// Runs amm over edge and random operands for one modulus and checks each
+// product against both oracles. `rng` supplies the random operands.
+void check_modulus(const BigInt& n, Drbg& rng, const std::string& label) {
+  const size_t k = n.limb_count();
+  const size_t l = ifma::limbs52(k);
+  const size_t bits = 52 * l;  // R52 = 2^bits
+
+  // n^-1 mod R52 by Newton iteration (the precision doubles each step).
+  BigInt inv(1);
+  for (size_t prec = 1; prec < bits; prec *= 2) {
+    const BigInt nx = low_bits(n.mul(inv), bits);
+    const BigInt two_minus =
+        low_bits(BigInt(2).add(BigInt(1).shl(bits)).sub(nx), bits);
+    inv = low_bits(inv.mul(two_minus), bits);
+  }
+  const BigInt n_prime = BigInt(1).shl(bits).sub(inv);  // -n^-1 mod R52
+  const BigInt r52_mod_n = BigInt(1).shl(bits).mod(n);
+  const Montgomery mont(n);
+
+  ifma::Ctx ctx;
+  const std::vector<uint64_t> n64 = to_limbs(n, k, 64);
+  const std::vector<uint64_t> r52sq64 =
+      to_limbs(mont.mul_mod(r52_mod_n, r52_mod_n), k, 64);
+  ASSERT_TRUE(
+      ifma::init(ctx, n64.data(), k, n_prime.low_u64(), r52sq64.data()))
+      << label;
+  ASSERT_EQ(ctx.l, l) << label;
+  const size_t lp = ctx.lp;
+
+  const BigInt two_n = n.shl(1);
+  std::vector<BigInt> operands = {BigInt(0), BigInt(1), n.sub(BigInt(1)), n,
+                                  two_n.sub(BigInt(1))};
+  for (int i = 0; i < 4; ++i) {
+    operands.push_back(
+        BigInt::from_bytes_be(rng.bytes(8 * k + 8)).mod(two_n));
+  }
+
+  auto check = [&](const BigInt& a, const BigInt& b,
+                   const std::vector<uint64_t>& out, const char* how) {
+    for (size_t j = 0; j < lp; ++j) {
+      ASSERT_LE(out[j], kMask52) << label << " " << how << " limb " << j;
+    }
+    const BigInt got = from_limbs52(out);
+    EXPECT_LT(got, two_n) << label << " " << how;
+    const BigInt ab = a.mul(b);
+    const BigInt m = low_bits(low_bits(ab, bits).mul(n_prime), bits);
+    EXPECT_EQ(got, ab.add(m.mul(n)).shr(bits))
+        << label << " " << how << " a=" << a.to_hex() << " b=" << b.to_hex();
+    EXPECT_EQ(mont.mul_mod(got, r52_mod_n), mont.mul_mod(a, b))
+        << label << " " << how;
+  };
+
+  for (const BigInt& a : operands) {
+    const std::vector<uint64_t> a52 = to_limbs(a, lp, 52);
+    for (const BigInt& b : operands) {
+      const std::vector<uint64_t> b52 = to_limbs(b, lp, 52);
+      std::vector<uint64_t> out(lp, ~uint64_t{0});
+      ifma::amm(ctx, a52.data(), b52.data(), out.data());
+      check(a, b, out, "amm(a, b)");
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // The ladder squares in place: amm(c, x, x, x).
+    std::vector<uint64_t> x = a52;
+    ifma::amm(ctx, x.data(), x.data(), x.data());
+    check(a, a, x, "amm(x, x, x)");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(IfmaAmm, MatchesDefinitionForEveryChunkCount) {
+  if (!ifma::available()) GTEST_SKIP() << "CPU lacks AVX512-IFMA";
+  Drbg rng = Drbg::from_label(test::seed(106), "ifma.amm.random");
+  for (int nc = 2; nc <= 8; ++nc) {
+    const std::vector<size_t> ks = limb_counts_for_chunks(nc);
+    ASSERT_FALSE(ks.empty()) << "nc " << nc;
+    for (const size_t k : ks) {
+      const std::string label =
+          "nc " + std::to_string(nc) + " k " + std::to_string(k);
+      // n = 2^(64k) - 1 makes every row add exactly 2^52 - 1 to each
+      // middle lane, so the final carry pass meets long runs of lanes equal
+      // to the limb mask — carry chains random moduli almost never reach.
+      check_modulus(BigInt(1).shl(64 * k).sub(BigInt(1)), rng,
+                    label + " all-ones");
+      if (HasFatalFailure()) return;
+      for (int rep = 0; rep < 2; ++rep) {
+        check_modulus(random_odd_modulus(rng, k), rng, label);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(IfmaAmm, MatchesDefinitionForModpPrimes) {
+  // The moduli the DH groups run on; their top and bottom 64 bits are all
+  // ones.
+  if (!ifma::available()) GTEST_SKIP() << "CPU lacks AVX512-IFMA";
+  Drbg rng = Drbg::from_label(test::seed(107), "ifma.amm.modp");
+  for (const DhGroup* g : {&DhGroup::oakley_group1(), &DhGroup::oakley_group2(),
+                           &DhGroup::modp_group5(), &DhGroup::modp_group14()}) {
+    check_modulus(g->p(), rng, g->name());
+    if (HasFatalFailure()) return;
+  }
+}
+
+}  // namespace
+}  // namespace tenet::crypto

@@ -96,6 +96,30 @@ TEST(TelemetryCrosscheck, RollbackDetectionIsCounted) {
   EXPECT_EQ(counted("sgx.epc.rollbacks_detected"), 1u);
 }
 
+TEST(TelemetryCrosscheck, RejectedPagingRunsNoMeeOperation) {
+  TelemetryOn on;
+  Epc epc(crypto::Bytes(32, 0x88));
+  epc.add_page(1, 0, crypto::to_bytes("v1"));
+  epc.evict_page(1, 0);
+  const auto old_spill = epc.adversary_snapshot_spill(1, 0);
+  ASSERT_TRUE(old_spill.has_value());
+  (void)epc.read_page(1, 0);  // reload
+  epc.evict_page(1, 0);       // spill again with a fresh version
+  ASSERT_TRUE(epc.adversary_replace_spill(1, 0, *old_spill));
+  // One seal at add, then an open and a seal per EWB and per ELDU.
+  ASSERT_EQ(counted("sgx.epc.mee_opens"), 3u);
+  ASSERT_EQ(counted("sgx.epc.mee_seals"), 4u);
+
+  // ELDU of the rolled-back spill fails the version check before the MEE
+  // runs; EWB of a page that is spilled, or was never added, finds nothing
+  // resident to open.
+  EXPECT_THROW((void)epc.read_page(1, 0), HardwareFault);
+  EXPECT_THROW(epc.evict_page(1, 0), HardwareFault);
+  EXPECT_THROW(epc.evict_page(1, 7), HardwareFault);
+  EXPECT_EQ(counted("sgx.epc.mee_opens"), 3u);
+  EXPECT_EQ(counted("sgx.epc.mee_seals"), 4u);
+}
+
 TEST(TelemetryCrosscheck, FailedOperationsAreNotCounted) {
   TelemetryOn on;
   // An oversized page is refused before it is mapped.
