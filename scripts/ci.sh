@@ -19,6 +19,8 @@
 #                              # in src/ outside crypto/aes.cpp) +
 #                              # one-AMM check (no _mm512_madd52 in src/
 #                              # outside crypto/bignum_ifma.cpp) +
+#                              # versioned-MEE check (no mee_.seal in src/
+#                              # with vaddr as the sequence) +
 #                              # security lint gate (DESIGN.md §15): static
 #                              # taint pass over the tree (src/ findings are
 #                              # hard failures) + dynamic pass driving the
@@ -120,6 +122,15 @@ case "$mode" in
         | grep -v '^src/crypto/bignum_ifma\.cpp:'; then
       echo "lint: IFMA multiply-adds run only in src/crypto/bignum_ifma.cpp;" \
         "call ifma::amm instead" >&2
+      exit 1
+    fi
+    # Versioned MEE (DESIGN.md §7): a page seal's sequence number is the
+    # page's trusted version. Sealing with the vaddr as the sequence gives
+    # every content of a page the same keystream, and lets an old
+    # ciphertext replay. (-z: the call may wrap across lines.)
+    if grep -rlPz 'mee_\.seal\(\s*[^,;]*,\s*vaddr\s*[,)]' src; then
+      echo "lint: the files above seal an EPC page with its vaddr as the" \
+        "sequence; pass the page's version and bind the vaddr as AAD" >&2
       exit 1
     fi
     # Any key material reaching an ocall buffer, telemetry label, or trace

@@ -32,6 +32,12 @@ bool all_zero(crypto::BytesView bytes) {
 
 crypto::Bytes zero_page_bytes() { return crypto::Bytes(kPageSize, 0); }
 
+/// The adversary's bit flip; a no-op on an empty ciphertext, which a
+/// replace can leave behind.
+void flip_bit(crypto::Bytes& ciphertext, size_t byte_offset) {
+  if (!ciphertext.empty()) ciphertext[byte_offset % ciphertext.size()] ^= 0x80;
+}
+
 /// The [first, last) range of `owner`'s entries in a map or set keyed
 /// (owner, vaddr).
 template <typename Keyed>
@@ -90,24 +96,51 @@ void Epc::add_page(EnclaveId owner, uint64_t vaddr,
 
   Slot slot;
   slot.epcm = EpcmEntry{true, owner, vaddr, true};
-  if (all_zero(plaintext)) {
-    slot.zero = true;  // EAUG fast path: seal deferred until observable
-  } else {
-    crypto::Bytes page(plaintext.begin(), plaintext.end());
-    page.resize(kPageSize, 0);
-    slot.ciphertext = mee_.seal(owner, vaddr, page);
-  }
+  store(slot, crypto::Bytes(plaintext.begin(), plaintext.end()));
   pages_.emplace(key, std::move(slot));
   TENET_COUNT("sgx.epc.pages_added");
   TENET_COUNT("sgx.epc.mee_seals");
 }
 
+void Epc::store(Slot& slot, crypto::Bytes page) {
+  slot.version = next_version_++;
+  if (all_zero(page)) {
+    slot.state = PageState::kZero;
+    slot.bytes = crypto::Bytes();  // release the page
+  } else {
+    page.resize(kPageSize, 0);
+    slot.state = PageState::kPlain;
+    slot.bytes = std::move(page);
+  }
+}
+
+std::optional<crypto::Bytes> Epc::open_page(const Slot& slot,
+                                            uint64_t vaddr) const {
+  switch (slot.state) {
+    case PageState::kZero:
+      return zero_page_bytes();
+    case PageState::kPlain:
+      return slot.bytes;
+    case PageState::kSealed:
+      break;
+  }
+  auto plain = mee_.open(slot.bytes, vaddr_aad(vaddr));
+  if (!plain.has_value() ||
+      crypto::Aead::record_seq(slot.bytes) != slot.version) {
+    return std::nullopt;
+  }
+  return plain;
+}
+
 void Epc::materialize(const Slot& slot, EnclaveId owner,
                       uint64_t vaddr) const {
-  if (!slot.zero) return;
+  if (slot.state == PageState::kSealed) return;
   MeeScope off;
-  slot.ciphertext = mee_.seal(owner, vaddr, zero_page_bytes());
-  slot.zero = false;
+  slot.bytes = mee_.seal(
+      owner, slot.version,
+      slot.state == PageState::kZero ? zero_page_bytes() : slot.bytes,
+      vaddr_aad(vaddr));
+  slot.state = PageState::kSealed;
 }
 
 void Epc::materialize_spill(const SpilledPage& spilled, EnclaveId owner,
@@ -125,29 +158,32 @@ void Epc::evict_page(EnclaveId owner, uint64_t vaddr) {
   const auto it = pages_.find({owner, vaddr});
   if (it == pages_.end()) throw HardwareFault("EWB: page not resident");
 
-  // Decrypt the resident page and re-encrypt with a fresh version bound
-  // into the ciphertext; record the version in the (trusted) VA slot.
-  // (A deferred zero page spills as a zero marker — the version walk is
-  // identical, only the seal is deferred until the ciphertext can be
-  // observed.)
+  // Seal the page's plaintext (opening it first only if it is sealed
+  // resident) with a fresh version bound into the ciphertext; record the
+  // version in the (trusted) VA slot. A zero page spills as a zero marker:
+  // the version walk is identical, only the seal is deferred until the
+  // spilled ciphertext can be observed. Counted as an open and a seal in
+  // every case, as eager sealing would do.
   const uint64_t version = next_version_++;
   SpilledPage spilled;
   spilled.version = version;
-  if (it->second.zero) {
-    // Deferred like add_page's seal, and counted the same way.
+  TENET_COUNT("sgx.epc.mee_opens");
+  const Slot& slot = it->second;
+  if (slot.state == PageState::kZero) {
     spilled.zero = true;
-    TENET_COUNT("sgx.epc.mee_opens");
-    TENET_COUNT("sgx.epc.mee_seals");
   } else {
-    auto plain = mee_.open(it->second.ciphertext);
-    TENET_COUNT("sgx.epc.mee_opens");
-    if (!plain.has_value()) {
-      throw HardwareFault("EPC: MEE integrity check failed (page corrupted)");
+    std::optional<crypto::Bytes> opened;
+    if (slot.state == PageState::kSealed) {
+      opened = open_page(slot, vaddr);
+      if (!opened.has_value()) {
+        throw HardwareFault("EPC: MEE integrity check failed (page corrupted)");
+      }
     }
-    spilled.ciphertext = mee_.seal(owner ^ 0x5350494Cu, version, *plain,
-                                   vaddr_aad(vaddr));
-    TENET_COUNT("sgx.epc.mee_seals");
+    spilled.ciphertext =
+        mee_.seal(owner ^ 0x5350494Cu, version, opened ? *opened : slot.bytes,
+                  vaddr_aad(vaddr));
   }
+  TENET_COUNT("sgx.epc.mee_seals");
   version_array_[{owner, vaddr}] = version;
   spill_[{owner, vaddr}] = std::move(spilled);
   pages_.erase(it);
@@ -175,7 +211,7 @@ void Epc::reload_page(EnclaveId owner, uint64_t vaddr) {
     // is no ciphertext to check — the VA-slot version comparison above is
     // the full rollback check (a replaced snapshot materializes first and
     // takes the non-zero path).
-    slot.zero = true;
+    store(slot, crypto::Bytes());
     TENET_COUNT("sgx.epc.mee_opens");
     TENET_COUNT("sgx.epc.mee_seals");
   } else {
@@ -192,15 +228,16 @@ void Epc::reload_page(EnclaveId owner, uint64_t vaddr) {
       TENET_COUNT("sgx.epc.rollbacks_detected");
       throw HardwareFault("ELDU: version mismatch (rollback attack detected)");
     }
-    slot.ciphertext = mee_.seal(owner, vaddr, *plain);
+    store(slot, std::move(*plain));
     TENET_COUNT("sgx.epc.mee_seals");
   }
 
+  // Make room before dropping the spilled copy: if no victim can be
+  // evicted, the page stays spilled instead of being lost.
+  if (pages_.size() >= capacity_) make_room(owner, vaddr);
   spill_.erase(it);
   version_array_.erase(va);
-  if (pages_.size() >= capacity_) make_room(owner, vaddr);
   pages_.emplace(key, std::move(slot));
-  suspect_.erase(key);  // freshly sealed
   ++reloads_;
   TENET_COUNT("sgx.epc.eldu");
 }
@@ -221,13 +258,11 @@ crypto::Bytes Epc::read_page(EnclaveId owner, uint64_t vaddr) {
   if (!pages_.contains({owner, vaddr}) && spill_.contains({owner, vaddr})) {
     reload_page(owner, vaddr);  // transparent page-in
   }
-  const Slot& slot = slot_for_read(owner, vaddr);
-  if (slot.zero) return zero_page_bytes();
-  auto plain = mee_.open(slot.ciphertext);
+  auto plain = open_page(slot_for_read(owner, vaddr), vaddr);
   if (!plain.has_value()) {
     throw HardwareFault("EPC: MEE integrity check failed (page corrupted)");
   }
-  return *plain;
+  return std::move(*plain);
 }
 
 void Epc::write_page(EnclaveId owner, uint64_t vaddr,
@@ -239,23 +274,23 @@ void Epc::write_page(EnclaveId owner, uint64_t vaddr,
   const auto it = pages_.find({owner, vaddr});
   if (it == pages_.end()) throw HardwareFault("EPC: write to unmapped page");
   if (!it->second.epcm.writable) throw HardwareFault("EPC: page not writable");
-  crypto::Bytes page(plaintext.begin(), plaintext.end());
-  if (page.size() > kPageSize) throw HardwareFault("EPC: oversized write");
-  page.resize(kPageSize, 0);
-  it->second.ciphertext = mee_.seal(owner, vaddr, page);
-  it->second.zero = false;
-  suspect_.erase(it->first);  // resealed
+  if (plaintext.size() > kPageSize) {
+    throw HardwareFault("EPC: oversized write");
+  }
+  store(it->second, crypto::Bytes(plaintext.begin(), plaintext.end()));
+  suspect_.erase(it->first);  // overwritten
 }
 
 void Epc::verify_owner_pages(EnclaveId owner) {
   MeeScope off;
-  // Every resident page outside suspect_ holds exactly what the MEE sealed
-  // (add/write/reload/materialize), so it cannot fail the MAC; only the
-  // pages the adversary wrote need opening. Spilled pages are verified at
-  // reload; verifying them here would defeat the point of paging them out.
+  // Every resident page outside suspect_ holds plaintext the MEE stored or
+  // ciphertext it sealed (add/write/reload/materialize), so it cannot fail
+  // the MAC or the version check; only the pages the adversary wrote need
+  // opening. Spilled pages are verified at reload; verifying them here
+  // would defeat the point of paging them out.
   auto [it, last] = owner_range(suspect_, owner);
   while (it != last) {
-    if (!mee_.open(pages_.at(*it).ciphertext).has_value()) {
+    if (!open_page(pages_.at(*it), it->second).has_value()) {
       // The entry stays: the enclave faults again on every later entry.
       TENET_COUNT("sgx.epc.integrity_faults");
       throw HardwareFault("EPC: MEE integrity check failed (page corrupted)");
@@ -284,7 +319,7 @@ std::optional<crypto::Bytes> Epc::adversary_read_ciphertext(
   const auto it = pages_.find({owner, vaddr});
   if (it != pages_.end()) {
     materialize(it->second, owner, vaddr);
-    return it->second.ciphertext;
+    return it->second.bytes;
   }
   const auto sp = spill_.find({owner, vaddr});
   if (sp != spill_.end()) {
@@ -299,21 +334,27 @@ bool Epc::adversary_corrupt(EnclaveId owner, uint64_t vaddr,
   const auto it = pages_.find({owner, vaddr});
   if (it != pages_.end()) {
     materialize(it->second, owner, vaddr);
-    auto& ct = it->second.ciphertext;
-    ct[byte_offset % ct.size()] ^= 0x80;
-    it->second.zero = false;
+    flip_bit(it->second.bytes, byte_offset);
     suspect_.insert(it->first);
     return true;
   }
   const auto sp = spill_.find({owner, vaddr});
   if (sp != spill_.end()) {
     materialize_spill(sp->second, owner, vaddr);
-    auto& ct = sp->second.ciphertext;
-    ct[byte_offset % ct.size()] ^= 0x80;
-    sp->second.zero = false;
+    flip_bit(sp->second.ciphertext, byte_offset);
     return true;
   }
   return false;
+}
+
+bool Epc::adversary_replace_resident(EnclaveId owner, uint64_t vaddr,
+                                     crypto::Bytes old_ciphertext) {
+  const auto it = pages_.find({owner, vaddr});
+  if (it == pages_.end()) return false;
+  it->second.bytes = std::move(old_ciphertext);
+  it->second.state = PageState::kSealed;
+  suspect_.insert(it->first);
+  return true;
 }
 
 std::optional<crypto::Bytes> Epc::adversary_snapshot_spill(

@@ -6,13 +6,18 @@
 // because the EPC region is encrypted by the memory encryption engine
 // (MEE) within the CPU."
 //
-// We model that literally: pages are stored AES-CTR-encrypted under a
-// per-platform MEE key with a per-page MAC, and an EPCM entry records the
-// owning enclave. A host-level adversary (sgx/adversary.h) can read and
-// corrupt the *ciphertext* — reads reveal nothing, and corruption is
-// caught by the MAC on next access, faulting the enclave. MEE work is done
-// by hardware in parallel with memory traffic, so it is deliberately NOT
-// charged to the instruction-cost model.
+// What the host can see of a page is its MEE ciphertext: AES-CTR under a
+// per-platform key with a MAC, bound to the page's vaddr and to a trusted
+// per-page version, and an EPCM entry records the owning enclave. Real
+// hardware encrypts a line only when it leaves the CPU package, and the
+// emulator does the same at page granularity: a resident page is held as
+// plaintext and sealed the moment its ciphertext becomes observable (EWB,
+// or any adversary_* call). A host-level adversary (sgx/adversary.h) can
+// read, corrupt and replay the *ciphertext*. Reads reveal nothing, and a
+// corrupted or replayed page fails the MAC or the version check on next
+// access, faulting the enclave. MEE work is done by hardware in parallel
+// with memory traffic, so it is deliberately NOT charged to the
+// instruction-cost model.
 #pragma once
 
 #include <map>
@@ -40,9 +45,9 @@ class Epc {
   /// default keeps the same order of magnitude at page granularity).
   Epc(crypto::BytesView mee_key, size_t capacity_pages = 32 * 1024);
 
-  /// Adds a page for `owner` at enclave-virtual page `vaddr`; encrypts and
-  /// MACs the plaintext. Throws HardwareFault when the EPC is full or the
-  /// slot is already mapped.
+  /// Adds a page for `owner` at enclave-virtual page `vaddr` under a fresh
+  /// version. Throws HardwareFault when the EPC is full and nothing can be
+  /// evicted, or when the slot is already mapped.
   void add_page(EnclaveId owner, uint64_t vaddr, crypto::BytesView plaintext);
 
   /// Reads a page back through the MEE. Throws HardwareFault if the caller
@@ -51,16 +56,17 @@ class Epc {
   /// (Non-const: a spilled page is transparently reloaded — ELDU.)
   [[nodiscard]] crypto::Bytes read_page(EnclaveId owner, uint64_t vaddr);
 
-  /// Rewrites a page (data/heap stores).
+  /// Rewrites a page (data/heap stores) under a fresh version.
   void write_page(EnclaveId owner, uint64_t vaddr, crypto::BytesView plaintext);
 
-  /// Entry-time integrity check (EENTER): verifies the MAC of every
-  /// resident page of `owner` that the adversary corrupted since the MEE
-  /// last sealed it, and throws HardwareFault on the first that fails. A
-  /// page that fails stays suspect, so every later entry faults again; one
-  /// that verifies clean (e.g. flipped back) is dropped. No other resident
-  /// page can fail: only adversary_corrupt writes ciphertext the MEE did
-  /// not seal. Spilled pages are checked at reload (ELDU) instead.
+  /// Entry-time integrity check (EENTER): verifies the MAC and version of
+  /// every resident page of `owner` whose ciphertext the adversary wrote
+  /// since the MEE last produced it, and throws HardwareFault on the first
+  /// that fails. A page that fails stays suspect, so every later entry
+  /// faults again; one that verifies clean (e.g. flipped back) is dropped.
+  /// No other resident page can fail: only adversary_corrupt and
+  /// adversary_replace_resident write ciphertext the MEE did not produce.
+  /// Spilled pages are checked at reload (ELDU) instead.
   void verify_owner_pages(EnclaveId owner);
 
   /// Frees all pages of an enclave (EREMOVE path).
@@ -73,7 +79,7 @@ class Epc {
   // --- Paging (EWB / ELDU) ---
   //
   // The EPC is small (real 2015 parts reserved ~128 MB), so the OS pages
-  // enclave memory to ordinary RAM: EWB re-encrypts the page with a fresh
+  // enclave memory to ordinary RAM: EWB seals the page under a fresh
   // version recorded in an in-EPC Version Array slot; ELDU reloads it and
   // checks the version, so a privileged attacker replaying an *old*
   // encrypted copy (a rollback) is caught by hardware. add_page evicts
@@ -108,28 +114,54 @@ class Epc {
   /// if the slot is unmapped.
   bool adversary_corrupt(EnclaveId owner, uint64_t vaddr, size_t byte_offset);
 
+  /// Resident-page replay: writes host-chosen bytes (typically an older
+  /// adversary_read_ciphertext of the same page) over a resident page's
+  /// ciphertext and marks it suspect. The version check faults it at the
+  /// next entry and read, until the enclave is removed or the page is
+  /// rewritten. Returns false if the page is not resident.
+  bool adversary_replace_resident(EnclaveId owner, uint64_t vaddr,
+                                  crypto::Bytes old_ciphertext);
+
  private:
-  // Zero-page shortcut: EAUG'd heap pages are all-zero, and workloads that
-  // model big transient allocations add (and evict) hundreds of thousands
-  // of them. Sealing each one through the software MEE dominated simulator
-  // wall-clock while modeling nothing — MEE work is hardware and excluded
-  // from the instruction meter anyway. A page known to be zero carries a
-  // flag instead of ciphertext and is materialized (sealed for real) the
-  // moment anything can observe the ciphertext: an adversary read/corrupt,
-  // or a spill snapshot/replace. Modeled counters (mee_seals, ewb, eldu)
-  // are charged exactly as before.
+  // Deferred sealing. Sealing every page through the software MEE on every
+  // add, write and reload dominated simulator wall-clock while modeling
+  // nothing: MEE work is hardware and excluded from the instruction meter.
+  // So a resident page stays plaintext (or, when all-zero, holds nothing)
+  // until its ciphertext can be observed: EWB seals the spill from the
+  // plaintext, and an adversary read/corrupt/replace or a spill
+  // snapshot/replace seals first. From then on the ciphertext is the
+  // authoritative copy, and reads open it and check MAC and version.
+  // sgx.epc.mee_seals / mee_opens count the MEE operations eager sealing
+  // would do: one seal per add_page, one open + one seal per EWB and per
+  // ELDU. write_page and read_page are not counted, and the seals and
+  // opens deferral does on observation are not either.
+  enum class PageState : uint8_t { kZero, kPlain, kSealed };
   struct Slot {
     EpcmEntry epcm;
-    mutable crypto::Bytes ciphertext;  // sealed page (includes MAC)
-    mutable bool zero = false;         // all-zero page, seal deferred
+    // Trusted (in-EPC) version, fresh on every add, write and reload and
+    // never writable by the adversary. The seal binds it as the AEAD
+    // sequence number, so no two contents of a page share a keystream and
+    // a replayed older ciphertext fails the version check.
+    uint64_t version = 0;
+    // Exactly one representation at a time: nothing (kZero), the padded
+    // plaintext (kPlain) or the sealed page with its MAC (kSealed).
+    mutable PageState state = PageState::kZero;
+    mutable crypto::Bytes bytes;
   };
   struct SpilledPage {
     mutable crypto::Bytes ciphertext;  // sealed under the MEE key + version
     uint64_t version = 0;      // must match the in-EPC VA slot on reload
-    mutable bool zero = false;
+    mutable bool zero = false;  // all-zero page, seal deferred
   };
 
-  /// Seals a deferred zero page so its ciphertext becomes observable.
+  /// Installs `page` (padded to kPageSize) as `slot`'s plaintext under a
+  /// fresh version; an all-zero page is kept as kZero.
+  void store(Slot& slot, crypto::Bytes page);
+  /// The plaintext of a resident page, or nullopt when its ciphertext
+  /// fails the MAC or carries another version.
+  [[nodiscard]] std::optional<crypto::Bytes> open_page(const Slot& slot,
+                                                       uint64_t vaddr) const;
+  /// Seals a deferred page so its ciphertext becomes observable.
   void materialize(const Slot& slot, EnclaveId owner, uint64_t vaddr) const;
   void materialize_spill(const SpilledPage& spilled, EnclaveId owner,
                          uint64_t vaddr) const;
@@ -155,10 +187,11 @@ class Epc {
   // metadata, not visible to the adversary surface).
   std::map<PageKey, SpilledPage> spill_;
   std::map<PageKey, uint64_t> version_array_;
-  // Resident pages whose ciphertext adversary_corrupt wrote and no MEE
-  // seal or clean verification has covered since. Always a subset of
-  // pages_' keys: evicting, reloading, rewriting or removing a page
-  // clears its entry.
+  // Resident pages whose ciphertext adversary_corrupt or
+  // adversary_replace_resident wrote and no rewrite or clean verification
+  // has covered since. Always a subset of pages_' keys: evicting,
+  // rewriting or removing a page clears its entry, and a spilled page is
+  // never suspect, so a reload has none to clear.
   std::set<PageKey> suspect_;
   uint64_t next_version_ = 1;
   uint64_t evictions_ = 0;

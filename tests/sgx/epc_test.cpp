@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
+#include <vector>
 
 #include "crypto/rng.h"
 #include "test_seed.h"
@@ -145,75 +147,240 @@ TEST(Epc, DifferentMeeKeysProduceDifferentCiphertext) {
   EXPECT_NE(*a.adversary_read_ciphertext(1, 0), *b.adversary_read_ciphertext(1, 0));
 }
 
-// Differential property test: the entry check (verify_owner_pages, which
-// opens only the pages the adversary wrote) must fault exactly when a
-// check of every resident page would, i.e. when read_page faults on at
-// least one of the owner's resident pages. Random interleavings over three
-// owners and a 6-page EPC, so pages are evicted and reloaded throughout.
+TEST(Epc, RewriteNeverReusesTheKeystream) {
+  // Two ciphertexts of one page under the same keystream XOR to the XOR
+  // of their plaintexts, so an attacker who knows the second content
+  // recovers the first. Each write must seal under a fresh version.
+  Epc epc(mee_key());
+  const crypto::Bytes secret = crypto::to_bytes("session key 0123456789abcdef");
+  const crypto::Bytes known(secret.size(), 'A');
+  epc.add_page(1, 0, secret);
+  const crypto::Bytes first = *epc.adversary_read_ciphertext(1, 0);
+  epc.write_page(1, 0, known);
+  const crypto::Bytes second = *epc.adversary_read_ciphertext(1, 0);
+
+  crypto::Bytes recovered(secret.size());
+  for (size_t i = 0; i < secret.size(); ++i) {
+    const size_t at = crypto::Aead::kHeaderSize + i;
+    recovered[i] = first[at] ^ second[at] ^ known[i];
+  }
+  EXPECT_NE(recovered, secret);
+  EXPECT_NE(crypto::Aead::record_seq(first), crypto::Aead::record_seq(second));
+}
+
+TEST(Epc, ReplayedResidentCiphertextFaultsUntilRemoved) {
+  // The resident analogue of a spill rollback: the host records a page's
+  // ciphertext, lets the enclave rewrite the page, then writes the old
+  // ciphertext back. Its MAC is genuine, but its version is not the page's.
+  Epc epc(mee_key());
+  epc.add_page(1, 0, crypto::to_bytes("balance=100"));
+  const crypto::Bytes stale = *epc.adversary_read_ciphertext(1, 0);
+  epc.write_page(1, 0, crypto::to_bytes("balance=0"));
+  ASSERT_TRUE(epc.adversary_replace_resident(1, 0, stale));
+  for (int entry = 0; entry < 3; ++entry) {
+    EXPECT_THROW(epc.verify_owner_pages(1), HardwareFault) << entry;
+    EXPECT_THROW((void)epc.read_page(1, 0), HardwareFault) << entry;
+  }
+  EXPECT_THROW(epc.evict_page(1, 0), HardwareFault);
+
+  epc.remove_enclave(1);
+  EXPECT_FALSE(epc.adversary_replace_resident(1, 0, stale));
+  epc.add_page(1, 0, crypto::to_bytes("balance=100"));
+  EXPECT_NO_THROW(epc.verify_owner_pages(1));
+}
+
+TEST(Epc, ReplacingWithTheCurrentCiphertextVerifiesClean) {
+  Epc epc(mee_key());
+  epc.add_page(1, 0, crypto::to_bytes("unchanged"));
+  const crypto::Bytes current = *epc.adversary_read_ciphertext(1, 0);
+  ASSERT_TRUE(epc.adversary_replace_resident(1, 0, current));
+  EXPECT_NO_THROW(epc.verify_owner_pages(1));
+  const crypto::Bytes page = epc.read_page(1, 0);
+  EXPECT_TRUE(std::equal(page.begin(), page.begin() + 9,
+                         crypto::to_bytes("unchanged").begin()));
+}
+
+TEST(Epc, ReplaceResidentNeedsAResidentPage) {
+  Epc epc(mee_key());
+  EXPECT_FALSE(epc.adversary_replace_resident(1, 0, crypto::Bytes(64, 1)));
+  epc.add_page(1, 0, crypto::to_bytes("spilled"));
+  const crypto::Bytes ct = *epc.adversary_read_ciphertext(1, 0);
+  epc.evict_page(1, 0);
+  EXPECT_FALSE(epc.adversary_replace_resident(1, 0, ct));
+  EXPECT_NO_THROW((void)epc.read_page(1, 0));
+}
+
+TEST(Epc, CorruptingAnEmptyReplacementIsHarmless) {
+  // A replace may leave no ciphertext at all; a later bit flip must not
+  // divide by its length.
+  Epc epc(mee_key());
+  epc.add_page(1, 0, crypto::to_bytes("page"));
+  ASSERT_TRUE(epc.adversary_replace_resident(1, 0, {}));
+  EXPECT_TRUE(epc.adversary_corrupt(1, 0, 5));
+  EXPECT_THROW(epc.verify_owner_pages(1), HardwareFault);
+}
+
+// Differential property test against two oracles, over random
+// interleavings on three owners and a 6-page EPC, so pages are evicted,
+// reloaded and observed throughout:
+//  - the entry check (verify_owner_pages, which opens only the pages the
+//    adversary wrote) faults exactly when a check of every resident page
+//    would, i.e. when read_page faults on one of the owner's resident
+//    pages;
+//  - a plaintext reference model: an untampered resident page reads back
+//    the bytes last written to it, and no two ciphertexts the adversary
+//    observes of one page with different contents share a version (AEAD
+//    sequence number), so no keystream is ever reused.
 TEST(Epc, EntryCheckMatchesFullResidentSweep) {
   constexpr EnclaveId kOwners = 3;
   constexpr uint64_t kVaddrs = 5;
   constexpr std::array<size_t, 3> kOffsets{0, 100, 4000};
+  using Key = std::pair<EnclaveId, uint64_t>;
   crypto::Drbg rng = crypto::Drbg::from_label(test::seed(2015), "epc.suspect");
   Epc epc(mee_key(), /*capacity_pages=*/6);
-  std::map<std::pair<EnclaveId, uint64_t>, crypto::Bytes> snapshots;
+  std::map<Key, crypto::Bytes> snapshots;
+
+  // The reference model: what each mapped page holds, and whether the
+  // adversary wrote to it since the enclave last did.
+  struct Page {
+    crypto::Bytes content;
+    bool tampered = false;
+  };
+  std::map<Key, Page> model;
+  const auto written = [](crypto::BytesView bytes) {
+    crypto::Bytes page(bytes.begin(), bytes.end());
+    page.resize(kPageSize, 0);
+    return Page{std::move(page), false};
+  };
+  // Every untampered observation of a page: its content and version.
+  std::map<Key, std::vector<std::pair<crypto::Bytes, uint64_t>>> seen;
+  // The last few ciphertexts observed of each page, for replays.
+  std::map<Key, std::vector<crypto::Bytes>> replayable;
+  size_t observations = 0;
+  const auto observe = [&](const Key& key, crypto::BytesView record) {
+    auto& past = replayable[key];
+    if (past.size() == 4) past.erase(past.begin());
+    past.emplace_back(record.begin(), record.end());
+    const auto it = model.find(key);
+    if (it == model.end() || it->second.tampered) return;
+    const uint64_t version = crypto::Aead::record_seq(record);
+    for (const auto& [content, seq] : seen[key]) {
+      if (content != it->second.content) {
+        ASSERT_NE(seq, version) << "keystream reused by page (" << key.first
+                                << ", " << key.second << ")";
+      }
+    }
+    seen[key].emplace_back(it->second.content, version);
+    ++observations;
+  };
 
   size_t entry_faults = 0;
   size_t clean_entries = 0;
+  size_t checked_reads = 0;
   for (int step = 0; step < 3000; ++step) {
     const EnclaveId o = 1 + rng.uniform(kOwners);
     const uint64_t v = rng.uniform(kVaddrs);
+    const Key key{o, v};
     // Each operation may fault (a corrupt victim blocks EWB, a corrupt or
-    // rolled-back spill blocks ELDU); the oracle below must hold anyway.
+    // rolled-back spill blocks ELDU); the oracles below must hold anyway.
+    // The model changes only once an operation has returned.
     try {
-      switch (rng.uniform(10)) {
-        case 0:
-          if (rng.uniform(2) == 0) {
-            epc.add_page(o, v, {});
-          } else {
-            epc.add_page(o, v, rng.bytes(1 + rng.uniform(kPageSize)));
+      switch (rng.uniform(12)) {
+        case 0: {
+          const crypto::Bytes content =
+              rng.uniform(2) == 0 ? crypto::Bytes()
+                                  : rng.bytes(1 + rng.uniform(kPageSize));
+          epc.add_page(o, v, content);
+          model[key] = written(content);
+          break;
+        }
+        case 1: {
+          const crypto::Bytes content = rng.bytes(rng.uniform(64));
+          epc.write_page(o, v, content);
+          model[key] = written(content);
+          break;
+        }
+        case 2: {
+          const crypto::Bytes page = epc.read_page(o, v);  // may reload
+          const Page& expected = model.at(key);
+          if (!expected.tampered) {
+            ASSERT_EQ(page, expected.content) << "step " << step;
+            ++checked_reads;
           }
           break;
-        case 1:
-          epc.write_page(o, v, rng.bytes(rng.uniform(64)));
-          break;
-        case 2:
-          (void)epc.read_page(o, v);  // reloads a spilled page
-          break;
+        }
         case 3:
           epc.evict_page(o, v);
           break;
         case 4:
         case 5:
-          (void)epc.adversary_corrupt(o, v, kOffsets[rng.uniform(3)]);
+          if (epc.adversary_corrupt(o, v, kOffsets[rng.uniform(3)])) {
+            model.at(key).tampered = true;
+          }
           break;
         case 6:
           if (auto snap = epc.adversary_snapshot_spill(o, v)) {
-            snapshots[{o, v}] = std::move(*snap);
+            observe(key, crypto::BytesView(*snap).subspan(8));
+            snapshots[key] = std::move(*snap);
           }
           break;
         case 7:
-          if (const auto it = snapshots.find({o, v}); it != snapshots.end()) {
-            (void)epc.adversary_replace_spill(o, v, it->second);
+          if (const auto it = snapshots.find(key); it != snapshots.end() &&
+              epc.adversary_replace_spill(o, v, it->second)) {
+            model.at(key).tampered = true;
           }
           break;
         case 8:
-          if (rng.uniform(4) == 0) epc.remove_enclave(o);
+          if (rng.uniform(4) == 0) {
+            epc.remove_enclave(o);
+            std::erase_if(model, [o](const auto& m) { return m.first.first == o; });
+          }
           break;
+        case 9:
+          if (const auto ct = epc.adversary_read_ciphertext(o, v)) {
+            observe(key, *ct);
+          }
+          break;
+        case 10: {
+          const auto& past = replayable[key];
+          const crypto::Bytes forged =
+              past.empty() || rng.uniform(4) == 0
+                  ? rng.bytes(rng.uniform(2 * crypto::Aead::kOverhead))
+                  : past[rng.uniform(past.size())];
+          if (epc.adversary_replace_resident(o, v, forged)) {
+            model.at(key).tampered = true;
+          }
+          break;
+        }
         default:
           epc.evict_page(o, rng.uniform(kVaddrs));
           break;
       }
     } catch (const HardwareFault&) {
     }
+    if (HasFatalFailure()) return;
 
     for (EnclaveId owner = 1; owner <= kOwners; ++owner) {
+      size_t mapped = 0;
+      for (const auto& [k, page] : model) mapped += k.first == owner;
+      ASSERT_EQ(epc.pages_of(owner), mapped) << "step " << step;
+
       bool resident_page_faults = false;
       for (uint64_t vaddr = 0; vaddr < kVaddrs; ++vaddr) {
         if (!epc.resident(owner, vaddr)) continue;
+        const Page& expected = model.at({owner, vaddr});
         try {
-          (void)epc.read_page(owner, vaddr);
+          const crypto::Bytes page = epc.read_page(owner, vaddr);
+          if (!expected.tampered) {
+            ASSERT_EQ(page, expected.content)
+                << "step " << step << ", page (" << owner << ", " << vaddr
+                << ")";
+            ++checked_reads;
+          }
         } catch (const HardwareFault&) {
+          ASSERT_TRUE(expected.tampered)
+              << "step " << step << ": untampered page (" << owner << ", "
+              << vaddr << ") faulted";
           resident_page_faults = true;
         }
       }
@@ -228,11 +395,14 @@ TEST(Epc, EntryCheckMatchesFullResidentSweep) {
       ++(entry_faults_now ? entry_faults : clean_entries);
     }
   }
-  // The interleaving must have exercised both outcomes and the paging path.
+  // The interleaving must have exercised both outcomes, the paging path
+  // and both oracles.
   EXPECT_GT(entry_faults, 0u);
   EXPECT_GT(clean_entries, 0u);
   EXPECT_GT(epc.evictions(), 0u);
   EXPECT_GT(epc.reloads(), 0u);
+  EXPECT_GT(checked_reads, 0u);
+  EXPECT_GT(observations, 0u);
 }
 
 }  // namespace

@@ -11,7 +11,8 @@
 //   class 2  unchecked-bounds ecall BlockStoreApp unchecked vs checked,
 //                                   plus the PacketSenderApp batch_size=0
 //                                   spin (found by boundary_fuzz)
-//   class 3  rollback w/o version   SealedBlobVault vs VersionedStoreApp
+//   class 3  rollback w/o version   SealedBlobVault vs VersionedStoreApp,
+//                                   plus a replayed resident EPC page
 //   class 4  attest-before-verify   eager challenger vs ChallengerSession,
 //                                   plus the msg1 transcript-binding fix
 //                                   (found by boundary_fuzz)
@@ -314,6 +315,37 @@ TEST(MisuseRollback, VersionGuardRefusesReplay) {
   EXPECT_TRUE(e.ecall(kVLoad, vault.replay("v", 0)).empty());
   // And the current state remains loadable: the guard is not a lockout.
   EXPECT_EQ(e.ecall(kVLoad, vault.latest("v")), crypto::to_bytes("epoch=2"));
+}
+
+TEST(MisuseRollback, ResidentReplayFaults) {
+  // The same class one level down, in the EPC itself: the host records a
+  // resident page's ciphertext, lets the enclave store to the page, then
+  // writes the recorded copy back. The MEE seals every content of a page
+  // under a fresh trusted version, so the replay authenticates but carries
+  // the wrong version: the enclave faults at its next entry and at every
+  // entry after that until it is restarted.
+  World w;
+  Enclave& e = w.platform.launch(w.vendor, apps::echo_image());
+  crypto::Bytes arg;
+  crypto::append_u32(arg, kPageSize);
+  (void)e.ecall(apps::kEchoAlloc, arg);
+  Epc& epc = w.platform.epc();
+  epc.write_page(e.id(), kHeapBaseVaddr, crypto::to_bytes("epoch=1"));
+  const auto stale = epc.adversary_read_ciphertext(e.id(), kHeapBaseVaddr);
+  ASSERT_TRUE(stale.has_value());
+  epc.write_page(e.id(), kHeapBaseVaddr, crypto::to_bytes("epoch=2"));
+  ASSERT_TRUE(epc.adversary_replace_resident(e.id(), kHeapBaseVaddr, *stale));
+
+  for (int entry = 0; entry < 3; ++entry) {
+    EXPECT_THROW((void)e.ecall(apps::kEchoReverse, crypto::to_bytes("x")),
+                 HardwareFault)
+        << "entry " << entry;
+  }
+  EXPECT_THROW((void)epc.read_page(e.id(), kHeapBaseVaddr), HardwareFault);
+  Enclave& fresh = w.platform.restart_enclave(e.id());
+  EXPECT_EQ(crypto::to_string(
+                fresh.ecall(apps::kEchoReverse, crypto::to_bytes("ok"))),
+            "ko");
 }
 
 // ---------------------------------------------------------------------------

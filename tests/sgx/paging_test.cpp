@@ -95,6 +95,24 @@ TEST(EpcPaging, CorruptedSpillDetectedAtReload) {
   EXPECT_THROW((void)epc.read_page(1, 0), HardwareFault);
 }
 
+TEST(EpcPaging, ReloadWithNoEvictableVictimKeepsThePageSpilled) {
+  // ELDU into a full EPC whose only other page is corrupt cannot make
+  // room (EWB of the victim faults). The spilled page must survive that
+  // fault and reload once the victim is whole again.
+  Epc epc(mee_key(), /*capacity_pages=*/1);
+  epc.add_page(1, 0, crypto::to_bytes("spilled"));
+  epc.add_page(1, 1, crypto::to_bytes("victim"));  // evicts page 0
+  ASSERT_FALSE(epc.resident(1, 0));
+  ASSERT_TRUE(epc.adversary_corrupt(1, 1, 3));
+  EXPECT_THROW((void)epc.read_page(1, 0), HardwareFault);
+  EXPECT_EQ(epc.pages_of(1), 2u);
+
+  ASSERT_TRUE(epc.adversary_corrupt(1, 1, 3));  // flipped back
+  const crypto::Bytes page = epc.read_page(1, 0);
+  EXPECT_TRUE(std::equal(page.begin(), page.begin() + 7,
+                         crypto::to_bytes("spilled").begin()));
+}
+
 TEST(EpcPaging, SpilledCiphertextHidesContent) {
   Epc epc(mee_key());
   const crypto::Bytes secret = crypto::to_bytes("the enclave's private state");

@@ -82,6 +82,37 @@ TEST(TelemetryCrosscheck, PagingCountersMatchEpcTallies) {
   EXPECT_EQ(counted("sgx.epc.mee_opens"), epc.evictions() + epc.reloads());
 }
 
+TEST(TelemetryCrosscheck, MeeCountsMatchEagerSealing) {
+  // The MEE seals a resident page only once its ciphertext can be
+  // observed, but the counters tally what sealing every add, EWB and ELDU
+  // would: a seal per add_page, an open and a seal per EWB and per ELDU.
+  // write_page, read_page and observations are not counted. The pinned
+  // values are the ones the eagerly sealing MEE produced for this script.
+  TelemetryOn on;
+  Epc epc(crypto::Bytes(32, 0x99), /*capacity_pages=*/2);
+  epc.add_page(1, 0, crypto::to_bytes("alpha"));
+  epc.add_page(1, 1, {});  // a zero page
+  epc.write_page(1, 0, crypto::to_bytes("beta"));
+  (void)epc.read_page(1, 0);
+  (void)epc.adversary_read_ciphertext(1, 0);
+  (void)epc.read_page(1, 0);  // opens the observed ciphertext
+  epc.add_page(1, 2, crypto::to_bytes("gamma"));  // evicts page 0
+  (void)epc.adversary_read_ciphertext(1, 0);      // the spilled copy
+  (void)epc.read_page(1, 0);  // reloads page 0, evicts page 1
+  epc.evict_page(1, 2);
+  epc.write_page(1, 1, crypto::to_bytes("delta"));  // reloads page 1
+  (void)epc.adversary_read_ciphertext(1, 1);
+  epc.verify_owner_pages(1);
+
+  EXPECT_EQ(counted("sgx.epc.pages_added"), 3u);
+  EXPECT_EQ(counted("sgx.epc.mee_seals"), 8u);
+  EXPECT_EQ(counted("sgx.epc.mee_opens"), 5u);
+  EXPECT_EQ(counted("sgx.epc.ewb"), 3u);
+  EXPECT_EQ(counted("sgx.epc.eldu"), 2u);
+  EXPECT_EQ(epc.evictions(), 3u);
+  EXPECT_EQ(epc.reloads(), 2u);
+}
+
 TEST(TelemetryCrosscheck, RollbackDetectionIsCounted) {
   TelemetryOn on;
   Epc epc(crypto::Bytes(32, 0x66));
