@@ -4,6 +4,9 @@
 // instruction counts printed by the table benches).
 #include <benchmark/benchmark.h>
 
+#include <string_view>
+
+#include "bench_util.h"
 #include "crypto/aead.h"
 #include "crypto/aes.h"
 #include "crypto/dh.h"
@@ -232,4 +235,25 @@ BENCHMARK(BM_OnionWrap3Hops);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// bench::Telemetry takes --trace-out/--metrics-out like every other bench.
+// google-benchmark exits on flags it does not know, so those two (and
+// their values) are taken out of argv before benchmark::Initialize.
+int main(int argc, char** argv) {
+  const tenet::bench::Telemetry telemetry(argc, argv);
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view a = argv[i];
+    if ((a == "--trace-out" || a == "--metrics-out") && i + 1 < argc) {
+      ++i;
+      continue;
+    }
+    argv[kept++] = argv[i];
+  }
+  argv[kept] = nullptr;
+  argc = kept;
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

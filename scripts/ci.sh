@@ -21,6 +21,8 @@
 #                              # outside crypto/bignum_ifma.cpp) +
 #                              # versioned-MEE check (no mee_.seal in src/
 #                              # with vaddr as the sequence) +
+#                              # one-record-path check (no batched record
+#                              # API name in src/, bench/ or tests/) +
 #                              # security lint gate (DESIGN.md §15): static
 #                              # taint pass over the tree (src/ findings are
 #                              # hard failures) + dynamic pass driving the
@@ -133,6 +135,16 @@ case "$mode" in
         "sequence; pass the page's version and bind the vaddr as AAD" >&2
       exit 1
     fi
+    # One record path (DESIGN.md §13): seal_into/open_in_place are the
+    # record layer at every level, and the copying seal/open wrap them. A
+    # second, batched path duplicated the replay-window and direction
+    # checks and charged different MAC work; its names stay out.
+    if grep -rnE '\b(seal_batch|open_batch|verify_batch|decrypt_batch|ctr_xor_batch|hmac_batch)\b' \
+        src bench tests; then
+      echo "lint: the batched record API is gone; seal with seal_into and" \
+        "open with open_in_place, one record per call" >&2
+      exit 1
+    fi
     # Any key material reaching an ocall buffer, telemetry label, or trace
     # export in src/ fails the build; tests/, bench/ and tools/ fixtures
     # warn (some leak on purpose as positive controls). The dynamic pass
@@ -206,8 +218,8 @@ case "$mode" in
       --baseline BENCH_pr6.json --key pr6 --check --max-regress 35
     # Dataplane gate (PR 7): byte-equality bits, batch width, checksums and
     # session-cache/EPC counts are all deterministic — including the
-    # speedup_floor_met bit (batched >= 3x scalar at batch width >= 16);
-    # raw records/sec stays informational.
+    # speedup_floor_met bit (zero-copy seal_into on AES-NI >= 3x the legacy
+    # seal+copy on the portable AES); raw records/sec stays informational.
     run_gate pr7 \
       --bench-binary build-release/bench/bench_dataplane \
       --bench-args=--json \

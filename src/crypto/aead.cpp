@@ -2,10 +2,6 @@
 
 #include <cstring>
 #include <stdexcept>
-#include <vector>
-
-#include "crypto/hmac.h"
-#include "crypto/multibuf.h"
 
 namespace tenet::crypto {
 
@@ -59,133 +55,28 @@ Bytes Aead::seal(uint64_t nonce, uint64_t seq, BytesView plaintext,
   return record;
 }
 
-void Aead::seal_batch(std::span<const SealJob> jobs) const {
-  // Phase 1: headers + plaintext staged into every output buffer.
-  for (const SealJob& job : jobs) {
-    store_u64_be(job.out, job.nonce);
-    store_u64_be(job.out + 8, job.seq);
-    if (!job.plaintext.empty()) {
-      std::memcpy(job.out + kHeaderSize, job.plaintext.data(),
-                  job.plaintext.size());
-    }
-  }
-
-  // Phase 2: all counter-mode work in one multi-buffer dispatch.
-  std::vector<mb::CtrJob> ctr;
-  ctr.reserve(jobs.size());
-  for (const SealJob& job : jobs) {
-    ctr.push_back(mb::CtrJob{job.nonce, job.seq << 20, job.out + kHeaderSize,
-                             job.plaintext.size()});
-  }
-  mb::ctr_xor_batch(cipher_, ctr);
-
-  // Phase 3: all MACs in one dispatch, tags written straight after each
-  // ciphertext.
-  std::vector<mb::MacJob> macs;
-  macs.reserve(jobs.size());
-  for (const SealJob& job : jobs) {
-    const size_t body = kHeaderSize + job.plaintext.size();
-    macs.push_back(mb::MacJob{job.aad, BytesView(job.out, body),
-                              job.out + body, kTagSize});
-  }
-  mb::hmac_batch(mac_key_, macs);
+bool Aead::authentic(BytesView record, BytesView aad) const {
+  if (record.size() < kOverhead) return false;
+  const size_t body_len = record.size() - kTagSize;
+  const Digest mac = mac_key_.mac_parts({aad, record.first(body_len)});
+  return ct_equal(BytesView(mac.data(), kTagSize), record.subspan(body_len));
 }
 
 std::optional<Bytes> Aead::open(BytesView record, BytesView aad) const {
-  if (record.size() < kOverhead) return std::nullopt;
-  const BytesView body = record.first(record.size() - kTagSize);
-  const BytesView tag = record.subspan(record.size() - kTagSize);
-
-  const Digest mac = mac_key_.mac_parts({aad, body});
-  if (!ct_equal(BytesView(mac.data(), kTagSize), tag)) return std::nullopt;
-
-  const uint64_t nonce = read_u64(record, 0);
-  const uint64_t seq = read_u64(record, 8);
-  const BytesView ct = body.subspan(kHeaderSize);
-  Bytes plain(ct.begin(), ct.end());
-  cipher_.ctr_xor(nonce, seq << 20, plain.data(), plain.size());
+  if (!authentic(record, aad)) return std::nullopt;
+  Bytes plain(record.begin() + kHeaderSize, record.end() - kTagSize);
+  cipher_.ctr_xor(read_u64(record, 0), record_seq(record) << 20, plain.data(),
+                  plain.size());
   return plain;
 }
 
 std::optional<size_t> Aead::open_in_place(std::span<uint8_t> record,
                                           BytesView aad) const {
-  if (record.size() < kOverhead) return std::nullopt;
-  const size_t body_len = record.size() - kTagSize;
-  const Digest mac =
-      mac_key_.mac_parts({aad, BytesView(record.data(), body_len)});
-  if (!ct_equal(BytesView(mac.data(), kTagSize),
-                BytesView(record.data() + body_len, kTagSize))) {
-    return std::nullopt;
-  }
-
-  const uint64_t nonce = read_u64(record, 0);
-  const uint64_t seq = read_u64(record, 8);
-  const size_t pt_len = body_len - kHeaderSize;
-  cipher_.ctr_xor(nonce, seq << 20, record.data() + kHeaderSize, pt_len);
+  if (!authentic(record, aad)) return std::nullopt;
+  const size_t pt_len = record.size() - kOverhead;
+  cipher_.ctr_xor(read_u64(record, 0), record_seq(record) << 20,
+                  record.data() + kHeaderSize, pt_len);
   return pt_len;
-}
-
-void Aead::verify_batch(std::span<const OpenJob> jobs,
-                        std::span<uint8_t> ok) const {
-  if (ok.size() != jobs.size()) {
-    throw std::invalid_argument("Aead::verify_batch: ok size mismatch");
-  }
-  // Every parseable record's MAC in one multi-buffer dispatch
-  // (encrypt-then-MAC: nothing is decrypted until its tag verifies).
-  std::vector<Digest> tags(jobs.size());
-  std::vector<mb::MacJob> macs;
-  macs.reserve(jobs.size());
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    const OpenJob& job = jobs[i];
-    ok[i] = 0;
-    if (job.record.size() < kOverhead) continue;
-    const size_t body_len = job.record.size() - kTagSize;
-    macs.push_back(mb::MacJob{job.aad, BytesView(job.record.data(), body_len),
-                              tags[i].data(), tags[i].size()});
-  }
-  mb::hmac_batch(mac_key_, macs);
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    const OpenJob& job = jobs[i];
-    if (job.record.size() < kOverhead) continue;
-    const size_t body_len = job.record.size() - kTagSize;
-    ok[i] = ct_equal(BytesView(tags[i].data(), kTagSize),
-                     BytesView(job.record.data() + body_len, kTagSize))
-                ? 1
-                : 0;
-  }
-}
-
-void Aead::decrypt_batch(std::span<const std::span<uint8_t>> records) const {
-  std::vector<mb::CtrJob> ctr;
-  ctr.reserve(records.size());
-  for (const std::span<uint8_t> record : records) {
-    const BytesView view(record.data(), record.size());
-    const uint64_t nonce = read_u64(view, 0);
-    const uint64_t seq = read_u64(view, 8);
-    ctr.push_back(mb::CtrJob{nonce, seq << 20, record.data() + kHeaderSize,
-                             record.size() - kOverhead});
-  }
-  mb::ctr_xor_batch(cipher_, ctr);
-}
-
-void Aead::open_batch(std::span<const OpenJob> jobs,
-                      std::span<std::optional<size_t>> results) const {
-  if (results.size() != jobs.size()) {
-    throw std::invalid_argument("Aead::open_batch: results size mismatch");
-  }
-  std::vector<uint8_t> ok(jobs.size(), 0);
-  verify_batch(jobs, ok);
-  std::vector<std::span<uint8_t>> accepted;
-  accepted.reserve(jobs.size());
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    if (ok[i] == 0) {
-      results[i] = std::nullopt;
-      continue;
-    }
-    results[i] = jobs[i].record.size() - kOverhead;
-    accepted.push_back(jobs[i].record);
-  }
-  decrypt_batch(accepted);
 }
 
 uint64_t Aead::record_seq(BytesView record) {

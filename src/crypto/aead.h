@@ -50,56 +50,21 @@ class Aead {
   void seal_into(uint64_t nonce, uint64_t seq, BytesView plaintext,
                  BytesView aad, std::span<uint8_t> out) const;
 
-  /// One record of a batched seal. `out` must hold
-  /// sealed_size(plaintext.size()) bytes.
-  struct SealJob {
-    uint64_t nonce = 0;
-    uint64_t seq = 0;
-    BytesView plaintext;
-    BytesView aad;
-    uint8_t* out = nullptr;
-  };
-
-  /// Seals every job through one multi-buffer dispatch (multibuf.h).
-  /// Byte-identical to calling seal_into per job, in order, and charges the
-  /// same canonical work — only the wall-clock cost is amortized.
-  void seal_batch(std::span<const SealJob> jobs) const;
-
   /// In-place open: on success returns the plaintext length and leaves the
   /// plaintext at record[kHeaderSize .. kHeaderSize+len). The buffer is only
   /// modified after the MAC verifies (encrypt-then-MAC order).
   [[nodiscard]] std::optional<size_t> open_in_place(std::span<uint8_t> record,
                                                     BytesView aad = {}) const;
 
-  /// One record of a batched in-place open.
-  struct OpenJob {
-    std::span<uint8_t> record;
-    BytesView aad;
-  };
-
-  /// Opens every job through one multi-buffer MAC dispatch followed by one
-  /// CTR dispatch over the records that authenticated. `results` must be
-  /// jobs.size() long; results[i] equals open_in_place(jobs[i].record,
-  /// jobs[i].aad) — same acceptance, same buffer effects (a failed record
-  /// is never modified), same canonical work — only wall clock amortizes.
-  void open_batch(std::span<const OpenJob> jobs,
-                  std::span<std::optional<size_t>> results) const;
-
-  /// MAC-only half of a batched open: one multi-buffer dispatch, ok[i] != 0
-  /// iff jobs[i] authenticates (records shorter than kOverhead stay 0). No
-  /// buffer is modified — callers interleave their own acceptance logic
-  /// (e.g. SecureChannel's replay window) before decrypting.
-  void verify_batch(std::span<const OpenJob> jobs,
-                    std::span<uint8_t> ok) const;
-
-  /// CTR half: decrypts records whose tags already verified, in place, in
-  /// one dispatch (plaintext lands at record[kHeaderSize..size-kTagSize)).
-  void decrypt_batch(std::span<const std::span<uint8_t>> records) const;
-
   /// Sequence number carried by a sealed record (for replay windows).
   static uint64_t record_seq(BytesView record);
 
  private:
+  /// True iff `record` is long enough to parse and its tag verifies over
+  /// aad ‖ header ‖ ciphertext. The one MAC check behind open() and
+  /// open_in_place().
+  [[nodiscard]] bool authentic(BytesView record, BytesView aad) const;
+
   Aes128 cipher_;
   HmacKey mac_key_;
 };

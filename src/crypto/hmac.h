@@ -25,10 +25,6 @@ class HmacKey {
   Digest mac_parts(std::initializer_list<BytesView> parts) const;
   Digest mac(BytesView data) const { return mac_parts({data}); }
 
-  /// Midstates for the multi-buffer kernels (multibuf.h).
-  const std::array<uint32_t, 8>& inner_state() const { return inner_; }
-  const std::array<uint32_t, 8>& outer_state() const { return outer_; }
-
  private:
   std::array<uint32_t, 8> inner_{};
   std::array<uint32_t, 8> outer_{};

@@ -13,11 +13,11 @@ namespace tenet::crypto {
 
 using Digest = std::array<uint8_t, 32>;
 
-/// The raw compression kernel behind Sha256. Split out so the multi-buffer
-/// record path (multibuf.h) and the cached-HMAC midstates can drive it
-/// directly. The kernel never touches the work meter — callers charge the
-/// canonical one-block cost themselves, so the portable and SHA-NI backends
-/// stay cost-identical (same rule as the PR1 bignum backends).
+/// The raw compression kernel behind Sha256. Split out so HmacKey can
+/// precompute its ipad/opad midstates with it directly. The kernel never
+/// touches the work meter — callers charge the canonical one-block cost
+/// themselves, so the portable and SHA-NI backends stay cost-identical
+/// (same rule as the PR1 bignum backends).
 namespace sha256_kernel {
 
 /// FIPS 180-4 §5.3.3 initial chaining value.

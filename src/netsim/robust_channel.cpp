@@ -30,61 +30,41 @@ void RobustChannel::reset() {
   consecutive_failures_ = 0;
 }
 
-crypto::Bytes RobustChannel::seal(crypto::BytesView plaintext) {
+SecureChannel& RobustChannel::keyed() {
   if (!channel_.has_value()) {
-    throw std::logic_error("RobustChannel::seal: no key installed");
+    throw std::logic_error("RobustChannel: no key installed");
   }
-  return channel_->seal(plaintext);
+  return *channel_;
+}
+
+crypto::Bytes RobustChannel::seal(crypto::BytesView plaintext) {
+  return keyed().seal(plaintext);
 }
 
 void RobustChannel::seal_into(crypto::BytesView plaintext,
                               std::span<uint8_t> out) {
-  if (!channel_.has_value()) {
-    throw std::logic_error("RobustChannel::seal_into: no key installed");
-  }
-  channel_->seal_into(plaintext, out);
+  keyed().seal_into(plaintext, out);
 }
 
-std::optional<crypto::Bytes> RobustChannel::open(crypto::BytesView record) {
+template <typename Open>
+auto RobustChannel::tracked_open(Open open) -> decltype(open()) {
   if (!channel_.has_value()) return std::nullopt;
-  auto plaintext = channel_->open(record);
-  if (plaintext.has_value()) {
+  auto opened = open();
+  if (opened.has_value()) {
     consecutive_failures_ = 0;
   } else {
     ++consecutive_failures_;
   }
-  return plaintext;
+  return opened;
+}
+
+std::optional<crypto::Bytes> RobustChannel::open(crypto::BytesView record) {
+  return tracked_open([&] { return channel_->open(record); });
 }
 
 std::optional<size_t> RobustChannel::open_in_place(
     std::span<uint8_t> record) {
-  if (!channel_.has_value()) return std::nullopt;
-  auto len = channel_->open_in_place(record);
-  if (len.has_value()) {
-    consecutive_failures_ = 0;
-  } else {
-    ++consecutive_failures_;
-  }
-  return len;
-}
-
-void RobustChannel::open_batch(std::span<const std::span<uint8_t>> records,
-                               std::span<std::optional<size_t>> results) {
-  if (results.size() != records.size()) {
-    throw std::invalid_argument("RobustChannel::open_batch: results size");
-  }
-  if (!channel_.has_value()) {
-    for (auto& r : results) r = std::nullopt;
-    return;
-  }
-  channel_->open_batch(records, results);
-  for (const auto& r : results) {
-    if (r.has_value()) {
-      consecutive_failures_ = 0;
-    } else {
-      ++consecutive_failures_;
-    }
-  }
+  return tracked_open([&] { return channel_->open_in_place(record); });
 }
 
 }  // namespace tenet::netsim

@@ -71,13 +71,6 @@ class RobustChannel {
   /// the consecutive-failure count exactly like open().
   [[nodiscard]] std::optional<size_t> open_in_place(std::span<uint8_t> record);
 
-  /// Batched in-place open pass-through (see SecureChannel::open_batch).
-  /// results[i] equals open_in_place(records[i]) in order, including the
-  /// per-record consecutive-failure bookkeeping; when no key is installed,
-  /// every result is nullopt and no failure is recorded (matching open()).
-  void open_batch(std::span<const std::span<uint8_t>> records,
-                  std::span<std::optional<size_t>> results);
-
   /// Number of keys installed over this channel's life (1 = never rekeyed).
   [[nodiscard]] uint32_t epoch() const { return epoch_; }
 
@@ -98,6 +91,17 @@ class RobustChannel {
   }
 
  private:
+  /// The keyed channel; throws std::logic_error when none is installed.
+  /// The one no-key check behind seal() and seal_into().
+  SecureChannel& keyed();
+
+  /// open() and open_in_place(): nullopt with no failure recorded when no
+  /// key is installed, else `open()` (the SecureChannel open) with the
+  /// consecutive-failure bookkeeping. Defined in the .cpp file, the only
+  /// place it is instantiated.
+  template <typename Open>
+  auto tracked_open(Open open) -> decltype(open());
+
   std::optional<SecureChannel> channel_;
   uint32_t epoch_ = 0;
   uint32_t consecutive_failures_ = 0;

@@ -43,53 +43,31 @@ void SecureChannel::advance_send_seq(uint64_t seq) {
   send_seq_ = seq;
 }
 
-crypto::Bytes SecureChannel::seal(crypto::BytesView plaintext) {
+uint64_t SecureChannel::claim_send_seq(size_t plaintext_len) {
   if (send_seq_ >= seq_limit_) {
     TENET_COUNT("chan.nonce_exhausted");
     throw NonceExhaustedError(
         "SecureChannel::seal: send sequence exhausted; rekey required");
   }
   TENET_COUNT("chan.records_sealed");
-  TENET_COUNT("chan.bytes_sealed", plaintext.size());
-  TENET_HISTOGRAM("chan.record_bytes", plaintext.size());
-  return aead_.seal(send_nonce_, send_seq_++, plaintext);
+  TENET_COUNT("chan.bytes_sealed", plaintext_len);
+  TENET_HISTOGRAM("chan.record_bytes", plaintext_len);
+  return send_seq_++;
+}
+
+crypto::Bytes SecureChannel::seal(crypto::BytesView plaintext) {
+  return aead_.seal(send_nonce_, claim_send_seq(plaintext.size()), plaintext);
 }
 
 void SecureChannel::seal_into(crypto::BytesView plaintext,
                               std::span<uint8_t> out) {
-  if (send_seq_ >= seq_limit_) {
-    TENET_COUNT("chan.nonce_exhausted");
-    throw NonceExhaustedError(
-        "SecureChannel::seal_into: send sequence exhausted; rekey required");
-  }
-  TENET_COUNT("chan.records_sealed");
-  TENET_COUNT("chan.bytes_sealed", plaintext.size());
-  TENET_HISTOGRAM("chan.record_bytes", plaintext.size());
-  aead_.seal_into(send_nonce_, send_seq_++, plaintext, {}, out);
+  aead_.seal_into(send_nonce_, claim_send_seq(plaintext.size()), plaintext, {},
+                  out);
 }
 
-void SecureChannel::seal_batch(std::span<const SealSlot> slots) {
-  // All-or-nothing exhaustion check: a batch never straddles the limit.
-  if (send_seq_ + slots.size() > seq_limit_) {
-    TENET_COUNT("chan.nonce_exhausted");
-    throw NonceExhaustedError(
-        "SecureChannel::seal_batch: send sequence exhausted; rekey required");
-  }
-  std::vector<crypto::Aead::SealJob> jobs;
-  jobs.reserve(slots.size());
-  uint64_t seq = send_seq_;
-  for (const SealSlot& slot : slots) {
-    TENET_COUNT("chan.records_sealed");
-    TENET_COUNT("chan.bytes_sealed", slot.plaintext.size());
-    TENET_HISTOGRAM("chan.record_bytes", slot.plaintext.size());
-    jobs.push_back(crypto::Aead::SealJob{send_nonce_, seq++, slot.plaintext,
-                                         crypto::BytesView{}, slot.out});
-  }
-  aead_.seal_batch(jobs);
-  send_seq_ = seq;
-}
-
-std::optional<crypto::Bytes> SecureChannel::open(crypto::BytesView record) {
+template <typename Open>
+auto SecureChannel::admit_and_open(crypto::BytesView record, Open open)
+    -> decltype(open()) {
   if (record.size() < crypto::Aead::kOverhead) return std::nullopt;
   // Direction check: the nonce in the header must be the peer's.
   if (crypto::read_u64(record, 0) != recv_nonce_) return std::nullopt;
@@ -98,88 +76,24 @@ std::optional<crypto::Bytes> SecureChannel::open(crypto::BytesView record) {
     TENET_COUNT("chan.replays_rejected");
     return std::nullopt;  // replay / reorder below window
   }
-  auto plaintext = aead_.open(record);
-  if (!plaintext.has_value()) {
+  auto opened = open();
+  if (!opened.has_value()) {
     TENET_COUNT("chan.open_failures");
     return std::nullopt;
   }
   next_recv_seq_ = seq + 1;
   ++received_;
   TENET_COUNT("chan.records_opened");
-  return plaintext;
+  return opened;
 }
 
-void SecureChannel::open_batch(std::span<const std::span<uint8_t>> records,
-                               std::span<std::optional<size_t>> results) {
-  if (results.size() != records.size()) {
-    throw std::invalid_argument("SecureChannel::open_batch: results size");
-  }
-  // Phase 1: one multi-buffer MAC dispatch over every parseable record.
-  std::vector<crypto::Aead::OpenJob> jobs;
-  jobs.reserve(records.size());
-  for (const std::span<uint8_t> record : records) {
-    jobs.push_back(crypto::Aead::OpenJob{record, crypto::BytesView{}});
-  }
-  std::vector<uint8_t> ok(records.size(), 0);
-  aead_.verify_batch(jobs, ok);
-
-  // Phase 2: the scalar acceptance walk — direction nonce, replay window
-  // (stateful: each accepted record advances the cursor for the next), and
-  // the precomputed MAC verdict, emitting the same counters in order.
-  std::vector<std::span<uint8_t>> accepted;
-  accepted.reserve(records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    const std::span<uint8_t> record = records[i];
-    if (record.size() < crypto::Aead::kOverhead) {
-      results[i] = std::nullopt;
-      continue;
-    }
-    const crypto::BytesView view(record.data(), record.size());
-    if (crypto::read_u64(view, 0) != recv_nonce_) {
-      results[i] = std::nullopt;
-      continue;
-    }
-    const uint64_t seq = crypto::Aead::record_seq(view);
-    if (seq < next_recv_seq_) {
-      TENET_COUNT("chan.replays_rejected");
-      results[i] = std::nullopt;
-      continue;
-    }
-    if (ok[i] == 0) {
-      TENET_COUNT("chan.open_failures");
-      results[i] = std::nullopt;
-      continue;
-    }
-    next_recv_seq_ = seq + 1;
-    ++received_;
-    TENET_COUNT("chan.records_opened");
-    results[i] = record.size() - crypto::Aead::kOverhead;
-    accepted.push_back(record);
-  }
-
-  // Phase 3: one CTR dispatch decrypts every accepted record in place.
-  aead_.decrypt_batch(accepted);
+std::optional<crypto::Bytes> SecureChannel::open(crypto::BytesView record) {
+  return admit_and_open(record, [&] { return aead_.open(record); });
 }
 
 std::optional<size_t> SecureChannel::open_in_place(
     std::span<uint8_t> record) {
-  if (record.size() < crypto::Aead::kOverhead) return std::nullopt;
-  const crypto::BytesView view(record.data(), record.size());
-  if (crypto::read_u64(view, 0) != recv_nonce_) return std::nullopt;
-  const uint64_t seq = crypto::Aead::record_seq(view);
-  if (seq < next_recv_seq_) {
-    TENET_COUNT("chan.replays_rejected");
-    return std::nullopt;
-  }
-  auto len = aead_.open_in_place(record);
-  if (!len.has_value()) {
-    TENET_COUNT("chan.open_failures");
-    return std::nullopt;
-  }
-  next_recv_seq_ = seq + 1;
-  ++received_;
-  TENET_COUNT("chan.records_opened");
-  return len;
+  return admit_and_open(record, [&] { return aead_.open_in_place(record); });
 }
 
 }  // namespace tenet::netsim

@@ -70,18 +70,6 @@ class SecureChannel {
   /// request or a pooled message payload). Byte-identical to seal().
   void seal_into(crypto::BytesView plaintext, std::span<uint8_t> out);
 
-  /// One record of a batched seal; `out` must hold
-  /// sealed_size(plaintext.size()) bytes.
-  struct SealSlot {
-    crypto::BytesView plaintext;
-    uint8_t* out = nullptr;
-  };
-
-  /// Seals a batch of outgoing records through the multi-buffer kernels.
-  /// Sequence numbers are assigned in slot order; the output bytes are
-  /// identical to calling seal_into per slot, in order.
-  void seal_batch(std::span<const SealSlot> slots);
-
   /// Opens an incoming record. Returns nullopt on MAC failure, wrong
   /// direction, or replayed/reordered-below-window sequence numbers.
   [[nodiscard]] std::optional<crypto::Bytes> open(crypto::BytesView record);
@@ -90,17 +78,6 @@ class SecureChannel {
   /// length on success (plaintext at record[Aead::kHeaderSize..]). Same
   /// acceptance rules and counters as open().
   [[nodiscard]] std::optional<size_t> open_in_place(std::span<uint8_t> record);
-
-  /// Batched in-place open — the receive-side mirror of seal_batch.
-  /// results[i] equals calling open_in_place(records[i]) in order: same
-  /// acceptance decisions, same counters, same final sequence state, and a
-  /// rejected record's buffer is never modified. MAC verification and CTR
-  /// decryption each run as one multi-buffer dispatch. (Cost note: every
-  /// well-formed record is MAC-verified up front, so a batch that mixes
-  /// replayed records with fresh ones charges MAC work the scalar loop
-  /// would have skipped; a drained in-order stream charges identically.)
-  void open_batch(std::span<const std::span<uint8_t>> records,
-                  std::span<std::optional<size_t>> results);
 
   [[nodiscard]] uint64_t records_sent() const { return send_seq_; }
   [[nodiscard]] uint64_t records_received() const { return received_; }
@@ -122,6 +99,17 @@ class SecureChannel {
   void advance_send_seq(uint64_t seq);
 
  private:
+  /// The send side of seal() and seal_into(): the nonce-exhaustion guard
+  /// and the chan.* counters. Returns the sequence number to seal under.
+  uint64_t claim_send_seq(size_t plaintext_len);
+
+  /// The receive side of open() and open_in_place(): length, direction
+  /// nonce and replay-window admission, then `open()` (the AEAD open),
+  /// then the accept step (sequence cursor and chan.* counters). Defined
+  /// in the .cpp file, the only place it is instantiated.
+  template <typename Open>
+  auto admit_and_open(crypto::BytesView record, Open open) -> decltype(open());
+
   crypto::Aead aead_;
   uint64_t send_nonce_;
   uint64_t recv_nonce_;

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "crypto/rng.h"
+#include "crypto/work.h"
+#include "test_seed.h"
+
 namespace tenet::crypto {
 namespace {
 
@@ -65,6 +71,50 @@ TEST(Hmac, PartsEqualsConcatenation) {
   append(ab, b);
   EXPECT_EQ(hmac_sha256_parts(key, {BytesView(a), BytesView(b)}),
             hmac_sha256(key, ab));
+}
+
+// Data sizes from 0 B to 64 KB straddling the 64-byte block edges.
+const std::vector<size_t> kDataSizes = {0,  1,   15,  16,   17,   63,  64,
+                                        65, 256, 257, 1500, 4096, 65536};
+
+TEST(Hmac, CachedKeyMatchesUncachedHmac) {
+  Drbg rng = Drbg::from_label(tenet::test::seed(74), "hmac.cached");
+  // Key lengths straddling the 64-byte pad boundary (>64 keys get hashed).
+  for (const size_t key_len : {size_t{0}, size_t{1}, size_t{16}, size_t{32},
+                               size_t{63}, size_t{64}, size_t{65},
+                               size_t{100}}) {
+    const Bytes key = rng.bytes(key_len);
+    const HmacKey cached((BytesView(key)));
+    for (const size_t n : kDataSizes) {
+      const Bytes data = rng.bytes(n);
+      EXPECT_EQ(cached.mac(data), hmac_sha256(key, data))
+          << "key " << key_len << " data " << n;
+    }
+    const Bytes a = rng.bytes(13), b = rng.bytes(200);
+    EXPECT_EQ(cached.mac_parts({a, b}), hmac_sha256_parts(key, {a, b}));
+  }
+}
+
+TEST(Hmac, CachedKeyChargesCanonicalCost) {
+  const Bytes key =
+      Drbg::from_label(tenet::test::seed(75), "hmac.cached.cost").bytes(32);
+  const HmacKey cached((BytesView(key)));
+  for (const size_t n : kDataSizes) {
+    const Bytes data =
+        Drbg::from_label(tenet::test::seed(76) + n, "hmac.cached.data")
+            .bytes(n);
+    WorkCounters cached_cost, uncached_cost;
+    {
+      work::Scope meter(&cached_cost);
+      (void)cached.mac(data);
+    }
+    {
+      work::Scope meter(&uncached_cost);
+      (void)hmac_sha256(key, data);
+    }
+    EXPECT_EQ(cached_cost.sha256_blocks, uncached_cost.sha256_blocks)
+        << "size " << n;
+  }
 }
 
 TEST(Hkdf, Rfc5869Case1) {

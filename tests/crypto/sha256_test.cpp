@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/rng.h"
 #include "crypto/work.h"
+#include "test_seed.h"
 
 namespace tenet::crypto {
 namespace {
@@ -96,6 +98,24 @@ TEST(Sha256, DistinctMessagesDistinctDigests) {
     const Digest d = Sha256::hash(msg);
     for (const auto& prev : seen) EXPECT_NE(d, prev);
     seen.push_back(d);
+  }
+}
+
+TEST(Sha256, KernelBackendsAgree) {
+  if (!sha256_kernel::accelerated()) {
+    GTEST_SKIP() << "SHA-NI not available; portable kernel already covered";
+  }
+  Drbg rng = Drbg::from_label(tenet::test::seed(78), "sha256.kernels");
+  for (const size_t n :
+       {size_t{0}, size_t{1}, size_t{15}, size_t{16}, size_t{17}, size_t{55},
+        size_t{56}, size_t{63}, size_t{64}, size_t{65}, size_t{256},
+        size_t{257}, size_t{1500}, size_t{4096}, size_t{65536}}) {
+    const Bytes data = rng.bytes(n);
+    const Digest fast = Sha256::hash(data);
+    const bool prev = sha256_kernel::force_portable(true);
+    const Digest portable = Sha256::hash(data);
+    sha256_kernel::force_portable(prev);
+    EXPECT_EQ(fast, portable) << "size " << n;
   }
 }
 

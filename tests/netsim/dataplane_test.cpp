@@ -1,14 +1,15 @@
-// Data-plane record path (DESIGN.md §13): batched sealing, in-place opens,
-// suspend/resume snapshots, and the SessionCache hot tier must all be
-// byte-identical to the straightforward one-record-at-a-time channel — the
-// bench's 3× speedup claim is only meaningful if the fast path is the same
-// protocol.
+// Data-plane record path (DESIGN.md §13): zero-copy seal_into, in-place
+// opens, suspend/resume snapshots, and the SessionCache hot tier must all be
+// byte-identical to the copying seal()/open() channel — the bench's 3×
+// speedup claim is only meaningful if the fast path is the same protocol.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
-#include "crypto/multibuf.h"
+#include "crypto/aes.h"
 #include "crypto/rng.h"
 #include "netsim/robust_channel.h"
 #include "netsim/session_cache.h"
@@ -29,9 +30,9 @@ Bytes channel_key(uint8_t tag = 0) {
   return key;
 }
 
-TEST(Dataplane, SealBatchMatchesSequentialSeal) {
+TEST(Dataplane, SealIntoMatchesSequentialSeal) {
   const Bytes key = channel_key();
-  Drbg rng = Drbg::from_label(tenet::test::seed(90), "dp.batch");
+  Drbg rng = Drbg::from_label(tenet::test::seed(90), "dp.seal_into");
 
   std::vector<Bytes> plains;
   for (const size_t n : {size_t{0}, size_t{1}, size_t{17}, size_t{64},
@@ -43,33 +44,42 @@ TEST(Dataplane, SealBatchMatchesSequentialSeal) {
   std::vector<Bytes> expected;
   for (const Bytes& p : plains) expected.push_back(sequential.seal(p));
 
-  SecureChannel batched(key, /*initiator=*/true);
-  std::vector<Bytes> actual;
+  // Every record sealed straight into one frame arena, back to back.
+  SecureChannel zero_copy(key, /*initiator=*/true);
+  size_t arena_bytes = 0;
   for (const Bytes& p : plains) {
-    actual.emplace_back(SecureChannel::sealed_size(p.size()));
+    arena_bytes += SecureChannel::sealed_size(p.size());
   }
-  std::vector<SecureChannel::SealSlot> slots;
+  Bytes arena(arena_bytes);
+  std::vector<std::span<uint8_t>> frames;
+  size_t off = 0;
+  for (const Bytes& p : plains) {
+    const size_t n = SecureChannel::sealed_size(p.size());
+    frames.emplace_back(arena.data() + off, n);
+    zero_copy.seal_into(p, frames.back());
+    off += n;
+  }
+
   for (size_t i = 0; i < plains.size(); ++i) {
-    slots.push_back(SecureChannel::SealSlot{plains[i], actual[i].data()});
+    EXPECT_EQ(Bytes(frames[i].begin(), frames[i].end()), expected[i])
+        << "record " << i;
   }
-  batched.seal_batch(slots);
+  EXPECT_EQ(zero_copy.records_sent(), sequential.records_sent());
 
-  EXPECT_EQ(actual, expected);
-  EXPECT_EQ(batched.records_sent(), sequential.records_sent());
-
-  // The receiver accepts the batched records in order.
+  // The receiver accepts the zero-copy records in order.
   SecureChannel receiver(key, /*initiator=*/false);
-  for (size_t i = 0; i < actual.size(); ++i) {
-    const auto opened = receiver.open(actual[i]);
+  for (size_t i = 0; i < frames.size(); ++i) {
+    const auto opened =
+        receiver.open(BytesView(frames[i].data(), frames[i].size()));
     ASSERT_TRUE(opened.has_value()) << "record " << i;
     EXPECT_EQ(*opened, plains[i]);
   }
 }
 
-TEST(Dataplane, SealBatchInterleavedWithScalarStaysInSequence) {
-  // A channel that alternates between single seals and batches must produce
-  // exactly the stream a seal-only channel produces (mid-batch "rekey
-  // boundary" shape: batch, single, batch).
+TEST(Dataplane, SealIntoInterleavedWithSealStaysInSequence) {
+  // A channel that alternates between copying and zero-copy seals must
+  // produce exactly the stream a seal-only channel produces (runs of
+  // seal_into, one seal, seal_into again).
   const Bytes key = channel_key(1);
   Drbg rng = Drbg::from_label(tenet::test::seed(91), "dp.mix");
   std::vector<Bytes> plains;
@@ -81,38 +91,16 @@ TEST(Dataplane, SealBatchInterleavedWithScalarStaysInSequence) {
 
   SecureChannel mixed(key, true);
   std::vector<Bytes> actual(plains.size());
-  auto run_batch = [&](size_t begin, size_t end) {
-    std::vector<SecureChannel::SealSlot> slots;
-    for (size_t i = begin; i < end; ++i) {
-      actual[i].resize(SecureChannel::sealed_size(plains[i].size()));
-      slots.push_back(SecureChannel::SealSlot{plains[i], actual[i].data()});
+  for (size_t i = 0; i < plains.size(); ++i) {
+    if (i == 4) {
+      actual[i] = mixed.seal(plains[i]);
+      continue;
     }
-    mixed.seal_batch(slots);
-  };
-  run_batch(0, 4);
-  actual[4] = mixed.seal(plains[4]);
-  run_batch(5, 9);
+    actual[i].resize(SecureChannel::sealed_size(plains[i].size()));
+    mixed.seal_into(plains[i], actual[i]);
+  }
 
   EXPECT_EQ(actual, expected);
-}
-
-TEST(Dataplane, SealBatchRespectsNonceLimitAtomically) {
-  const Bytes key = channel_key(2);
-  SecureChannel chan(key, true);
-  chan.set_seq_limit(4, /*rekey_margin=*/1);
-  chan.advance_send_seq(2);
-
-  Bytes p(8, 0xEE);
-  std::vector<Bytes> out(3, Bytes(SecureChannel::sealed_size(p.size())));
-  std::vector<SecureChannel::SealSlot> slots;
-  for (Bytes& o : out) slots.push_back(SecureChannel::SealSlot{p, o.data()});
-
-  // 2 + 3 > 4: the whole batch must be refused before any record is sealed.
-  EXPECT_THROW(chan.seal_batch(slots), NonceExhaustedError);
-  EXPECT_EQ(chan.records_sent(), 2u);
-  std::vector<SecureChannel::SealSlot> fits(slots.begin(), slots.begin() + 2);
-  chan.seal_batch(fits);
-  EXPECT_EQ(chan.records_sent(), 4u);
 }
 
 TEST(Dataplane, OpenInPlaceMatchesOpen) {
@@ -151,14 +139,15 @@ TEST(Dataplane, OpenInPlaceMatchesOpen) {
   EXPECT_FALSE(bob_copy.open(record).has_value());
 }
 
-TEST(Dataplane, OpenBatchMatchesScalarOnMixedBatch) {
-  // A batch mixing fresh records, an in-batch replay, and a tampered
-  // record must make exactly the per-record decisions the scalar loop
-  // makes — same results, same buffer bytes (rejected buffers untouched),
-  // same final sequence state.
+TEST(Dataplane, OpenInPlaceMatchesOpenOnMixedSequence) {
+  // A stream mixing fresh records, a replay, a tampered record, a record
+  // from the wrong direction and short garbage must get exactly the
+  // decisions open() makes — same results, same plaintext, rejected
+  // buffers untouched, same final sequence state.
   const Bytes key = channel_key(5);
-  Drbg rng = Drbg::from_label(tenet::test::seed(94), "dp.obatch");
+  Drbg rng = Drbg::from_label(tenet::test::seed(94), "dp.mixed_open");
   SecureChannel alice(key, true);
+  SecureChannel bob_sender(key, false);
 
   std::vector<Bytes> plains;
   std::vector<Bytes> records;
@@ -168,89 +157,91 @@ TEST(Dataplane, OpenBatchMatchesScalarOnMixedBatch) {
   }
   Bytes tampered = records[2];
   tampered.back() ^= 0x01;  // breaks the MAC
-  // Batch shape: fresh, fresh, replay of 1, tampered 2, genuine 2, fresh.
-  const std::vector<Bytes> batch_src = {records[0], records[1], records[1],
-                                        tampered,   records[2], records[3]};
+  const Bytes own_direction = bob_sender.seal(rng.bytes(24));
+  const Bytes garbage = rng.bytes(crypto::Aead::kOverhead - 1);
+  // Shape: fresh, fresh, replay of 1, tampered 2, wrong direction, short
+  // garbage, genuine 2, fresh.
+  const std::vector<Bytes> stream = {records[0], records[1],    records[1],
+                                     tampered,   own_direction, garbage,
+                                     records[2], records[3]};
 
-  SecureChannel bob_scalar(key, false);
-  SecureChannel bob_batch(key, false);
-  std::vector<Bytes> scalar_bufs = batch_src;
-  std::vector<Bytes> batch_bufs = batch_src;
-
-  std::vector<std::optional<size_t>> expected;
-  for (Bytes& buf : scalar_bufs) {
-    expected.push_back(bob_scalar.open_in_place(std::span<uint8_t>(buf)));
+  SecureChannel bob_copy(key, false);
+  SecureChannel bob_in_place(key, false);
+  std::vector<Bytes> bufs = stream;
+  size_t accepted = 0;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    const auto copied = bob_copy.open(stream[i]);
+    const auto len = bob_in_place.open_in_place(std::span<uint8_t>(bufs[i]));
+    ASSERT_EQ(len.has_value(), copied.has_value()) << "record " << i;
+    if (!len.has_value()) {
+      EXPECT_EQ(bufs[i], stream[i]) << "rejected record " << i << " modified";
+      continue;
+    }
+    ++accepted;
+    EXPECT_EQ(Bytes(bufs[i].begin() + crypto::Aead::kHeaderSize,
+                    bufs[i].begin() + crypto::Aead::kHeaderSize +
+                        static_cast<ptrdiff_t>(*len)),
+              *copied)
+        << "record " << i;
   }
-
-  std::vector<std::span<uint8_t>> spans;
-  for (Bytes& buf : batch_bufs) spans.emplace_back(buf);
-  std::vector<std::optional<size_t>> results(spans.size());
-  bob_batch.open_batch(spans, results);
-
-  EXPECT_EQ(results, expected);
-  EXPECT_EQ(batch_bufs, scalar_bufs);  // incl. untouched rejected buffers
-  EXPECT_EQ(bob_batch.next_recv_seq(), bob_scalar.next_recv_seq());
-  EXPECT_EQ(bob_batch.records_received(), bob_scalar.records_received());
+  EXPECT_EQ(accepted, 4u);
+  EXPECT_EQ(bob_in_place.next_recv_seq(), bob_copy.next_recv_seq());
+  EXPECT_EQ(bob_in_place.records_received(), bob_copy.records_received());
+  EXPECT_EQ(bob_in_place.records_received(), 4u);
 
   // Both receivers are in the same state: the next record still opens.
   const Bytes follow = alice.seal(rng.bytes(64));
-  Bytes a = follow;
-  Bytes b = follow;
-  EXPECT_TRUE(bob_scalar.open_in_place(std::span<uint8_t>(a)).has_value());
-  EXPECT_TRUE(bob_batch.open_in_place(std::span<uint8_t>(b)).has_value());
+  Bytes buf = follow;
+  EXPECT_TRUE(bob_copy.open(follow).has_value());
+  EXPECT_TRUE(bob_in_place.open_in_place(std::span<uint8_t>(buf)).has_value());
 }
 
-TEST(Dataplane, RobustChannelOpenBatchPassThrough) {
+TEST(Dataplane, RobustChannelOpenInPlaceTracksFailures) {
   const Bytes key = channel_key(6);
-  Drbg rng = Drbg::from_label(tenet::test::seed(95), "dp.robatch");
+  Drbg rng = Drbg::from_label(tenet::test::seed(95), "dp.robust");
   SecureChannel alice(key, true);
 
-  auto make_spans = [](std::vector<Bytes>& bufs) {
-    std::vector<std::span<uint8_t>> spans;
-    for (Bytes& b : bufs) spans.emplace_back(b);
-    return spans;
-  };
-
-  // No key installed: every result nullopt, no failure recorded.
+  // No key installed: nullopt, no failure recorded, buffer untouched, and
+  // seal_into refuses like seal().
   RobustChannel idle;
-  std::vector<Bytes> cold = {alice.seal(rng.bytes(16))};
-  auto cold_spans = make_spans(cold);
-  std::vector<std::optional<size_t>> cold_res(1);
-  idle.open_batch(cold_spans, cold_res);
-  EXPECT_FALSE(cold_res[0].has_value());
+  const Bytes cold = alice.seal(rng.bytes(16));
+  Bytes cold_buf = cold;
+  EXPECT_FALSE(idle.open_in_place(std::span<uint8_t>(cold_buf)).has_value());
+  EXPECT_FALSE(idle.open(cold).has_value());
   EXPECT_EQ(idle.consecutive_failures(), 0u);
+  EXPECT_EQ(cold_buf, cold);
+  Bytes out(RobustChannel::sealed_size(4));
+  EXPECT_THROW(idle.seal_into(Bytes(4, 0), out), std::logic_error);
+  EXPECT_THROW((void)idle.seal(Bytes(4, 0)), std::logic_error);
 
-  // Installed: per-record failure bookkeeping matches the scalar path.
+  // Installed: the in-place path keeps the same failure count as open().
   SecureChannel sender(key, true);
-  RobustChannel scalar;
-  RobustChannel batched;
-  scalar.install(key, false);
-  batched.install(key, false);
+  RobustChannel copying;
+  RobustChannel in_place;
+  copying.install(key, false);
+  in_place.install(key, false);
 
   std::vector<Bytes> recs;
-  for (int i = 0; i < 3; ++i) recs.push_back(sender.seal(rng.bytes(40)));
+  for (int i = 0; i < 4; ++i) recs.push_back(sender.seal(rng.bytes(40)));
   Bytes bad1 = recs[1];
   bad1[bad1.size() / 2] ^= 0x80;
   Bytes bad2 = recs[2];
   bad2[bad2.size() / 2] ^= 0x80;
-  // good, tampered, tampered: failures accumulate past the last success.
-  std::vector<Bytes> scalar_bufs = {recs[0], bad1, bad2};
-  std::vector<Bytes> batch_bufs = scalar_bufs;
-
-  std::vector<std::optional<size_t>> expected;
-  for (Bytes& buf : scalar_bufs) {
-    expected.push_back(scalar.open_in_place(std::span<uint8_t>(buf)));
+  // good, tampered, tampered, good: failures accumulate past the last
+  // success and the next success clears them.
+  const std::vector<Bytes> stream = {recs[0], bad1, bad2, recs[3]};
+  const std::vector<uint32_t> failures_after = {0, 1, 2, 0};
+  for (size_t i = 0; i < stream.size(); ++i) {
+    Bytes buf = stream[i];
+    const auto len = in_place.open_in_place(std::span<uint8_t>(buf));
+    const auto copied = copying.open(stream[i]);
+    EXPECT_EQ(len.has_value(), copied.has_value()) << "record " << i;
+    EXPECT_EQ(len.has_value(), i == 0 || i == 3) << "record " << i;
+    EXPECT_EQ(in_place.consecutive_failures(), failures_after[i])
+        << "record " << i;
+    EXPECT_EQ(copying.consecutive_failures(), failures_after[i])
+        << "record " << i;
   }
-  auto spans = make_spans(batch_bufs);
-  std::vector<std::optional<size_t>> results(spans.size());
-  batched.open_batch(spans, results);
-
-  EXPECT_EQ(results, expected);
-  EXPECT_TRUE(results[0].has_value());
-  EXPECT_FALSE(results[1].has_value());
-  EXPECT_FALSE(results[2].has_value());
-  EXPECT_EQ(batched.consecutive_failures(), scalar.consecutive_failures());
-  EXPECT_EQ(batched.consecutive_failures(), 2u);
 }
 
 TEST(Dataplane, ResumeSealsByteIdentically) {
@@ -362,9 +353,9 @@ TEST(Property, SessionCacheMatchesAlwaysLiveChannels) {
             static_cast<uint64_t>(kOps));
 }
 
-// The batched backend and the scalar backend drive the same channel state:
-// a receiver keyed off a scalar-backend sender accepts a batched-backend
-// sender's records interchangeably.
+// The AES-NI backend and the portable backend drive the same channel
+// state: a receiver on the portable backend accepts a zero-copy record
+// sealed on the AES-NI backend.
 TEST(Dataplane, BackendsInterchangeableOnTheWire) {
   const Bytes key = channel_key(8);
   Drbg rng = Drbg::from_label(tenet::test::seed(96), "dp.wire");
@@ -374,16 +365,19 @@ TEST(Dataplane, BackendsInterchangeableOnTheWire) {
   SecureChannel sender(key, true);
   Bytes p1 = rng.bytes(300);
   Bytes r1(SecureChannel::sealed_size(p1.size()));
-  sender.seal_batch(std::vector<SecureChannel::SealSlot>{
-      SecureChannel::SealSlot{p1, r1.data()}});
+  sender.seal_into(p1, r1);
 
   crypto::mb::set_backend(crypto::mb::Backend::kScalar);
   SecureChannel receiver(key, false);
-  const auto opened = receiver.open(r1);
+  Bytes buf = r1;
+  const auto len = receiver.open_in_place(std::span<uint8_t>(buf));
   crypto::mb::set_backend(prev);
 
-  ASSERT_TRUE(opened.has_value());
-  EXPECT_EQ(*opened, p1);
+  ASSERT_TRUE(len.has_value());
+  EXPECT_EQ(Bytes(buf.begin() + crypto::Aead::kHeaderSize,
+                  buf.begin() + crypto::Aead::kHeaderSize +
+                      static_cast<ptrdiff_t>(*len)),
+            p1);
 }
 
 }  // namespace

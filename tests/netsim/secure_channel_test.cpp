@@ -112,6 +112,32 @@ TEST(SecureChannel, SealThrowsAtNonceExhaustion) {
   EXPECT_TRUE(p.alice.open(from_bob).has_value());
 }
 
+TEST(SecureChannel, SealIntoAtTheLimitLeavesOutAndSeqUntouched) {
+  Pair p;
+  p.alice.set_seq_limit(/*hard_limit=*/4, /*rekey_margin=*/1);
+  p.alice.advance_send_seq(3);
+  const crypto::Bytes pt = crypto::to_bytes("last legal record");
+  crypto::Bytes last(SecureChannel::sealed_size(pt.size()));
+  p.alice.seal_into(pt, last);
+  EXPECT_EQ(p.alice.records_sent(), 4u);
+
+  // At the limit: the throw comes before any byte of `out` is written and
+  // before the sequence moves, on the zero-copy and the copying path alike.
+  crypto::Bytes out(SecureChannel::sealed_size(pt.size()), 0xEE);
+  const crypto::Bytes before = out;
+  EXPECT_THROW(p.alice.seal_into(pt, out), NonceExhaustedError);
+  EXPECT_EQ(out, before);
+  EXPECT_EQ(p.alice.records_sent(), 4u);
+  EXPECT_THROW((void)p.alice.seal(pt), NonceExhaustedError);
+  EXPECT_EQ(p.alice.records_sent(), 4u);
+
+  // The last legal record is sequence 3 and still opens.
+  EXPECT_EQ(crypto::Aead::record_seq(last), 3u);
+  const auto opened = p.bob.open(last);
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, pt);
+}
+
 TEST(SecureChannel, NeedsRekeyWarnsBeforeTheWall) {
   Pair p;
   p.alice.set_seq_limit(/*hard_limit=*/100, /*rekey_margin=*/10);

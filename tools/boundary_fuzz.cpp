@@ -49,6 +49,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -127,9 +128,11 @@ struct Finding {
 struct Coverage {
   std::set<std::pair<std::string, uint32_t>> ecalls;
   std::set<uint32_t> ocalls;
+  std::set<std::string> epc;  // EPC adversary steps that took effect
 
   void ecall(const std::string& app, uint32_t fn) { ecalls.insert({app, fn}); }
   void ocall(uint32_t code) { ocalls.insert(code); }
+  void epc_step(const std::string& step) { epc.insert(step); }
 
   [[nodiscard]] std::vector<std::string> missing() const {
     std::vector<std::string> out;
@@ -161,6 +164,13 @@ struct Coverage {
         std::snprintf(buf, sizeof buf, "ocall 0x%x", code);
         out.emplace_back(buf);
       }
+    }
+    // The MEE adversary surface (DESIGN.md §7): a replayed and a corrupted
+    // resident page must each have faulted an entry and been recovered
+    // from by a restart.
+    for (const char* step :
+         {"read_ciphertext", "replace_resident", "corrupt", "restart"}) {
+      if (!epc.count(step)) out.push_back(std::string("epc:") + step);
     }
 #if TENET_TELEMETRY_ENABLED
     // Event-emission paths (DESIGN.md §16): the fleet-event ring sits on
@@ -378,6 +388,10 @@ class Campaign {
     });
     run_guarded(static_cast<uint64_t>(-1), "preamble", d,
                 [&] { event_preamble(d); });
+    run_guarded(static_cast<uint64_t>(-1), "preamble", d, [&] {
+      epc_step(/*replay=*/true, 0, d);
+      epc_step(/*replay=*/false, 0, d);
+    });
     return d.h;
   }
 
@@ -498,20 +512,26 @@ class Campaign {
     if (opt_.inject_leak) {
       image.factory = [] { return std::make_unique<LeakyEchoApp>(); };
     }
-    echo_->enclave = &echo_->platform.launch(echo_->vendor, image);
-    if (echo_worlds_++ % 2 == 1) echo_->enclave->enable_switchless();
+    attach_echo(echo_->platform.launch(echo_->vendor, image),
+                /*switchless=*/echo_worlds_++ % 2 == 1);
+    echo_->good_sealed = classify_discard([&] {
+      return echo_->enclave->ecall(sgx::apps::kEchoSeal,
+                                   crypto::to_bytes("genuine state"));
+    });
+  }
+
+  /// Makes `enclave` the echo world's enclave, wired to the Iago host.
+  void attach_echo(sgx::Enclave& enclave, bool switchless) {
+    echo_->enclave = &enclave;
+    if (switchless) enclave.enable_switchless();
     EchoWorld* w = echo_.get();
-    echo_->enclave->set_ocall_handler([w](uint32_t code, BytesView payload) {
+    enclave.set_ocall_handler([w](uint32_t code, BytesView payload) {
       // Iago host: answers the echo round-trip ocall with hostile bytes
       // drawn from a deterministic stream; async codes get the empty
       // (success) result.
       (void)payload;
       if (code != 0x42) return Bytes{};
       return w->iago.bytes(w->iago.uniform(257));
-    });
-    echo_->good_sealed = classify_discard([&] {
-      return echo_->enclave->ecall(sgx::apps::kEchoSeal,
-                                   crypto::to_bytes("genuine state"));
     });
   }
 
@@ -530,7 +550,7 @@ class Campaign {
 
   void echo_iteration(crypto::Drbg& rng, Digest& d) {
     if (!echo_ || echo_iters_++ % 512 == 511) fresh_echo_world();
-    const uint32_t pick = static_cast<uint32_t>(rng.uniform(10));
+    const uint32_t pick = static_cast<uint32_t>(rng.uniform(11));
     switch (pick) {
       case 0:  // unknown fn: must be ignored, not crash
         echo_call(static_cast<uint32_t>(rng.uniform(1u << 16)),
@@ -596,10 +616,84 @@ class Campaign {
         if (opt_.inject_leak) echo_call(kLeakFn, {}, d);
         echo_call(sgx::apps::kEchoSeal, rng.bytes(rng.uniform(512)), d);
         break;
+      case 8: {
+        const bool replay = rng.uniform(2) == 0;
+        epc_step(replay, rng.next_u64(), d);
+        break;
+      }
       default:
         echo_call(sgx::apps::kEchoReverse, rng.bytes(rng.uniform(2048)), d);
         break;
     }
+  }
+
+  // --- EPC adversary step --------------------------------------------------
+
+  /// The MEE adversary (DESIGN.md §7) against the live echo enclave, through
+  /// platform.epc(): read a heap page's ciphertext, let the page take new
+  /// contents, then write the older ciphertext back (`replay`) or flip a
+  /// byte of the current one at `offset`. Either way the next ecall must
+  /// fail closed with a HardwareFault, and restart_enclave must bring back
+  /// an enclave that answers.
+  void epc_step(bool replay, uint64_t offset, Digest& d) {
+    if (!echo_ || !echo_->enclave->alive()) fresh_echo_world();
+    Bytes alloc;
+    crypto::append_u32(alloc, sgx::kPageSize);
+    echo_call(sgx::apps::kEchoAlloc, alloc, d);  // maps the first heap page
+    if (!echo_->enclave->alive()) return;
+    sgx::Epc& epc = echo_->platform.epc();
+    const sgx::EnclaveId id = echo_->enclave->id();
+    constexpr uint64_t kPage = sgx::kHeapBaseVaddr;
+
+    epc.write_page(id, kPage, crypto::to_bytes("epc-step:old"));
+    const std::optional<Bytes> old = epc.adversary_read_ciphertext(id, kPage);
+    if (!old.has_value()) {
+      findings_.push_back(
+          Finding{0, "epc", "mapped heap page has no ciphertext to read"});
+      return;
+    }
+    cov_.epc_step("read_ciphertext");
+    d.mix_bytes(*old);
+    epc.write_page(id, kPage, crypto::to_bytes("epc-step:new"));
+    const bool tampered = replay
+                              ? epc.adversary_replace_resident(id, kPage, *old)
+                              : epc.adversary_corrupt(id, kPage, offset);
+    if (!tampered) {
+      findings_.push_back(
+          Finding{0, "epc", "resident heap page refused the adversary write"});
+      return;
+    }
+    cov_.epc_step(replay ? "replace_resident" : "corrupt");
+    d.mix_u64(replay ? 1 : 2);
+
+    try {
+      (void)echo_->enclave->ecall(sgx::apps::kEchoReverse,
+                                  crypto::to_bytes("x"));
+      findings_.push_back(Finding{
+          0, "epc",
+          replay ? "replayed resident ciphertext entered without a fault"
+                 : "corrupted resident page entered without a fault"});
+      return;
+    } catch (const sgx::HardwareFault& e) {
+      d.mix(e.what(), std::strlen(e.what()));
+    } catch (const std::exception&) {
+      findings_.push_back(Finding{
+          0, "epc", "tampered page raised an app error instead of a fault"});
+      return;
+    }
+
+    const bool switchless = echo_->enclave->switchless_enabled();
+    attach_echo(echo_->platform.restart_enclave(id), switchless);
+    const Bytes answer = classify(d, [&] {
+      return echo_->enclave->ecall(sgx::apps::kEchoReverse,
+                                   crypto::to_bytes("ok"));
+    });
+    if (answer != crypto::to_bytes("ko")) {
+      findings_.push_back(
+          Finding{0, "epc", "restart_enclave did not recover the enclave"});
+      return;
+    }
+    cov_.epc_step("restart");
   }
 
   // --- packet target -------------------------------------------------------
@@ -1370,6 +1464,7 @@ int main(int argc, char** argv) {
                 res.coverage_ok ? "true" : "false");
     std::printf("  \"ecalls_covered\": %zu,\n  \"ocalls_covered\": %zu,\n",
                 res.coverage.ecalls.size(), res.coverage.ocalls.size());
+    std::printf("  \"epc_steps_covered\": %zu,\n", res.coverage.epc.size());
     std::printf("  \"fleet_events\": %" PRIu64 ",\n", res.fleet_events);
     std::printf("  \"taint\": {\"enabled\": %s, \"keys_tracked\": %" PRIu64
                 ", \"keys_beyond_cap\": %" PRIu64
@@ -1393,10 +1488,11 @@ int main(int argc, char** argv) {
                 " elapsed=%.2fs\n",
                 opt.seed, res.iterations_run, res.elapsed);
     std::printf("  replay: %s\n", res.replay_ok ? "byte-identical" : "DIVERGED");
-    std::printf("  coverage: %zu ecall fns, %zu ocall codes, %" PRIu64
-                " fleet events%s\n",
+    std::printf("  coverage: %zu ecall fns, %zu ocall codes, %zu EPC steps, "
+                "%" PRIu64 " fleet events%s\n",
                 res.coverage.ecalls.size(), res.coverage.ocalls.size(),
-                res.fleet_events, res.coverage_ok ? "" : " — INCOMPLETE:");
+                res.coverage.epc.size(), res.fleet_events,
+                res.coverage_ok ? "" : " — INCOMPLETE:");
     for (const std::string& m : res.coverage_missing) {
       std::printf("    missing %s\n", m.c_str());
     }

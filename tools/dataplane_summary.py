@@ -11,7 +11,7 @@ reported as the process-wide peak RSS next to the bench's own per-point
 samples. The session sweep is rendered as a Markdown table with the
 EPC-pressure knee called out (the first point whose cold tier exceeds the
 32k-page EPC and starts taking ELDU reloads per resume). Exits non-zero
-if the run recorded a batched-vs-scalar divergence or missed the >=3x
+if the run recorded a zero-copy-vs-legacy divergence or missed the >=3x
 speedup floor, so the nightly leg fails loudly on a protocol or perf
 break, not just a slow run.
 """
@@ -36,7 +36,7 @@ def main() -> int:
         f"- record duel @{d['duel_record_bytes']}B: "
         f"{d['legacy_records_per_sec']:.0f} -> "
         f"{d['batched_records_per_sec']:.0f} records/s "
-        f"({d['duel_speedup_x']}x, batch width {d['batch_width']})"
+        f"({d['duel_speedup_x']}x)"
     )
     print()
     print(
@@ -68,19 +68,18 @@ def main() -> int:
 
     if d["batch_mismatch_records"] != 0:
         print(
-            "BATCHED STREAM DIVERGES: batched and scalar record bytes "
+            "ZERO-COPY STREAM DIVERGES: zero-copy and legacy record bytes "
             "disagree",
             file=sys.stderr,
         )
         return 1
     if d["speedup_floor_met"] != 1:
         print(
-            f"SPEEDUP FLOOR MISSED: {d['duel_speedup_x']}x < 3x at batch "
-            f"width {d['batch_width']}",
+            f"SPEEDUP FLOOR MISSED: {d['duel_speedup_x']}x < 3x",
             file=sys.stderr,
         )
         return 1
-    print("- batched stream byte-identical to scalar: yes (>=3x floor met)")
+    print("- zero-copy stream byte-identical to legacy: yes (>=3x floor met)")
     return 0
 
 
