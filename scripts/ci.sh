@@ -23,6 +23,8 @@
 #                              # with vaddr as the sequence) +
 #                              # one-record-path check (no batched record
 #                              # API name in src/, bench/ or tests/) +
+#                              # one-fault-API check (no Simulator cut/heal/
+#                              # loss setter name outside FaultPlan) +
 #                              # security lint gate (DESIGN.md §15): static
 #                              # taint pass over the tree (src/ findings are
 #                              # hard failures) + dynamic pass driving the
@@ -143,6 +145,17 @@ case "$mode" in
         src bench tests; then
       echo "lint: the batched record API is gone; seal with seal_into and" \
         "open with open_in_place, one record per call" >&2
+      exit 1
+    fi
+    # One fault API (DESIGN.md §9): FaultPlan injects every network fault.
+    # The Simulator's own cut/heal/loss setters drew from the DRBG at a
+    # different point and bypassed the plan's counters; their names stay
+    # out.
+    if grep -rnE '\b(cut_link|heal_link|set_loss_rate)\b|\blink_up\(' \
+        src tests bench tools examples; then
+      echo "lint: the Simulator has one fault API; cut a link with" \
+        "fault_plan().set_link(a, b, {.loss = 1}) and heal it with" \
+        "fault_plan().set_link(a, b, {})" >&2
       exit 1
     fi
     # Any key material reaching an ocall buffer, telemetry label, or trace

@@ -2,12 +2,16 @@
 //
 // A FaultPlan describes *what can go wrong* on the wire: per-link loss,
 // duplication, reordering, latency jitter, and scheduled down->up windows
-// for links and nodes. The Simulator consults the plan at post/delivery
-// time and draws every probabilistic decision from its own seeded DRBG,
-// so a given (seed, plan, workload) triple replays the exact same fault
-// schedule. A default-constructed plan injects nothing and costs no RNG
-// draws, keeping fault-free runs byte-identical to a simulator without a
-// plan at all.
+// for links and nodes. These are the DoS-class failures the paper leaves
+// in scope for the network attacker, and the plan is the simulator's only
+// way to inject them: a cut link is `set_link(a, b, LinkFaults{.loss = 1})`
+// and a heal is `set_link(a, b, {})`, both taking effect for the next
+// post. The Simulator consults the plan at post/delivery time and draws
+// every probabilistic decision from its own seeded DRBG (a loss-1 link
+// draws once per message it drops), so a given (seed, plan, workload)
+// triple replays the exact same fault schedule. A default-constructed
+// plan injects nothing and costs no RNG draws, keeping fault-free runs
+// byte-identical to a simulator without a plan at all.
 //
 // Plan state is keyed by the same normalized link_key() the Simulator
 // uses (flat_hash.h), so per-event fault lookups are O(1) flat-hash

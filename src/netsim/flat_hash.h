@@ -25,17 +25,17 @@ using NodeId = uint32_t;
 }
 
 /// Normalized (min,max) key: both directions of a link map to one key.
-/// The single place ordered-pair normalization happens — latency(),
-/// link_up(), loss checks and the fault plan all share it, so a link's
-/// attributes are looked up once per event instead of re-normalizing in
-/// every accessor.
+/// The single place ordered-pair normalization happens — latency() and
+/// the fault plan share it, so a link's attributes are looked up once per
+/// event instead of re-normalizing in every accessor.
 [[nodiscard]] constexpr uint64_t link_key(NodeId a, NodeId b) {
   return a < b ? directed_link_key(a, b) : directed_link_key(b, a);
 }
 
 /// Open-addressing hash map from uint64_t keys to T. Supports find and
 /// insert-or-default (no erase — the simulator's link state only grows,
-/// and "unset" values like a healed cut are stored, not removed).
+/// and "unset" values like a healed link's empty LinkFaults are stored,
+/// not removed).
 template <typename T>
 class U64Map {
  public:

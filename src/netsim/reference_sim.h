@@ -92,19 +92,6 @@ class Simulator {
 
   void set_bandwidth(double bytes_per_second) { bandwidth_ = bytes_per_second; }
 
-  void cut_link(NodeId a, NodeId b) { cut_[ordered(a, b)] = true; }
-  void heal_link(NodeId a, NodeId b) { cut_[ordered(a, b)] = false; }
-  [[nodiscard]] bool link_up(NodeId a, NodeId b) const {
-    const auto it = cut_.find(ordered(a, b));
-    return it == cut_.end() || !it->second;
-  }
-
-  void set_loss_rate(NodeId a, NodeId b, double probability) {
-    if (probability < 0 || probability > 1) {
-      throw std::invalid_argument("refsim: bad probability");
-    }
-    loss_[ordered(a, b)] = probability;
-  }
   [[nodiscard]] uint64_t messages_dropped() const { return dropped_; }
 
   [[nodiscard]] FaultPlan& fault_plan() { return faults_; }
@@ -147,19 +134,6 @@ class Simulator {
     TENET_COUNT("net.messages_sent");
     TENET_COUNT("net.bytes_sent", msg.payload.size());
     TENET_HISTOGRAM("net.message_bytes", msg.payload.size());
-
-    if (!link_up(msg.src, msg.dst)) {
-      ++dropped_;
-      TENET_COUNT("net.messages_dropped");
-      return;
-    }
-    const auto lossy = loss_.find(ordered(msg.src, msg.dst));
-    if (lossy != loss_.end() && lossy->second > 0 &&
-        rng_.uniform_real() < lossy->second) {
-      ++dropped_;
-      TENET_COUNT("net.messages_dropped");
-      return;
-    }
 
     static const LinkFaults kNoFaults;
     const LinkFaults* lf = &kNoFaults;
@@ -318,8 +292,6 @@ class Simulator {
   std::map<NodeId, std::string> names_;
   std::map<NodeId, TrafficStats> stats_;
   std::map<std::pair<NodeId, NodeId>, double> latencies_;
-  std::map<std::pair<NodeId, NodeId>, bool> cut_;
-  std::map<std::pair<NodeId, NodeId>, double> loss_;
   uint64_t dropped_ = 0;
   FaultPlan faults_;
   TimerId next_timer_id_ = 1;

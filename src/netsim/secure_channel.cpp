@@ -61,6 +61,10 @@ crypto::Bytes SecureChannel::seal(crypto::BytesView plaintext) {
 
 void SecureChannel::seal_into(crypto::BytesView plaintext,
                               std::span<uint8_t> out) {
+  // Checked before the claim, so a bad `out` spends no sequence number.
+  if (out.size() != sealed_size(plaintext.size())) {
+    throw std::invalid_argument("SecureChannel::seal_into: bad output size");
+  }
   aead_.seal_into(send_nonce_, claim_send_seq(plaintext.size()), plaintext, {},
                   out);
 }

@@ -68,21 +68,6 @@ double Simulator::latency(NodeId a, NodeId b) const {
   return lat != nullptr ? *lat : default_latency_;
 }
 
-void Simulator::cut_link(NodeId a, NodeId b) { cut_[link_key(a, b)] = true; }
-void Simulator::heal_link(NodeId a, NodeId b) { cut_[link_key(a, b)] = false; }
-
-bool Simulator::link_up(NodeId a, NodeId b) const {
-  const bool* cut = cut_.find(link_key(a, b));
-  return cut == nullptr || !*cut;
-}
-
-void Simulator::set_loss_rate(NodeId a, NodeId b, double probability) {
-  if (probability < 0 || probability > 1) {
-    throw std::invalid_argument("Simulator::set_loss_rate: bad probability");
-  }
-  loss_[link_key(a, b)] = probability;
-}
-
 void Simulator::post(Message msg) {
   if (msg.dst == kInvalidNode) {
     throw std::invalid_argument("Simulator::post: invalid destination");
@@ -102,18 +87,6 @@ void Simulator::post(Message msg) {
   if (wiretap_) wiretap_(msg);
   // Normalize the link key once; every per-link lookup below shares it.
   const uint64_t lk = link_key(msg.src, msg.dst);
-  const bool* cut = cut_.find(lk);
-  if (cut != nullptr && *cut) {
-    ++dropped_;
-    TENET_COUNT("net.messages_dropped");
-    return;  // dropped on a cut link
-  }
-  const double* lossy = loss_.find(lk);
-  if (lossy != nullptr && *lossy > 0 && rng_.uniform_real() < *lossy) {
-    ++dropped_;
-    TENET_COUNT("net.messages_dropped");
-    return;
-  }
 
   // Fault plan. Every check below is a no-op (and draws no randomness)
   // when the corresponding knob is unset, so an empty plan leaves the

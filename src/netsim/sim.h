@@ -99,23 +99,13 @@ class Simulator {
   /// Link bandwidth used for serialization delay (bytes/second).
   void set_bandwidth(double bytes_per_second) { bandwidth_ = bytes_per_second; }
 
-  /// Partitions or heals connectivity between two nodes (messages on a cut
-  /// link are dropped). Models the DoS-class failures the paper leaves in
-  /// scope for attackers.
-  void cut_link(NodeId a, NodeId b);
-  void heal_link(NodeId a, NodeId b);
-  [[nodiscard]] bool link_up(NodeId a, NodeId b) const;
-
-  /// Independent per-message drop probability on a link (0 disables).
-  /// Lossy links model the other DoS-class interference available to the
-  /// threat model's network attacker.
-  void set_loss_rate(NodeId a, NodeId b, double probability);
+  /// Messages dropped by the fault plan, on post or on arrival.
   [[nodiscard]] uint64_t messages_dropped() const { return dropped_; }
 
   /// Fault-injection plan (loss/duplication/reordering/jitter/outage
-  /// windows). All probabilistic decisions draw from the sim's DRBG, and
-  /// an empty plan draws nothing, so fault-free runs are byte-identical
-  /// to runs without a plan.
+  /// windows), the only way to fault the network. All probabilistic
+  /// decisions draw from the sim's DRBG, and an empty plan draws nothing,
+  /// so fault-free runs are byte-identical to runs without a plan.
   [[nodiscard]] FaultPlan& fault_plan() { return faults_; }
   [[nodiscard]] const FaultPlan& fault_plan() const { return faults_; }
 
@@ -205,8 +195,6 @@ class Simulator {
   /// injection) is still accounted, just off the dense path.
   U64Map<TrafficStats> stats_overflow_;
   U64Map<double> latencies_;  // by link_key(a, b)
-  U64Map<bool> cut_;          // by link_key(a, b)
-  U64Map<double> loss_;       // by link_key(a, b)
   uint64_t dropped_ = 0;
   FaultPlan faults_;
   /// True between the first message dropped by a partition window and the

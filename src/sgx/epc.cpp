@@ -242,23 +242,24 @@ void Epc::reload_page(EnclaveId owner, uint64_t vaddr) {
   TENET_COUNT("sgx.epc.eldu");
 }
 
-const Epc::Slot& Epc::slot_for_read(EnclaveId owner, uint64_t vaddr) const {
+Epc::Slot* Epc::find_page(EnclaveId owner, uint64_t vaddr) {
   const auto it = pages_.find({owner, vaddr});
-  if (it == pages_.end() || !it->second.epcm.valid) {
-    throw HardwareFault("EPC: access to unmapped page");
-  }
-  if (it->second.epcm.owner != owner) {
-    throw HardwareFault("EPC: cross-enclave access denied");
-  }
-  return it->second;
+  if (it != pages_.end()) return &it->second;
+  if (!spill_.contains({owner, vaddr})) return nullptr;
+  reload_page(owner, vaddr);  // transparent page-in
+  return &pages_.at({owner, vaddr});
 }
 
 crypto::Bytes Epc::read_page(EnclaveId owner, uint64_t vaddr) {
   MeeScope off;
-  if (!pages_.contains({owner, vaddr}) && spill_.contains({owner, vaddr})) {
-    reload_page(owner, vaddr);  // transparent page-in
+  const Slot* slot = find_page(owner, vaddr);
+  if (slot == nullptr || !slot->epcm.valid) {
+    throw HardwareFault("EPC: access to unmapped page");
   }
-  auto plain = open_page(slot_for_read(owner, vaddr), vaddr);
+  if (slot->epcm.owner != owner) {
+    throw HardwareFault("EPC: cross-enclave access denied");
+  }
+  auto plain = open_page(*slot, vaddr);
   if (!plain.has_value()) {
     throw HardwareFault("EPC: MEE integrity check failed (page corrupted)");
   }
@@ -268,17 +269,14 @@ crypto::Bytes Epc::read_page(EnclaveId owner, uint64_t vaddr) {
 void Epc::write_page(EnclaveId owner, uint64_t vaddr,
                      crypto::BytesView plaintext) {
   MeeScope off;
-  if (!pages_.contains({owner, vaddr}) && spill_.contains({owner, vaddr})) {
-    reload_page(owner, vaddr);
-  }
-  const auto it = pages_.find({owner, vaddr});
-  if (it == pages_.end()) throw HardwareFault("EPC: write to unmapped page");
-  if (!it->second.epcm.writable) throw HardwareFault("EPC: page not writable");
+  Slot* slot = find_page(owner, vaddr);
+  if (slot == nullptr) throw HardwareFault("EPC: write to unmapped page");
+  if (!slot->epcm.writable) throw HardwareFault("EPC: page not writable");
   if (plaintext.size() > kPageSize) {
     throw HardwareFault("EPC: oversized write");
   }
-  store(it->second, crypto::Bytes(plaintext.begin(), plaintext.end()));
-  suspect_.erase(it->first);  // overwritten
+  store(*slot, crypto::Bytes(plaintext.begin(), plaintext.end()));
+  suspect_.erase({owner, vaddr});  // overwritten
 }
 
 void Epc::verify_owner_pages(EnclaveId owner) {

@@ -172,8 +172,9 @@ class Epc {
   /// Evicts some resident page to make room (the "OS" picks a victim that
   /// is not `keep_owner`/`keep_vaddr`).
   void make_room(EnclaveId keep_owner, uint64_t keep_vaddr);
-  [[nodiscard]] const Slot& slot_for_read(EnclaveId owner,
-                                          uint64_t vaddr) const;
+  /// The page's resident slot, paging it in first when it is spilled;
+  /// nullptr when it is neither. One lookup when the page is resident.
+  [[nodiscard]] Slot* find_page(EnclaveId owner, uint64_t vaddr);
 
   // (owner, vaddr). Every container below orders by owner first, so an
   // operation on one enclave walks only that enclave's key range, never

@@ -3,6 +3,7 @@
 #if TENET_TELEMETRY_ENABLED
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 
 namespace tenet::telemetry {
@@ -41,6 +42,51 @@ const Histogram* find_histogram(const Scraper::Sample& s,
     if (n == name) return &h;
   }
   return nullptr;
+}
+
+/// Goodput and per-shard replication-hop p99 over the scrape window
+/// (base, tip]. The one place the SLO window is measured: evaluate() runs
+/// it on the newest window, report_json() on every window in the ring.
+struct WindowMetrics {
+  double goodput = 1.0;  // delivered/sent; 1.0 when nothing was sent
+  std::map<uint32_t, std::pair<uint64_t, uint64_t>> hops;  // shard -> p99, n
+};
+
+/// Signed counter delta: a counter that fell (a forged or lost sample)
+/// reads negative instead of wrapping.
+int64_t counter_delta(const Scraper::Sample& base, const Scraper::Sample& tip,
+                      std::string_view name) {
+  return static_cast<int64_t>(find_counter(tip, name) -
+                              find_counter(base, name));
+}
+
+WindowMetrics measure_window(const Scraper::Sample& base,
+                             const Scraper::Sample& tip) {
+  WindowMetrics w;
+  const int64_t sent = counter_delta(base, tip, "net.messages_sent");
+  if (sent > 0) {
+    w.goodput = static_cast<double>(
+                    counter_delta(base, tip, "net.messages_delivered")) /
+                static_cast<double>(sent);
+  }
+  static const Histogram kEmpty;
+  for (const auto& [name, h] : tip.histograms) {
+    const int64_t id = hop_histogram_shard(name);
+    if (id < 0) continue;
+    const Histogram* old = find_histogram(base, name);
+    if (old == nullptr) old = &kEmpty;
+    const uint64_t n = h.count() > old->count() ? h.count() - old->count() : 0;
+    w.hops[static_cast<uint32_t>(id)] = {
+        HealthModel::window_quantile(*old, h, 0.99), n};
+  }
+  return w;
+}
+
+/// Index of the base sample of the window whose tip is samples[tip]: the
+/// window spans `window_samples` scrapes, tip included, clipped at the
+/// oldest retained sample.
+size_t window_base(size_t tip, size_t window_samples) {
+  return tip + 1 - std::min(std::max(window_samples, size_t{1}), tip + 1);
 }
 
 /// Per-shard scratch built from the event log walk.
@@ -103,12 +149,10 @@ FleetHealth HealthModel::evaluate(const Scraper& scraper,
   std::map<uint32_t, ShardEvents> by_shard;
   const auto& samples = scraper.samples();
   const Scraper::Sample* tip = samples.empty() ? nullptr : &samples.back();
-  const size_t width = std::min(policy_.window_samples == 0
-                                    ? size_t{1}
-                                    : policy_.window_samples,
-                                samples.size());
   const Scraper::Sample* base =
-      samples.empty() ? nullptr : &samples[samples.size() - width];
+      samples.empty()
+          ? nullptr
+          : &samples[window_base(samples.size() - 1, policy_.window_samples)];
   const uint64_t window_start_us = base != nullptr ? base->ts_us : 0;
 
   for (const FleetEvent& e : log.snapshot()) {
@@ -147,33 +191,16 @@ FleetHealth HealthModel::evaluate(const Scraper& scraper,
     }
   }
 
-  // --- Metric windows ------------------------------------------------------
+  // --- Metric window -------------------------------------------------------
+  WindowMetrics window;
   if (tip != nullptr) {
+    window = measure_window(*base, *tip);
     fleet.ts_us = tip->ts_us;
-    const uint64_t sent = find_counter(*tip, "net.messages_sent") -
-                          find_counter(*base, "net.messages_sent");
-    const uint64_t delivered = find_counter(*tip, "net.messages_delivered") -
-                               find_counter(*base, "net.messages_delivered");
-    fleet.goodput = sent == 0 ? 1.0
-                              : static_cast<double>(delivered) /
-                                    static_cast<double>(sent);
-    fleet.goodput_breached = fleet.goodput < policy_.goodput_floor;
+    fleet.goodput = window.goodput;
+    fleet.goodput_breached = goodput_breach(window.goodput);
   }
-
   // Shards observed via metrics but never via events still get a row.
-  std::map<uint32_t, std::pair<uint64_t, uint64_t>> hop;  // shard -> p99,count
-  if (tip != nullptr) {
-    static const Histogram kEmpty;
-    for (const auto& [name, h] : tip->histograms) {
-      const int64_t id = hop_histogram_shard(name);
-      if (id < 0) continue;
-      const Histogram* old = find_histogram(*base, name);
-      if (old == nullptr) old = &kEmpty;
-      hop[static_cast<uint32_t>(id)] = {
-          window_quantile(*old, h, 0.99), h.count() - old->count()};
-      by_shard.try_emplace(static_cast<uint32_t>(id));
-    }
-  }
+  for (const auto& [shard, stats] : window.hops) by_shard.try_emplace(shard);
 
   // --- Verdicts ------------------------------------------------------------
   const auto heal_budget_us =
@@ -186,14 +213,13 @@ FleetHealth HealthModel::evaluate(const Scraper& scraper,
     out.snapshots_installed = ev.snapshots;
     out.down_since_us = ev.down ? ev.down_since : 0;
     out.last_heal_us = ev.last_heal_us;
-    const auto it = hop.find(shard);
-    if (it != hop.end()) {
+    const auto it = window.hops.find(shard);
+    if (it != window.hops.end()) {
       out.p99_hop_latency_us = it->second.first;
       out.hops_in_window = it->second.second;
     }
     out.slo_breached =
-        (out.hops_in_window > 0 &&
-         out.p99_hop_latency_us > policy_.p99_hop_latency_us) ||
+        hop_breach(out.p99_hop_latency_us, out.hops_in_window) ||
         out.last_heal_us > heal_budget_us;
     if (ev.down) {
       out.state = HealthState::kFailed;
@@ -268,6 +294,41 @@ std::string HealthModel::report_json(const Scraper& scraper,
     out += ",\"slo_breached\":";
     out += s.slo_breached ? "true" : "false";
     out += '}';
+  }
+  // Every window in the ring, oldest tip first, each with its breaches.
+  out += "],\"windows\":[";
+  const auto& samples = scraper.samples();
+  for (size_t i = 1; i < samples.size(); ++i) {
+    const Scraper::Sample& base =
+        samples[window_base(i, policy_.window_samples)];
+    const WindowMetrics w = measure_window(base, samples[i]);
+    std::snprintf(buf, sizeof buf, "%.6f", w.goodput);
+    out += i > 1 ? ",{" : "{";
+    out += "\"start_us\":" + std::to_string(base.ts_us) +
+           ",\"end_us\":" + std::to_string(samples[i].ts_us) +
+           ",\"goodput\":" + buf + ",\"shards\":{";
+    std::string breaches;  // each entry led by a comma
+    for (const auto& [shard, stats] : w.hops) {
+      const auto [p99, hops] = stats;
+      if (hops == 0) continue;
+      const std::string id = std::to_string(shard);
+      const std::string p99_us = std::to_string(p99);
+      if (out.back() != '{') out += ',';
+      out += "\"" + id + "\":{\"p99_us\":" + p99_us +
+             ",\"hops\":" + std::to_string(hops) + '}';
+      if (hop_breach(p99, hops)) {
+        breaches += ",{\"kind\":\"hop_latency\",\"shard\":" + id +
+                    ",\"p99_us\":" + p99_us + '}';
+      }
+    }
+    if (goodput_breach(w.goodput)) {
+      breaches += ",{\"kind\":\"goodput\",\"shard\":null,\"goodput\":";
+      breaches += buf;
+      breaches += '}';
+    }
+    out += "},\"breaches\":[";
+    out += std::string_view(breaches).substr(breaches.empty() ? 0 : 1);
+    out += "]}";
   }
   out += "]}";
   return out;

@@ -5,9 +5,10 @@
 // The model is a pure function of (scraper, event log, policy): it holds
 // no mutable state, so evaluating it twice over the same run yields the
 // same report, and a same-seed replay yields a byte-identical JSON
-// report. tools/fleet_report.py applies the same rules offline to the
-// JSONL exports; this in-process version powers bench_observability and
-// the ctest assertions.
+// report. It is the only SLO evaluator: report_json() carries the verdict
+// of every scrape window in the ring, and tools/fleet_report.py joins
+// those windows with the exported events and scrapes instead of
+// re-deriving them.
 //
 // State machine per shard:
 //   failed    — a shard_down event with no later shard_up;
@@ -81,7 +82,10 @@ class HealthModel {
   [[nodiscard]] FleetHealth evaluate(const Scraper& scraper,
                                      const EventLog& log) const;
 
-  /// evaluate() rendered as one deterministic JSON object.
+  /// evaluate() rendered as one deterministic JSON object, plus a
+  /// `windows` array: one record per scrape tip after the oldest, each
+  /// with its (base, tip) timestamps, goodput, per-shard hop p99 and
+  /// count (shards with hops only), and the SLO breaches it shows.
   [[nodiscard]] std::string report_json(const Scraper& scraper,
                                         const EventLog& log) const;
 
@@ -92,6 +96,13 @@ class HealthModel {
                                   double q);
 
  private:
+  [[nodiscard]] bool goodput_breach(double goodput) const {
+    return goodput < policy_.goodput_floor;
+  }
+  [[nodiscard]] bool hop_breach(uint64_t p99_us, uint64_t hops) const {
+    return hops > 0 && p99_us > policy_.p99_hop_latency_us;
+  }
+
   SloPolicy policy_;
 };
 

@@ -248,9 +248,9 @@ TEST(TraceReplay, RetransmissionKeepsOriginalTraceWithRetxFlag) {
 
   // First challenge dies on a cut link; the backoff retransmission goes
   // through after the heal.
-  sim.cut_link(a.id(), b.id());
+  sim.fault_plan().set_link(a.id(), b.id(), {.loss = 1});
   a.connect_to(b.id());
-  sim.heal_link(a.id(), b.id());
+  sim.fault_plan().set_link(a.id(), b.id(), {});
   sim.run();
 
   ASSERT_GE(challenges.size(), 2u);

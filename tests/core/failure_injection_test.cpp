@@ -69,7 +69,7 @@ struct FaultWorld {
 
 TEST(FaultInjection, PartitionDuringAttestationStallsCleanly) {
   FaultWorld w;
-  w.sim.cut_link(w.a->id(), w.b->id());
+  w.sim.fault_plan().set_link(w.a->id(), w.b->id(), {.loss = 1});
   w.a->connect_to(w.b->id());
   w.sim.run();
   // No progress, no crash, no partially-attested state.
@@ -78,7 +78,7 @@ TEST(FaultInjection, PartitionDuringAttestationStallsCleanly) {
 
   // Heal + retry from the host: must complete (disconnect drops the
   // half-open challenger session first).
-  w.sim.heal_link(w.a->id(), w.b->id());
+  w.sim.fault_plan().set_link(w.a->id(), w.b->id(), {});
   w.a->disconnect_from(w.b->id());
   w.a->connect_to(w.b->id());
   w.sim.run();
@@ -88,12 +88,12 @@ TEST(FaultInjection, PartitionDuringAttestationStallsCleanly) {
 TEST(FaultInjection, LostAttestationMessageIsRetryable) {
   FaultWorld w;
   // 100% loss for the first exchange: msg1 vanishes.
-  w.sim.set_loss_rate(w.a->id(), w.b->id(), 1.0);
+  w.sim.fault_plan().set_link(w.a->id(), w.b->id(), {.loss = 1});
   w.a->connect_to(w.b->id());
   w.sim.run();
   EXPECT_EQ(w.a->query(kQueryAttestedPeerCount), 0u);
 
-  w.sim.set_loss_rate(w.a->id(), w.b->id(), 0.0);
+  w.sim.fault_plan().set_link(w.a->id(), w.b->id(), {});
   w.a->disconnect_from(w.b->id());
   w.a->connect_to(w.b->id());
   w.sim.run();
@@ -108,7 +108,7 @@ TEST(FaultInjection, LossNeverCorruptsDeliveredMessages) {
 
   // 30% loss: some records vanish, but every delivered one authenticates
   // and replay protection tolerates the gaps (forward-only sequence).
-  w.sim.set_loss_rate(w.a->id(), w.b->id(), 0.3);
+  w.sim.fault_plan().set_link(w.a->id(), w.b->id(), {.loss = 0.3});
   constexpr int kSends = 200;
   for (int i = 0; i < kSends; ++i) {
     w.send(*w.a, w.b->id(), "msg-" + std::to_string(i));

@@ -178,9 +178,9 @@ TEST(Recovery, RetryRecoversFromLostChallenge) {
   RecoveryWorld w(retry);
   // The first challenge is eaten by a cut link; the backoff retransmission
   // goes through after the heal. No host-driven reconnect needed.
-  w.sim.cut_link(w.a->id(), w.b->id());
+  w.sim.fault_plan().set_link(w.a->id(), w.b->id(), {.loss = 1});
   w.a->connect_to(w.b->id());
-  w.sim.heal_link(w.a->id(), w.b->id());
+  w.sim.fault_plan().set_link(w.a->id(), w.b->id(), {});
   w.sim.run();
   EXPECT_EQ(w.a->query(kQueryAttestedPeerCount), 1u);
   EXPECT_GE(w.a->query(kQueryAttestRetries), 1u);
@@ -193,7 +193,7 @@ TEST(Recovery, RetryBudgetExhaustionReportsPeerFailure) {
   netsim::RetryPolicy retry;
   retry.max_attempts = 5;
   RecoveryWorld w(retry);
-  w.sim.cut_link(w.a->id(), w.b->id());  // black hole, forever
+  w.sim.fault_plan().set_link(w.a->id(), w.b->id(), {.loss = 1});  // forever
   w.a->connect_to(w.b->id());
   w.sim.run();  // drains all retry timers
   EXPECT_EQ(w.a->query(kQueryAttestedPeerCount), 0u);
@@ -201,7 +201,7 @@ TEST(Recovery, RetryBudgetExhaustionReportsPeerFailure) {
   EXPECT_EQ(w.a->query(kQueryPeerFailures), 1u);
 
   // The peer state was dropped: healing + reconnecting starts fresh.
-  w.sim.heal_link(w.a->id(), w.b->id());
+  w.sim.fault_plan().set_link(w.a->id(), w.b->id(), {});
   w.a->connect_to(w.b->id());
   w.sim.run();
   EXPECT_EQ(w.a->query(kQueryAttestedPeerCount), 1u);

@@ -111,7 +111,8 @@ WorkloadResult run_chaos_workload(size_t n_nodes, size_t n_messages,
                     static_cast<netsim::NodeId>(1 + (i * 3 + 1) % n_nodes),
                     0.0005 + wl.uniform_real() * 0.005);
   }
-  sim.set_loss_rate(1, static_cast<netsim::NodeId>(n_nodes), 0.1);
+  sim.fault_plan().set_link(1, static_cast<netsim::NodeId>(n_nodes),
+                            {.loss = 0.1});
 
   // Timers: chains that record fires, victims cancelled mid-run by
   // killer timers, and immediate schedule-then-cancel pairs. Cancel

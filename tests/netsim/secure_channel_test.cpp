@@ -138,6 +138,26 @@ TEST(SecureChannel, SealIntoAtTheLimitLeavesOutAndSeqUntouched) {
   EXPECT_EQ(*opened, pt);
 }
 
+TEST(SecureChannel, SealIntoWrongSizeOutSpendsNoSequenceNumber) {
+  Pair p;
+  const crypto::Bytes pt = crypto::to_bytes("four");
+  crypto::Bytes small(SecureChannel::sealed_size(pt.size()) - 1, 0xEE);
+  crypto::Bytes large(SecureChannel::sealed_size(pt.size()) + 1, 0xEE);
+  EXPECT_THROW(p.alice.seal_into(pt, small), std::invalid_argument);
+  EXPECT_THROW(p.alice.seal_into(pt, large), std::invalid_argument);
+  EXPECT_EQ(p.alice.records_sent(), 0u);
+  EXPECT_EQ(small, crypto::Bytes(small.size(), 0xEE));
+
+  // The next record still carries sequence 0, so the peer's replay
+  // window sees no gap and opens it.
+  crypto::Bytes out(SecureChannel::sealed_size(pt.size()));
+  p.alice.seal_into(pt, out);
+  EXPECT_EQ(crypto::Aead::record_seq(out), 0u);
+  const auto opened = p.bob.open(out);
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, pt);
+}
+
 TEST(SecureChannel, NeedsRekeyWarnsBeforeTheWall) {
   Pair p;
   p.alice.set_seq_limit(/*hard_limit=*/100, /*rekey_margin=*/10);

@@ -99,16 +99,18 @@ TEST(Sim, EmptyMessageCountsOnePacket) {
 TEST(Sim, CutLinkDropsAndHealRestores) {
   Simulator sim;
   Recorder a(sim, "a"), b(sim, "b");
-  sim.cut_link(a.id(), b.id());
+  sim.fault_plan().set_link(a.id(), b.id(), LinkFaults{.loss = 1});
   a.send(b.id(), 1, {});
+  b.send(a.id(), 1, {});  // a cut holds in both directions
   sim.run();
   EXPECT_TRUE(b.received.empty());
-  EXPECT_FALSE(sim.link_up(a.id(), b.id()));
+  EXPECT_EQ(sim.messages_dropped(), 2u);
 
-  sim.heal_link(a.id(), b.id());
+  sim.fault_plan().set_link(a.id(), b.id(), {});
   a.send(b.id(), 1, {});
   sim.run();
   EXPECT_EQ(b.received.size(), 1u);
+  EXPECT_EQ(sim.messages_dropped(), 2u);
 }
 
 TEST(Sim, MessagesToDeadNodesAreDropped) {
@@ -164,36 +166,6 @@ TEST(Sim, RunCapThrowsOnLivelock) {
   PingPong a(sim, "a"), b(sim, "b");
   a.send(b.id(), 1, {});
   EXPECT_THROW(sim.run(/*max_events=*/100), std::runtime_error);
-}
-
-TEST(Sim, LossyLinkDropsApproximatelyAtRate) {
-  Simulator sim(/*seed=*/5);
-  Recorder a(sim, "a"), b(sim, "b");
-  sim.set_loss_rate(a.id(), b.id(), 0.3);
-  constexpr int kSends = 2000;
-  for (int i = 0; i < kSends; ++i) a.send(b.id(), 1, {});
-  sim.run();
-  const double delivered = static_cast<double>(b.received.size());
-  EXPECT_NEAR(delivered / kSends, 0.7, 0.05);
-  EXPECT_EQ(sim.messages_dropped() + b.received.size(),
-            static_cast<size_t>(kSends));
-}
-
-TEST(Sim, ZeroLossDeliversEverything) {
-  Simulator sim;
-  Recorder a(sim, "a"), b(sim, "b");
-  sim.set_loss_rate(a.id(), b.id(), 0.0);
-  for (int i = 0; i < 50; ++i) a.send(b.id(), 1, {});
-  sim.run();
-  EXPECT_EQ(b.received.size(), 50u);
-  EXPECT_EQ(sim.messages_dropped(), 0u);
-}
-
-TEST(Sim, LossRateValidated) {
-  Simulator sim;
-  Recorder a(sim, "a"), b(sim, "b");
-  EXPECT_THROW(sim.set_loss_rate(a.id(), b.id(), -0.1), std::invalid_argument);
-  EXPECT_THROW(sim.set_loss_rate(a.id(), b.id(), 1.1), std::invalid_argument);
 }
 
 TEST(Sim, PerLinkFifoOrderDespiteSizes) {

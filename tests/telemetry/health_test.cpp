@@ -192,6 +192,108 @@ TEST(HealthModel, ReportJsonIsDeterministicAndCarriesVerdicts) {
   EXPECT_NE(a.find("\"shards\":[{\"shard\":1"), std::string::npos);
 }
 
+/// The part of report_json() after `"windows":`.
+std::string windows_json(const std::string& report) {
+  const size_t at = report.find("\"windows\":");
+  return at == std::string::npos ? std::string()
+                                 : report.substr(at + 10, report.size() - at - 11);
+}
+
+TEST(HealthModel, WindowsCarryEveryScrapeWindowWithItsBreaches) {
+  // A healed kill-one-shard drill: shard 2 is down over [1, 90] ms, shard
+  // 1's replication-hop p99 blows past the cap inside the outage, and a
+  // late lossy stretch drags goodput under the floor.
+  FakeEventClock clock(1'000);
+  const HealthModel model;  // 8-scrape windows, 5 ms cap, 0.5 floor
+  EventLog log(8);
+  log.emit(EventType::kShardDown, /*node=*/0, /*a=*/2);
+  clock.set(1'500);
+  log.emit(EventType::kFailoverAdopted, /*node=*/1, /*a=*/2, /*b=*/4);
+  clock.set(90'000);
+  log.emit(EventType::kShardUp, /*node=*/0, /*a=*/2);
+  clock.set(95'000);
+  log.emit(EventType::kSnapshotInstalled, /*node=*/2, /*a=*/2, /*b=*/12);
+
+  Counter& sent = registry().counter("net.messages_sent");
+  Counter& delivered = registry().counter("net.messages_delivered");
+  Histogram& hops = registry().histogram("shard.s1.hop_latency_us");
+  Scraper scraper;
+  const auto hop_samples = [&hops](int n, uint64_t us) {
+    for (int i = 0; i < n; ++i) hops.record(us);
+  };
+  sent.add(10);
+  delivered.add(10);
+  hop_samples(20, 256);
+  scraper.scrape(0);
+  sent.add(30);
+  delivered.add(26);
+  hop_samples(30, 8192);  // the in-outage spike
+  scraper.scrape(50'000);
+  sent.add(40);
+  delivered.add(40);
+  hop_samples(40, 256);
+  scraper.scrape(200'000);
+  sent.add(100);  // nothing delivered: 66/170 over the 8-scrape window
+  scraper.scrape(300'000);
+
+  EXPECT_EQ(
+      windows_json(model.report_json(scraper, log)),
+      "[{\"start_us\":0,\"end_us\":50000,\"goodput\":0.866667,"
+      "\"shards\":{\"1\":{\"p99_us\":16031,\"hops\":30}},"
+      "\"breaches\":[{\"kind\":\"hop_latency\",\"shard\":1,\"p99_us\":16031}]},"
+      "{\"start_us\":0,\"end_us\":200000,\"goodput\":0.942857,"
+      "\"shards\":{\"1\":{\"p99_us\":15922,\"hops\":70}},"
+      "\"breaches\":[{\"kind\":\"hop_latency\",\"shard\":1,\"p99_us\":15922}]},"
+      "{\"start_us\":0,\"end_us\":300000,\"goodput\":0.388235,"
+      "\"shards\":{\"1\":{\"p99_us\":15922,\"hops\":70}},"
+      "\"breaches\":[{\"kind\":\"hop_latency\",\"shard\":1,\"p99_us\":15922},"
+      "{\"kind\":\"goodput\",\"shard\":null,\"goodput\":0.388235}]}]");
+
+  // The newest window is the one evaluate() judges.
+  const FleetHealth fleet = model.evaluate(scraper, log);
+  EXPECT_EQ(fleet.ts_us, 300'000u);
+  EXPECT_TRUE(fleet.goodput_breached);
+  const ShardHealth* s1 = shard_of(fleet, 1);
+  ASSERT_NE(s1, nullptr);
+  EXPECT_EQ(s1->p99_hop_latency_us, 15'922u);
+  EXPECT_EQ(s1->hops_in_window, 70u);
+  EXPECT_TRUE(s1->slo_breached);
+}
+
+TEST(HealthModel, WindowsNameShardsOnlyFromHopHistograms) {
+  SloPolicy policy;
+  policy.window_samples = 2;  // each window spans two adjacent scrapes
+  const HealthModel model(policy);
+  EventLog log(8);
+  Scraper scraper;
+  scraper.scrape(1'000);
+  EXPECT_EQ(windows_json(model.report_json(scraper, log)), "[]");  // no tip yet
+  registry().histogram("shard.s7.hop_latency_us").record(100);
+  registry().histogram("shard.s12.hop_latency_us").record(100);
+  registry().histogram("shard.sx.hop_latency_us").record(100);
+  registry().histogram("shard.s.hop_latency_us").record(100);
+  registry().histogram("net.messages_sent").record(100);
+  scraper.scrape(2'000);
+  registry().histogram("shard.s7.hop_latency_us").record(100);
+  scraper.scrape(3'000);
+
+  // Only shard.s<digits>.hop_latency_us names a shard, and a window lists
+  // only the shards with hops inside it.
+  EXPECT_EQ(windows_json(model.report_json(scraper, log)),
+            "[{\"start_us\":1000,\"end_us\":2000,\"goodput\":1.000000,"
+            "\"shards\":{\"7\":{\"p99_us\":64,\"hops\":1},"
+            "\"12\":{\"p99_us\":64,\"hops\":1}},\"breaches\":[]},"
+            "{\"start_us\":2000,\"end_us\":3000,\"goodput\":1.000000,"
+            "\"shards\":{\"7\":{\"p99_us\":64,\"hops\":1}},"
+            "\"breaches\":[]}]");
+  const FleetHealth fleet = model.evaluate(scraper, log);
+  const ShardHealth* s12 = shard_of(fleet, 12);
+  ASSERT_NE(s12, nullptr);  // a row, but no hops in the newest window
+  EXPECT_EQ(s12->hops_in_window, 0u);
+  ASSERT_NE(shard_of(fleet, 7), nullptr);
+  EXPECT_EQ(shard_of(fleet, 7)->hops_in_window, 1u);
+}
+
 }  // namespace
 }  // namespace tenet::telemetry
 

@@ -5,15 +5,21 @@ The detector gates the nightly controlplane-chaos drill, so its rules are
 load-bearing: a clean drill (every SLO breach overlapping a reconstructed
 fault window, all counters monotone, every outage healed) must pass, and
 each anomaly class — unhealed kill, counter regression, unexplained
-breach, admitted-state loss, broken orderings — must fail --check.
+breach, admitted-state loss, broken orderings, a health report that does
+not match the scrapes — must fail --check.
 
 Fixtures are synthetic JSONL matching the C++ exporters' shapes
-(EventLog::write_jsonl, Scraper::write_jsonl).
+(EventLog::write_jsonl, Scraper::write_jsonl) plus a health report
+(HealthModel::report_json). The SLO windows are computed only by the C++
+model; the window values here are the ones HealthModel gives for the same
+scrapes (pinned in tests/telemetry/health_test.cpp,
+HealthModel.WindowsCarryEveryScrapeWindowWithItsBreaches).
 
 Run directly (ctest registers it with the tier1 label):
     python3 tests/tools/fleet_report_test.py
 """
 
+import contextlib
 import importlib.util
 import io
 import json
@@ -49,19 +55,47 @@ def scrape(seq, ts_us, counters=None, histograms=None):
                         "histograms": histograms or {}}}
 
 
-def run_main(tmp, events, scrapes, extra_args=(), summary=None):
+def slo_window(start_us, end_us, goodput, shards=None, breaches=()):
+    """One record of the health report's `windows` array."""
+    return {"start_us": start_us, "end_us": end_us, "goodput": goodput,
+            "shards": shards or {}, "breaches": list(breaches)}
+
+
+def hop_breach(shard, p99_us):
+    return {"kind": "hop_latency", "shard": shard, "p99_us": p99_us}
+
+
+def goodput_breach(goodput):
+    return {"kind": "goodput", "shard": None, "goodput": goodput}
+
+
+def health_report(windows, window_samples=8):
+    """A HealthModel::report_json object (default SloPolicy)."""
+    return {"ts_us": windows[-1]["end_us"] if windows else 0,
+            "state": "healthy", "goodput": 1.0, "goodput_breached": False,
+            "events": {"epc_pressure": 0, "run_cap_hits": 0, "rekeys": 0,
+                       "partition_cuts": 0, "partition_heals": 0},
+            "policy": {"p99_hop_latency_us": 5000, "goodput_floor": 0.5,
+                       "heal_budget_ms": 400.0,
+                       "window_samples": window_samples},
+            "shards": [], "windows": windows}
+
+
+def run_main(tmp, events, scrapes, health, extra_args=(), summary=None):
     """Writes fixtures under `tmp` and runs fleet_report.main --check."""
     epath = pathlib.Path(tmp) / "events.jsonl"
     spath = pathlib.Path(tmp) / "scrapes.jsonl"
+    hpath = pathlib.Path(tmp) / "health.json"
     epath.write_text("".join(json.dumps(e) + "\n" for e in events))
     spath.write_text("".join(json.dumps(s) + "\n" for s in scrapes))
-    args = ["--events", str(epath), "--scrapes", str(spath), "--check"]
+    hpath.write_text(json.dumps(health))
+    args = ["--events", str(epath), "--scrapes", str(spath),
+            "--health", str(hpath), "--check"]
     if summary is not None:
         sumpath = pathlib.Path(tmp) / "summary.json"
         sumpath.write_text(json.dumps(summary))
         args += ["--summary", str(sumpath)]
     args += list(extra_args)
-    import contextlib
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         rc = fleet_report.main(args)
@@ -70,7 +104,8 @@ def run_main(tmp, events, scrapes, extra_args=(), summary=None):
 
 def clean_drill():
     """A healed kill-one-shard drill: outage window, in-window latency
-    spike (explained), recovery, all counters monotone."""
+    spike (explained), recovery, all counters monotone. Returns (events,
+    scrapes, health)."""
     events = [
         event(1, 1_000, "shard_down", node=0, a=2),
         event(2, 1_500, "failover_adopted", node=1, a=2, b=4),
@@ -88,132 +123,180 @@ def clean_drill():
                {"net.messages_sent": 80, "net.messages_delivered": 76},
                {"shard.s1.hop_latency_us": hist({"256": 60, "8192": 30})}),
     ]
-    return events, scrapes
+    health = health_report([
+        slo_window(0, 50_000, 0.866667, {"1": {"p99_us": 16031, "hops": 30}},
+                   [hop_breach(1, 16031)]),
+        slo_window(0, 200_000, 0.942857,
+                   {"1": {"p99_us": 15922, "hops": 70}},
+                   [hop_breach(1, 15922)]),
+    ])
+    return events, scrapes, health
+
+
+def goodput_drop():
+    """Two scrapes over which 10 of 100 messages arrive: goodput 0.1."""
+    scrapes = [
+        scrape(0, 0, {"net.messages_sent": 10,
+                      "net.messages_delivered": 10}),
+        scrape(1, 50_000, {"net.messages_sent": 110,
+                           "net.messages_delivered": 20}),
+    ]
+    health = health_report(
+        [slo_window(0, 50_000, 0.1, breaches=[goodput_breach(0.1)])])
+    return scrapes, health
 
 
 class CleanDrillTest(unittest.TestCase):
     def test_clean_drill_passes_check(self):
-        events, scrapes = clean_drill()
+        events, scrapes, health = clean_drill()
         with tempfile.TemporaryDirectory() as tmp:
-            rc, out = run_main(tmp, events, scrapes)
+            rc, out = run_main(tmp, events, scrapes, health)
         self.assertEqual(rc, 0, out)
         self.assertIn("anomalies: none", out)
         self.assertIn("shard_outage", out)
+        self.assertIn("slo windows: 2 evaluated, 2 breach(es)", out)
 
     def test_empty_inputs_pass(self):
         with tempfile.TemporaryDirectory() as tmp:
-            rc, out = run_main(tmp, [], [])
+            rc, out = run_main(tmp, [], [], health_report([]))
         self.assertEqual(rc, 0, out)
+
+    def test_health_is_required(self):
+        events, scrapes, _ = clean_drill()
+        with tempfile.TemporaryDirectory() as tmp:
+            epath = pathlib.Path(tmp) / "events.jsonl"
+            spath = pathlib.Path(tmp) / "scrapes.jsonl"
+            epath.write_text("".join(json.dumps(e) + "\n" for e in events))
+            spath.write_text("".join(json.dumps(s) + "\n" for s in scrapes))
+            with contextlib.redirect_stderr(io.StringIO()), \
+                    self.assertRaises(SystemExit) as cm:
+                fleet_report.main(["--events", str(epath),
+                                   "--scrapes", str(spath), "--check"])
+        self.assertNotEqual(cm.exception.code, 0)
 
 
 class AnomalyTest(unittest.TestCase):
     def test_unhealed_kill_fails_check(self):
-        events, scrapes = clean_drill()
+        events, scrapes, health = clean_drill()
         # Inject the kill: shard 3 goes down and never comes back.
         events.append(event(5, 210_000, "shard_down", node=0, a=3))
         with tempfile.TemporaryDirectory() as tmp:
-            rc, out = run_main(tmp, events, scrapes)
+            rc, out = run_main(tmp, events, scrapes, health)
         self.assertEqual(rc, 1, out)
         self.assertIn("unhealed_shard_outage", out)
         self.assertIn("shard 3", out)
 
     def test_counter_regression_fails_check(self):
-        events, scrapes = clean_drill()
+        events, scrapes, health = clean_drill()
         scrapes[2]["metrics"]["counters"]["net.messages_sent"] = 5  # < 40
+        # The model reads a window whose sent count fell as goodput 1.0.
+        health["windows"][1]["goodput"] = 1.0
         with tempfile.TemporaryDirectory() as tmp:
-            rc, out = run_main(tmp, events, scrapes)
+            rc, out = run_main(tmp, events, scrapes, health)
         self.assertEqual(rc, 1, out)
         self.assertIn("counter_regression", out)
         self.assertIn("net.messages_sent", out)
 
     def test_unexplained_latency_breach_fails_check(self):
         # Same latency spike, but the event log records no fault at all.
-        _, scrapes = clean_drill()
+        _, scrapes, health = clean_drill()
         with tempfile.TemporaryDirectory() as tmp:
-            rc, out = run_main(tmp, [], scrapes)
+            rc, out = run_main(tmp, [], scrapes, health)
         self.assertEqual(rc, 1, out)
         self.assertIn("unexplained_slo_breach", out)
+        self.assertIn("shard 1 p99 16031us", out)
 
     def test_unexplained_goodput_breach_fails_check(self):
-        scrapes = [
-            scrape(0, 0, {"net.messages_sent": 10,
-                          "net.messages_delivered": 10}),
-            scrape(1, 50_000, {"net.messages_sent": 110,
-                               "net.messages_delivered": 20}),
-        ]
+        scrapes, health = goodput_drop()
         with tempfile.TemporaryDirectory() as tmp:
-            rc, out = run_main(tmp, [], scrapes)
+            rc, out = run_main(tmp, [], scrapes, health)
         self.assertEqual(rc, 1, out)
         self.assertIn("unexplained_slo_breach", out)
-        self.assertIn("goodput", out)
+        self.assertIn("goodput 0.100", out)
 
     def test_partition_window_explains_goodput_breach(self):
         events = [
             event(1, 0, "partition_cut", node=4, a=9),
             event(2, 60_000, "partition_heal", node=0),
         ]
-        scrapes = [
-            scrape(0, 0, {"net.messages_sent": 10,
-                          "net.messages_delivered": 10}),
-            scrape(1, 50_000, {"net.messages_sent": 110,
-                               "net.messages_delivered": 20}),
-        ]
+        scrapes, health = goodput_drop()
         with tempfile.TemporaryDirectory() as tmp:
-            rc, out = run_main(tmp, events, scrapes)
+            rc, out = run_main(tmp, events, scrapes, health)
         self.assertEqual(rc, 0, out)
 
     def test_admitted_state_loss_fails_check(self):
-        events, scrapes = clean_drill()
+        events, scrapes, health = clean_drill()
         with tempfile.TemporaryDirectory() as tmp:
-            rc, out = run_main(tmp, events, scrapes,
+            rc, out = run_main(tmp, events, scrapes, health,
                                summary={"chaos_lost_admissions": 2})
         self.assertEqual(rc, 1, out)
         self.assertIn("admitted_state_loss", out)
 
     def test_clean_summary_passes(self):
-        events, scrapes = clean_drill()
+        events, scrapes, health = clean_drill()
         with tempfile.TemporaryDirectory() as tmp:
-            rc, out = run_main(tmp, events, scrapes,
+            rc, out = run_main(tmp, events, scrapes, health,
                                summary={"chaos_lost_admissions": 0})
         self.assertEqual(rc, 0, out)
 
     def test_broken_event_order_fails_check(self):
-        events, scrapes = clean_drill()
+        events, scrapes, health = clean_drill()
         events[2]["seq"] = 1  # duplicate seq
         with tempfile.TemporaryDirectory() as tmp:
-            rc, out = run_main(tmp, events, scrapes)
+            rc, out = run_main(tmp, events, scrapes, health)
         self.assertEqual(rc, 1, out)
         self.assertIn("broken_event_order", out)
 
+    def test_broken_scrape_order_fails_check(self):
+        events, scrapes, health = clean_drill()
+        scrapes[2]["seq"] = 1  # duplicate seq
+        with tempfile.TemporaryDirectory() as tmp:
+            rc, out = run_main(tmp, events, scrapes, health)
+        self.assertEqual(rc, 1, out)
+        self.assertIn("broken_scrape_order", out)
 
-class WindowQuantileTest(unittest.TestCase):
-    def test_delta_only(self):
-        base = {"1": 10}
-        tip = {"1": 10, "4096": 10}
-        q0 = fleet_report.window_quantile(base, tip, 0.0)
-        q99 = fleet_report.window_quantile(base, tip, 0.99)
-        self.assertEqual(q0, 4096)
-        self.assertGreaterEqual(q99, 4096)
-        self.assertLessEqual(q99, 8191)
 
-    def test_degenerate_windows_read_zero(self):
-        self.assertEqual(fleet_report.window_quantile({"8": 5}, {"8": 5}, 0.5), 0)
-        # Negative delta (forged base) reads zero rather than nonsense.
-        self.assertEqual(fleet_report.window_quantile({"8": 9}, {"8": 5}, 0.5), 0)
+class HealthScrapeMatchTest(unittest.TestCase):
+    """The health report must come from the run whose scrapes it is given
+    with: its windows are exactly the scrapes' (base, tip) pairs."""
 
-    def test_hop_shard_parser(self):
-        self.assertEqual(fleet_report.hop_shard("shard.s7.hop_latency_us"), 7)
-        self.assertEqual(fleet_report.hop_shard("shard.s12.hop_latency_us"), 12)
-        self.assertIsNone(fleet_report.hop_shard("shard.sx.hop_latency_us"))
-        self.assertIsNone(fleet_report.hop_shard("net.messages_sent"))
+    def test_report_from_another_run_fails_check(self):
+        events, scrapes, health = clean_drill()
+        health["windows"][1]["end_us"] = 210_000
+        with tempfile.TemporaryDirectory() as tmp:
+            rc, out = run_main(tmp, events, scrapes, health)
+        self.assertEqual(rc, 1, out)
+        self.assertIn("health_scrape_mismatch", out)
+        self.assertIn("health window 1 spans [0, 210000]us", out)
+
+    def test_report_without_windows_fails_check(self):
+        events, scrapes, health = clean_drill()
+        del health["windows"]  # a report from before windows existed
+        with tempfile.TemporaryDirectory() as tmp:
+            rc, out = run_main(tmp, events, scrapes, health)
+        self.assertEqual(rc, 1, out)
+        self.assertIn("0 health windows for 2 scrape windows", out)
+
+    def test_window_width_comes_from_the_policy(self):
+        events, scrapes, health = clean_drill()
+        # Two-scrape windows slide: the second starts at the first tip.
+        health["policy"]["window_samples"] = 2
+        with tempfile.TemporaryDirectory() as tmp:
+            rc, out = run_main(tmp, events, scrapes, health)
+        self.assertEqual(rc, 1, out)
+        self.assertIn("scrapes give [50000, 200000]us", out)
+        health["windows"][1]["start_us"] = 50_000
+        with tempfile.TemporaryDirectory() as tmp:
+            rc, out = run_main(tmp, events, scrapes, health)
+        self.assertEqual(rc, 0, out)
 
 
 class ReportJsonTest(unittest.TestCase):
     def test_out_writes_full_report(self):
-        events, scrapes = clean_drill()
+        events, scrapes, health = clean_drill()
         with tempfile.TemporaryDirectory() as tmp:
             outpath = pathlib.Path(tmp) / "report.json"
-            rc, _ = run_main(tmp, events, scrapes,
+            rc, _ = run_main(tmp, events, scrapes, health,
                              extra_args=["--out", str(outpath)])
             self.assertEqual(rc, 0)
             report = json.loads(outpath.read_text())
@@ -223,6 +306,9 @@ class ReportJsonTest(unittest.TestCase):
         self.assertEqual(len(report["fault_windows"]), 1)
         self.assertEqual(report["fault_windows"][0]["shard"], 2)
         self.assertEqual(report["event_counts"]["shard_down"], 1)
+        # The SLO windows are the health report's, verbatim.
+        self.assertEqual(report["slo_windows"], health["windows"])
+        self.assertEqual(report["health"], health)
 
 
 if __name__ == "__main__":

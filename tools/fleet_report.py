@@ -1,22 +1,24 @@
 #!/usr/bin/env python3
-"""Fleet health report + chaos-drill anomaly detector.
+"""Fleet report + chaos-drill anomaly detector.
 
-Joins the three observability exports of a run:
+Joins the four observability exports of a run:
 
+  * health report JSON (telemetry::HealthModel::report_json) — the SLO
+    policy and the verdict of every scrape window (per-shard hop p99,
+    fleet goodput, breaches). HealthModel is the only SLO evaluator; this
+    tool never recomputes a window;
   * scrape JSONL   (telemetry::Scraper::write_jsonl) — rolling time series
     of every counter/gauge/histogram, one sample per line;
   * event JSONL    (telemetry::EventLog::write_jsonl) — typed fleet events
     (shard down/up, failover adoption, rollback refusals, partitions,
     enclave restarts, ...), one event per line;
   * optional drill summary JSON (a bench --json object, e.g.
-    bench_observability) and optional in-process health report JSON
-    (telemetry::HealthModel::report_json) — included verbatim.
+    bench_observability).
 
 and renders a fleet report: what happened (fault windows reconstructed
-from events), how the fleet behaved (per-shard SLO windows recomputed
-offline from histogram bucket deltas, goodput from counter deltas), and —
-the point — whether anything happened that the fault record does NOT
-explain. Anomaly rules:
+from events), how the fleet behaved (the health report's SLO windows),
+and — the point — whether anything happened that the fault record does
+NOT explain. Anomaly rules, each a check across artifacts:
 
   counter_regression     a cumulative counter moved backwards between
                          scrapes (instruments are never destroyed, so any
@@ -25,12 +27,16 @@ explain. Anomaly rules:
                          timestamps not monotone;
   broken_event_order     event seqs not strictly increasing or event
                          timestamps not monotone;
+  health_scrape_mismatch the health report's windows are not the
+                         (base, tip) timestamp pairs of the exported
+                         scrapes under its policy's window width (a report
+                         from another run, or a truncated one);
   unhealed_shard_outage  a shard_down with no matching shard_up by the end
                          of the log (the kill-one-shard injection);
-  unexplained_slo_breach a window where a shard's p99 replication-hop
-                         latency exceeded the cap, or fleet goodput fell
-                         under the floor, with NO overlapping fault window
-                         (outage, partition, enclave restart);
+  unexplained_slo_breach a health window with a breach (a shard's p99
+                         replication-hop latency over the cap, or fleet
+                         goodput under the floor) and NO overlapping fault
+                         window (outage, partition, enclave restart);
   admitted_state_loss    the drill summary reports lost admissions
                          (chaos_lost_admissions / lost_admissions > 0).
 
@@ -178,77 +184,27 @@ def explained(windows, start_us, end_us, shard=None):
     return False
 
 
-# --- offline SLO windows from scrape deltas ------------------------------
-
-HOP_PREFIX = "shard.s"
-HOP_SUFFIX = ".hop_latency_us"
+# --- the health report's SLO windows ------------------------------------
 
 
-def hop_shard(name):
-    """'shard.s<id>.hop_latency_us' -> shard id, else None."""
-    if not name.startswith(HOP_PREFIX) or not name.endswith(HOP_SUFFIX):
-        return None
-    digits = name[len(HOP_PREFIX):len(name) - len(HOP_SUFFIX)]
-    return int(digits) if digits.isdigit() else None
-
-
-def window_quantile(base_buckets, tip_buckets, q):
-    """q-quantile of the samples recorded between two sparse bucket maps
-    ({floor: count}), interpolated inside the log2 bucket — the offline
-    mirror of HealthModel::window_quantile."""
-    floors = sorted(set(base_buckets) | set(tip_buckets), key=int)
-    deltas = [(int(f), tip_buckets.get(f, 0) - base_buckets.get(f, 0))
-              for f in floors]
-    count = sum(d for _, d in deltas)
-    if count <= 0 or any(d < 0 for _, d in deltas):
-        return 0
-    rank = max(0.0, min(1.0, q)) * (count - 1)
-    below = 0
-    for floor, d in deltas:
-        if d == 0:
-            continue
-        if rank < below + d:
-            hi = 0.0 if floor == 0 else floor * 2.0 - 1.0
-            frac = (rank - below) / d
-            return int(floor + frac * (hi - floor) + 0.5)
-        below += d
-    return 0
-
-
-def slo_windows(scrapes, width, p99_cap_us, goodput_floor):
-    """Slides a `width`-sample window over the scrape ring; yields one
-    record per tip sample with per-shard hop p99 and fleet goodput."""
-    out = []
-    for i in range(1, len(scrapes)):
-        base = scrapes[max(0, i - width + 1)]
-        tip = scrapes[i]
-        rec = {"start_us": base["ts_us"], "end_us": tip["ts_us"],
-               "shards": {}, "breaches": []}
-        b_hist = base["metrics"]["histograms"]
-        for name, h in tip["metrics"]["histograms"].items():
-            shard = hop_shard(name)
-            if shard is None:
-                continue
-            old = b_hist.get(name, {"count": 0, "buckets": {}})
-            hops = h["count"] - old["count"]
-            if hops <= 0:
-                continue
-            p99 = window_quantile(old["buckets"], h["buckets"], 0.99)
-            rec["shards"][shard] = {"p99_us": p99, "hops": hops}
-            if p99 > p99_cap_us:
-                rec["breaches"].append(
-                    {"kind": "hop_latency", "shard": shard, "p99_us": p99})
-        b_ctr, t_ctr = base["metrics"]["counters"], tip["metrics"]["counters"]
-        sent = t_ctr.get("net.messages_sent", 0) - \
-            b_ctr.get("net.messages_sent", 0)
-        delivered = t_ctr.get("net.messages_delivered", 0) - \
-            b_ctr.get("net.messages_delivered", 0)
-        rec["goodput"] = 1.0 if sent <= 0 else delivered / sent
-        if rec["goodput"] < goodput_floor:
-            rec["breaches"].append(
-                {"kind": "goodput", "shard": None, "goodput": rec["goodput"]})
-        out.append(rec)
-    return out
+def check_health_windows(health, scrapes, anomalies):
+    """The health report must describe these scrapes: its windows are the
+    (base, tip) timestamp pairs the policy's window width gives over the
+    scrape ring, one per tip after the oldest."""
+    width = max(1, health["policy"]["window_samples"])
+    want = [(scrapes[max(0, i - width + 1)]["ts_us"], scrapes[i]["ts_us"])
+            for i in range(1, len(scrapes))]
+    got = [(w["start_us"], w["end_us"]) for w in health.get("windows", [])]
+    if got == want:
+        return
+    if len(got) != len(want):
+        detail = (f"{len(got)} health windows for {len(want)} scrape "
+                  "windows")
+    else:
+        i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+        detail = (f"health window {i} spans {list(got[i])}us, scrapes give "
+                  f"{list(want[i])}us")
+    anomalies.append({"rule": "health_scrape_mismatch", "detail": detail})
 
 
 def check_breaches(windows, faults, anomalies):
@@ -305,7 +261,7 @@ def render(report, out=None):
         p("  anomalies: none")
 
 
-def build_report(events, scrapes, summary, health, args):
+def build_report(events, scrapes, summary, health):
     anomalies = []
     check_event_order(events, anomalies)
     check_scrape_order(scrapes, anomalies)
@@ -317,8 +273,8 @@ def build_report(events, scrapes, summary, health, args):
     if scrapes:
         end_ts = max(end_ts, scrapes[-1]["ts_us"])
     faults = fault_windows(events, end_ts, anomalies)
-    slo = slo_windows(scrapes, args.window, args.p99_cap_us,
-                      args.goodput_floor)
+    check_health_windows(health, scrapes, anomalies)
+    slo = health.get("windows", [])
     check_breaches(slo, faults, anomalies)
     if summary is not None:
         check_summary(summary, anomalies)
@@ -338,8 +294,7 @@ def build_report(events, scrapes, summary, health, args):
     }
     if summary is not None:
         report["summary"] = summary
-    if health is not None:
-        report["health"] = health
+    report["health"] = health
     return report
 
 
@@ -350,18 +305,13 @@ def main(argv=None):
                     help="event-log JSONL (EventLog::write_jsonl)")
     ap.add_argument("--scrapes", required=True,
                     help="scrape-ring JSONL (Scraper::write_jsonl)")
+    ap.add_argument("--health", required=True,
+                    help="health report JSON (HealthModel::report_json): "
+                         "SLO policy and per-window verdicts")
     ap.add_argument("--summary", help="drill summary JSON (bench --json)")
-    ap.add_argument("--health",
-                    help="in-process health report JSON, included verbatim")
     ap.add_argument("--out", help="write the full report as JSON here")
     ap.add_argument("--check", action="store_true",
                     help="exit non-zero if any anomaly fired")
-    ap.add_argument("--p99-cap-us", type=int, default=5000,
-                    help="per-window p99 replication-hop cap (default 5000)")
-    ap.add_argument("--goodput-floor", type=float, default=0.5,
-                    help="delivered/sent floor per window (default 0.5)")
-    ap.add_argument("--window", type=int, default=8,
-                    help="SLO window width in scrapes (default 8)")
     args = ap.parse_args(argv)
 
     events = load_jsonl(args.events)
@@ -370,12 +320,10 @@ def main(argv=None):
     if args.summary:
         with open(args.summary, "r", encoding="utf-8") as f:
             summary = json.load(f)
-    health = None
-    if args.health:
-        with open(args.health, "r", encoding="utf-8") as f:
-            health = json.load(f)
+    with open(args.health, "r", encoding="utf-8") as f:
+        health = json.load(f)
 
-    report = build_report(events, scrapes, summary, health, args)
+    report = build_report(events, scrapes, summary, health)
     render(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
