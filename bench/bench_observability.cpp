@@ -9,25 +9,28 @@
 //   events+health  events plus a HealthModel evaluation at every epoch
 //                  boundary and a full report at the end
 //
-// Prints one flat JSON object for bench/compare_bench.py --key pr10
-// (baseline BENCH_pr10.json). Wall-clock metrics are informational; the
-// gated metrics are model/simulator-deterministic:
-//   - obs_overhead_over_cap_pct: max(0, events+health overhead_pct - 5),
-//     i.e. exactly 0 while full observability costs <= 5% (min-of-reps
-//     keeps machine noise out);
-//   - obs_lost_admissions: admitted policies lost across the drill (0);
+// Prints one flat JSON object and exits 1 naming any gated value that
+// misses. Wall-clock metrics are informational except one in-run ratio;
+// the other gated metrics are model/simulator-deterministic:
+//   - obs_health_overhead_pct <= 5: full observability (events + health
+//     evaluation) costs at most 5% wall clock (min-of-reps keeps machine
+//     noise out; obs_overhead_over_cap_pct reports the excess);
+//   - chaos_lost_admissions: admitted policies lost across the drill (0);
 //   - obs_replay_equal: same-seed replay produces a byte-identical event
 //     log (deterministic failover + virtual-clock stamps);
 //   - obs_log_consistent / obs_unhealed_shards: the event ring's
-//     invariants hold and every killed shard healed;
-//   - obs_fleet_events / obs_scrape_samples: instrumentation coverage (a
-//     silently dropped emission or scrape fails the gate).
+//     invariants hold and every killed shard healed, in the export run
+//     too (so --kill-anomaly exits 1);
+//   - obs_fleet_events / obs_scrape_samples / obs_health_evals:
+//     instrumentation coverage (a silently dropped emission or scrape
+//     fails the gate), checked only when telemetry is compiled in.
 //
 // Export plumbing for the nightly controlplane-chaos drill:
 //   --events-out F   event-log JSONL      (EventLog::write_jsonl)
 //   --scrapes-out F  scrape-ring JSONL    (Scraper::write_jsonl)
 //   --health-out F   health report JSON   (HealthModel::report_json)
-//   --kill-anomaly   the export run kills one shard WITHOUT healing it —
+//   --kill-anomaly   the export run (made even with no -out flag) kills
+//                    one shard WITHOUT healing it — the bench exits 1, and
 //                    tools/fleet_report.py --check must flag this run and
 //                    pass the clean one.
 #include <algorithm>
@@ -217,10 +220,44 @@ int main(int argc, char** argv) {
     healthy = he;
   }
 
+  // Export run for fleet_report.py: full observability, optionally with
+  // the final victim left dead (--kill-anomaly). Its unhealed shards count
+  // in the gate like the timed runs'.
+  uint64_t export_unhealed = 0;
+  if (kill_anomaly || !events_out.empty() || !scrapes_out.empty() ||
+      !health_out.empty()) {
+    std::string scrapes_body, health_body;
+    export_unhealed = run_drill(Mode::kHealth, /*heal_last=*/!kill_anomaly,
+                                &scrapes_body, &health_body)
+                          .unhealed_shards;
+#if TENET_TELEMETRY_ENABLED
+    // run_drill() only clears the ring on entry, so it still holds the
+    // export run's events here.
+    const std::string events_body = telemetry::event_log().jsonl();
+#else
+    const std::string events_body;
+#endif
+    struct Out {
+      const std::string* path;
+      const std::string* body;
+    } outs[] = {{&events_out, &events_body},
+                {&scrapes_out, &scrapes_body},
+                {&health_out, &health_body}};
+    for (const auto& [path, body] : outs) {
+      if (path->empty()) continue;
+      if (!write_file(*path, *body)) {
+        std::fprintf(stderr, "FAILED to write %s\n", path->c_str());
+        return 1;
+      }
+      std::fprintf(stderr, "wrote %s\n", path->c_str());
+    }
+  }
+
   const double events_pct = bench::pct_increase(events_ns, off_ns);
   const double health_pct = bench::pct_increase(health_ns, off_ns);
   const double over_cap = std::max(0.0, health_pct - kOverheadCapPct);
   const uint64_t lost = evented.lost_admissions + healthy.lost_admissions;
+  const uint64_t unhealed = healthy.unhealed_shards + export_unhealed;
 
   std::fprintf(stderr,
                "observability: off %.2f ms, events %.2f ms (+%.2f%%), "
@@ -256,40 +293,22 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(healthy.health_evals),
       evented.log_consistent && healthy.log_consistent ? 1 : 0,
       replay_equal ? 1 : 0,
-      static_cast<unsigned long long>(healthy.unhealed_shards),
+      static_cast<unsigned long long>(unhealed),
       static_cast<unsigned long long>(lost), kAses, kShards);
 
-  // Export run for fleet_report.py: full observability, optionally with
-  // the final victim left dead (--kill-anomaly).
-  if (!events_out.empty() || !scrapes_out.empty() || !health_out.empty()) {
-    std::string scrapes_body, health_body;
-    (void)run_drill(Mode::kHealth, /*heal_last=*/!kill_anomaly,
-                    &scrapes_body, &health_body);
-#if TENET_TELEMETRY_ENABLED
-    // run_drill() only clears the ring on entry, so it still holds the
-    // export run's events here.
-    const std::string events_body = telemetry::event_log().jsonl();
-#else
-    const std::string events_body;
-#endif
-    struct Out {
-      const std::string* path;
-      const std::string* body;
-    } outs[] = {{&events_out, &events_body},
-                {&scrapes_out, &scrapes_body},
-                {&health_out, &health_body}};
-    for (const auto& [path, body] : outs) {
-      if (path->empty()) continue;
-      if (!write_file(*path, *body)) {
-        std::fprintf(stderr, "FAILED to write %s\n", path->c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "wrote %s\n", path->c_str());
-    }
+  bench::Gate gate("bench_observability");
+  gate.host_at_most("obs_health_overhead_pct", health_pct, kOverheadCapPct);
+  gate.pin("chaos_lost_admissions", lost, 0);
+  gate.pin("obs_log_consistent",
+           evented.log_consistent && healthy.log_consistent, 1);
+  gate.pin("obs_replay_equal", replay_equal, 1);
+  gate.pin("obs_unhealed_shards", unhealed, 0);
+  if (TENET_TELEMETRY_ENABLED) {
+    gate.pin("obs_fleet_events", evented.fleet_events, 18);
+    gate.pin("obs_scrape_samples", evented.scrape_samples, 15);
+    gate.pin("obs_health_evals", healthy.health_evals, 4);
   }
-
-  const bool pass = lost == 0 && evented.log_consistent &&
-                    healthy.log_consistent && replay_equal &&
-                    healthy.unhealed_shards == 0;
-  return pass ? 0 : 1;
+  gate.pin("n_ases", kAses, 24);
+  gate.pin("shards", kShards, 3);
+  return gate.exit_code();
 }

@@ -17,11 +17,15 @@
 //    valley-free from sampled origins. Run at several sizes to produce
 //    the events/sec + RSS scale curve EXPERIMENTS.md walks through.
 //
-// Output: human tables by default; `--json` prints one flat JSON object
-// for bench/compare_bench.py --key pr6 (baseline BENCH_pr6.json).
+// Output: human tables by default; `--json` prints one flat JSON object.
 // `--large` grows both workloads for the nightly leg. When telemetry
 // capture is on (--trace-out/--metrics-out), workloads shrink hard:
 // tracing every event at full scale is its own denial of service.
+//
+// Gate: the engines must agree at every size. At the default size the
+// event and route counts are pinned, the speedup must clear a floor and
+// the post-flood RSS a cap; the bench exits 1 naming any value that
+// misses. Absolute events/sec is machine speed, left to perfbench.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -45,6 +49,12 @@ namespace {
 
 constexpr uint32_t kHops = 3;
 constexpr size_t kCellBytes = 514;  // Tor cell
+
+// Host-measured limits at the default size: the last printed figures
+// within 35% of the 5.48x speedup and the 108.4 MB post-flood RSS measured
+// when this engine landed (5.48 * 0.65 = 3.562, 108.4 * 1.35 = 146.34).
+constexpr double kSpeedupFloor = 3.57;
+constexpr double kRssCapMb = 146.3;
 
 /// Current resident set in MB (Linux /proc; 0 if unavailable).
 double vm_rss_mb() {
@@ -414,9 +424,16 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(top.routes));
     std::printf("  \"as_peak_rss_mb\": %.1f\n", top.rss_mb);
     std::printf("}\n");
-  } else if (!equal) {
-    std::fprintf(stderr, "bench_scale: ENGINE MISMATCH\n");
-    return 1;
   }
-  return equal ? 0 : 1;
+
+  bench::Gate gate("bench_scale");
+  gate.pin("engines_equal", equal, 1);
+  if (!large && !telemetry.active()) {
+    gate.pin("tor_events", neu.events, 493125);
+    gate.pin("as_events", top.events, 240057);
+    gate.pin("as_routes", top.routes, 240000);
+    gate.host_at_least("tor_speedup_x", speedup, kSpeedupFloor);
+    gate.host_at_most("as_peak_rss_mb", top.rss_mb, kRssCapMb);
+  }
+  return gate.exit_code();
 }

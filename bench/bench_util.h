@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
@@ -96,5 +97,74 @@ inline std::string human(double v) {
 inline double pct_increase(double with, double without) {
   return without == 0 ? 0 : 100.0 * (with - without) / without;
 }
+
+/// A bench's own gate. Three kinds of rule, each kept next to the code
+/// that computes the value:
+///   - `pin`: a deterministic value (simulator or instruction-model count,
+///     checksum, equality bit) must equal the value recorded here. Reals
+///     compare as the bench prints them, at a fixed number of decimals.
+///   - `at_least`/`at_most`: a value must clear a threshold (a modeled
+///     floor or cap that holds whatever the exact figure).
+///   - `host_at_least`/`host_at_most`: the same for a figure the host
+///     measures (a ratio of two wall timings taken in one run, a peak RSS).
+///     Checked only in optimized (NDEBUG) builds; debug and sanitizer
+///     builds measure something else.
+/// Every miss is named on stderr; `exit_code()` is 1 if any rule missed.
+class Gate {
+ public:
+  explicit Gate(const char* bench) : bench_(bench) {}
+
+  template <typename T>
+    requires std::is_integral_v<T>
+  void pin(const char* name, T got, uint64_t want) {
+    if (static_cast<uint64_t>(got) == want) return;
+    miss(name, std::to_string(static_cast<uint64_t>(got)), "pinned",
+         std::to_string(want));
+  }
+
+  void pin(const char* name, double got, double want, int decimals) {
+    const std::string g = fixed(got, decimals);
+    const std::string w = fixed(want, decimals);
+    if (g != w) miss(name, g, "pinned", w);
+  }
+
+  void at_least(const char* name, double got, double floor) {
+    if (!(got >= floor)) miss(name, fixed(got, 2), "floor", fixed(floor, 2));
+  }
+  void at_most(const char* name, double got, double cap) {
+    if (!(got <= cap)) miss(name, fixed(got, 2), "cap", fixed(cap, 2));
+  }
+  void host_at_least(const char* name, double got, double floor) {
+    if (kHostRules) at_least(name, got, floor);
+  }
+  void host_at_most(const char* name, double got, double cap) {
+    if (kHostRules) at_most(name, got, cap);
+  }
+
+  [[nodiscard]] int exit_code() const { return misses_ == 0 ? 0 : 1; }
+
+ private:
+#ifdef NDEBUG
+  static constexpr bool kHostRules = true;
+#else
+  static constexpr bool kHostRules = false;
+#endif
+
+  static std::string fixed(double v, int decimals) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
+    return buf;
+  }
+
+  void miss(const char* name, const std::string& got, const char* rule,
+            const std::string& want) {
+    ++misses_;
+    std::fprintf(stderr, "%s: %s = %s, %s %s\n", bench_, name, got.c_str(),
+                 rule, want.c_str());
+  }
+
+  const char* bench_;
+  int misses_ = 0;
+};
 
 }  // namespace tenet::bench

@@ -188,15 +188,7 @@ class EnvImpl final : public EnclaveEnv {
   /// host-visible effects keep the order a synchronous run would produce.
   crypto::Bytes host_execute(uint32_t code, crypto::BytesView payload) {
     e_.flush_switchless();
-    Platform& p = e_.platform_;
-    p.host_cost().charge_ocall_dispatch();
-    // Untrusted side: crypto work (if any) belongs to the host model.
-    crypto::work::Scope host_scope(&p.host_cost().work());
-    if (!e_.ocall_) {
-      throw HardwareFault("ocall with no untrusted handler installed");
-    }
-    taint::note_ocall(code, payload);
-    return e_.ocall_(code, payload);
+    return e_.dispatch_to_host(code, payload);
   }
 
   /// The full EEXIT/ERESUME transition — the only ocall path when
@@ -366,18 +358,23 @@ void Enclave::note_switchless_fallback(SwitchlessOutcome outcome) {
 void Enclave::flush_switchless() {
   if (!ocall_ring_) return;
   ocall_ring_->drain([&](uint32_t code, const crypto::Bytes& payload) {
-    // The polling worker runs on the untrusted side: dispatch cost and
-    // any crypto work in the handler belong to the host model.
-    platform_.host_cost().charge_ocall_dispatch();
-    crypto::work::Scope host_scope(&platform_.host_cost().work());
-    if (!ocall_) {
-      throw HardwareFault("ocall with no untrusted handler installed");
-    }
-    // Same convention as the fallback path: a deferred async ocall whose
-    // handler reports an error must fault identically switchless on/off.
-    taint::note_ocall(code, payload);
-    check_async_result(code, ocall_(code, payload));
+    // The polling worker runs on the untrusted side. Same convention as
+    // the fallback path: a deferred async ocall whose handler reports an
+    // error must fault identically switchless on/off.
+    check_async_result(code, dispatch_to_host(code, payload));
   });
+}
+
+crypto::Bytes Enclave::dispatch_to_host(uint32_t code,
+                                        crypto::BytesView payload) {
+  platform_.host_cost().charge_ocall_dispatch();
+  // Untrusted side: crypto work (if any) belongs to the host model.
+  crypto::work::Scope host_scope(&platform_.host_cost().work());
+  if (!ocall_) {
+    throw HardwareFault("ocall with no untrusted handler installed");
+  }
+  taint::note_ocall(code, payload);
+  return ocall_(code, payload);
 }
 
 void Enclave::destroy() {

@@ -177,6 +177,12 @@ class Enclave {
   /// notes why, and charges the host the kick a parked worker needs.
   void note_switchless_fallback(SwitchlessOutcome outcome);
 
+  /// Runs one ocall on the untrusted side: charges the host its dispatch,
+  /// meters any crypto work in the handler to the host, notes the payload
+  /// for the taint lint and calls the handler. The one place an ocall
+  /// reaches the host, synchronous or drained from the switchless ring.
+  crypto::Bytes dispatch_to_host(uint32_t code, crypto::BytesView payload);
+
   Platform& platform_;
   EnclaveId id_;
   std::string name_;

@@ -48,7 +48,7 @@ const Histogram* find_histogram(const Scraper::Sample& s,
 /// (base, tip]. The one place the SLO window is measured: evaluate() runs
 /// it on the newest window, report_json() on every window in the ring.
 struct WindowMetrics {
-  double goodput = 1.0;  // delivered/sent; 1.0 when nothing was sent
+  double goodput = 1.0;  // delivered/resolved; 1.0 when nothing resolved
   std::map<uint32_t, std::pair<uint64_t, uint64_t>> hops;  // shard -> p99, n
 };
 
@@ -63,11 +63,15 @@ int64_t counter_delta(const Scraper::Sample& base, const Scraper::Sample& tip,
 WindowMetrics measure_window(const Scraper::Sample& base,
                              const Scraper::Sample& tip) {
   WindowMetrics w;
-  const int64_t sent = counter_delta(base, tip, "net.messages_sent");
-  if (sent > 0) {
-    w.goodput = static_cast<double>(
-                    counter_delta(base, tip, "net.messages_delivered")) /
-                static_cast<double>(sent);
+  // Goodput over the messages whose fate was decided inside the window: a
+  // message sent before the base can arrive inside it, so dividing by the
+  // window's sends could read above 1 and hide a drop.
+  const int64_t delivered =
+      counter_delta(base, tip, "net.messages_delivered");
+  const int64_t resolved =
+      delivered + counter_delta(base, tip, "net.messages_dropped");
+  if (resolved > 0) {
+    w.goodput = static_cast<double>(delivered) / static_cast<double>(resolved);
   }
   static const Histogram kEmpty;
   for (const auto& [name, h] : tip.histograms) {

@@ -39,7 +39,7 @@ enum class HealthState : uint8_t { kHealthy = 0, kDegraded = 1, kFailed = 2 };
 /// SLO thresholds. Defaults match the PR8 chaos drill's budgets.
 struct SloPolicy {
   uint64_t p99_hop_latency_us = 5000;  // replication-hop p99 cap per window
-  double goodput_floor = 0.5;          // delivered/sent floor per window
+  double goodput_floor = 0.5;          // delivered/resolved floor per window
   double heal_budget_ms = 400.0;       // shard down->up budget
   size_t window_samples = 8;           // rolling window width, in scrapes
 };
@@ -60,7 +60,7 @@ struct ShardHealth {
 struct FleetHealth {
   uint64_t ts_us = 0;               // newest scrape timestamp
   HealthState state = HealthState::kHealthy;
-  double goodput = 1.0;             // delivered/sent over the window
+  double goodput = 1.0;             // delivered/(delivered+dropped)
   bool goodput_breached = false;
   uint64_t epc_pressure_events = 0;
   uint64_t run_cap_hits = 0;

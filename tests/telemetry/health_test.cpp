@@ -151,13 +151,13 @@ TEST(HealthModel, GoodputAndHopLatencyComeFromScrapeWindows) {
   EventLog log(8);
   Scraper scraper;
 
-  Counter& sent = registry().counter("net.messages_sent");
   Counter& delivered = registry().counter("net.messages_delivered");
+  Counter& dropped = registry().counter("net.messages_dropped");
   Histogram& hops = registry().histogram("shard.s41.hop_latency_us");
 
   scraper.scrape(/*ts_us=*/1000);  // window base
-  sent.add(10);
-  delivered.add(3);  // 0.3 goodput over the window — under the 0.5 floor
+  delivered.add(3);
+  dropped.add(7);  // 0.3 goodput over the window — under the 0.5 floor
   for (int i = 0; i < 10; ++i) hops.record(8192);  // p99 over the 5 ms cap
   scraper.scrape(/*ts_us=*/2000);  // window tip
 
@@ -173,6 +173,36 @@ TEST(HealthModel, GoodputAndHopLatencyComeFromScrapeWindows) {
   EXPECT_TRUE(s->slo_breached);
   EXPECT_EQ(s->state, HealthState::kDegraded);
   EXPECT_EQ(fleet.state, HealthState::kDegraded);
+}
+
+TEST(HealthModel, GoodputCountsOnlyOutcomesResolvedInTheWindow) {
+  SloPolicy policy;
+  policy.window_samples = 2;
+  const HealthModel model(policy);
+  EventLog log(8);
+  Scraper scraper;
+  Counter& sent = registry().counter("net.messages_sent");
+  Counter& delivered = registry().counter("net.messages_delivered");
+  Counter& dropped = registry().counter("net.messages_dropped");
+
+  scraper.scrape(1'000);
+  sent.add(4);
+  delivered.add(5);  // one of them was sent before the window opened
+  scraper.scrape(2'000);
+  EXPECT_DOUBLE_EQ(model.evaluate(scraper, log).goodput, 1.0);  // not 1.25
+
+  sent.add(10);
+  delivered.add(10);  // in-flight arrivals make up for the sends...
+  dropped.add(3);     // ...but the window's drops still count
+  scraper.scrape(3'000);
+  const FleetHealth fleet = model.evaluate(scraper, log);
+  EXPECT_DOUBLE_EQ(fleet.goodput, 10.0 / 13.0);
+  EXPECT_FALSE(fleet.goodput_breached);
+
+  // Nothing resolved in the window: no evidence of loss.
+  sent.add(6);
+  scraper.scrape(4'000);
+  EXPECT_DOUBLE_EQ(model.evaluate(scraper, log).goodput, 1.0);
 }
 
 TEST(HealthModel, ReportJsonIsDeterministicAndCarriesVerdicts) {
@@ -214,26 +244,24 @@ TEST(HealthModel, WindowsCarryEveryScrapeWindowWithItsBreaches) {
   clock.set(95'000);
   log.emit(EventType::kSnapshotInstalled, /*node=*/2, /*a=*/2, /*b=*/12);
 
-  Counter& sent = registry().counter("net.messages_sent");
   Counter& delivered = registry().counter("net.messages_delivered");
+  Counter& dropped = registry().counter("net.messages_dropped");
   Histogram& hops = registry().histogram("shard.s1.hop_latency_us");
   Scraper scraper;
   const auto hop_samples = [&hops](int n, uint64_t us) {
     for (int i = 0; i < n; ++i) hops.record(us);
   };
-  sent.add(10);
   delivered.add(10);
   hop_samples(20, 256);
   scraper.scrape(0);
-  sent.add(30);
   delivered.add(26);
+  dropped.add(4);
   hop_samples(30, 8192);  // the in-outage spike
   scraper.scrape(50'000);
-  sent.add(40);
   delivered.add(40);
   hop_samples(40, 256);
   scraper.scrape(200'000);
-  sent.add(100);  // nothing delivered: 66/170 over the 8-scrape window
+  dropped.add(100);  // nothing delivered: 66/170 over the 8-scrape window
   scraper.scrape(300'000);
 
   EXPECT_EQ(

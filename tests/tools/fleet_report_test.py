@@ -113,14 +113,17 @@ def clean_drill():
         event(4, 95_000, "snapshot_installed", node=2, a=2, b=12),
     ]
     scrapes = [
-        scrape(0, 0, {"net.messages_sent": 10, "net.messages_delivered": 10},
+        scrape(0, 0, {"net.messages_sent": 10, "net.messages_delivered": 10,
+                      "net.messages_dropped": 0},
                {"shard.s1.hop_latency_us": hist({"256": 20})}),
         # Mid-outage: hop p99 blows past the cap — explained by the window.
         scrape(1, 50_000,
-               {"net.messages_sent": 40, "net.messages_delivered": 36},
+               {"net.messages_sent": 40, "net.messages_delivered": 36,
+                "net.messages_dropped": 4},
                {"shard.s1.hop_latency_us": hist({"256": 20, "8192": 30})}),
         scrape(2, 200_000,
-               {"net.messages_sent": 80, "net.messages_delivered": 76},
+               {"net.messages_sent": 80, "net.messages_delivered": 76,
+                "net.messages_dropped": 4},
                {"shard.s1.hop_latency_us": hist({"256": 60, "8192": 30})}),
     ]
     health = health_report([
@@ -134,12 +137,15 @@ def clean_drill():
 
 
 def goodput_drop():
-    """Two scrapes over which 10 of 100 messages arrive: goodput 0.1."""
+    """Two scrapes over which 10 of 100 messages arrive and 90 are
+    dropped: goodput 0.1."""
     scrapes = [
         scrape(0, 0, {"net.messages_sent": 10,
-                      "net.messages_delivered": 10}),
+                      "net.messages_delivered": 10,
+                      "net.messages_dropped": 0}),
         scrape(1, 50_000, {"net.messages_sent": 110,
-                           "net.messages_delivered": 20}),
+                           "net.messages_delivered": 20,
+                           "net.messages_dropped": 90}),
     ]
     health = health_report(
         [slo_window(0, 50_000, 0.1, breaches=[goodput_breach(0.1)])])
