@@ -4,7 +4,9 @@
 // instruction counts printed by the table benches).
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "bench_util.h"
 #include "crypto/aead.h"
@@ -220,6 +222,72 @@ void BM_DpiScan_1500B(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 1500);
 }
 BENCHMARK(BM_DpiScan_1500B);
+
+// DPI over inputs chosen against the root-state skip: every byte a first
+// byte ("A..."), a deep walk that falls back at every 6th byte ("ATTAC..."),
+// a return to the root every 3 bytes ("xxA..."), and a 32-keyword set whose
+// first bytes cover most of the lowercase letters, over random lowercase
+// and HTTP-like text. 4 KB inputs, the largest mbox-relay record size. The
+// per_byte counter is the wall time per scanned byte.
+const std::vector<std::string> kAttack = {"ATTACK"};
+const std::vector<std::string> kWebAttack = {
+    "select",    "union",   "insert",      "drop table",
+    "delete",    "update",  "<script",     "alert(",
+    "onerror",   "onload",  "<iframe",     "javascript:",
+    "eval(",     "exec(",   "/etc/passwd", "../",
+    "cmd.exe",   "wget ",   "curl ",       "base64",
+    "document.", "cookie",  "sleep(",      "benchmark(",
+    "xp_",       "concat(", "char(",       "or 1=1",
+    "%00",       "<?php",   "waitfor",     "information_schema"};
+
+std::string repeat_to(std::string_view unit, size_t n) {
+  std::string out;
+  while (out.size() < n) out += unit;
+  out.resize(n);
+  return out;
+}
+
+std::string random_lowercase(size_t n) {
+  std::string out(n, 'a');
+  for (char& c : out) c = static_cast<char>('a' + rng().uniform(26));
+  return out;
+}
+
+std::string http_like(size_t n) {
+  return repeat_to(
+      "GET /catalog/item.php?id=4182&category=garden&sort=price HTTP/1.1\r\n"
+      "Host: shop.example.com\r\nUser-Agent: Mozilla/5.0 (X11; Linux x86_64)"
+      "\r\nAccept: text/html,application/xhtml+xml;q=0.9\r\n"
+      "Accept-Language: en-US,en;q=0.5\r\nConnection: keep-alive\r\n"
+      "Referer: https://shop.example.com/catalog/index.html\r\n\r\n"
+      "<html><head><title>Garden tools</title></head><body><p>Our spring "
+      "range of rakes, hoes and watering cans is now in stock.</p></body>"
+      "</html>\r\n",
+      n);
+}
+
+void BM_DpiScan(benchmark::State& state, const std::vector<std::string>& set,
+                const std::string& input) {
+  mbox::PatternSet patterns;
+  for (const std::string& p : set) patterns.add(p);
+  patterns.build();
+  mbox::DpiScanner scanner(patterns);
+  const crypto::Bytes data = crypto::to_bytes(input);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scanner.scan(data));
+  }
+  const auto bytes = static_cast<int64_t>(state.iterations() * data.size());
+  state.SetBytesProcessed(bytes);
+  state.counters["per_byte"] = benchmark::Counter(
+      static_cast<double>(bytes),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_DpiScan, attack_all_A, kAttack, repeat_to("A", 4096));
+BENCHMARK_CAPTURE(BM_DpiScan, attack_ATTAC, kAttack, repeat_to("ATTAC", 4096));
+BENCHMARK_CAPTURE(BM_DpiScan, attack_xxA, kAttack, repeat_to("xxA", 4096));
+BENCHMARK_CAPTURE(BM_DpiScan, web32_lowercase, kWebAttack,
+                  random_lowercase(4096));
+BENCHMARK_CAPTURE(BM_DpiScan, web32_http, kWebAttack, http_like(4096));
 
 void BM_OnionWrap3Hops(benchmark::State& state) {
   tor::OnionCrypt onion;
