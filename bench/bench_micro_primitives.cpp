@@ -11,6 +11,7 @@
 #include "bench_util.h"
 #include "crypto/aead.h"
 #include "crypto/aes.h"
+#include "crypto/bignum_ifma.h"
 #include "crypto/dh.h"
 #include "crypto/hmac.h"
 #include "crypto/rng.h"
@@ -117,6 +118,49 @@ void BM_DhExchange(benchmark::State& state) {
 }
 BENCHMARK(BM_DhExchange)->DenseRange(0, 3);
 
+void BM_IfmaAmmSquare(benchmark::State& state) {
+  // One radix-52 AMM per iteration: a dependent in-place squaring chain,
+  // amm(x, x, x), as the exponentiation ladder runs it. The arg is the
+  // modulus size in bits; the four MODP primes cover chunk counts 2-5.
+  if (!crypto::ifma::available()) {
+    state.SkipWithError("CPU lacks AVX512-IFMA");
+    return;
+  }
+  const crypto::DhGroup* g = nullptr;
+  for (const crypto::DhGroup* c :
+       {&crypto::DhGroup::oakley_group1(), &crypto::DhGroup::oakley_group2(),
+        &crypto::DhGroup::modp_group5(), &crypto::DhGroup::modp_group14()}) {
+    if (static_cast<int64_t>(c->p().bit_length()) == state.range(0)) g = c;
+  }
+  const crypto::BigInt& p = g->p();
+  const size_t k = p.limb_count();
+  const size_t l = crypto::ifma::limbs52(k);
+  auto limbs64 = [k](const crypto::BigInt& x) {
+    std::vector<uint64_t> out(k);
+    for (size_t j = 0; j < k; ++j) out[j] = x.shr(64 * j).low_u64();
+    return out;
+  };
+  uint64_t inv = 1;  // p^-1 mod 2^64 by Newton iteration
+  for (int i = 0; i < 6; ++i) inv *= 2 - p.low_u64() * inv;
+  const std::vector<uint64_t> n64 = limbs64(p);
+  const std::vector<uint64_t> r52sq64 =
+      limbs64(crypto::BigInt(1).shl(2 * 52 * l).mod(p));
+  crypto::ifma::Ctx ctx;
+  crypto::ifma::init(ctx, n64.data(), k, 0 - inv, r52sq64.data());
+  std::vector<uint64_t> x(ctx.lp);
+  crypto::ifma::to52(
+      limbs64(crypto::BigInt::from_bytes_be(rng().bytes(8 * k)).mod(p))
+          .data(),
+      k, x.data(), ctx.lp);
+  for (auto _ : state) {
+    crypto::ifma::amm(ctx, x.data(), x.data(), x.data());
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(g->name() + ", " + std::to_string(ctx.nc) + " chunks");
+}
+BENCHMARK(BM_IfmaAmmSquare)->Arg(768)->Arg(1024)->Arg(1536)->Arg(2048);
+
 void BM_SchnorrSign(benchmark::State& state) {
   const crypto::SchnorrKeyPair kp(crypto::DhGroup::oakley_group2(), rng());
   const crypto::Bytes msg = rng().bytes(64);
@@ -198,7 +242,8 @@ void BM_ChordLookup(benchmark::State& state) {
   for (netsim::NodeId i = 1; i <= state.range(0); ++i) {
     tor::RelayDescriptor d;
     d.node = i;
-    d.nickname = "r" + std::to_string(i);
+    d.nickname = "r";
+    d.nickname += std::to_string(i);
     d.onion_public = crypto::Bytes(16, static_cast<uint8_t>(i));
     ring.join(d);
   }

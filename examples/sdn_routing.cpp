@@ -48,7 +48,8 @@ int main() {
     if (++shown > 3) break;
     std::string path;
     for (const AsNumber hop : route.as_path) {
-      path += " " + std::to_string(hop);
+      path += ' ';
+      path += std::to_string(hop);
     }
     std::printf("    prefix %-3u via AS path:%s (%s route)\n", prefix,
                 path.c_str(), to_string(route.learned_from));

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point. Modes:
 #
-#   scripts/ci.sh              # release build + full ctest
+#   scripts/ci.sh              # release build (warnings are errors) +
+#                              # full ctest
 #   scripts/ci.sh asan         # ASan+UBSan build + full ctest
 #   scripts/ci.sh ubsan        # optimized UBSan build + full ctest
 #   scripts/ci.sh debug
@@ -71,6 +72,10 @@ configure_build() {
 
 case "$mode" in
   release|asan|debug|ubsan)
+    # The release build is warning-free; any new warning fails the job.
+    if [[ "$mode" == release ]]; then
+      extra_cmake_args+=("-DCMAKE_COMPILE_WARNING_AS_ERROR=ON")
+    fi
     configure_build "$mode"
     ctest --preset "$mode"
     ;;

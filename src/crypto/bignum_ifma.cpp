@@ -56,64 +56,116 @@ namespace {
 
 // One AMM: out = a*b/2^(52l) mod n, redundant-range closed over [0, 2n).
 //
-// Row structure (operand scanning, one row per a-limb): add the low halves
-// of a_i*b and m*n into the accumulator, shift the accumulator down one
-// limb, then add the high halves — which post-shift land on the same lanes
-// as their weight-52(j+1) positions, so no second shifted register set is
-// needed.
+// Row structure (operand scanning, one row per a-limb). Row i adds
+// a_i*b + m_i*n, 104-bit products split into 52-bit halves: the low halves
+// land on lane j of the row's frame, the high halves on lane j+1, and the
+// frame then shifts down one limb. The four madd groups never touch the
+// accumulator directly: the two low groups sum into a scratch vector seeded
+// with the previous row's high products (which, one shift later, sit on the
+// same lanes), the two high groups into a fresh pending vector, and the
+// scratch reaches the accumulator as one add before the shift. The
+// accumulator's own chain is one add and one shift per row; the madds hang
+// off it.
 //
-// The reduction digit m comes from a scalar copy x0 of the weight-2^0
-// limb, which takes the full 104-bit a_i*b_0 and m*n_0 products. m and the
-// carry out of the freed limb are then known without waiting on the vector
-// madds, and a row reads the vector unit once: lane 0 after the shift,
-// which refreshes x0. Vector lane 0 is dead weight after each shift (its
-// low madds are shifted out, its high madds are already in x0), and x0 is
-// written back into it once, before the final carry pass. m =
-// t*(-n^-1) mod 2^52 depends only on the value mod 2^52, so it is the same
-// digit any exact AMM picks and the output is the same value in [0, 2n).
+// The reduction digit m, the one that zeroes the low limb (limb i) of the
+// running sum mod 2^52, comes from scalars. With n0' = -n^-1 mod 2^52 and
+// lo/hi the 52-bit halves of a 104-bit product: x0 and w hold the frame's
+// positions 0 and 1 (limbs i and i+1) as summed over rows < i, so the
+// vector lanes 0 and 1 go stale and are overwritten at the end. Row i
+// computes
+//   m   = lo52(x0*n0' + lo52(a_i*b0*n0'))
+//   x0' = ((x0 + lo(a_i*b0)) >> 52) + (m != 0) + hi(a_i*b0) + hi(m*n0)
+//         + w + lo(a_i*b1) + lo(m*n1)
+//   w'  = lane 2 of (accumulator + pending) + lo(a_i*b2) + lo(m*n2)
+//         + hi(a_i*b1) + hi(m*n1)
+// (m != 0) is the carry out of the freed limb: x0 + lo(a_i*b0) + lo(m*n0)
+// is a multiple of 2^52 by the choice of m, and since n0' is odd, m is 0
+// exactly when the low 52 bits of x0 + lo(a_i*b0) are. Lane 2 is read at
+// the start of the row and first reaches an m two rows later, so the scalar
+// chain never waits on the vector unit. The terms that depend only on a_i
+// come from an IFMA pre-pass over a, eight rows per madd, which leaves
+// four scalar multiplies per row, all on m or x0. m depends only on the
+// value mod 2^52, so it is the digit any exact AMM picks and the output is
+// the same value in [0, 2n).
 //
-// Accumulator lanes grow by at most 4*(2^52-1) per row and migrate down one
-// lane per row, so they stay far below 2^64 for any supported size; x0 adds
-// less than 2^54 to that bound.
+// Every position takes at most 4*(2^52-1) per row over at most l <= 64
+// rows, so lanes, x0 and w stay below 2^61 for every supported size.
 //
 // The maskz_ forms of the shift intrinsics compile to the plain
 // instructions; GCC 12's unmasked forms pass an undefined source operand
-// that trips -Wmaybe-uninitialized.
+// that trips -Wmaybe-uninitialized. For the same reason lane 2 is read by
+// vector subscript, not through a 128-bit cast.
 template <int NC>
 __attribute__((target("avx512f,avx512ifma"))) void amm_t(
     const uint64_t* a, const uint64_t* b, const uint64_t* n, uint64_t n0inv52,
     int l, uint64_t* out) {
   using u128 = unsigned __int128;
-  __m512i acc[NC], bv[NC], nv[NC];
+  constexpr int kLp = 8 * NC;
+  __m512i acc[NC], pend[NC], bv[NC], nv[NC];
   const __m512i zero = _mm512_setzero_si512();
   for (int c = 0; c < NC; ++c) {
     acc[c] = zero;
+    pend[c] = zero;
     bv[c] = _mm512_loadu_si512(b + 8 * c);
     nv[c] = _mm512_loadu_si512(n + 8 * c);
   }
-  const uint64_t b0 = b[0], n0 = n[0];
-  uint64_t x0 = 0;
+  // Pre-pass: every row's a_i-only terms.
+  enum { kAb0Lo, kAb0Hi, kAb1Lo, kAb1Hi, kAb2Lo, kAbN, kTerms };
+  alignas(64) uint64_t pre[kTerms * kLp];
+  {
+    const __m512i b0 = _mm512_set1_epi64(static_cast<long long>(b[0]));
+    const __m512i b1 = _mm512_set1_epi64(static_cast<long long>(b[1]));
+    const __m512i b2 = _mm512_set1_epi64(static_cast<long long>(b[2]));
+    const __m512i bn =
+        _mm512_set1_epi64(static_cast<long long>((b[0] * n0inv52) & kMask52));
+    for (int c = 0; c < NC; ++c) {
+      const __m512i av = _mm512_loadu_si512(a + 8 * c);
+      uint64_t* p = pre + 8 * c;
+      _mm512_store_si512(p + kAb0Lo * kLp, _mm512_madd52lo_epu64(zero, av, b0));
+      _mm512_store_si512(p + kAb0Hi * kLp, _mm512_madd52hi_epu64(zero, av, b0));
+      _mm512_store_si512(p + kAb1Lo * kLp, _mm512_madd52lo_epu64(zero, av, b1));
+      _mm512_store_si512(p + kAb1Hi * kLp, _mm512_madd52hi_epu64(zero, av, b1));
+      _mm512_store_si512(p + kAb2Lo * kLp, _mm512_madd52lo_epu64(zero, av, b2));
+      _mm512_store_si512(p + kAbN * kLp, _mm512_madd52lo_epu64(zero, av, bn));
+    }
+  }
+  // One 64x64->128 multiply by y << 12 gives both halves of the 104-bit
+  // product x*y: the high 64 bits are hi(x*y), the low 64 bits lo(x*y) << 12.
+  const uint64_t n0s = n[0] << 12, n1s = n[1] << 12, n2 = n[2];
+  uint64_t x0 = 0, w = 0;
   for (int i = 0; i < l; ++i) {
-    u128 t = static_cast<u128>(a[i]) * b0 + x0;
-    const uint64_t m = (static_cast<uint64_t>(t) * n0inv52) & kMask52;
-    t += static_cast<u128>(m) * n0;  // low 52 bits now zero
+    const auto lane2 =
+        static_cast<uint64_t>(_mm512_add_epi64(acc[0], pend[0])[2]);
+    const uint64_t* r = pre + i;  // row i's pre-pass terms, kLp apart
+    const uint64_t m = (x0 * n0inv52 + r[kAbN * kLp]) & kMask52;
+    const u128 mn0 = static_cast<u128>(m) * n0s;
+    const u128 mn1 = static_cast<u128>(m) * n1s;
+    // (m + kMask52) >> 52 is (m != 0), branch-free.
+    x0 = ((x0 + r[kAb0Lo * kLp]) >> 52) + ((m + kMask52) >> 52) +
+         r[kAb0Hi * kLp] + static_cast<uint64_t>(mn0 >> 64) + w +
+         r[kAb1Lo * kLp] + (static_cast<uint64_t>(mn1) >> 12);
+    w = lane2 + r[kAb2Lo * kLp] + ((m * n2) & kMask52) + r[kAb1Hi * kLp] +
+        static_cast<uint64_t>(mn1 >> 64);
     const __m512i ai = _mm512_set1_epi64(static_cast<long long>(a[i]));
     const __m512i mv = _mm512_set1_epi64(static_cast<long long>(m));
+    __m512i lo[NC];
     for (int c = 0; c < NC; ++c)
-      acc[c] = _mm512_madd52lo_epu64(acc[c], ai, bv[c]);
+      lo[c] = _mm512_madd52lo_epu64(pend[c], ai, bv[c]);
     for (int c = 0; c < NC; ++c)
-      acc[c] = _mm512_madd52lo_epu64(acc[c], mv, nv[c]);
+      lo[c] = _mm512_madd52lo_epu64(lo[c], mv, nv[c]);
+    for (int c = 0; c < NC; ++c)
+      pend[c] = _mm512_madd52hi_epu64(zero, ai, bv[c]);
+    for (int c = 0; c < NC; ++c)
+      pend[c] = _mm512_madd52hi_epu64(pend[c], mv, nv[c]);
+    for (int c = 0; c < NC; ++c) acc[c] = _mm512_add_epi64(acc[c], lo[c]);
     for (int c = 0; c < NC; ++c) {
       const __m512i next = (c + 1 < NC) ? acc[c + 1] : zero;
       acc[c] = _mm512_maskz_alignr_epi64(0xFF, next, acc[c], 1);
     }
-    x0 = static_cast<uint64_t>(t >> 52) + static_cast<uint64_t>(acc[0][0]);
-    for (int c = 0; c < NC; ++c)
-      acc[c] = _mm512_madd52hi_epu64(acc[c], ai, bv[c]);
-    for (int c = 0; c < NC; ++c)
-      acc[c] = _mm512_madd52hi_epu64(acc[c], mv, nv[c]);
   }
+  for (int c = 0; c < NC; ++c) acc[c] = _mm512_add_epi64(acc[c], pend[c]);
   acc[0] = _mm512_mask_set1_epi64(acc[0], 1, static_cast<long long>(x0));
+  acc[0] = _mm512_mask_set1_epi64(acc[0], 2, static_cast<long long>(w));
   // Carry-propagate the redundant lanes to canonical 52-bit limbs,
   // branch-free. First fold every lane's bits above 52 into the next
   // lane; that leaves each lane below 2^52 + 2^12, so the carries still

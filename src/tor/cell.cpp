@@ -56,7 +56,9 @@ crypto::Bytes RelayPayload::seal(const HopKeys& keys) const {
   crypto::append_u32(body, stream);
   crypto::append(body, data);
   const crypto::Digest mac = crypto::hmac_sha256(keys.digest_key, body);
-  crypto::Bytes out(mac.begin(), mac.begin() + kDigestLen);
+  crypto::Bytes out;
+  out.reserve(kDigestLen + body.size());
+  out.assign(mac.begin(), mac.begin() + kDigestLen);
   crypto::append(out, body);
   return out;
 }

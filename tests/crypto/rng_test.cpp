@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 
@@ -91,9 +93,12 @@ TEST(Drbg, ForkProducesIndependentStreams) {
 
 TEST(Drbg, NoShortCycleInFirst64KB) {
   Drbg rng = Drbg::from_label(10);
-  std::set<Bytes> seen;
+  std::set<std::array<uint8_t, 64>> seen;
   for (int i = 0; i < 1024; ++i) {
-    EXPECT_TRUE(seen.insert(rng.bytes(64)).second) << "cycle at block " << i;
+    const Bytes b = rng.bytes(64);
+    std::array<uint8_t, 64> block{};
+    std::copy(b.begin(), b.end(), block.begin());
+    EXPECT_TRUE(seen.insert(block).second) << "cycle at block " << i;
   }
 }
 

@@ -9,15 +9,6 @@
 namespace tenet::routing {
 namespace {
 
-/// Diamond topology: AS1 buys from providers 2 and 3, both buy from 4.
-/// AS1's route to prefix 4 is decided purely by its local preference.
-ScenarioConfig diamond_config() {
-  ScenarioConfig cfg;
-  cfg.n_ases = 4;  // placeholder; we build the deployment manually below
-  cfg.seed = 99;
-  return cfg;
-}
-
 class LiveUpdateDeployment {
  public:
   LiveUpdateDeployment() : dep_(make_config()) {
