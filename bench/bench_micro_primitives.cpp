@@ -348,15 +348,15 @@ BENCHMARK(BM_OnionWrap3Hops);
 
 }  // namespace
 
-// bench::Telemetry takes --trace-out/--metrics-out like every other bench.
-// google-benchmark exits on flags it does not know, so those two (and
-// their values) are taken out of argv before benchmark::Initialize.
+// bench::Telemetry takes --export like every other bench. google-benchmark
+// exits on flags it does not know, so --export and its value are taken out
+// of argv before benchmark::Initialize.
 int main(int argc, char** argv) {
   const tenet::bench::Telemetry telemetry(argc, argv);
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i];
-    if ((a == "--trace-out" || a == "--metrics-out") && i + 1 < argc) {
+    if (a == "--export" && i + 1 < argc) {
       ++i;
       continue;
     }

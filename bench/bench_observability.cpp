@@ -25,14 +25,14 @@
 //     instrumentation coverage (a silently dropped emission or scrape
 //     fails the gate), checked only when telemetry is compiled in.
 //
-// Export plumbing for the nightly controlplane-chaos drill:
-//   --events-out F   event-log JSONL      (EventLog::write_jsonl)
-//   --scrapes-out F  scrape-ring JSONL    (Scraper::write_jsonl)
-//   --health-out F   health report JSON   (HealthModel::report_json)
-//   --kill-anomaly   the export run (made even with no -out flag) kills
+// Export run for the nightly controlplane-chaos drill:
+//   --export DIR     one more full-observability drill whose bundle (its
+//                    trace, metrics, events, scrapes and health report)
+//                    is written to DIR for tools/analyze.py DIR --check
+//   --kill-anomaly   the export run (made even without --export) kills
 //                    one shard WITHOUT healing it — the bench exits 1, and
-//                    tools/fleet_report.py --check must flag this run and
-//                    pass the clean one.
+//                    analyze.py --check must flag this run and pass the
+//                    clean one.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -43,6 +43,7 @@
 #include "routing/bgp.h"
 #include "routing/scenario.h"
 #include "telemetry/scrape.h"
+#include "telemetry/trace.h"
 #if TENET_TELEMETRY_ENABLED
 #include "telemetry/events.h"
 #include "telemetry/health.h"
@@ -70,6 +71,7 @@ struct DrillStats {
   uint64_t unhealed_shards = 0;
   uint64_t health_evals = 0;
   std::string events_jsonl;  // replay-equality fingerprint (events modes)
+  bool export_failed = false;
 };
 
 ScenarioConfig make_config() {
@@ -101,9 +103,11 @@ bool tables_match(RoutingDeployment& dep, const ComputationResult& expected) {
 }
 
 /// One kill/heal epoch per extra shard; when `heal_last` is false the
-/// final victim stays dead (the injected anomaly for fleet_report.py).
+/// final victim stays dead (the injected anomaly for analyze.py). With
+/// `bundle`, the run's export bundle is written before its scraper and
+/// health model go out of scope.
 DrillStats run_drill(Mode mode, bool heal_last,
-                     std::string* scrapes_out, std::string* health_out) {
+                     bench::Telemetry* bundle = nullptr) {
   telemetry::set_enabled(mode != Mode::kOff);
   telemetry::tracer().reset();
 #if TENET_TELEMETRY_ENABLED
@@ -157,44 +161,28 @@ DrillStats run_drill(Mode mode, bool heal_last,
     for (const auto& s : fleet.shards) {
       if (s.down_since_us != 0) ++r.unhealed_shards;
     }
-    if (scrapes_out != nullptr) *scrapes_out = scraper.jsonl();
-    if (health_out != nullptr) {
-      *health_out = model.report_json(scraper, telemetry::event_log());
-    }
   }
+  if (bundle != nullptr) r.export_failed = !bundle->write(&scraper, &model);
 #else
-  (void)scrapes_out;
-  (void)health_out;
+  if (bundle != nullptr) r.export_failed = !bundle->write(&scraper);
 #endif
+  // The tracer is reset on entry only: the last run's spans stay readable.
   telemetry::set_enabled(false);
-  telemetry::tracer().reset();
   return r;
-}
-
-bool write_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::Telemetry telemetry_flags(argc, argv);
-  std::string events_out, scrapes_out, health_out;
   bool kill_anomaly = false;
   for (int i = 1; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    if (a == "--events-out" && i + 1 < argc) events_out = argv[++i];
-    if (a == "--scrapes-out" && i + 1 < argc) scrapes_out = argv[++i];
-    if (a == "--health-out" && i + 1 < argc) health_out = argv[++i];
-    if (a == "--kill-anomaly") kill_anomaly = true;
+    if (std::string_view(argv[i]) == "--kill-anomaly") kill_anomaly = true;
   }
 
   // Warm process-global crypto caches (group contexts, fixed-base tables)
   // so mode deltas measure observability, not first-touch precomputation.
-  (void)run_drill(Mode::kOff, /*heal_last=*/true, nullptr, nullptr);
+  (void)run_drill(Mode::kOff, /*heal_last=*/true);
 
   constexpr int kReps = 5;
   double off_ns = 0, events_ns = 0, health_ns = 0;
@@ -205,9 +193,9 @@ int main(int argc, char** argv) {
   for (int rep = 0; rep < kReps; ++rep) {
     // Interleave modes so drift (thermal, cache) hits all three equally;
     // min-of-reps is the noise-robust estimate of the true cost.
-    const DrillStats off = run_drill(Mode::kOff, true, nullptr, nullptr);
-    const DrillStats ev = run_drill(Mode::kEvents, true, nullptr, nullptr);
-    const DrillStats he = run_drill(Mode::kHealth, true, nullptr, nullptr);
+    const DrillStats off = run_drill(Mode::kOff, true);
+    const DrillStats ev = run_drill(Mode::kEvents, true);
+    const DrillStats he = run_drill(Mode::kHealth, true);
     off_ns = rep == 0 ? off.wall_ns : std::min(off_ns, off.wall_ns);
     events_ns = rep == 0 ? ev.wall_ns : std::min(events_ns, ev.wall_ns);
     health_ns = rep == 0 ? he.wall_ns : std::min(health_ns, he.wall_ns);
@@ -220,37 +208,16 @@ int main(int argc, char** argv) {
     healthy = he;
   }
 
-  // Export run for fleet_report.py: full observability, optionally with
-  // the final victim left dead (--kill-anomaly). Its unhealed shards count
-  // in the gate like the timed runs'.
+  // Export run for analyze.py: full observability, optionally with the
+  // final victim left dead (--kill-anomaly). Its unhealed shards count in
+  // the gate like the timed runs'.
   uint64_t export_unhealed = 0;
-  if (kill_anomaly || !events_out.empty() || !scrapes_out.empty() ||
-      !health_out.empty()) {
-    std::string scrapes_body, health_body;
-    export_unhealed = run_drill(Mode::kHealth, /*heal_last=*/!kill_anomaly,
-                                &scrapes_body, &health_body)
-                          .unhealed_shards;
-#if TENET_TELEMETRY_ENABLED
-    // run_drill() only clears the ring on entry, so it still holds the
-    // export run's events here.
-    const std::string events_body = telemetry::event_log().jsonl();
-#else
-    const std::string events_body;
-#endif
-    struct Out {
-      const std::string* path;
-      const std::string* body;
-    } outs[] = {{&events_out, &events_body},
-                {&scrapes_out, &scrapes_body},
-                {&health_out, &health_body}};
-    for (const auto& [path, body] : outs) {
-      if (path->empty()) continue;
-      if (!write_file(*path, *body)) {
-        std::fprintf(stderr, "FAILED to write %s\n", path->c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "wrote %s\n", path->c_str());
-    }
+  if (kill_anomaly || telemetry_flags.active()) {
+    const DrillStats ex =
+        run_drill(Mode::kHealth, /*heal_last=*/!kill_anomaly,
+                  telemetry_flags.active() ? &telemetry_flags : nullptr);
+    if (ex.export_failed) return 1;
+    export_unhealed = ex.unhealed_shards;
   }
 
   const double events_pct = bench::pct_increase(events_ns, off_ns);

@@ -19,7 +19,7 @@
 //
 // Output: human tables by default; `--json` prints one flat JSON object.
 // `--large` grows both workloads for the nightly leg. When telemetry
-// capture is on (--trace-out/--metrics-out), workloads shrink hard:
+// capture is on (--export), workloads shrink hard:
 // tracing every event at full scale is its own denial of service.
 //
 // Gate: the engines must agree at every size. At the default size the

@@ -29,7 +29,7 @@ struct AttestCost {
 /// Per-instruction totals summed over every enclave the benchmark touches,
 /// including launch-time and confirm-round work. The telemetry registry
 /// counts the same events independently at the instrumentation sites, so
-/// under --trace-out the two tallies must agree exactly.
+/// under --export the two tallies must agree exactly.
 struct InstrTotals {
   uint64_t eenter = 0;
   uint64_t eexit = 0;
@@ -175,8 +175,8 @@ int main(int argc, char** argv) {
                   ? "yes"
                   : "NO");
 
-  // Under --trace-out / --metrics-out, prove the exported counters agree
-  // with the cost model's independent per-instruction tallies.
+  // Under --export, prove the exported counters agree with the cost
+  // model's independent per-instruction tallies.
   bool telemetry_ok = true;
   if (telemetry.active()) {
     bench::section("telemetry cross-check (registry vs cost model)");

@@ -19,9 +19,8 @@
 // The last two rows are telemetry-derived and checked only when telemetry
 // is compiled in.
 //
-// With --trace-out/--metrics-out (nightly telemetry capture) a final
-// traced workload is left in the tracer for export; --scrape-out-jsonl /
-// --scrape-out-prom additionally export that run's scrape ring.
+// With --export DIR (nightly telemetry capture) a final traced and
+// scraped workload is written as the run's bundle, scrapes included.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -132,12 +131,6 @@ RunStats run_once(Mode mode) {
 
 int main(int argc, char** argv) {
   bench::Telemetry telemetry_flags(argc, argv);
-  std::string scrape_jsonl, scrape_prom;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    if (a == "--scrape-out-jsonl" && i + 1 < argc) scrape_jsonl = argv[++i];
-    if (a == "--scrape-out-prom" && i + 1 < argc) scrape_prom = argv[++i];
-  }
 
   // Warm process-global crypto caches (group contexts, fixed-base tables)
   // so mode deltas measure tracing, not first-touch precomputation.
@@ -199,23 +192,14 @@ int main(int argc, char** argv) {
     gate.pin("trace_scrape_samples", scraped.scrape_samples, 53);
   }
 
-  // Nightly capture: leave one fully traced + scraped workload in the
-  // tracer so ~Telemetry exports it; write the scrape ring if asked.
-  if (telemetry_flags.active() || !scrape_jsonl.empty() ||
-      !scrape_prom.empty()) {
+  // Nightly capture: one fully traced and scraped workload is the bundle.
+  if (telemetry_flags.active()) {
     telemetry::set_enabled(true);
     telemetry::tracer().reset();
     telemetry::Scraper scraper;
     drive_mbox(&scraper);
     drive_tor(&scraper);
-    if (!scrape_jsonl.empty() && !scraper.write_jsonl(scrape_jsonl)) {
-      std::fprintf(stderr, "FAILED to write %s\n", scrape_jsonl.c_str());
-      return 1;
-    }
-    if (!scrape_prom.empty() && !scraper.write_prometheus(scrape_prom)) {
-      std::fprintf(stderr, "FAILED to write %s\n", scrape_prom.c_str());
-      return 1;
-    }
+    if (!telemetry_flags.write(&scraper)) return 1;
   }
   return gate.exit_code();
 }

@@ -14,61 +14,53 @@
 #include <string_view>
 #include <type_traits>
 
+#include "telemetry/export.h"
 #include "telemetry/telemetry.h"
-#include "telemetry/trace.h"
 
 namespace tenet::bench {
 
-/// Common bench telemetry flags. Construct first thing in main():
+/// The common bench telemetry flag. Construct first thing in main():
 ///
-///   bench_xyz [--trace-out FILE] [--metrics-out FILE]
+///   bench_xyz [--export DIR]
 ///
-/// Passing either flag enables telemetry for the run; at scope exit the
-/// Chrome-trace (`chrome://tracing` / ui.perfetto.dev) and/or flat metrics
-/// JSON are written. Without flags this is inert and the bench measures
-/// with telemetry disabled, as before.
+/// --export enables telemetry for the run and writes one export bundle to
+/// DIR (telemetry::write_bundle; read it with tools/analyze.py DIR): at
+/// scope exit, or earlier through write() when the bench has a scraper or
+/// health model to add. Without the flag this is inert and the bench
+/// measures with telemetry disabled.
 class Telemetry {
  public:
   Telemetry(int argc, char** argv) {
+    bench_ = argv[0];
+    bench_ = bench_.substr(bench_.find_last_of('/') + 1);
     for (int i = 1; i < argc; ++i) {
-      const std::string_view a = argv[i];
-      if (a == "--trace-out" && i + 1 < argc) {
-        trace_out_ = argv[++i];
-      } else if (a == "--metrics-out" && i + 1 < argc) {
-        metrics_out_ = argv[++i];
+      if (std::string_view(argv[i]) == "--export" && i + 1 < argc) {
+        dir_ = argv[++i];
       }
     }
-    if (!trace_out_.empty() || !metrics_out_.empty()) {
-      telemetry::set_enabled(true);
-    }
+    if (active()) telemetry::set_enabled(true);
   }
 
   ~Telemetry() {
-    if (!trace_out_.empty()) {
-      if (telemetry::write_chrome_trace(trace_out_)) {
-        std::fprintf(stderr, "trace written to %s\n", trace_out_.c_str());
-      } else {
-        std::fprintf(stderr, "FAILED to write trace to %s\n",
-                     trace_out_.c_str());
-      }
-    }
-    if (!metrics_out_.empty()) {
-      if (telemetry::write_metrics_json(metrics_out_)) {
-        std::fprintf(stderr, "metrics written to %s\n", metrics_out_.c_str());
-      } else {
-        std::fprintf(stderr, "FAILED to write metrics to %s\n",
-                     metrics_out_.c_str());
-      }
-    }
+    if (active() && !written_) (void)write();
   }
 
-  [[nodiscard]] bool active() const {
-    return !trace_out_.empty() || !metrics_out_.empty();
+  [[nodiscard]] bool active() const { return !dir_.empty(); }
+
+  /// Writes the bundle now (once per run); false on an I/O error.
+  bool write(const telemetry::Scraper* scraper = nullptr,
+             const telemetry::HealthModel* health = nullptr) {
+    written_ = true;
+    const bool ok = telemetry::write_bundle(dir_, bench_, scraper, health);
+    std::fprintf(stderr, "%s bundle %s\n", ok ? "wrote" : "FAILED to write",
+                 dir_.c_str());
+    return ok;
   }
 
  private:
-  std::string trace_out_;
-  std::string metrics_out_;
+  std::string_view bench_;
+  std::string dir_;
+  bool written_ = false;
 };
 
 inline void title(const char* text) {

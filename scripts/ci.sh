@@ -3,10 +3,12 @@
 #
 #   scripts/ci.sh              # release build (warnings are errors) +
 #                              # full ctest
-#   scripts/ci.sh asan         # ASan+UBSan build + full ctest
+#   scripts/ci.sh asan         # ASan+UBSan build (warnings are errors) +
+#                              # full ctest
 #   scripts/ci.sh ubsan        # optimized UBSan build + full ctest
 #   scripts/ci.sh debug
-#   scripts/ci.sh notlm        # release with -DTENET_TELEMETRY=OFF: proves
+#   scripts/ci.sh notlm        # release with -DTENET_TELEMETRY=OFF
+#                              # (warnings are errors): proves
 #                              # the tree builds and passes with telemetry
 #                              # (spans, counters, scrapes, event log,
 #                              # health model) compiled out, and asserts via
@@ -31,6 +33,9 @@
 #                              # loss setter name outside FaultPlan) +
 #                              # one-bench-gate check (no retired baseline,
 #                              # comparer or summary-tool name) +
+#                              # one-export-bundle check (no retired
+#                              # artifact flag; fopen in src/telemetry/ only
+#                              # in the bundle writer) +
 #                              # security lint gate (DESIGN.md §15): static
 #                              # taint pass over the tree (src/ findings are
 #                              # hard failures) + dynamic pass driving the
@@ -49,7 +54,7 @@
 #                              # miss (failures accumulate; misses land in
 #                              # the step summary) + perfbench correctness
 #                              # smoke (one short run per workload, output
-#                              # checks only) + telemetry smoke
+#                              # checks only) + export-bundle smoke
 #
 # Honors CC/CXX from the environment (the CI matrix sets gcc/clang) and
 # uses ccache transparently when installed.
@@ -70,12 +75,16 @@ configure_build() {
   cmake --build --preset "$preset" -j "$(nproc)"
 }
 
+# The release, asan and notlm builds are warning-free; any new warning
+# fails those jobs.
+case "$mode" in
+  release|asan|notlm)
+    extra_cmake_args+=("-DCMAKE_COMPILE_WARNING_AS_ERROR=ON")
+    ;;
+esac
+
 case "$mode" in
   release|asan|debug|ubsan)
-    # The release build is warning-free; any new warning fails the job.
-    if [[ "$mode" == release ]]; then
-      extra_cmake_args+=("-DCMAKE_COMPILE_WARNING_AS_ERROR=ON")
-    fi
     configure_build "$mode"
     ctest --preset "$mode"
     ;;
@@ -188,6 +197,21 @@ case "$mode" in
         "the bench with bench::Gate instead" >&2
       exit 1
     fi
+    # One export bundle (DESIGN.md §8): a run's artifacts leave through
+    # --export DIR and telemetry::write_bundle, the one place that opens
+    # files in src/telemetry/. The seven per-artifact flags it replaced
+    # stay out.
+    if grep -rnE -- '--(trace|metrics|events|scrapes|health)-out\b|--scrape-out-(jsonl|prom)\b' \
+        bench scripts .github tests README.md DESIGN.md EXPERIMENTS.md; then
+      echo "lint: benches take one artifact flag; write the run's bundle" \
+        "with --export DIR and read it with tools/analyze.py DIR" >&2
+      exit 1
+    fi
+    if grep -rn 'fopen(' src/telemetry | grep -v '^src/telemetry/export\.cpp:'; then
+      echo "lint: telemetry files are written only by write_bundle in" \
+        "src/telemetry/export.cpp; add the artifact to the bundle" >&2
+      exit 1
+    fi
     # Any key material reaching an ocall buffer, telemetry label, or trace
     # export in src/ fails the build; tests/, bench/ and tools/ fixtures
     # warn (some leak on purpose as positive controls). The dynamic pass
@@ -249,20 +273,14 @@ case "$mode" in
       exit 1
     fi
     echo "all bench gates passed"
-    # Telemetry smoke: the attestation bench must produce a valid Chrome
-    # trace whose counters cross-check against the cost model (the bench
-    # exits non-zero on mismatch), and the trace must parse as JSON.
-    mkdir -p build-release/telemetry
+    # Export-bundle smoke: the attestation bench's bundle must list files
+    # that all parse and a trace that is not empty (analyze.py exits 1
+    # otherwise); the bench itself exits 1 if the exported counters
+    # disagree with the cost model.
+    rm -rf build-release/telemetry/table1
     build-release/bench/bench_table1_attestation \
-      --trace-out build-release/telemetry/table1_trace.json \
-      --metrics-out build-release/telemetry/table1_metrics.json
-    python3 - <<'EOF'
-import json
-trace = json.load(open("build-release/telemetry/table1_trace.json"))
-assert trace["traceEvents"], "empty trace"
-json.load(open("build-release/telemetry/table1_metrics.json"))
-print(f"telemetry smoke ok: {len(trace['traceEvents'])} trace events")
-EOF
+      --export build-release/telemetry/table1 > /dev/null
+    python3 tools/analyze.py build-release/telemetry/table1
     ;;
   *)
     echo "unknown mode: $mode (expected release|asan|ubsan|debug|notlm|quick|fault|lint|fuzz-smoke|bench-smoke)" >&2

@@ -400,7 +400,9 @@ Bytes Aes128::ecb_decrypt_padded(BytesView ciphertext) const {
   for (size_t i = padded.size() - pad; i < padded.size(); ++i) {
     if (padded[i] != pad) throw std::invalid_argument("ecb_decrypt_padded: bad padding");
   }
-  padded.resize(padded.size() - pad);
+  // erase, not resize: resize's grow path can never run here, but GCC's
+  // -Wstringop-overflow analyses it anyway.
+  padded.erase(padded.end() - pad, padded.end());
   return padded;
 }
 

@@ -43,7 +43,8 @@ void SecureChannel::advance_send_seq(uint64_t seq) {
   send_seq_ = seq;
 }
 
-uint64_t SecureChannel::claim_send_seq(size_t plaintext_len) {
+// plaintext_len is read only by the telemetry macros.
+uint64_t SecureChannel::claim_send_seq([[maybe_unused]] size_t plaintext_len) {
   if (send_seq_ >= seq_limit_) {
     TENET_COUNT("chan.nonce_exhausted");
     throw NonceExhaustedError(

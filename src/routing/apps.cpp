@@ -571,7 +571,7 @@ void InterDomainControllerApp::shard_app(core::Ctx& ctx, uint32_t from,
 void InterDomainControllerApp::reforward_admitted(core::Ctx& ctx) {
   if (!shard_active() || !shard()->serving()) return;
   // The failover span covers the whole adoption: relabeling, the adoption
-  // broadcast, and the recompute kick — trace_analyze.py surfaces it as
+  // broadcast, and the recompute kick — tools/analyze.py surfaces it as
   // its own phase so heal latency is attributable, not "compute".
   TENET_SPAN("failover", "reforward_admitted");
   TENET_SPAN_SHARD(shard()->self_shard());
@@ -599,7 +599,8 @@ void InterDomainControllerApp::reforward_admitted(core::Ctx& ctx) {
       ++adopted_from[dead];
     }
   }
-  for (const auto& [dead, n] : adopted_from) {
+  // Read only by TENET_EVENT, which telemetry-off builds compile out.
+  for ([[maybe_unused]] const auto& [dead, n] : adopted_from) {
     // node = adopting shard, a = the dead shard, b = admissions adopted.
     TENET_EVENT(kFailoverAdopted, self, dead, n);
   }

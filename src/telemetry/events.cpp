@@ -1,7 +1,5 @@
 #include "telemetry/events.h"
 
-#include <cstdio>
-
 #include "telemetry/trace.h"
 
 namespace tenet::telemetry {
@@ -94,14 +92,6 @@ std::string EventLog::jsonl() const {
     out += "}\n";
   }
   return out;
-}
-
-bool EventLog::write_jsonl(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string lines = jsonl();
-  const bool ok = std::fwrite(lines.data(), 1, lines.size(), f) == lines.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 bool EventLog::consistent() const {

@@ -4,8 +4,8 @@
 // restarts, shard liveness flips, snapshot installs).
 //
 // Counters say *how much*; traces say *where the cycles went*; the event
-// log says *what happened to the fleet and when*. tools/fleet_report.py
-// joins the three: it correlates SLO breaches in the scrape time series
+// log says *what happened to the fleet and when*. tools/analyze.py joins
+// the three: it correlates SLO breaches in the scrape time series
 // against fault windows reconstructed from these events, so a latency
 // spike with no matching fault event is an anomaly rather than noise.
 //
@@ -33,7 +33,7 @@
 namespace tenet::telemetry {
 
 /// Typed fleet events. Values are part of the JSONL export contract
-/// (tools/fleet_report.py) — append only, never renumber.
+/// (tools/analyze.py) — append only, never renumber.
 enum class EventType : uint32_t {
   kFailoverAdopted = 1,   // node adopted a dead shard's admitted batch
   kRekey = 2,             // secure channel rekeyed (epoch > 1)
@@ -95,8 +95,6 @@ class EventLog {
   /// One JSON object per line, oldest first:
   ///   {"seq":N,"ts_us":T,"type":"rekey","node":3,"a":0,"b":0}
   [[nodiscard]] std::string jsonl() const;
-  /// Writes jsonl() to `path`; returns false on I/O error.
-  bool write_jsonl(const std::string& path) const;
 
   /// Ring invariants: retained seqs strictly increasing, size bounded by
   /// capacity, eviction arithmetic exact. The boundary fuzzer calls this

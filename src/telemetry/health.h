@@ -6,7 +6,7 @@
 // no mutable state, so evaluating it twice over the same run yields the
 // same report, and a same-seed replay yields a byte-identical JSON
 // report. It is the only SLO evaluator: report_json() carries the verdict
-// of every scrape window in the ring, and tools/fleet_report.py joins
+// of every scrape window in the ring, and tools/analyze.py joins
 // those windows with the exported events and scrapes instead of
 // re-deriving them.
 //

@@ -1,56 +1,6 @@
 #include "telemetry/scrape.h"
 
-#include <cstdio>
-
 namespace tenet::telemetry {
-
-namespace {
-
-/// Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*. Our registry names
-/// are dotted lowercase identifiers; map everything else to '_'.
-std::string prom_name(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  for (size_t i = 0; i < name.size(); ++i) {
-    const char c = name[i];
-    const bool alpha = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
-    const bool digit = c >= '0' && c <= '9';
-    if (alpha || c == '_' || c == ':' || (digit && i > 0)) {
-      out += c;
-    } else {
-      out += '_';
-    }
-  }
-  return out;
-}
-
-/// `# HELP` precedes `# TYPE` per the exposition-format convention; the
-/// docstring carries the original dotted registry name, which prom_name
-/// munges to underscores and is otherwise unrecoverable downstream.
-void append_prom_help(std::string& out, const std::string& prom,
-                      std::string_view kind, std::string_view name) {
-  out += "# HELP ";
-  out += prom;
-  out += ' ';
-  out += kind;
-  out += " '";
-  out += name;
-  out += "' from the tenet registry\n";
-}
-
-void append_prom_line(std::string& out, const std::string& name,
-                      const std::string& labels, uint64_t value,
-                      uint64_t ts_ms) {
-  out += name;
-  out += labels;
-  out += ' ';
-  out += std::to_string(value);
-  out += ' ';
-  out += std::to_string(ts_ms);
-  out += '\n';
-}
-
-}  // namespace
 
 void Scraper::scrape(uint64_t ts_us) {
   Sample s;
@@ -114,76 +64,6 @@ std::string Scraper::jsonl() const {
     out += "}}}\n";
   }
   return out;
-}
-
-std::string Scraper::prometheus() const {
-  if (samples_.empty()) return std::string();
-  const Sample& s = samples_.back();
-  const uint64_t ts_ms = s.ts_us / 1000;
-  std::string out;
-  for (const auto& [name, v] : s.counters) {
-    const std::string n = prom_name(name);
-    append_prom_help(out, n, "counter", name);
-    out += "# TYPE " + n + " counter\n";
-    append_prom_line(out, n, "", v, ts_ms);
-  }
-  for (const auto& [name, g] : s.gauges) {
-    const std::string n = prom_name(name);
-    append_prom_help(out, n, "gauge", name);
-    out += "# TYPE " + n + " gauge\n";
-    out += n + " " + std::to_string(g.first) + " " + std::to_string(ts_ms) +
-           "\n";
-    append_prom_help(out, n + "_max", "high-watermark of gauge", name);
-    out += "# TYPE " + n + "_max gauge\n";
-    out += n + "_max " + std::to_string(g.second) + " " +
-           std::to_string(ts_ms) + "\n";
-  }
-  for (const auto& [name, h] : s.histograms) {
-    const std::string n = prom_name(name);
-    append_prom_help(out, n, "histogram", name);
-    out += "# TYPE " + n + " histogram\n";
-    uint64_t cum = 0;
-    for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-      if (h.bucket(i) == 0) continue;
-      cum += h.bucket(i);
-      // Bucket i holds values < 2^i; `le` is the inclusive upper bound.
-      const uint64_t le =
-          i == 0 ? 0 : (Histogram::bucket_floor(i) - 1) * 2 + 1;
-      append_prom_line(out, n + "_bucket", "{le=\"" + std::to_string(le) + "\"}",
-                       cum, ts_ms);
-    }
-    append_prom_line(out, n + "_bucket", "{le=\"+Inf\"}", h.count(), ts_ms);
-    append_prom_line(out, n + "_sum", "", h.sum(), ts_ms);
-    append_prom_line(out, n + "_count", "", h.count(), ts_ms);
-    // p999 rides along for tail-latency SLOs; with log2 buckets it is
-    // exact whenever the top decile lands in one bucket.
-    for (const auto& [q, label] :
-         {std::make_pair(0.50, "0.5"), std::make_pair(0.90, "0.9"),
-          std::make_pair(0.99, "0.99"), std::make_pair(0.999, "0.999")}) {
-      append_prom_line(out, n, std::string("{quantile=\"") + label + "\"}",
-                       h.quantile(q), ts_ms);
-    }
-  }
-  return out;
-}
-
-namespace {
-
-bool write_string(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-}  // namespace
-
-bool Scraper::write_jsonl(const std::string& path) const {
-  return write_string(path, jsonl());
-}
-
-bool Scraper::write_prometheus(const std::string& path) const {
-  return write_string(path, prometheus());
 }
 
 }  // namespace tenet::telemetry

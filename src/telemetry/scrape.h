@@ -9,15 +9,10 @@
 // (oldest samples evicted), so memory stays O(capacity) regardless of run
 // length and exports stay deterministic for a fixed seed.
 //
-// Two export formats:
-//   * jsonl(): one JSON object per retained sample
-//     ({"seq":N,"ts_us":T,"metrics":{...flat metrics JSON...}}), matching
-//     the Registry::metrics_json shape so existing tooling parses each
-//     line.
-//   * prometheus(): the newest sample in Prometheus text exposition
-//     format (metric names with '.' mapped to '_', log2 buckets rendered
-//     as cumulative `_bucket{le="..."}` series, quantiles as labelled
-//     gauges, millisecond timestamps from the virtual clock).
+// jsonl() renders one JSON object per retained sample
+// ({"seq":N,"ts_us":T,"metrics":{...flat metrics JSON...}}), matching the
+// Registry::metrics_json shape; the export bundle (export.h) writes it as
+// scrapes.jsonl.
 #pragma once
 
 #include <cstdint>
@@ -54,12 +49,6 @@ class Scraper {
 
   /// One JSON object per retained sample, oldest first.
   [[nodiscard]] std::string jsonl() const;
-  /// Newest sample in Prometheus text exposition format; empty string if
-  /// no scrape has happened yet.
-  [[nodiscard]] std::string prometheus() const;
-
-  bool write_jsonl(const std::string& path) const;
-  bool write_prometheus(const std::string& path) const;
 
   struct Sample {
     uint64_t seq = 0;  // 0-based scrape index (survives eviction)

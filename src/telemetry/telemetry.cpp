@@ -160,13 +160,4 @@ Registry& registry() {
   return *r;
 }
 
-
-bool write_metrics_json(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = registry().metrics_json() + "\n";
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
-}
-
 }  // namespace tenet::telemetry

@@ -150,9 +150,6 @@ inline bool g_enabled = false;
 [[nodiscard]] inline bool enabled() { return detail::g_enabled; }
 inline void set_enabled(bool on) { detail::g_enabled = on; }
 
-/// Writes registry().metrics_json() to `path`; returns false on I/O error.
-bool write_metrics_json(const std::string& path);
-
 namespace detail {
 /// Appends `s` as a JSON string (quotes included), escaping control
 /// characters, quotes and backslashes. Shared by the metrics, trace and

@@ -1,7 +1,5 @@
 #include "telemetry/trace.h"
 
-#include <cstdio>
-
 namespace tenet::telemetry {
 
 namespace {
@@ -126,7 +124,7 @@ std::string Tracer::chrome_json() const {
     out += '}';
   }
   out += "],\"displayTimeUnit\":\"ms\"";
-  // Grand totals for exact cross-checks by tools/trace_analyze.py: the sum
+  // Grand totals for exact cross-checks by tools/analyze.py: the sum
   // of all span self-costs plus the untraced remainder must reproduce
   // costTotal to the instruction. Omitted when no cost was ever charged
   // (keeps pre-tracing captures byte-identical).
@@ -145,14 +143,6 @@ std::string Tracer::chrome_json() const {
 Tracer& tracer() {
   static Tracer* t = new Tracer();  // leaked, like the registry
   return *t;
-}
-
-bool write_chrome_trace(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = tracer().chrome_json() + "\n";
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace tenet::telemetry

@@ -236,9 +236,6 @@ class Tracer {
 /// Process-wide tracer used by TENET_SPAN.
 Tracer& tracer();
 
-/// Writes tracer().chrome_json() to `path`; returns false on I/O error.
-bool write_chrome_trace(const std::string& path);
-
 /// RAII span: opens at construction, records a complete event at scope
 /// exit. Inert (two loads, one branch) when telemetry is disabled; spans
 /// started while enabled still close correctly if telemetry is switched
@@ -327,7 +324,7 @@ class ContextScope {
     }                                                        \
   } while (0)
 /// Tags the innermost open span with a shard id (args.shard in the
-/// export) so cross-shard phases slice per shard in trace_analyze.py.
+/// export) so cross-shard phases slice per shard in tools/analyze.py.
 #define TENET_SPAN_SHARD(id)                                 \
   do {                                                       \
     if (::tenet::telemetry::enabled()) {                     \

@@ -3,11 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "telemetry/export.h"
 #include "telemetry/trace.h"
 
 #if TENET_TELEMETRY_ENABLED
@@ -86,17 +87,20 @@ TEST(EventLog, JsonlMatchesExportContract) {
 }
 
 TEST(EventLog, WriteJsonlRoundTrips) {
+  // The export bundle writes the process-wide log as events.jsonl.
   FakeEventClock clock;
-  EventLog log(4);
+  EventLog& log = event_log();
+  log.clear();
   log.emit(EventType::kPartitionCut, 5, 6);
   log.emit(EventType::kPartitionHeal, 0);
-  const std::string path = ::testing::TempDir() + "tenet_events_test.jsonl";
-  ASSERT_TRUE(log.write_jsonl(path));
-  std::ifstream in(path);
+  const std::string dir = ::testing::TempDir() + "tenet_events_test";
+  ASSERT_TRUE(write_bundle(dir, "events_test"));
+  std::ifstream in(dir + "/events.jsonl");
   std::stringstream buf;
   buf << in.rdbuf();
   EXPECT_EQ(buf.str(), log.jsonl());
-  std::remove(path.c_str());
+  EXPECT_NE(buf.str().find("\"type\":\"partition_cut\""), std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(EventLog, ClearRestartsSequenceAndCounts) {
@@ -165,7 +169,7 @@ TEST(EventLog, EmitNeverPerturbsSpanTimestamps) {
 }
 
 TEST(EventLog, TypeNamesAreStable) {
-  // Export contract with tools/fleet_report.py — append-only.
+  // Export contract with tools/analyze.py — append-only.
   EXPECT_EQ(event_type_name(EventType::kFailoverAdopted), "failover_adopted");
   EXPECT_EQ(event_type_name(EventType::kRekey), "rekey");
   EXPECT_EQ(event_type_name(EventType::kRollbackRefused), "rollback_refused");

@@ -61,65 +61,5 @@ TEST(Scraper, JsonlSnapshotsRegistryState) {
       << jsonl;
 }
 
-TEST(Scraper, PrometheusRendersNewestSample) {
-  registry().counter("scrapetest.prom.sent").add(3);
-  registry().gauge("scrapetest.prom.queue").set(5);
-  auto& h = registry().histogram("scrapetest.prom.bytes");
-  h.record(0);
-  h.record(3);
-  h.record(3);
-
-  Scraper s;
-  EXPECT_EQ(s.prometheus(), "");  // nothing scraped yet
-  s.scrape(2'500'000);  // 2500 ms on the virtual clock
-  const std::string prom = s.prometheus();
-  // Dots map to underscores; timestamps are virtual-clock milliseconds.
-  // HELP precedes TYPE and carries the original dotted registry name.
-  EXPECT_NE(prom.find("# HELP scrapetest_prom_sent counter "
-                      "'scrapetest.prom.sent' from the tenet registry\n"
-                      "# TYPE scrapetest_prom_sent counter\n"
-                      "scrapetest_prom_sent 3 2500\n"),
-            std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("# HELP scrapetest_prom_queue gauge "
-                      "'scrapetest.prom.queue' from the tenet registry\n"),
-            std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("# HELP scrapetest_prom_queue_max high-watermark"),
-            std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("# HELP scrapetest_prom_bytes histogram "
-                      "'scrapetest.prom.bytes' from the tenet registry\n"
-                      "# TYPE scrapetest_prom_bytes histogram\n"),
-            std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("scrapetest_prom_queue 5 2500\n"), std::string::npos);
-  EXPECT_NE(prom.find("scrapetest_prom_queue_max 5 2500\n"),
-            std::string::npos);
-  // Log2 buckets render cumulatively: value 0 -> le="0", the two 3s land
-  // in [2,3] -> le="3", then the +Inf total.
-  EXPECT_NE(prom.find("scrapetest_prom_bytes_bucket{le=\"0\"} 1 2500\n"),
-            std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("scrapetest_prom_bytes_bucket{le=\"3\"} 3 2500\n"),
-            std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("scrapetest_prom_bytes_bucket{le=\"+Inf\"} 3 2500\n"),
-            std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("scrapetest_prom_bytes_sum 6 2500\n"),
-            std::string::npos);
-  EXPECT_NE(prom.find("scrapetest_prom_bytes_count 3 2500\n"),
-            std::string::npos);
-  EXPECT_NE(prom.find("scrapetest_prom_bytes{quantile=\"0.99\"}"),
-            std::string::npos);
-  // The tail quantile for SLO dashboards rides along and agrees with the
-  // instrument's own estimator.
-  EXPECT_NE(prom.find("scrapetest_prom_bytes{quantile=\"0.999\"} " +
-                      std::to_string(h.quantile(0.999)) + " 2500\n"),
-            std::string::npos)
-      << prom;
-}
-
 }  // namespace
 }  // namespace tenet::telemetry

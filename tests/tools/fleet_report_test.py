@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Unit tests for the fleet report / anomaly detector (tools/fleet_report.py).
+"""Unit tests for the fleet half of the bundle analyzer (tools/analyze.py).
 
-The detector gates the nightly controlplane-chaos drill, so its rules are
+The anomaly rules gate the nightly controlplane-chaos drill, so they are
 load-bearing: a clean drill (every SLO breach overlapping a reconstructed
 fault window, all counters monotone, every outage healed) must pass, and
 each anomaly class — unhealed kill, counter regression, unexplained
-breach, admitted-state loss, broken orderings, a health report that does
-not match the scrapes — must fail --check.
+breach, broken orderings, a health report that does not match the
+scrapes — must fail --check. So must a bundle that lists a file it does
+not hold.
 
-Fixtures are synthetic JSONL matching the C++ exporters' shapes
-(EventLog::write_jsonl, Scraper::write_jsonl) plus a health report
-(HealthModel::report_json). The SLO windows are computed only by the C++
-model; the window values here are the ones HealthModel gives for the same
-scrapes (pinned in tests/telemetry/health_test.cpp,
+Fixtures are export bundles (src/telemetry/export.h): the golden trace,
+synthetic events.jsonl and scrapes.jsonl in the C++ exporters' shapes
+(EventLog::jsonl, Scraper::jsonl), a health report
+(HealthModel::report_json) and the manifest. The SLO windows are computed
+only by the C++ model; the window values here are the ones HealthModel
+gives for the same scrapes (pinned in tests/telemetry/health_test.cpp,
 HealthModel.WindowsCarryEveryScrapeWindowWithItsBreaches).
 
 Run directly (ctest registers it with the tier1 label):
@@ -29,10 +31,14 @@ import unittest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 SPEC = importlib.util.spec_from_file_location(
-    "fleet_report", REPO_ROOT / "tools" / "fleet_report.py"
+    "analyze", REPO_ROOT / "tools" / "analyze.py"
 )
-fleet_report = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(fleet_report)
+analyze = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(analyze)
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_trace.json"
+BUNDLE_FILES = ["trace.json", "metrics.json", "events.jsonl",
+                "scrapes.jsonl", "health.json"]
 
 
 def event(seq, ts_us, etype, node=0, a=0, b=0):
@@ -81,25 +87,38 @@ def health_report(windows, window_samples=8):
             "shards": [], "windows": windows}
 
 
-def run_main(tmp, events, scrapes, health, extra_args=(), summary=None):
-    """Writes fixtures under `tmp` and runs fleet_report.main --check."""
-    epath = pathlib.Path(tmp) / "events.jsonl"
-    spath = pathlib.Path(tmp) / "scrapes.jsonl"
-    hpath = pathlib.Path(tmp) / "health.json"
-    epath.write_text("".join(json.dumps(e) + "\n" for e in events))
-    spath.write_text("".join(json.dumps(s) + "\n" for s in scrapes))
-    hpath.write_text(json.dumps(health))
-    args = ["--events", str(epath), "--scrapes", str(spath),
-            "--health", str(hpath), "--check"]
-    if summary is not None:
-        sumpath = pathlib.Path(tmp) / "summary.json"
-        sumpath.write_text(json.dumps(summary))
-        args += ["--summary", str(sumpath)]
-    args += list(extra_args)
+def write_bundle(tmp, events, scrapes, health, trace=None):
+    """Writes a full export bundle under `tmp`: the golden trace (or
+    `trace`), the three fleet files and a manifest listing all five."""
+    d = pathlib.Path(tmp)
+    (d / "trace.json").write_text(
+        GOLDEN.read_text() if trace is None else json.dumps(trace))
+    (d / "metrics.json").write_text(
+        '{"counters":{},"gauges":{},"histograms":{}}\n')
+    (d / "events.jsonl").write_text(
+        "".join(json.dumps(e) + "\n" for e in events))
+    (d / "scrapes.jsonl").write_text(
+        "".join(json.dumps(s) + "\n" for s in scrapes))
+    (d / "health.json").write_text(json.dumps(health))
+    (d / "manifest.json").write_text(json.dumps(
+        {"bench": "bench_observability", "telemetry": True, "ndebug": True,
+         "files": BUNDLE_FILES}))
+    return d
+
+
+def analyze_dir(bundle, *args):
+    """Runs analyze.main on `bundle`; returns (exit code, stdout)."""
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        rc = fleet_report.main(args)
+    with contextlib.redirect_stdout(buf), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = analyze.main([str(bundle), *args])
     return rc, buf.getvalue()
+
+
+def run_main(tmp, events, scrapes, health, extra_args=()):
+    """Writes a bundle under `tmp` and runs analyze.main --check on it."""
+    return analyze_dir(write_bundle(tmp, events, scrapes, health),
+                       "--check", *extra_args)
 
 
 def clean_drill():
@@ -168,17 +187,14 @@ class CleanDrillTest(unittest.TestCase):
         self.assertEqual(rc, 0, out)
 
     def test_health_is_required(self):
-        events, scrapes, _ = clean_drill()
+        # The manifest lists health.json, so it must be there.
+        events, scrapes, health = clean_drill()
         with tempfile.TemporaryDirectory() as tmp:
-            epath = pathlib.Path(tmp) / "events.jsonl"
-            spath = pathlib.Path(tmp) / "scrapes.jsonl"
-            epath.write_text("".join(json.dumps(e) + "\n" for e in events))
-            spath.write_text("".join(json.dumps(s) + "\n" for s in scrapes))
-            with contextlib.redirect_stderr(io.StringIO()), \
-                    self.assertRaises(SystemExit) as cm:
-                fleet_report.main(["--events", str(epath),
-                                   "--scrapes", str(spath), "--check"])
-        self.assertNotEqual(cm.exception.code, 0)
+            bundle = write_bundle(tmp, events, scrapes, health)
+            (bundle / "health.json").unlink()
+            rc, out = analyze_dir(bundle)
+        self.assertEqual(rc, 1, out)
+        self.assertIn("FAIL: health.json", out)
 
 
 class AnomalyTest(unittest.TestCase):
@@ -228,21 +244,6 @@ class AnomalyTest(unittest.TestCase):
         scrapes, health = goodput_drop()
         with tempfile.TemporaryDirectory() as tmp:
             rc, out = run_main(tmp, events, scrapes, health)
-        self.assertEqual(rc, 0, out)
-
-    def test_admitted_state_loss_fails_check(self):
-        events, scrapes, health = clean_drill()
-        with tempfile.TemporaryDirectory() as tmp:
-            rc, out = run_main(tmp, events, scrapes, health,
-                               summary={"chaos_lost_admissions": 2})
-        self.assertEqual(rc, 1, out)
-        self.assertIn("admitted_state_loss", out)
-
-    def test_clean_summary_passes(self):
-        events, scrapes, health = clean_drill()
-        with tempfile.TemporaryDirectory() as tmp:
-            rc, out = run_main(tmp, events, scrapes, health,
-                               summary={"chaos_lost_admissions": 0})
         self.assertEqual(rc, 0, out)
 
     def test_broken_event_order_fails_check(self):
@@ -315,6 +316,101 @@ class ReportJsonTest(unittest.TestCase):
         # The SLO windows are the health report's, verbatim.
         self.assertEqual(report["slo_windows"], health["windows"])
         self.assertEqual(report["health"], health)
+
+    def test_out_needs_the_fleet_files(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = write_bundle(tmp, *clean_drill())
+            manifest = json.loads((bundle / "manifest.json").read_text())
+            manifest["files"] = BUNDLE_FILES[:3]
+            (bundle / "manifest.json").write_text(json.dumps(manifest))
+            rc, out = analyze_dir(bundle, "--out",
+                                  str(pathlib.Path(tmp) / "report.json"))
+        self.assertEqual(rc, 1, out)
+
+
+class BundleTest(unittest.TestCase):
+    """One bundle, one report: the trace, the shard rollup and the fleet
+    report come from the files the manifest lists, and nothing else."""
+
+    def test_fixture_bundle_passes_check(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            rc, out = run_main(tmp, *clean_drill())
+        self.assertEqual(rc, 0, out)
+        self.assertIn("bundle ", out)
+        self.assertIn("bench_observability, telemetry on, NDEBUG", out)
+        self.assertIn("trace 1: mbox:open_session", out)
+        self.assertIn("fleet report", out)
+        self.assertIn("self-check: 2 traces, 7 spans, 0 violations", out)
+
+    def test_missing_listed_file_fails_without_check(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = write_bundle(tmp, *clean_drill())
+            (bundle / "trace.json").unlink()
+            rc, out = analyze_dir(bundle)
+        self.assertEqual(rc, 1, out)
+        self.assertIn("FAIL: trace.json", out)
+
+    def test_unparsable_listed_file_fails_without_check(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = write_bundle(tmp, *clean_drill())
+            with open(bundle / "scrapes.jsonl", "a") as f:
+                f.write("{not json\n")
+            rc, out = analyze_dir(bundle)
+        self.assertEqual(rc, 1, out)
+        self.assertIn("FAIL: scrapes.jsonl: line 4", out)
+
+    def test_missing_manifest_fails(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = write_bundle(tmp, *clean_drill())
+            (bundle / "manifest.json").unlink()
+            rc, out = analyze_dir(bundle)
+        self.assertEqual(rc, 1, out)
+        self.assertIn("FAIL: manifest.json", out)
+
+    def test_bad_cost_total_fails_check(self):
+        trace = json.loads(GOLDEN.read_text())
+        trace["otherData"]["costTotal"]["crypto"] += 1
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = write_bundle(tmp, *clean_drill(), trace=trace)
+            self.assertEqual(analyze_dir(bundle)[0], 0)
+            rc, out = analyze_dir(bundle, "--check")
+        self.assertEqual(rc, 1, out)
+        self.assertIn("cost accounting leak in 'crypto'", out)
+
+    def test_unexplained_breach_fails_check(self):
+        _, scrapes, health = clean_drill()
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = write_bundle(tmp, [], scrapes, health)
+            self.assertEqual(analyze_dir(bundle)[0], 0)
+            rc, out = analyze_dir(bundle, "--check")
+        self.assertEqual(rc, 1, out)
+        self.assertIn("unexplained_slo_breach", out)
+
+    def test_telemetry_on_bundle_needs_a_span(self):
+        empty = {"traceEvents": [], "displayTimeUnit": "ms"}
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = write_bundle(tmp, *clean_drill(), trace=empty)
+            rc, out = analyze_dir(bundle)
+            self.assertEqual(rc, 1, out)
+            self.assertIn("holds no span", out)
+            # Telemetry compiled out: an empty trace is what the run made.
+            manifest = json.loads((bundle / "manifest.json").read_text())
+            manifest["telemetry"] = False
+            (bundle / "manifest.json").write_text(json.dumps(manifest))
+            self.assertEqual(analyze_dir(bundle)[0], 0)
+
+    def test_unlisted_file_is_not_read(self):
+        # A leftover from an earlier export into the same directory: not
+        # in the manifest, so neither parsed nor reported.
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = write_bundle(tmp, *clean_drill())
+            manifest = json.loads((bundle / "manifest.json").read_text())
+            manifest["files"] = BUNDLE_FILES[:3]
+            (bundle / "manifest.json").write_text(json.dumps(manifest))
+            (bundle / "scrapes.jsonl").write_text("{not json\n")
+            rc, out = analyze_dir(bundle, "--check")
+        self.assertEqual(rc, 0, out)
+        self.assertNotIn("fleet report", out)
 
 
 if __name__ == "__main__":
