@@ -22,8 +22,12 @@
 //    tier is far smaller than the session count, and each session's cold
 //    state is pinned to an emulated EPC page (16 sessions/page), so the
 //    sweep crosses two knees: the hot-tier knee (resume + key re-expansion
-//    per record) and the EPC-capacity knee (EWB/ELDU re-encryption per
-//    resume once pages exceed the 32k-page EPC).
+//    per record) and the EPC-capacity knee (an EWB and an ELDU per
+//    resume that finds its page spilled, once pages exceed the 32k-page
+//    EPC; wall time only, as paging charges no modeled cost).
+//
+// Each duel size and each sweep point runs under its own trace root, so
+// an `--export` bundle attributes every span to one of them.
 //
 // Output: human tables by default; `--json` prints one flat JSON object.
 // The bench exits 1 naming any gated value that misses: both duels must
@@ -50,6 +54,7 @@
 #include "crypto/rng.h"
 #include "netsim/session_cache.h"
 #include "sgx/epc.h"
+#include "telemetry/trace.h"
 
 using namespace tenet;
 using Clock = std::chrono::steady_clock;
@@ -129,6 +134,7 @@ double timed_on(crypto::mb::Backend backend, F&& body) {
 }
 
 DuelResult run_duel(size_t n_records, size_t record_bytes) {
+  TENET_TRACE_ROOT("dataplane", "record_duel");
   const crypto::Bytes key = channel_key();
   const crypto::Bytes plain =
       crypto::Drbg::from_label(kSeed, "bench.dp.payload").bytes(record_bytes);
@@ -211,6 +217,7 @@ struct OpenDuelResult {
 };
 
 OpenDuelResult run_open_duel(size_t n_records, size_t record_bytes) {
+  TENET_TRACE_ROOT("dataplane", "open_duel");
   const crypto::Bytes key = channel_key();
   const crypto::Bytes plain =
       crypto::Drbg::from_label(kSeed, "bench.dp.payload").bytes(record_bytes);
@@ -298,6 +305,7 @@ struct SweepPoint {
 };
 
 SweepPoint run_sweep_point(size_t n_sessions, size_t n_records) {
+  TENET_TRACE_ROOT("dataplane", "sweep_point");
   SweepPoint pt;
   pt.sessions = n_sessions;
   pt.records = n_records;

@@ -20,6 +20,7 @@
 #include "mbox/dpi.h"
 #include "routing/bgp.h"
 #include "sgx/apps.h"
+#include "sgx/epc.h"
 #include "sgx/platform.h"
 #include "tor/cell.h"
 #include "tor/dht.h"
@@ -222,6 +223,43 @@ void BM_QuoteGeneration(benchmark::State& state) {
   (void)challenger;
 }
 BENCHMARK(BM_QuoteGeneration)->Iterations(20);
+
+// A full 64-page EPC holding 65 pages of seeded bytes. The lowest resident
+// page is the OS's victim, so reading pages 0 and 1 in turn always reads a
+// spilled page: one EWB of the other and one ELDU per iteration.
+void BM_EpcPagingCycle(benchmark::State& state) {
+  constexpr size_t kCapacity = 64;
+  sgx::Epc epc(rng().bytes(32), kCapacity);
+  for (uint64_t v = 0; v <= kCapacity; ++v) {
+    epc.add_page(1, v, rng().bytes(sgx::kPageSize));
+  }
+  uint64_t spilled = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(epc.read_page(1, spilled));
+    spilled ^= 1;
+  }
+  if (epc.reloads() != static_cast<uint64_t>(state.iterations())) {
+    state.SkipWithError("a read did not page in");
+  }
+}
+BENCHMARK(BM_EpcPagingCycle);
+
+// The same full EPC, read round-robin without paging: a lookup and a
+// 4 KB copy per iteration.
+void BM_EpcReadResident(benchmark::State& state) {
+  constexpr size_t kCapacity = 64;
+  sgx::Epc epc(rng().bytes(32), kCapacity);
+  for (uint64_t v = 0; v < kCapacity; ++v) {
+    epc.add_page(1, v, rng().bytes(sgx::kPageSize));
+  }
+  uint64_t v = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(epc.read_page(1, v));
+    v = (v + 1) % kCapacity;
+  }
+  if (epc.evictions() != 0) state.SkipWithError("a read paged");
+}
+BENCHMARK(BM_EpcReadResident);
 
 // --- applications ---
 

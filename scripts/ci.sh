@@ -165,6 +165,21 @@ case "$mode" in
         "sequence; pass the page's version and bind the vaddr as AAD" >&2
       exit 1
     fi
+    # Deferred MEE (DESIGN.md §7): a page is sealed only when the host
+    # observes it, so the MEE seal runs only in Epc::materialize, never on
+    # the add, write, EWB or ELDU path. A line at column 0 with a '('
+    # starts a function definition in src/.
+    if grep -rl 'mee_\.seal(' src | xargs -r awk '
+        FNR == 1 { fn = "" }
+        /^[^ \t#\/}].*\(/ { fn = $0 }
+        /mee_\.seal\(/ && fn !~ /Epc::materialize\(/ {
+          print FILENAME ":" FNR ": " $0; bad = 1
+        }
+        END { exit !bad }'; then
+      echo "lint: the lines above seal an EPC page outside" \
+        "Epc::materialize; defer the seal until the page is observed" >&2
+      exit 1
+    fi
     # One record path (DESIGN.md §13): seal_into/open_in_place are the
     # record layer at every level, and the copying seal/open wrap them. A
     # second, batched path duplicated the replay-window and direction

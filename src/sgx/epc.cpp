@@ -1,6 +1,7 @@
 #include "sgx/epc.h"
 
-#include <iterator>
+#include <algorithm>
+#include <functional>
 #include <limits>
 #include <string>
 
@@ -16,6 +17,11 @@ namespace {
 struct MeeScope : crypto::work::Scope {
   MeeScope() : crypto::work::Scope(nullptr) {}
 };
+
+/// A spilled page is sealed on a channel of its own, so its ciphertext
+/// never shares a keystream with the resident page's.
+constexpr uint64_t kSpillChannel = 0x5350494C;  // "SPIL"
+constexpr size_t kMinSlots = 16;
 
 crypto::Bytes vaddr_aad(uint64_t vaddr) {
   crypto::Bytes aad;
@@ -37,27 +43,6 @@ crypto::Bytes zero_page_bytes() { return crypto::Bytes(kPageSize, 0); }
 void flip_bit(crypto::Bytes& ciphertext, size_t byte_offset) {
   if (!ciphertext.empty()) ciphertext[byte_offset % ciphertext.size()] ^= 0x80;
 }
-
-/// The [first, last) range of `owner`'s entries in a map or set keyed
-/// (owner, vaddr).
-template <typename Keyed>
-auto owner_range(Keyed& keyed, EnclaveId owner) {
-  return std::pair{
-      keyed.lower_bound({owner, 0}),
-      keyed.upper_bound({owner, std::numeric_limits<uint64_t>::max()})};
-}
-
-template <typename Keyed>
-void erase_owner(Keyed& keyed, EnclaveId owner) {
-  const auto [first, last] = owner_range(keyed, owner);
-  keyed.erase(first, last);
-}
-
-template <typename Keyed>
-size_t count_owner(const Keyed& keyed, EnclaveId owner) {
-  const auto [first, last] = owner_range(keyed, owner);
-  return static_cast<size_t>(std::distance(first, last));
-}
 }  // namespace
 
 Epc::Epc(crypto::BytesView mee_key, size_t capacity_pages)
@@ -65,21 +50,109 @@ Epc::Epc(crypto::BytesView mee_key, size_t capacity_pages)
         MeeScope off;
         return crypto::Aead(mee_key);
       }()),
-      capacity_(capacity_pages) {}
+      capacity_(capacity_pages),
+      table_(kMinSlots) {}
 
-void Epc::make_room(EnclaveId keep_owner, uint64_t keep_vaddr) {
-  // The "OS" picks an eviction victim. Any resident page other than the
-  // one being installed will do; take the first.
-  for (const auto& [key, slot] : pages_) {
-    if (key.first == keep_owner && key.second == keep_vaddr) continue;
-    evict_page(key.first, key.second);
-    return;
+size_t Epc::home(EnclaveId owner, uint64_t vaddr) const {
+  // Fibonacci hashing: the multiply spreads consecutive vaddrs across the
+  // table, and the fold brings the product's best-mixed top bits down.
+  uint64_t h = (vaddr ^ (owner * 0x9E3779B97F4A7C15ull)) *
+               0xD6E8FEB86659FD93ull;
+  h ^= h >> 32;
+  return static_cast<size_t>(h) & (table_.size() - 1);
+}
+
+size_t Epc::slot_of(EnclaveId owner, uint64_t vaddr) const {
+  const size_t mask = table_.size() - 1;
+  for (size_t i = home(owner, vaddr);; i = (i + 1) & mask) {
+    const Page& page = table_[i];
+    if (!page.used || (page.owner == owner && page.vaddr == vaddr)) return i;
+  }
+}
+
+const Epc::Page* Epc::find(EnclaveId owner, uint64_t vaddr) const {
+  const Page& page = table_[slot_of(owner, vaddr)];
+  return page.used ? &page : nullptr;
+}
+
+Epc::Page* Epc::find(EnclaveId owner, uint64_t vaddr) {
+  return const_cast<Page*>(std::as_const(*this).find(owner, vaddr));
+}
+
+Epc::Page& Epc::insert(EnclaveId owner, uint64_t vaddr) {
+  if (4 * (mapped_ + 1) > 3 * table_.size()) rehash(2 * table_.size());
+  Page& page = table_[slot_of(owner, vaddr)];
+  page.owner = owner;
+  page.vaddr = vaddr;
+  page.used = true;
+  ++mapped_;
+  return page;
+}
+
+void Epc::erase_slot(size_t hole) {
+  // Backward-shift deletion: every later page of the probe run whose home
+  // is at or before the hole moves up into it, so no probe sequence is
+  // cut and the table needs no tombstones.
+  const size_t mask = table_.size() - 1;
+  table_[hole] = Page();
+  --mapped_;
+  for (size_t i = (hole + 1) & mask; table_[i].used; i = (i + 1) & mask) {
+    const Page& page = table_[i];
+    const size_t from_home = (i - home(page.owner, page.vaddr)) & mask;
+    if (from_home < ((i - hole) & mask)) continue;
+    table_[hole] = std::exchange(table_[i], Page());
+    hole = i;
+  }
+}
+
+void Epc::rehash(size_t slots) {
+  std::vector<Page> old = std::exchange(table_, std::vector<Page>(slots));
+  for (Page& page : old) {
+    if (page.used) table_[slot_of(page.owner, page.vaddr)] = std::move(page);
+  }
+}
+
+void Epc::push_victim(Page& page) {
+  if (!paging_ || page.in_heap) return;
+  page.in_heap = true;
+  victims_.emplace_back(page.owner, page.vaddr);
+  std::push_heap(victims_.begin(), victims_.end(), std::greater<PageKey>());
+}
+
+void Epc::rebuild_victims() {
+  victims_.clear();
+  for (Page& page : table_) {
+    page.in_heap = page.used && page.resident;
+    if (page.in_heap) victims_.emplace_back(page.owner, page.vaddr);
+  }
+  std::make_heap(victims_.begin(), victims_.end(), std::greater<PageKey>());
+}
+
+void Epc::make_room(EnclaveId requester) {
+  // The "OS" picks an eviction victim: the lowest resident (owner, vaddr).
+  // A key whose page was evicted since it was pushed is dropped on the
+  // way. The victim's key is popped only once its EWB has succeeded, so a
+  // victim that faults stays first in line.
+  const auto later = std::greater<PageKey>();
+  if (!paging_) {
+    paging_ = true;
+    rebuild_victims();
+  }
+  while (!victims_.empty()) {
+    const PageKey key = victims_.front();
+    Page* page = find(key.first, key.second);
+    const bool victim = page->resident;
+    if (victim) evict_page(key.first, key.second);
+    page->in_heap = false;
+    std::pop_heap(victims_.begin(), victims_.end(), later);
+    victims_.pop_back();
+    if (victim) return;
   }
   TENET_COUNT("sgx.epc.pressure_faults");
-  TENET_EVENT(kEpcPressure, static_cast<uint32_t>(keep_owner), capacity_);
+  TENET_EVENT(kEpcPressure, static_cast<uint32_t>(requester), capacity_);
   throw EpcPressureError(
-      keep_owner, "EPC: no evictable page (capacity too small) while enclave " +
-                      std::to_string(keep_owner) + " requested a page");
+      requester, "EPC: no evictable page (capacity too small) while enclave " +
+                     std::to_string(requester) + " requested a page");
 }
 
 void Epc::add_page(EnclaveId owner, uint64_t vaddr,
@@ -88,178 +161,148 @@ void Epc::add_page(EnclaveId owner, uint64_t vaddr,
   if (plaintext.size() > kPageSize) {
     throw HardwareFault("EPC: page larger than 4096 bytes");
   }
-  const auto key = std::make_pair(owner, vaddr);
-  if (pages_.contains(key) || spill_.contains(key)) {
+  if (find(owner, vaddr) != nullptr) {
     throw HardwareFault("EPC: page already mapped");
   }
-  if (pages_.size() >= capacity_) make_room(owner, vaddr);
+  if (resident_ >= capacity_) make_room(owner);
 
-  Slot slot;
-  slot.epcm = EpcmEntry{true, owner, vaddr, true};
-  store(slot, crypto::Bytes(plaintext.begin(), plaintext.end()));
-  pages_.emplace(key, std::move(slot));
+  Page& page = insert(owner, vaddr);
+  store(page, crypto::Bytes(plaintext.begin(), plaintext.end()),
+        next_version_++);
+  page.resident = true;
+  ++resident_;
+  push_victim(page);
   TENET_COUNT("sgx.epc.pages_added");
   TENET_COUNT("sgx.epc.mee_seals");
 }
 
-void Epc::store(Slot& slot, crypto::Bytes page) {
-  slot.version = next_version_++;
-  if (all_zero(page)) {
-    slot.state = PageState::kZero;
-    slot.bytes = crypto::Bytes();  // release the page
+void Epc::store(Page& page, crypto::Bytes plain, uint64_t version) {
+  page.version = version;
+  if (all_zero(plain)) {
+    page.state = PageState::kZero;
+    page.bytes = crypto::Bytes();  // release the page
   } else {
-    page.resize(kPageSize, 0);
-    slot.state = PageState::kPlain;
-    slot.bytes = std::move(page);
+    plain.resize(kPageSize, 0);
+    page.state = PageState::kPlain;
+    page.bytes = std::move(plain);
   }
 }
 
-std::optional<crypto::Bytes> Epc::open_page(const Slot& slot,
-                                            uint64_t vaddr) const {
-  switch (slot.state) {
+std::optional<crypto::Bytes> Epc::open_page(const Page& page) const {
+  switch (page.state) {
     case PageState::kZero:
       return zero_page_bytes();
     case PageState::kPlain:
-      return slot.bytes;
+      return page.bytes;
     case PageState::kSealed:
       break;
   }
-  auto plain = mee_.open(slot.bytes, vaddr_aad(vaddr));
+  auto plain = mee_.open(page.bytes, vaddr_aad(page.vaddr));
   if (!plain.has_value() ||
-      crypto::Aead::record_seq(slot.bytes) != slot.version) {
+      crypto::Aead::record_seq(page.bytes) != page.version) {
     return std::nullopt;
   }
   return plain;
 }
 
-void Epc::materialize(const Slot& slot, EnclaveId owner,
-                      uint64_t vaddr) const {
-  if (slot.state == PageState::kSealed) return;
+void Epc::materialize(const Page& page) const {
+  if (page.state == PageState::kSealed) return;
   MeeScope off;
-  slot.bytes = mee_.seal(
-      owner, slot.version,
-      slot.state == PageState::kZero ? zero_page_bytes() : slot.bytes,
-      vaddr_aad(vaddr));
-  slot.state = PageState::kSealed;
-}
-
-void Epc::materialize_spill(const SpilledPage& spilled, EnclaveId owner,
-                            uint64_t vaddr) const {
-  if (!spilled.zero) return;
-  MeeScope off;
-  spilled.ciphertext = mee_.seal(owner ^ 0x5350494Cu, spilled.version,
-                                 zero_page_bytes(), vaddr_aad(vaddr));
-  spilled.zero = false;
+  page.bytes = mee_.seal(
+      page.resident ? page.owner : page.owner ^ kSpillChannel,
+      page.resident ? page.version : page.spill_version,
+      page.state == PageState::kZero ? zero_page_bytes() : page.bytes,
+      vaddr_aad(page.vaddr));
+  page.state = PageState::kSealed;
 }
 
 void Epc::evict_page(EnclaveId owner, uint64_t vaddr) {
   MeeScope off;
   TENET_SPAN("epc", "ewb");
-  const auto it = pages_.find({owner, vaddr});
-  if (it == pages_.end()) throw HardwareFault("EWB: page not resident");
+  Page* page = find(owner, vaddr);
+  if (page == nullptr || !page->resident) {
+    throw HardwareFault("EWB: page not resident");
+  }
 
-  // Seal the page's plaintext (opening it first only if it is sealed
-  // resident) with a fresh version bound into the ciphertext; record the
-  // version in the (trusted) VA slot. A zero page spills as a zero marker:
-  // the version walk is identical, only the seal is deferred until the
-  // spilled ciphertext can be observed. Counted as an open and a seal in
-  // every case, as eager sealing would do.
+  // Spill the page under a fresh version recorded in the (trusted) VA
+  // slot. Its plaintext (or zero marker) moves to the spill as it is; the
+  // seal is deferred until the spill can be observed. A page that is
+  // sealed resident is opened and checked first. Counted as an open and a
+  // seal in every case, as eager sealing would do.
   const uint64_t version = next_version_++;
-  SpilledPage spilled;
-  spilled.version = version;
   TENET_COUNT("sgx.epc.mee_opens");
-  const Slot& slot = it->second;
-  if (slot.state == PageState::kZero) {
-    spilled.zero = true;
-  } else {
-    std::optional<crypto::Bytes> opened;
-    if (slot.state == PageState::kSealed) {
-      opened = open_page(slot, vaddr);
-      if (!opened.has_value()) {
-        throw HardwareFault("EPC: MEE integrity check failed (page corrupted)");
-      }
+  if (page->state == PageState::kSealed) {
+    std::optional<crypto::Bytes> opened = open_page(*page);
+    if (!opened.has_value()) {
+      throw HardwareFault("EPC: MEE integrity check failed (page corrupted)");
     }
-    spilled.ciphertext =
-        mee_.seal(owner ^ 0x5350494Cu, version, opened ? *opened : slot.bytes,
-                  vaddr_aad(vaddr));
+    page->bytes = std::move(*opened);
+    page->state = PageState::kPlain;
   }
   TENET_COUNT("sgx.epc.mee_seals");
-  version_array_[{owner, vaddr}] = version;
-  spill_[{owner, vaddr}] = std::move(spilled);
-  pages_.erase(it);
-  suspect_.erase({owner, vaddr});  // opened clean above
+  page->version = version;
+  page->spill_version = version;
+  page->resident = false;
+  --resident_;
+  if (!suspect_.empty()) suspect_.erase({owner, vaddr});  // opened clean above
   ++evictions_;
   TENET_COUNT("sgx.epc.ewb");
 }
 
-void Epc::reload_page(EnclaveId owner, uint64_t vaddr) {
+void Epc::reload_page(Page& page) {
   MeeScope off;
   TENET_SPAN("epc", "eldu");
-  const auto key = std::make_pair(owner, vaddr);
-  const auto it = spill_.find(key);
-  if (it == spill_.end()) throw HardwareFault("ELDU: page not spilled");
-
-  const auto va = version_array_.find(key);
-  if (va == version_array_.end() || va->second != it->second.version) {
+  if (page.spill_version != page.version) {
     TENET_COUNT("sgx.epc.rollbacks_detected");
     throw HardwareFault("ELDU: version mismatch (rollback attack detected)");
   }
-  Slot slot;
-  slot.epcm = EpcmEntry{true, owner, vaddr, true};
-  if (it->second.zero) {
-    // Deferred zero spill: nothing observable was ever produced, so there
-    // is no ciphertext to check — the VA-slot version comparison above is
-    // the full rollback check (a replaced snapshot materializes first and
-    // takes the non-zero path).
-    store(slot, crypto::Bytes());
-    TENET_COUNT("sgx.epc.mee_opens");
-    TENET_COUNT("sgx.epc.mee_seals");
-  } else {
-    auto plain = mee_.open(it->second.ciphertext, vaddr_aad(vaddr));
-    TENET_COUNT("sgx.epc.mee_opens");
+  // A spill no one observed holds the plaintext EWB moved there, so the
+  // VA-slot comparison above is the full rollback check. A sealed one is
+  // opened and its MAC and sealed version checked (the record's version
+  // field lives in untrusted RAM; the MAC covers the version via the AEAD
+  // sequence number, so a liar is caught here).
+  TENET_COUNT("sgx.epc.mee_opens");
+  std::optional<crypto::Bytes> plain;
+  if (page.state == PageState::kSealed) {
+    plain = mee_.open(page.bytes, vaddr_aad(page.vaddr));
     if (!plain.has_value()) {
       TENET_COUNT("sgx.epc.integrity_faults");
       throw HardwareFault("ELDU: MAC failure on spilled page");
     }
-    // Verify the sealed version actually matches the VA slot (the stored
-    // `version` field above lives in untrusted RAM; the MAC covers the
-    // version via the AEAD sequence number, so a liar is caught here).
-    if (crypto::Aead::record_seq(it->second.ciphertext) != va->second) {
+    if (crypto::Aead::record_seq(page.bytes) != page.version) {
       TENET_COUNT("sgx.epc.rollbacks_detected");
       throw HardwareFault("ELDU: version mismatch (rollback attack detected)");
     }
-    store(slot, std::move(*plain));
-    TENET_COUNT("sgx.epc.mee_seals");
   }
+  const uint64_t version = next_version_++;
+  TENET_COUNT("sgx.epc.mee_seals");
 
-  // Make room before dropping the spilled copy: if no victim can be
-  // evicted, the page stays spilled instead of being lost.
-  if (pages_.size() >= capacity_) make_room(owner, vaddr);
-  spill_.erase(it);
-  version_array_.erase(va);
-  pages_.emplace(key, std::move(slot));
+  // Make room before touching the spill: if no victim can be evicted, the
+  // page stays spilled as it was instead of being lost.
+  if (resident_ >= capacity_) make_room(page.owner);
+  if (plain.has_value()) {
+    store(page, std::move(*plain), version);
+  } else {
+    page.version = version;
+  }
+  page.resident = true;
+  ++resident_;
+  push_victim(page);
   ++reloads_;
   TENET_COUNT("sgx.epc.eldu");
 }
 
-Epc::Slot* Epc::find_page(EnclaveId owner, uint64_t vaddr) {
-  const auto it = pages_.find({owner, vaddr});
-  if (it != pages_.end()) return &it->second;
-  if (!spill_.contains({owner, vaddr})) return nullptr;
-  reload_page(owner, vaddr);  // transparent page-in
-  return &pages_.at({owner, vaddr});
+Epc::Page* Epc::find_page(EnclaveId owner, uint64_t vaddr) {
+  Page* page = find(owner, vaddr);
+  if (page != nullptr && !page->resident) reload_page(*page);  // page-in
+  return page;
 }
 
 crypto::Bytes Epc::read_page(EnclaveId owner, uint64_t vaddr) {
   MeeScope off;
-  const Slot* slot = find_page(owner, vaddr);
-  if (slot == nullptr || !slot->epcm.valid) {
-    throw HardwareFault("EPC: access to unmapped page");
-  }
-  if (slot->epcm.owner != owner) {
-    throw HardwareFault("EPC: cross-enclave access denied");
-  }
-  auto plain = open_page(*slot, vaddr);
+  const Page* page = find_page(owner, vaddr);
+  if (page == nullptr) throw HardwareFault("EPC: access to unmapped page");
+  auto plain = open_page(*page);
   if (!plain.has_value()) {
     throw HardwareFault("EPC: MEE integrity check failed (page corrupted)");
   }
@@ -269,14 +312,14 @@ crypto::Bytes Epc::read_page(EnclaveId owner, uint64_t vaddr) {
 void Epc::write_page(EnclaveId owner, uint64_t vaddr,
                      crypto::BytesView plaintext) {
   MeeScope off;
-  Slot* slot = find_page(owner, vaddr);
-  if (slot == nullptr) throw HardwareFault("EPC: write to unmapped page");
-  if (!slot->epcm.writable) throw HardwareFault("EPC: page not writable");
+  Page* page = find_page(owner, vaddr);
+  if (page == nullptr) throw HardwareFault("EPC: write to unmapped page");
   if (plaintext.size() > kPageSize) {
     throw HardwareFault("EPC: oversized write");
   }
-  store(*slot, crypto::Bytes(plaintext.begin(), plaintext.end()));
-  suspect_.erase({owner, vaddr});  // overwritten
+  store(*page, crypto::Bytes(plaintext.begin(), plaintext.end()),
+        next_version_++);
+  if (!suspect_.empty()) suspect_.erase({owner, vaddr});  // overwritten
 }
 
 void Epc::verify_owner_pages(EnclaveId owner) {
@@ -286,9 +329,9 @@ void Epc::verify_owner_pages(EnclaveId owner) {
   // the MAC or the version check; only the pages the adversary wrote need
   // opening. Spilled pages are verified at reload; verifying them here
   // would defeat the point of paging them out.
-  auto [it, last] = owner_range(suspect_, owner);
-  while (it != last) {
-    if (!open_page(pages_.at(*it), it->second).has_value()) {
+  auto it = suspect_.lower_bound({owner, 0});
+  while (it != suspect_.end() && it->first == owner) {
+    if (!open_page(*find(owner, it->second)).has_value()) {
       // The entry stays: the enclave faults again on every later entry.
       TENET_COUNT("sgx.epc.integrity_faults");
       throw HardwareFault("EPC: MEE integrity check failed (page corrupted)");
@@ -298,81 +341,83 @@ void Epc::verify_owner_pages(EnclaveId owner) {
 }
 
 void Epc::remove_enclave(EnclaveId owner) {
-  erase_owner(pages_, owner);
-  erase_owner(spill_, owner);
-  erase_owner(version_array_, owner);
-  erase_owner(suspect_, owner);
+  // A shift can move a later page into slot i, so slot i is checked again
+  // until it holds another owner's page or none. A shift never moves an
+  // unvisited page below i, so no page of `owner` is skipped.
+  size_t removed = 0;
+  for (size_t i = 0; i < table_.size(); ++i) {
+    while (table_[i].used && table_[i].owner == owner) {
+      resident_ -= table_[i].resident ? 1 : 0;
+      erase_slot(i);
+      ++removed;
+    }
+  }
+  if (removed == 0) return;
+  if (paging_) rebuild_victims();
+  suspect_.erase(
+      suspect_.lower_bound({owner, 0}),
+      suspect_.upper_bound({owner, std::numeric_limits<uint64_t>::max()}));
 }
 
 size_t Epc::pages_of(EnclaveId owner) const {
-  return count_owner(pages_, owner) + count_owner(spill_, owner);
+  return static_cast<size_t>(std::count_if(
+      table_.begin(), table_.end(),
+      [owner](const Page& page) { return page.used && page.owner == owner; }));
 }
 
 bool Epc::resident(EnclaveId owner, uint64_t vaddr) const {
-  return pages_.contains({owner, vaddr});
+  const Page* page = find(owner, vaddr);
+  return page != nullptr && page->resident;
 }
 
 std::optional<crypto::Bytes> Epc::adversary_read_ciphertext(
     EnclaveId owner, uint64_t vaddr) const {
-  const auto it = pages_.find({owner, vaddr});
-  if (it != pages_.end()) {
-    materialize(it->second, owner, vaddr);
-    return it->second.bytes;
-  }
-  const auto sp = spill_.find({owner, vaddr});
-  if (sp != spill_.end()) {
-    materialize_spill(sp->second, owner, vaddr);
-    return sp->second.ciphertext;
-  }
-  return std::nullopt;
+  const Page* page = find(owner, vaddr);
+  if (page == nullptr) return std::nullopt;
+  materialize(*page);
+  return page->bytes;
 }
 
 bool Epc::adversary_corrupt(EnclaveId owner, uint64_t vaddr,
                             size_t byte_offset) {
-  const auto it = pages_.find({owner, vaddr});
-  if (it != pages_.end()) {
-    materialize(it->second, owner, vaddr);
-    flip_bit(it->second.bytes, byte_offset);
-    suspect_.insert(it->first);
-    return true;
-  }
-  const auto sp = spill_.find({owner, vaddr});
-  if (sp != spill_.end()) {
-    materialize_spill(sp->second, owner, vaddr);
-    flip_bit(sp->second.ciphertext, byte_offset);
-    return true;
-  }
-  return false;
+  Page* page = find(owner, vaddr);
+  if (page == nullptr) return false;
+  materialize(*page);
+  flip_bit(page->bytes, byte_offset);
+  if (page->resident) suspect_.insert({owner, vaddr});
+  return true;
 }
 
 bool Epc::adversary_replace_resident(EnclaveId owner, uint64_t vaddr,
                                      crypto::Bytes old_ciphertext) {
-  const auto it = pages_.find({owner, vaddr});
-  if (it == pages_.end()) return false;
-  it->second.bytes = std::move(old_ciphertext);
-  it->second.state = PageState::kSealed;
-  suspect_.insert(it->first);
+  Page* page = find(owner, vaddr);
+  if (page == nullptr || !page->resident) return false;
+  page->bytes = std::move(old_ciphertext);
+  page->state = PageState::kSealed;
+  suspect_.insert({owner, vaddr});
   return true;
 }
 
 std::optional<crypto::Bytes> Epc::adversary_snapshot_spill(
     EnclaveId owner, uint64_t vaddr) const {
-  const auto it = spill_.find({owner, vaddr});
-  if (it == spill_.end()) return std::nullopt;
-  materialize_spill(it->second, owner, vaddr);
+  const Page* page = find(owner, vaddr);
+  if (page == nullptr || page->resident) return std::nullopt;
+  materialize(*page);
   crypto::Bytes snapshot;
-  crypto::append_u64(snapshot, it->second.version);
-  crypto::append(snapshot, it->second.ciphertext);
+  crypto::append_u64(snapshot, page->spill_version);
+  crypto::append(snapshot, page->bytes);
   return snapshot;
 }
 
 bool Epc::adversary_replace_spill(EnclaveId owner, uint64_t vaddr,
                                   crypto::Bytes old_snapshot) {
-  const auto it = spill_.find({owner, vaddr});
-  if (it == spill_.end() || old_snapshot.size() < 8) return false;
-  it->second.version = crypto::read_u64(old_snapshot, 0);
-  it->second.ciphertext.assign(old_snapshot.begin() + 8, old_snapshot.end());
-  it->second.zero = false;
+  Page* page = find(owner, vaddr);
+  if (page == nullptr || page->resident || old_snapshot.size() < 8) {
+    return false;
+  }
+  page->spill_version = crypto::read_u64(old_snapshot, 0);
+  page->bytes.assign(old_snapshot.begin() + 8, old_snapshot.end());
+  page->state = PageState::kSealed;
   return true;
 }
 

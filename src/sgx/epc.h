@@ -8,36 +8,27 @@
 //
 // What the host can see of a page is its MEE ciphertext: AES-CTR under a
 // per-platform key with a MAC, bound to the page's vaddr and to a trusted
-// per-page version, and an EPCM entry records the owning enclave. Real
-// hardware encrypts a line only when it leaves the CPU package, and the
-// emulator does the same at page granularity: a resident page is held as
-// plaintext and sealed the moment its ciphertext becomes observable (EWB,
-// or any adversary_* call). A host-level adversary (sgx/adversary.h) can
-// read, corrupt and replay the *ciphertext*. Reads reveal nothing, and a
+// per-page version. A host-level adversary (sgx/adversary.h) can read,
+// corrupt and replay the *ciphertext*. Reads reveal nothing, and a
 // corrupted or replayed page fails the MAC or the version check on next
-// access, faulting the enclave. MEE work is done by hardware in parallel
-// with memory traffic, so it is deliberately NOT charged to the
-// instruction-cost model.
+// access, faulting the enclave. Real hardware encrypts a line only when it
+// leaves the CPU package; the emulator goes one step further and seals a
+// page, resident or spilled, only when the host looks at it (an
+// adversary_* call), so a page no one observes costs no MEE work at all.
+// MEE work is done by hardware in parallel with memory traffic, so it is
+// deliberately NOT charged to the instruction-cost model.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "crypto/aead.h"
 #include "crypto/bytes.h"
 #include "sgx/types.h"
 
 namespace tenet::sgx {
-
-/// EPCM metadata for one EPC page (§2.1: "the processor maintains enclave
-/// page cache map (EPCM) to keep meta-data associated with each EPC page").
-struct EpcmEntry {
-  bool valid = false;
-  EnclaveId owner = 0;
-  uint64_t vaddr = 0;  // page index within the enclave's address space
-  bool writable = true;
-};
 
 class Epc {
  public:
@@ -50,9 +41,10 @@ class Epc {
   /// evicted, or when the slot is already mapped.
   void add_page(EnclaveId owner, uint64_t vaddr, crypto::BytesView plaintext);
 
-  /// Reads a page back through the MEE. Throws HardwareFault if the caller
-  /// is not the owner ("only the enclave that is associated with the EPC
-  /// page can access it") or if integrity verification fails.
+  /// Reads a page back through the MEE. Throws HardwareFault if `owner`
+  /// has no page at `vaddr` (pages are keyed by owner, so another
+  /// enclave's page is never found: "only the enclave that is associated
+  /// with the EPC page can access it") or if integrity verification fails.
   /// (Non-const: a spilled page is transparently reloaded — ELDU.)
   [[nodiscard]] crypto::Bytes read_page(EnclaveId owner, uint64_t vaddr);
 
@@ -72,18 +64,19 @@ class Epc {
   /// Frees all pages of an enclave (EREMOVE path).
   void remove_enclave(EnclaveId owner);
 
-  [[nodiscard]] size_t pages_in_use() const { return pages_.size(); }
+  [[nodiscard]] size_t pages_in_use() const { return resident_; }
   [[nodiscard]] size_t capacity() const { return capacity_; }
   [[nodiscard]] size_t pages_of(EnclaveId owner) const;
 
   // --- Paging (EWB / ELDU) ---
   //
   // The EPC is small (real 2015 parts reserved ~128 MB), so the OS pages
-  // enclave memory to ordinary RAM: EWB seals the page under a fresh
+  // enclave memory to ordinary RAM: EWB spills the page under a fresh
   // version recorded in an in-EPC Version Array slot; ELDU reloads it and
   // checks the version, so a privileged attacker replaying an *old*
   // encrypted copy (a rollback) is caught by hardware. add_page evicts
-  // automatically under pressure, and read/write reload transparently.
+  // automatically under pressure (the OS's victim is the lowest resident
+  // (owner, vaddr)), and read/write reload transparently.
 
   /// Explicitly evicts a resident page to the untrusted spill store.
   /// Throws HardwareFault if the page is not resident.
@@ -124,75 +117,107 @@ class Epc {
 
  private:
   // Deferred sealing. Sealing every page through the software MEE on every
-  // add, write and reload dominated simulator wall-clock while modeling
+  // add, write, EWB and ELDU dominated simulator wall-clock while modeling
   // nothing: MEE work is hardware and excluded from the instruction meter.
-  // So a resident page stays plaintext (or, when all-zero, holds nothing)
-  // until its ciphertext can be observed: EWB seals the spill from the
-  // plaintext, and an adversary read/corrupt/replace or a spill
-  // snapshot/replace seals first. From then on the ciphertext is the
-  // authoritative copy, and reads open it and check MAC and version.
+  // So a page, resident or spilled, stays plaintext (or, when all-zero,
+  // holds nothing) until its ciphertext can be observed: an adversary
+  // read/corrupt/replace or a spill snapshot/replace seals it first
+  // (materialize). From then on the ciphertext is the authoritative copy,
+  // and an access opens it and checks MAC and version. A resident page is
+  // sealed under (owner, version); a spilled one under
+  // (owner ^ 0x5350494C, spill version), as an eager EWB would seal it, so
+  // every observed ciphertext is byte-identical to eager sealing.
   // sgx.epc.mee_seals / mee_opens count the MEE operations eager sealing
   // would do: one seal per add_page, one open + one seal per EWB and per
   // ELDU. write_page and read_page are not counted, and the seals and
   // opens deferral does on observation are not either.
   enum class PageState : uint8_t { kZero, kPlain, kSealed };
-  struct Slot {
-    EpcmEntry epcm;
-    // Trusted (in-EPC) version, fresh on every add, write and reload and
-    // never writable by the adversary. The seal binds it as the AEAD
-    // sequence number, so no two contents of a page share a keystream and
-    // a replayed older ciphertext fails the version check.
-    uint64_t version = 0;
+
+  // One mapped page: its EPCM identity (owner, vaddr), where it lives and
+  // its versions. EWB and ELDU flip `resident` in place; nothing moves.
+  struct Page {
+    EnclaveId owner = 0;
+    uint64_t vaddr = 0;
+    bool used = false;  // this table slot holds a page
+    bool resident = false;
+    bool in_heap = false;  // its key is in victims_
     // Exactly one representation at a time: nothing (kZero), the padded
     // plaintext (kPlain) or the sealed page with its MAC (kSealed).
     mutable PageState state = PageState::kZero;
+    // Trusted (in-EPC) version, never writable by the adversary: a
+    // resident page's version, fresh on every add, write and reload, or a
+    // spilled page's Version Array slot, fresh on every EWB. The seal binds
+    // it as the AEAD sequence number, so no two contents of a page share a
+    // keystream and a replayed older ciphertext fails the version check.
+    uint64_t version = 0;
+    // The version the spill record in untrusted RAM carries; ELDU checks it
+    // against `version`. Only adversary_replace_spill makes them differ.
+    uint64_t spill_version = 0;
     mutable crypto::Bytes bytes;
   };
-  struct SpilledPage {
-    mutable crypto::Bytes ciphertext;  // sealed under the MEE key + version
-    uint64_t version = 0;      // must match the in-EPC VA slot on reload
-    mutable bool zero = false;  // all-zero page, seal deferred
-  };
+  using PageKey = std::pair<EnclaveId, uint64_t>;
 
-  /// Installs `page` (padded to kPageSize) as `slot`'s plaintext under a
-  /// fresh version; an all-zero page is kept as kZero.
-  void store(Slot& slot, crypto::Bytes page);
+  /// Where the probe sequence of (owner, vaddr) starts.
+  [[nodiscard]] size_t home(EnclaveId owner, uint64_t vaddr) const;
+  /// The table slot of (owner, vaddr), or of the empty slot that ends its
+  /// probe sequence.
+  [[nodiscard]] size_t slot_of(EnclaveId owner, uint64_t vaddr) const;
+  [[nodiscard]] Page* find(EnclaveId owner, uint64_t vaddr);
+  [[nodiscard]] const Page* find(EnclaveId owner, uint64_t vaddr) const;
+  /// Maps a new, empty page; may move every page (rehash).
+  Page& insert(EnclaveId owner, uint64_t vaddr);
+  /// Unmaps the page in `slot`; may move later pages of its probe run.
+  void erase_slot(size_t slot);
+  /// Re-places every page into a table of `slots` slots.
+  void rehash(size_t slots);
+
+  /// Installs `plain` (padded to kPageSize) as a page's plaintext under
+  /// `version`; an all-zero page is kept as kZero.
+  static void store(Page& page, crypto::Bytes plain, uint64_t version);
   /// The plaintext of a resident page, or nullopt when its ciphertext
   /// fails the MAC or carries another version.
-  [[nodiscard]] std::optional<crypto::Bytes> open_page(const Slot& slot,
-                                                       uint64_t vaddr) const;
+  [[nodiscard]] std::optional<crypto::Bytes> open_page(const Page& page) const;
   /// Seals a deferred page so its ciphertext becomes observable.
-  void materialize(const Slot& slot, EnclaveId owner, uint64_t vaddr) const;
-  void materialize_spill(const SpilledPage& spilled, EnclaveId owner,
-                         uint64_t vaddr) const;
+  void materialize(const Page& page) const;
 
   /// Reloads a spilled page into the EPC (ELDU); throws HardwareFault on
-  /// MAC failure or version (rollback) mismatch.
-  void reload_page(EnclaveId owner, uint64_t vaddr);
-  /// Evicts some resident page to make room (the "OS" picks a victim that
-  /// is not `keep_owner`/`keep_vaddr`).
-  void make_room(EnclaveId keep_owner, uint64_t keep_vaddr);
-  /// The page's resident slot, paging it in first when it is spilled;
-  /// nullptr when it is neither. One lookup when the page is resident.
-  [[nodiscard]] Slot* find_page(EnclaveId owner, uint64_t vaddr);
-
-  // (owner, vaddr). Every container below orders by owner first, so an
-  // operation on one enclave walks only that enclave's key range, never
-  // another enclave's pages.
-  using PageKey = std::pair<EnclaveId, uint64_t>;
+  /// MAC failure or version (rollback) mismatch, or when no room can be
+  /// made, and the page stays spilled.
+  void reload_page(Page& page);
+  /// Queues a resident page's key as a victim, once victims_ is kept.
+  void push_victim(Page& page);
+  /// Refills victims_ with the key of every resident page.
+  void rebuild_victims();
+  /// Evicts the lowest resident (owner, vaddr) to make room for a page of
+  /// `requester`. The page being installed is never resident, so it is
+  /// never the victim. Moves no page.
+  void make_room(EnclaveId requester);
+  /// The page, paged in first when it is spilled; nullptr when unmapped.
+  [[nodiscard]] Page* find_page(EnclaveId owner, uint64_t vaddr);
 
   crypto::Aead mee_;
   size_t capacity_;
-  std::map<PageKey, Slot> pages_;
-  // Untrusted spill store (ordinary RAM) + trusted version array (in-EPC
-  // metadata, not visible to the adversary surface).
-  std::map<PageKey, SpilledPage> spill_;
-  std::map<PageKey, uint64_t> version_array_;
+  // Every mapped page, resident or spilled, in one open-addressing table
+  // (linear probing, a power-of-two size, at most three quarters full). A
+  // page's spill lives in its own entry: the bytes are untrusted RAM's copy
+  // and `version` is the trusted Version Array slot, which the adversary
+  // surface never reads.
+  std::vector<Page> table_;
+  size_t mapped_ = 0;
+  size_t resident_ = 0;
+  // Min-heap of the keys of resident pages, for the victim choice. It is
+  // kept from the first make_room on (paging_), so an EPC that never fills
+  // holds none. A key stays after its page is evicted and is dropped when
+  // it reaches the top; each key is in it at most once (Page::in_heap),
+  // and remove_enclave rebuilds it, so it never outgrows the table.
+  std::vector<PageKey> victims_;
+  bool paging_ = false;
   // Resident pages whose ciphertext adversary_corrupt or
   // adversary_replace_resident wrote and no rewrite or clean verification
-  // has covered since. Always a subset of pages_' keys: evicting,
-  // rewriting or removing a page clears its entry, and a spilled page is
-  // never suspect, so a reload has none to clear.
+  // has covered since. Ordered by owner first, so verify_owner_pages walks
+  // only that enclave's range. Evicting, rewriting or removing a page
+  // clears its entry, and a spilled page is never suspect, so a reload has
+  // none to clear.
   std::set<PageKey> suspect_;
   uint64_t next_version_ = 1;
   uint64_t evictions_ = 0;

@@ -405,5 +405,154 @@ TEST(Epc, EntryCheckMatchesFullResidentSweep) {
   EXPECT_GT(observations, 0u);
 }
 
+// Differential test of the paging policy against a reference model that
+// holds each page's content and place and evicts, under pressure, the
+// lowest resident (owner, vaddr). Random adds, reads, writes, explicit
+// evictions, enclave removals and bit flips run over three owners and a
+// 4-page EPC. The model predicts whether each step faults, and after every
+// step the resident set, pages_of, pages_in_use, evictions(), reloads()
+// and every untampered resident page's content must match it. Flips hit
+// one offset, so a second flip restores the page: a resident page with an
+// odd number of flips faults at read and at EWB (so it cannot be a
+// victim), a spilled one at ELDU.
+TEST(Epc, PagingMatchesLowestKeyVictimModel) {
+  constexpr EnclaveId kOwners = 3;
+  constexpr uint64_t kVaddrs = 5;
+  constexpr size_t kCapacity = 4;
+  using Key = std::pair<EnclaveId, uint64_t>;
+  crypto::Drbg rng = crypto::Drbg::from_label(test::seed(2015), "epc.victims");
+  Epc epc(mee_key(), kCapacity);
+
+  struct Page {
+    crypto::Bytes content;
+    bool resident = true;
+    bool flipped = false;
+  };
+  std::map<Key, Page> model;
+  uint64_t evictions = 0;
+  uint64_t reloads = 0;
+  size_t faulting_victims = 0;      // add_page's victim EWB faulted
+  size_t faulting_reload_room = 0;  // ELDU's victim EWB faulted
+  const auto resident_count = [&] {
+    return static_cast<size_t>(
+        std::count_if(model.begin(), model.end(),
+                      [](const auto& m) { return m.second.resident; }));
+  };
+  // make_room: false when the victim's EWB faults.
+  const auto make_room = [&] {
+    if (resident_count() < kCapacity) return true;
+    for (auto& [key, page] : model) {
+      if (!page.resident) continue;
+      if (page.flipped) return false;
+      page.resident = false;
+      ++evictions;
+      return true;
+    }
+    return false;  // capacity 0 only
+  };
+  // ELDU of a mapped page: false when it faults.
+  const auto page_in = [&](Page& page) {
+    if (page.resident) return true;
+    if (page.flipped) return false;
+    if (!make_room()) {
+      ++faulting_reload_room;
+      return false;
+    }
+    page.resident = true;
+    ++reloads;
+    return true;
+  };
+  const auto padded = [](crypto::Bytes bytes) {
+    bytes.resize(kPageSize, 0);
+    return bytes;
+  };
+
+  for (int step = 0; step < 4000; ++step) {
+    const Key key{1 + rng.uniform(kOwners), rng.uniform(kVaddrs)};
+    const auto it = model.find(key);
+    const bool mapped = it != model.end();
+    bool faults = false;
+    bool threw = false;
+    try {
+      switch (rng.uniform(8)) {
+        case 0:
+        case 1: {
+          const crypto::Bytes content = rng.uniform(3) == 0
+                                            ? crypto::Bytes()
+                                            : rng.bytes(1 + rng.uniform(64));
+          faults = mapped || !make_room();
+          if (!mapped && faults) ++faulting_victims;
+          if (!faults) model[key] = Page{padded(content)};
+          epc.add_page(key.first, key.second, content);
+          break;
+        }
+        case 2: {
+          faults = !mapped || !page_in(it->second) || it->second.flipped;
+          const crypto::Bytes page = epc.read_page(key.first, key.second);
+          ASSERT_FALSE(faults) << "step " << step;
+          ASSERT_EQ(page, it->second.content) << "step " << step;
+          break;
+        }
+        case 3: {
+          const crypto::Bytes content = rng.bytes(rng.uniform(64));
+          faults = !mapped || !page_in(it->second);
+          if (!faults) it->second = Page{padded(content)};
+          epc.write_page(key.first, key.second, content);
+          break;
+        }
+        case 4:
+          faults = !mapped || !it->second.resident || it->second.flipped;
+          if (!faults) {
+            it->second.resident = false;
+            ++evictions;
+          }
+          epc.evict_page(key.first, key.second);
+          break;
+        case 5:
+          if (rng.uniform(4) == 0) {
+            std::erase_if(model, [&](const auto& m) {
+              return m.first.first == key.first;
+            });
+            epc.remove_enclave(key.first);
+          }
+          break;
+        default:
+          if (mapped) it->second.flipped = !it->second.flipped;
+          ASSERT_EQ(epc.adversary_corrupt(key.first, key.second, 100), mapped);
+          break;
+      }
+    } catch (const HardwareFault&) {
+      threw = true;
+    }
+    if (HasFatalFailure()) return;
+    ASSERT_EQ(threw, faults) << "step " << step;
+
+    ASSERT_EQ(epc.evictions(), evictions) << "step " << step;
+    ASSERT_EQ(epc.reloads(), reloads) << "step " << step;
+    ASSERT_EQ(epc.pages_in_use(), resident_count()) << "step " << step;
+    for (EnclaveId owner = 1; owner <= kOwners; ++owner) {
+      ASSERT_EQ(epc.pages_of(owner),
+                static_cast<size_t>(std::count_if(
+                    model.begin(), model.end(),
+                    [owner](const auto& m) { return m.first.first == owner; })))
+          << "step " << step;
+      for (uint64_t vaddr = 0; vaddr < kVaddrs; ++vaddr) {
+        const auto m = model.find({owner, vaddr});
+        const bool resident = m != model.end() && m->second.resident;
+        ASSERT_EQ(epc.resident(owner, vaddr), resident)
+            << "step " << step << ", page (" << owner << ", " << vaddr << ")";
+        if (resident && !m->second.flipped) {
+          ASSERT_EQ(epc.read_page(owner, vaddr), m->second.content)
+              << "step " << step << ", page (" << owner << ", " << vaddr << ")";
+        }
+      }
+    }
+  }
+  EXPECT_GT(evictions, 0u);
+  EXPECT_GT(reloads, 0u);
+  EXPECT_GT(faulting_victims, 0u);
+  EXPECT_GT(faulting_reload_room, 0u);
+}
+
 }  // namespace
 }  // namespace tenet::sgx

@@ -113,6 +113,52 @@ TEST(EpcPaging, ReloadWithNoEvictableVictimKeepsThePageSpilled) {
                          crypto::to_bytes("spilled").begin()));
 }
 
+// EWB defers the spill's seal until the host looks at it. What the host
+// then sees must be exactly what an eager EWB sealed: the page padded to
+// 4 KB under the MEE key, on the owner's spill channel, with the EWB's
+// version as the sequence number and the vaddr as AAD. In a fresh EPC the
+// add takes version 1 and the EWB version 2.
+TEST(EpcPaging, ObservedSpillIsTheEagerSeal) {
+  constexpr EnclaveId kOwner = 3;
+  constexpr uint64_t kVaddr = 9;
+  const crypto::Bytes content = crypto::to_bytes("the spilled page's state");
+  crypto::Bytes page = content;
+  page.resize(kPageSize, 0);
+  crypto::Bytes aad;
+  crypto::append_u64(aad, kVaddr);
+  const crypto::Bytes eager =
+      crypto::Aead(mee_key()).seal(kOwner ^ 0x5350494Cu, 2, page, aad);
+
+  // Read first, then snapshot.
+  Epc epc(mee_key());
+  epc.add_page(kOwner, kVaddr, content);
+  epc.evict_page(kOwner, kVaddr);
+  const crypto::Bytes ct = *epc.adversary_read_ciphertext(kOwner, kVaddr);
+  EXPECT_EQ(crypto::Aead::record_seq(ct), 2u);
+  EXPECT_EQ(ct, eager);
+  EXPECT_EQ(*epc.adversary_read_ciphertext(kOwner, kVaddr), ct);
+  crypto::Bytes snapshot;
+  crypto::append_u64(snapshot, 2);
+  crypto::append(snapshot, eager);
+  EXPECT_EQ(*epc.adversary_snapshot_spill(kOwner, kVaddr), snapshot);
+
+  // Snapshot first, then read; and a page the host saw sealed while
+  // resident spills to the same bytes.
+  Epc other(mee_key());
+  other.add_page(kOwner, kVaddr, content);
+  ASSERT_TRUE(other.adversary_read_ciphertext(kOwner, kVaddr).has_value());
+  other.evict_page(kOwner, kVaddr);
+  EXPECT_EQ(*other.adversary_snapshot_spill(kOwner, kVaddr), snapshot);
+  EXPECT_EQ(*other.adversary_read_ciphertext(kOwner, kVaddr), eager);
+
+  // An observed spill that is then corrupted still faults at ELDU, and
+  // stays spilled.
+  ASSERT_TRUE(epc.adversary_corrupt(kOwner, kVaddr, 100));
+  EXPECT_THROW((void)epc.read_page(kOwner, kVaddr), HardwareFault);
+  EXPECT_FALSE(epc.resident(kOwner, kVaddr));
+  EXPECT_EQ(epc.reloads(), 0u);
+}
+
 TEST(EpcPaging, SpilledCiphertextHidesContent) {
   Epc epc(mee_key());
   const crypto::Bytes secret = crypto::to_bytes("the enclave's private state");

@@ -83,9 +83,10 @@ TEST(TelemetryCrosscheck, PagingCountersMatchEpcTallies) {
 }
 
 TEST(TelemetryCrosscheck, MeeCountsMatchEagerSealing) {
-  // The MEE seals a resident page only once its ciphertext can be
-  // observed, but the counters tally what sealing every add, EWB and ELDU
-  // would: a seal per add_page, an open and a seal per EWB and per ELDU.
+  // The MEE seals a page, resident or spilled, only once its ciphertext
+  // can be observed, but the counters tally what sealing every add, EWB
+  // and ELDU would: a seal per add_page, an open and a seal per EWB and
+  // per ELDU.
   // write_page, read_page and observations are not counted. The pinned
   // values are the ones the eagerly sealing MEE produced for this script.
   TelemetryOn on;
