@@ -12,6 +12,7 @@
 
 #include "bench_util.h"
 #include "sgx/apps.h"
+#include "telemetry/trace.h"
 
 using namespace tenet;
 using namespace tenet::sgx;
@@ -26,6 +27,7 @@ struct SweepPoint {
 };
 
 SweepPoint run_point(uint32_t batch_size, bool crypto_on, bool switchless) {
+  TENET_TRACE_ROOT("ablation", "batch_point");
   Authority authority;
   Vendor vendor("batch-vendor");
   Platform platform(authority,

@@ -6,6 +6,7 @@
 // ~cubic in the modulus length).
 #include "bench_util.h"
 #include "sgx/apps.h"
+#include "telemetry/trace.h"
 
 using namespace tenet;
 using namespace tenet::sgx;
@@ -18,6 +19,7 @@ struct Cost {
 };
 
 Cost attestation_cost(const crypto::DhGroup* group, const char* label) {
+  TENET_TRACE_ROOT("ablation", "dh_attestation");
   Authority authority;
   Vendor vendor("dh-vendor");
   AttestationConfig config;

@@ -4,6 +4,7 @@
 // instruction counts printed by the table benches).
 #include <benchmark/benchmark.h>
 
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -273,7 +274,26 @@ void BM_BgpCompute(benchmark::State& state) {
     benchmark::DoNotOptimize(routing::BgpComputation::compute(policies));
   }
 }
-BENCHMARK(BM_BgpCompute)->Arg(10)->Arg(20)->Arg(30);
+BENCHMARK(BM_BgpCompute)->Arg(10)->Arg(20)->Arg(30)->Arg(128);
+
+// One shard's share of control-failover's fixpoint: 128 ASes, the origins
+// of round-robin slice 0 of 8 (the sharded controller's partition).
+void BM_BgpComputeSlice(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  crypto::Drbg topo_rng = crypto::Drbg::from_label(n, "bench.bgp");
+  const routing::AsGraph graph = routing::AsGraph::random(topo_rng, n);
+  const auto policies = routing::RoutingPolicy::from_graph(graph, topo_rng);
+  std::set<routing::AsNumber> origins;
+  size_t index = 0;
+  for (const auto& [asn, policy] : policies) {
+    if (index++ % 8 == 0) origins.insert(asn);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        routing::BgpComputation::compute(policies, origins));
+  }
+}
+BENCHMARK(BM_BgpComputeSlice)->Arg(128);
 
 void BM_ChordLookup(benchmark::State& state) {
   tor::ChordRing ring;

@@ -41,6 +41,7 @@
 #include "crypto/rng.h"
 #include "netsim/reference_sim.h"
 #include "netsim/sim.h"
+#include "telemetry/trace.h"
 
 using namespace tenet;
 using Clock = std::chrono::steady_clock;
@@ -136,6 +137,9 @@ TorResult run_tor_workload(size_t n_relays, size_t n_cells, uint64_t seed) {
   };
 
   SimT sim(seed);
+  // Opened once the engine's virtual clock is installed, and closed before
+  // the engine goes: the run's events are this root's descendants.
+  TENET_TRACE_ROOT("scale", "tor_workload");
   if constexpr (requires { sim.reserve_nodes(n_relays); }) {
     sim.reserve_nodes(n_relays + 2);
     sim.set_run_cap(0);  // the workload is finite by construction
@@ -285,6 +289,7 @@ AsResult run_as_workload(size_t n_ases, size_t n_origins, uint64_t seed) {
   };
 
   netsim::Simulator sim(seed);
+  TENET_TRACE_ROOT("scale", "as_workload");
   sim.reserve_nodes(n_ases);
   sim.set_run_cap(0);
   std::vector<std::unique_ptr<As>> ases;

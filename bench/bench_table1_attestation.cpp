@@ -12,6 +12,7 @@
 
 #include "bench_util.h"
 #include "sgx/apps.h"
+#include "telemetry/trace.h"
 
 using namespace tenet;
 using namespace tenet::sgx;
@@ -50,6 +51,7 @@ void accumulate_instr_totals(std::initializer_list<const Enclave*> enclaves) {
 }
 
 AttestCost run_attestation(bool use_dh) {
+  TENET_TRACE_ROOT("attestation", "run_attestation");
   Authority authority;
   Vendor vendor("bench-vendor");
   AttestationConfig config;

@@ -19,6 +19,7 @@
 
 #include "bench_util.h"
 #include "sgx/apps.h"
+#include "telemetry/trace.h"
 
 using namespace tenet;
 using namespace tenet::sgx;
@@ -32,6 +33,7 @@ struct SendRun {
 };
 
 SendRun run_send(uint32_t packets, bool crypto_on, bool switchless) {
+  TENET_TRACE_ROOT("packet_io", "send_run");
   Authority authority;
   Vendor vendor("io-vendor");
   Platform platform(authority, "io-host-" + std::to_string(packets) +

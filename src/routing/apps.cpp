@@ -200,6 +200,7 @@ void InterDomainControllerApp::maybe_compute_sharded(core::Ctx& ctx) {
     charge_compute_arena(ctx, retained + candidates * 1'792);
     slice_ = std::move(slice);
     slice_valid_ = true;
+    distribution_current_ = false;
     send_partials(ctx);
   }
   maybe_distribute_sharded(ctx);
@@ -214,10 +215,24 @@ void InterDomainControllerApp::send_partials(core::Ctx& ctx, uint32_t only) {
     // Bundle our slice's rows for every AS this member fronts. An empty
     // bundle still goes out: the receiver counts senders, not rows.
     std::vector<AsNumber> fronted;
+    size_t bytes = 9;  // tag | from_shard | n, then LV-coded routes
     for (const auto& [asn, ab] : admitted_by_) {
-      if (ab.shard == m.shard) fronted.push_back(asn);
+      if (ab.shard != m.shard) continue;
+      fronted.push_back(asn);
+      bytes += 12;  // asn | n_rows | n_cands
+      const auto t = slice_->tables.find(asn);
+      if (t != slice_->tables.end()) {
+        for (const auto& [p, r] : t->second) bytes += 4 + r.serialized_size();
+      }
+      const auto c = slice_->candidates.find(asn);
+      if (c != slice_->candidates.end()) {
+        for (const auto& [p, v] : c->second) {
+          for (const Route& r : v) bytes += 4 + r.serialized_size();
+        }
+      }
     }
     crypto::Bytes inner;
+    inner.reserve(bytes);
     inner.push_back(kAggPartial);
     crypto::append_u32(inner, self);
     crypto::append_u32(inner, static_cast<uint32_t>(fronted.size()));
@@ -253,6 +268,14 @@ void InterDomainControllerApp::send_partials(core::Ctx& ctx, uint32_t only) {
 
 void InterDomainControllerApp::maybe_distribute_sharded(core::Ctx& ctx) {
   if (!slice_valid_ || !slice_.has_value()) return;
+  // A full pass is a function of slice_, partials_ and admitted_by_ (plus
+  // sent_tables_, which only this function writes): while none of them has
+  // changed since the last one, it would rebuild and re-encode every
+  // fronted table only to find each equal to what was sent. slice_ and
+  // partials_ clear the flag where they change; every write to
+  // admitted_by_ (store_policy, shard_install, reforward_admitted) also
+  // clears slice_valid_, and the recompute that follows assigns slice_.
+  if (distribution_current_) return;
   const uint32_t self = shard()->self_shard();
   for (const core::ShardMember& m : shard()->members()) {
     if (m.shard == self) continue;
@@ -305,6 +328,7 @@ void InterDomainControllerApp::maybe_distribute_sharded(core::Ctx& ctx) {
     }
     last = std::move(advert);
   }
+  distribution_current_ = true;
 }
 
 // ---------------------------------------------------------------------------
@@ -432,6 +456,7 @@ void InterDomainControllerApp::on_shard_down(core::Ctx& ctx,
   // from the live set — drop the stale partial and recompute our (now
   // larger) slice.
   partials_.erase(shard_id);
+  distribution_current_ = false;
   slice_valid_ = false;
   reforward_admitted(ctx);
 }
@@ -559,6 +584,7 @@ void InterDomainControllerApp::shard_app(core::Ctx& ctx, uint32_t from,
       }
       ctx.alloc(inner.size());
       partials_[sender] = std::move(rows);
+      distribution_current_ = false;
       maybe_compute(ctx);
       return;
     }

@@ -171,6 +171,9 @@ class InterDomainControllerApp final : public core::SecureApp {
   std::optional<ComputationResult> slice_;  // fixpoint over our origins
   std::map<uint32_t, std::map<AsNumber, PartialRows>> partials_;
   std::map<netsim::NodeId, crypto::Bytes> sent_tables_;  // de-dup re-sends
+  // The last full distribution pass still reflects slice_, partials_ and
+  // admitted_by_ (see maybe_distribute_sharded).
+  bool distribution_current_ = false;
 };
 
 /// AS-local controller (enclave). Keeps its AS's policy private, attests

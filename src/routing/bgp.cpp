@@ -46,6 +46,7 @@ uint32_t local_pref_of(const RoutingPolicy& p, AsNumber nbr) {
 
 crypto::Bytes Route::serialize() const {
   crypto::Bytes out;
+  out.reserve(serialized_size());
   crypto::append_u32(out, prefix);
   crypto::append_u32(out, static_cast<uint32_t>(as_path.size()));
   for (const AsNumber a : as_path) crypto::append_u32(out, a);
@@ -53,6 +54,11 @@ crypto::Bytes Route::serialize() const {
   crypto::append_u32(out, pref);
   out.push_back(self_originated ? 1 : 0);
   return out;
+}
+
+size_t Route::serialized_size() const {
+  // prefix | path length | path | learned_from | pref | self_originated
+  return 4 + 4 + 4 * as_path.size() + 1 + 4 + 1;
 }
 
 Route Route::deserialize(crypto::BytesView wire) {
@@ -113,22 +119,92 @@ ComputationResult BgpComputation::compute_filtered(
     const std::set<AsNumber>* origin_filter) {
   validate_consistency(policies);
 
-  ComputationResult result;
-  // Collect origins (restricted to the filter's ASes when slicing).
-  std::vector<std::pair<Prefix, AsNumber>> origins;
+  // Dense form: AS rank r is the r-th policy in ASN order, and every loop
+  // below visits ASes, and each AS's neighbors, in ASN order. Ties, the
+  // order of each candidate vector and the sequence of per-candidate
+  // charges depend on that order (BgpPinned.* pins all three).
+  const size_t n = policies.size();
+  std::vector<AsNumber> asn_of;
+  std::vector<const RoutingPolicy*> policy_of;
+  asn_of.reserve(n);
+  policy_of.reserve(n);
   for (const auto& [asn, policy] : policies) {
-    if (origin_filter != nullptr && !origin_filter->contains(asn)) continue;
-    for (const Prefix p : policy.prefixes) origins.emplace_back(p, asn);
+    asn_of.push_back(asn);
+    policy_of.push_back(&policy);
+  }
+  const auto rank_of = [&asn_of](AsNumber asn) {
+    return static_cast<uint32_t>(
+        std::lower_bound(asn_of.begin(), asn_of.end(), asn) - asn_of.begin());
+  };
+
+  // Adjacency in CSR form; edge e of AS r (edges[first[r] + e]) is r's
+  // e-th neighbor in neighbor_rel order.
+  struct Edge {
+    uint32_t nbr;           // the neighbor's rank
+    Relationship rel;       // the neighbor's role seen from this AS
+    Relationship rel_back;  // this AS's role seen from the neighbor
+    uint32_t pref_in;       // this AS's import pref for the neighbor's routes
+    uint32_t pref_out;      // the neighbor's import pref for this AS's routes
+  };
+  std::vector<uint32_t> first(n + 1, 0);
+  std::vector<Edge> edges;
+  for (size_t r = 0; r < n; ++r) {
+    const RoutingPolicy& pr = *policy_of[r];
+    for (const auto& [nbr, rel] : pr.neighbor_rel) {
+      const uint32_t u = rank_of(nbr);
+      // validate_consistency guarantees the neighbor's annotation of us.
+      const Relationship back = inverse(rel);
+      edges.push_back(
+          Edge{u, rel, back, import_pref(rel, local_pref_of(pr, nbr)),
+               import_pref(back, local_pref_of(*policy_of[u], asn_of[r]))});
+    }
+    first[r + 1] = static_cast<uint32_t>(edges.size());
   }
 
+  // Collect origins (restricted to the filter's ASes when slicing).
+  std::vector<std::pair<Prefix, uint32_t>> origins;
+  for (size_t r = 0; r < n; ++r) {
+    if (origin_filter != nullptr && !origin_filter->contains(asn_of[r])) {
+      continue;
+    }
+    for (const Prefix p : policy_of[r]->prefixes) origins.emplace_back(p, r);
+  }
+
+  // What each AS holds: its current best route (the origin holds its
+  // self-originated one). Two generations, swapped after every sweep.
+  struct Held {
+    bool reachable = false;
+    Relationship learned_from = Relationship::kCustomer;
+    uint32_t pref = 0;
+    std::vector<AsNumber> as_path;
+  };
+  std::vector<Held> best(n);
+  std::vector<Held> next(n);
+  const auto on_path = [](const Held& h, AsNumber asn) {
+    return std::find(h.as_path.begin(), h.as_path.end(), asn) !=
+           h.as_path.end();
+  };
+
+  // Each AS's entries in `result`, looked up once (per call, and per origin
+  // for heard = candidates_of[v][prefix]): a map lookup per route cost a
+  // sixth of a 1/8 slice.
+  ComputationResult result;
+  std::vector<RoutingTable*> table_of(n, nullptr);
+  std::vector<std::map<Prefix, std::vector<Route>>*> candidates_of(n, nullptr);
+  std::vector<std::vector<Route>*> heard(n);
+
   for (const auto& [prefix, origin] : origins) {
-    // best[asn] = current best route (absent = unreachable so far).
-    std::map<AsNumber, Route> best;
-    Route self;
-    self.prefix = prefix;
-    self.pref = 1000;
-    self.self_originated = true;
-    best[origin] = self;
+    for (size_t r = 0; r < n; ++r) {
+      best[r].reachable = false;
+      next[r].reachable = false;
+    }
+    for (std::vector<Held>* gen : {&best, &next}) {
+      Held& self = (*gen)[origin];
+      self.reachable = true;
+      self.learned_from = Relationship::kCustomer;
+      self.pref = 1000;
+      self.as_path.clear();
+    }
 
     // Synchronous best-response sweeps: each round, every AS re-chooses
     // its best route from what its neighbors *currently* hold (not a
@@ -139,86 +215,88 @@ ComputationResult BgpComputation::compute_filtered(
     size_t iterations = 0;
     while (changed) {
       changed = false;
-      if (++iterations > policies.size() + 8) {
+      if (++iterations > n + 8) {
         throw std::runtime_error("BgpComputation: failed to converge");
       }
-      std::map<AsNumber, Route> next = {{origin, self}};
-      for (const auto& [v, pv] : policies) {
+      for (size_t v = 0; v < n; ++v) {
         if (v == origin) continue;
-        const Route* best_cand = nullptr;
-        Route best_route;
-        for (const auto& [u, rel_u_from_v] : pv.neighbor_rel) {
-          const auto it = best.find(u);
-          if (it == best.end()) continue;
-          const Route& route_u = it->second;
-          const Relationship rel_v_from_u = policies.at(u).neighbor_rel.at(v);
-          if (!route_u.self_originated &&
-              !exportable(route_u.learned_from, rel_v_from_u)) {
+        const Edge* chosen = nullptr;
+        size_t chosen_len = 0;
+        for (uint32_t e = first[v]; e < first[v + 1]; ++e) {
+          const Edge& edge = edges[e];
+          const Held& held_u = best[edge.nbr];
+          if (!held_u.reachable) continue;
+          if (edge.nbr != origin &&
+              !exportable(held_u.learned_from, edge.rel_back)) {
             continue;
           }
           crypto::work::charge_alu(kAluPerCandidate +
-                                   kAluPerPathHop * route_u.as_path.size());
-          if (std::find(route_u.as_path.begin(), route_u.as_path.end(), v) !=
-              route_u.as_path.end()) {
-            continue;  // loop
-          }
-          Route cand;
-          cand.prefix = prefix;
-          cand.as_path.reserve(route_u.as_path.size() + 1);
-          cand.as_path.push_back(u);
-          cand.as_path.insert(cand.as_path.end(), route_u.as_path.begin(),
-                              route_u.as_path.end());
-          cand.learned_from = rel_u_from_v;
-          cand.pref = import_pref(rel_u_from_v, local_pref_of(pv, u));
-          if (best_cand == nullptr || cand.better_than(best_route)) {
-            best_route = std::move(cand);
-            best_cand = &best_route;
+                                   kAluPerPathHop * held_u.as_path.size());
+          if (on_path(held_u, asn_of[v])) continue;  // loop
+          // Route::better_than: higher pref, then shorter path. Its last
+          // rule, the lower next hop, keeps the earlier edge on a tie, as
+          // edges run in ascending neighbor order.
+          const size_t len = held_u.as_path.size() + 1;
+          if (chosen == nullptr || edge.pref_in > chosen->pref_in ||
+              (edge.pref_in == chosen->pref_in && len < chosen_len)) {
+            chosen = &edge;
+            chosen_len = len;
           }
         }
-        if (best_cand != nullptr) next[v] = std::move(best_route);
+        Held& out = next[v];
+        const bool was = best[v].reachable;
+        if (chosen == nullptr) {
+          out.reachable = false;
+          changed = changed || was;
+          continue;
+        }
+        const Held& via = best[chosen->nbr];
+        out.reachable = true;
+        out.learned_from = chosen->rel;
+        out.pref = chosen->pref_in;
+        out.as_path.clear();
+        out.as_path.push_back(asn_of[chosen->nbr]);
+        out.as_path.insert(out.as_path.end(), via.as_path.begin(),
+                           via.as_path.end());
+        changed = changed || !was || best[v].pref != out.pref ||
+                  best[v].as_path != out.as_path;
       }
-      auto equal = [](const std::map<AsNumber, Route>& a,
-                      const std::map<AsNumber, Route>& b) {
-        if (a.size() != b.size()) return false;
-        for (const auto& [k, r] : a) {
-          const auto it = b.find(k);
-          if (it == b.end() || it->second.as_path != r.as_path ||
-              it->second.pref != r.pref) {
-            return false;
-          }
-        }
-        return true;
-      };
-      changed = !equal(next, best);
-      best = std::move(next);
+      best.swap(next);
     }
 
     // Final pass: record converged tables and the candidate sets (what
     // each AS hears from each neighbor in the converged state).
-    for (const auto& [asn, route] : best) {
-      if (!route.self_originated) result.tables[asn][prefix] = route;
+    for (size_t r = 0; r < n; ++r) {
+      if (!best[r].reachable || r == origin) continue;
+      if (table_of[r] == nullptr) table_of[r] = &result.tables[asn_of[r]];
+      (*table_of[r])[prefix] = Route{
+          prefix, best[r].as_path, best[r].learned_from, best[r].pref, false};
     }
-    for (const auto& [u, route_u] : best) {
-      const RoutingPolicy& pu = policies.at(u);
-      for (const auto& [v, rel_v_from_u] : pu.neighbor_rel) {
-        if (!route_u.self_originated &&
-            !exportable(route_u.learned_from, rel_v_from_u)) {
+    std::fill(heard.begin(), heard.end(), nullptr);
+    for (size_t u = 0; u < n; ++u) {
+      const Held& held_u = best[u];
+      if (!held_u.reachable) continue;
+      for (uint32_t e = first[u]; e < first[u + 1]; ++e) {
+        const Edge& edge = edges[e];
+        const uint32_t v = edge.nbr;
+        if (u != origin && !exportable(held_u.learned_from, edge.rel)) {
           continue;
         }
-        if (v == origin ||
-            std::find(route_u.as_path.begin(), route_u.as_path.end(), v) !=
-                route_u.as_path.end()) {
-          continue;
+        if (v == origin || on_path(held_u, asn_of[v])) continue;
+        if (heard[v] == nullptr) {
+          if (candidates_of[v] == nullptr) {
+            candidates_of[v] = &result.candidates[asn_of[v]];
+          }
+          heard[v] = &(*candidates_of[v])[prefix];
         }
-        const RoutingPolicy& pv = policies.at(v);
-        Route cand;
+        Route& cand = heard[v]->emplace_back();
         cand.prefix = prefix;
-        cand.as_path.push_back(u);
-        cand.as_path.insert(cand.as_path.end(), route_u.as_path.begin(),
-                            route_u.as_path.end());
-        cand.learned_from = pv.neighbor_rel.at(u);
-        cand.pref = import_pref(cand.learned_from, local_pref_of(pv, u));
-        result.candidates[v][prefix].push_back(std::move(cand));
+        cand.as_path.reserve(held_u.as_path.size() + 1);
+        cand.as_path.push_back(asn_of[u]);
+        cand.as_path.insert(cand.as_path.end(), held_u.as_path.begin(),
+                            held_u.as_path.end());
+        cand.learned_from = edge.rel_back;
+        cand.pref = edge.pref_out;
         crypto::work::charge_alu(kAluPerCandidate);
       }
     }

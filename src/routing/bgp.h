@@ -38,6 +38,8 @@ struct Route {
   [[nodiscard]] size_t path_length() const { return as_path.size(); }
 
   [[nodiscard]] crypto::Bytes serialize() const;
+  /// serialize().size(), without building it.
+  [[nodiscard]] size_t serialized_size() const;
   static Route deserialize(crypto::BytesView wire);
   /// Full decision-process comparison: true if *this beats `other`.
   [[nodiscard]] bool better_than(const Route& other) const;

@@ -15,6 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+
 #include "core/node.h"
 #include "core/open_project.h"
 #include "core/ports.h"
@@ -370,6 +373,167 @@ TEST(ShardGroup, KillAndRejoinLosesNoAdmittedState) {
             cfg.n_ases);
   EXPECT_EQ(healed->query(kQueryShardServing), 1u);
   tables_match();
+}
+
+// ---------------------------------------------------------------------------
+// Sharded controller: a shard distributes tables only when the inputs of
+// its last distribution pass (own slice, members' partial rows, the
+// admission map) have changed, and every change still reaches every AS.
+// ---------------------------------------------------------------------------
+
+uint32_t local_pref_of(const routing::RoutingPolicy& p,
+                       routing::AsNumber nbr) {
+  const auto it = p.local_pref.find(nbr);
+  return it != p.local_pref.end() ? it->second : 0;
+}
+
+struct ShardedRouting {
+  ShardedRouting() : dep(config()) {
+    dep.run_attestation_phase();
+    dep.run_routing_phase();
+  }
+
+  static routing::ScenarioConfig config() {
+    routing::ScenarioConfig cfg;
+    cfg.n_ases = 24;
+    cfg.seed = 11;
+    cfg.shards = 4;
+    cfg.robust = true;
+    return cfg;
+  }
+
+  /// ASes whose received table differs from `truth` (path or preference).
+  std::vector<routing::AsNumber> mismatched(
+      const routing::ComputationResult& truth) {
+    std::vector<routing::AsNumber> bad;
+    for (const auto& [asn, policy] : dep.policies()) {
+      const routing::RoutingTable table = dep.table_of(asn);
+      const auto it = truth.tables.find(asn);
+      const size_t want = it != truth.tables.end() ? it->second.size() : 0;
+      bool ok = table.size() == want;
+      for (const auto& [prefix, route] : table) {
+        if (!ok) break;
+        const auto jt = it->second.find(prefix);
+        ok = jt != it->second.end() && jt->second.as_path == route.as_path &&
+             jt->second.pref == route.pref;
+      }
+      if (!ok) bad.push_back(asn);
+    }
+    return bad;
+  }
+
+  /// Messages from any controller shard to any AS node while `fn` runs
+  /// (route advertisements and verdicts are the only such traffic).
+  size_t shard_to_as_messages(const std::function<void()>& fn) {
+    std::set<netsim::NodeId> shards;
+    std::set<netsim::NodeId> ases;
+    for (size_t i = 0; i < dep.shard_count(); ++i) {
+      shards.insert(dep.shard_node(i)->id());
+    }
+    for (const auto& [asn, policy] : dep.policies()) {
+      ases.insert(dep.as_node(asn)->id());
+    }
+    size_t n = 0;
+    dep.sim().set_wiretap([&](const netsim::Message& m) {
+      if (shards.contains(m.src) && ases.contains(m.dst)) ++n;
+    });
+    fn();
+    dep.sim().set_wiretap(nullptr);
+    return n;
+  }
+
+  routing::RoutingDeployment dep;
+};
+
+TEST(ShardedController, UnchangedResubmissionSendsNoAdvertisement) {
+  ShardedRouting w;
+  const routing::ComputationResult truth =
+      routing::BgpComputation::compute(w.dep.policies());
+  ASSERT_TRUE(w.mismatched(truth).empty());
+  for (const auto& [asn, policy] : w.dep.policies()) {
+    const size_t sent = w.shard_to_as_messages([&] {
+      (void)w.dep.as_node(asn)->control(routing::kCtlSubmitPolicy, {});
+      w.dep.sim().run();
+    });
+    EXPECT_EQ(sent, 0u) << "AS " << asn << " resubmitted an unchanged policy";
+  }
+  EXPECT_TRUE(w.mismatched(truth).empty());
+}
+
+TEST(ShardedController, LivePolicyChangesReachEveryAffectedAs) {
+  ShardedRouting w;
+  // Settle every shard on an unchanged resubmission first, so each change
+  // below lands on shards whose last pass is current.
+  for (const auto& [asn, policy] : w.dep.policies()) {
+    (void)w.dep.as_node(asn)->control(routing::kCtlSubmitPolicy, {});
+    w.dep.sim().run();
+  }
+  std::map<routing::AsNumber, routing::RoutingPolicy> policies =
+      w.dep.policies();
+  ASSERT_TRUE(w.mismatched(routing::BgpComputation::compute(policies)).empty());
+
+  // One change per AS that hears two same-class, same-length offers for
+  // some prefix: raising the losing neighbor's local pref flips its choice
+  // and that of the ASes routing through it. The changes are applied one
+  // at a time, each checked against the ground truth of the updated set.
+  size_t changes = 0;
+  for (const auto& [who, policy] : w.dep.policies()) {
+    const routing::ComputationResult before =
+        routing::BgpComputation::compute(policies);
+    routing::AsNumber favorite = 0;
+    const auto cands_of = before.candidates.find(who);
+    if (cands_of == before.candidates.end()) continue;
+    for (const auto& [prefix, cands] : cands_of->second) {
+      const routing::Route* chosen = before.route_of(who, prefix);
+      if (chosen == nullptr || favorite != 0) continue;
+      for (const routing::Route& c : cands) {
+        if (c.next_hop() != chosen->next_hop() &&
+            c.learned_from == chosen->learned_from &&
+            c.path_length() == chosen->path_length() &&
+            local_pref_of(policies.at(who), c.next_hop()) != 99) {
+          favorite = c.next_hop();
+          break;
+        }
+      }
+    }
+    if (favorite == 0) continue;
+
+    policies.at(who).local_pref[favorite] = 99;
+    const routing::ComputationResult after =
+        routing::BgpComputation::compute(policies);
+    const std::vector<routing::AsNumber> affected = w.mismatched(after);
+    ASSERT_FALSE(affected.empty()) << "AS " << who;
+
+    crypto::Bytes arg;
+    crypto::append_u32(arg, favorite);
+    crypto::append_u32(arg, 99);
+    (void)w.dep.as_node(who)->control(routing::kCtlUpdateLocalPref, arg);
+    const size_t sent = w.shard_to_as_messages([&] {
+      (void)w.dep.as_node(who)->control(routing::kCtlSubmitPolicy, {});
+      w.dep.sim().run();
+    });
+    EXPECT_GE(sent, affected.size()) << "AS " << who;
+    EXPECT_EQ(w.mismatched(after), std::vector<routing::AsNumber>{})
+        << "after AS " << who << " prefers AS " << favorite;
+    ++changes;
+  }
+  EXPECT_GE(changes, 4u);
+}
+
+TEST(ShardedController, KillThenHealLeavesEveryTableAtGroundTruth) {
+  ShardedRouting w;
+  const routing::ComputationResult truth =
+      routing::BgpComputation::compute(w.dep.policies());
+  for (size_t victim = 1; victim < w.dep.shard_count(); ++victim) {
+    ASSERT_TRUE(w.dep.kill_shard(victim));
+    w.dep.sim().run();
+    EXPECT_EQ(w.mismatched(truth), std::vector<routing::AsNumber>{})
+        << "after killing shard " << victim;
+    ASSERT_TRUE(w.dep.heal_shard(victim));
+    w.dep.sim().run();
+    EXPECT_EQ(w.mismatched(truth), std::vector<routing::AsNumber>{})
+        << "after healing shard " << victim;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "crypto/rng.h"
+#include "crypto/sha256.h"
+#include "crypto/work.h"
 #include "sgx/cost_model.h"
 #include "test_seed.h"
 
@@ -49,6 +51,7 @@ TEST(Route, SerializationRoundTrips) {
   r.as_path = {1, 2, 3};
   r.learned_from = Relationship::kPeer;
   r.pref = 217;
+  EXPECT_EQ(r.serialize().size(), r.serialized_size());
   const Route q = Route::deserialize(r.serialize());
   EXPECT_EQ(q.prefix, 42u);
   EXPECT_EQ(q.as_path, r.as_path);
@@ -264,6 +267,111 @@ TEST(Bgp, StabilityCheckerCatchesViolations) {
   broken = tables;
   broken[1][3].as_path = {2};
   EXPECT_THROW(ReferenceBgp::check_stable(policies, broken), std::logic_error);
+}
+
+// Pinned results at the control-failover scale: the scenario generator's
+// 128-AS graphs at seeds 2015 and 7. The metered ALU total and a digest
+// over `tables` and `candidates` (map order, candidate vectors in order)
+// must not move when the fixpoint's data structures change — the modeled
+// Table 4 cost is charged per candidate, and the verification module reads
+// the candidate vectors in order.
+struct Metered {
+  ComputationResult result;
+  uint64_t alu = 0;
+  uint64_t charge_trail = 0;  // FNV-1a over every charge, in call order
+};
+
+uint64_t g_charge_trail = 0;
+
+void fold_charge(crypto::work::Kind kind, uint64_t n) {
+  for (const uint64_t v : {static_cast<uint64_t>(kind), n}) {
+    g_charge_trail = (g_charge_trail ^ v) * 0x100000001b3ULL;
+  }
+}
+
+Metered metered_compute(const std::map<AsNumber, RoutingPolicy>& policies,
+                        const std::set<AsNumber>* origins = nullptr) {
+  crypto::WorkCounters counters;
+  Metered m;
+  g_charge_trail = 0xcbf29ce484222325ULL;
+  const crypto::work::Observer prev = crypto::work::set_observer(fold_charge);
+  {
+    crypto::work::Scope scope(&counters);
+    m.result = origins != nullptr ? BgpComputation::compute(policies, *origins)
+                                  : BgpComputation::compute(policies);
+  }
+  crypto::work::set_observer(prev);
+  m.alu = counters.alu_ops;
+  m.charge_trail = g_charge_trail;
+  return m;
+}
+
+std::string result_digest(const ComputationResult& r) {
+  crypto::Sha256 h;
+  crypto::Bytes buf;
+  for (const auto& [asn, table] : r.tables) {
+    crypto::append_u32(buf, asn);
+    crypto::append_u32(buf, static_cast<uint32_t>(table.size()));
+    for (const auto& [prefix, route] : table) {
+      crypto::append_lv(buf, route.serialize());
+    }
+  }
+  for (const auto& [asn, per_prefix] : r.candidates) {
+    crypto::append_u32(buf, asn);
+    for (const auto& [prefix, cands] : per_prefix) {
+      crypto::append_u32(buf, prefix);
+      crypto::append_u32(buf, static_cast<uint32_t>(cands.size()));
+      for (const Route& c : cands) crypto::append_lv(buf, c.serialize());
+    }
+  }
+  h.update(buf);
+  return crypto::digest_hex(h.finish()).substr(0, 16);
+}
+
+void expect_pinned(uint64_t seed, uint64_t want_alu, uint64_t want_trail,
+                   const std::string& want_digest) {
+  // The scenario's own generator (RoutingDeployment), so these are the
+  // graphs the sharded controller computes over.
+  crypto::Drbg rng = crypto::Drbg::from_label(seed, "routing.scenario");
+  const AsGraph g = AsGraph::random(rng, 128, 0.15);
+  const auto policies = RoutingPolicy::from_graph(g, rng);
+
+  const Metered whole = metered_compute(policies);
+  EXPECT_EQ(whole.alu, want_alu) << "seed " << seed;
+  EXPECT_EQ(whole.charge_trail, want_trail) << "seed " << seed;
+  EXPECT_EQ(result_digest(whole.result), want_digest) << "seed " << seed;
+
+  // Eight round-robin slices over the sorted policy set (the sharded
+  // controller's partition): the charges add up to the whole compute's and
+  // the union is the whole result.
+  constexpr size_t kSlices = 8;
+  uint64_t alu = 0;
+  ComputationResult merged;
+  for (size_t s = 0; s < kSlices; ++s) {
+    std::set<AsNumber> origins;
+    size_t index = 0;
+    for (const auto& [asn, policy] : policies) {
+      if (index++ % kSlices == s) origins.insert(asn);
+    }
+    Metered slice = metered_compute(policies, &origins);
+    alu += slice.alu;
+    for (auto& [asn, table] : slice.result.tables) {
+      merged.tables[asn].merge(table);
+    }
+    for (auto& [asn, per_prefix] : slice.result.candidates) {
+      merged.candidates[asn].merge(per_prefix);
+    }
+  }
+  EXPECT_EQ(alu, want_alu) << "seed " << seed;
+  EXPECT_EQ(result_digest(merged), want_digest) << "seed " << seed;
+}
+
+TEST(BgpPinned, Scenario128AsSeed2015) {
+  expect_pinned(2015, 332'358'600, 0xabffce6c5febe503ULL, "a7d4cb5d8fb8e8c9");
+}
+
+TEST(BgpPinned, Scenario128AsSeed7) {
+  expect_pinned(7, 313'196'250, 0x747a6850a8c1dc6dULL, "7ed8477f58bcecd3");
 }
 
 }  // namespace

@@ -106,6 +106,19 @@ def write_bundle(tmp, events, scrapes, health, trace=None):
     return d
 
 
+def gap_then_network_trace(cost_key):
+    """A 1 ms trace: 60 us of an enclave span whose whole self-cost is
+    `cost_key`, then 940 us on the network."""
+    return {"traceEvents": [
+        {"name": "ecall", "cat": "sgx", "ph": "X", "ts": 0, "dur": 60,
+         "pid": 1, "tid": 1,
+         "args": {"trace": 1, "span": 1, "parent": 0,
+                  "self": {cost_key: 25000}}},
+        {"name": "deliver", "cat": "net", "ph": "X", "ts": 60, "dur": 940,
+         "pid": 1, "tid": 1, "args": {"trace": 1, "span": 2, "parent": 1}},
+    ], "displayTimeUnit": "ms"}
+
+
 def analyze_dir(bundle, *args):
     """Runs analyze.main on `bundle`; returns (exit code, stdout)."""
     buf = io.StringIO()
@@ -398,6 +411,25 @@ class BundleTest(unittest.TestCase):
             manifest["telemetry"] = False
             (bundle / "manifest.json").write_text(json.dumps(manifest))
             self.assertEqual(analyze_dir(bundle)[0], 0)
+
+    def test_paging_only_gap_passes_check(self):
+        # 6% of a 1 ms trace is EAUG paging on the enclave side: a modeled
+        # part, so the trace is still explained.
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = write_bundle(tmp, *clean_drill(),
+                                  trace=gap_then_network_trace("paging"))
+            rc, out = analyze_dir(bundle, "--check")
+        self.assertEqual(rc, 0, out)
+        self.assertIn("paging            60.0 us    6.00%", out)
+
+    def test_compute_only_gap_fails_check(self):
+        # The same 6%, as unmodeled compute: below the 95% floor.
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = write_bundle(tmp, *clean_drill(),
+                                  trace=gap_then_network_trace("norm"))
+            rc, out = analyze_dir(bundle, "--check")
+        self.assertEqual(rc, 1, out)
+        self.assertIn("covers 94.00% of 1.000 ms, below 95.0%", out)
 
     def test_unlisted_file_is_not_read(self):
         # A leftover from an earlier export into the same directory: not

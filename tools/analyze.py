@@ -25,8 +25,8 @@ telemetry-on bundle's trace holds no span. --check also fails the run on
   * a violated trace invariant: one connected root per trace, self <=
     incl, span self-costs plus the untraced remainder equal to the
     exporter's totals to the instruction, and critical-path coverage
-    (network + transitions + crypto + control phases) of at least 95% on
-    traces of 1 ms or more;
+    (network + transitions + crypto + EPC paging + control phases) of at
+    least 95% on traces of 1 ms or more;
   * a fleet anomaly, each a check across artifacts:
       counter_regression     a cumulative counter moved backwards between
                              scrapes (instruments are never destroyed);
@@ -436,7 +436,10 @@ def self_check(spans, other, out=None):
                     f"!= total={total[k]}")
 
     # 4. Critical-path coverage on substantial traces: transitions +
-    #    crypto + network must explain >= MIN_COVERAGE% of the latency.
+    #    crypto + paging + network must explain >= MIN_COVERAGE% of the
+    #    latency. Paging (EAUG page setup as enclave heap grows) is a
+    #    modeled part like the others; only unmodeled compute and queueing
+    #    count against a trace.
     for tid, trace_spans in traces.items():
         by_id, _ = build_dag(trace_spans)
         chain = critical_path(trace_spans, by_id)
@@ -444,12 +447,12 @@ def self_check(spans, other, out=None):
         if total < 1000:  # < 1 ms of virtual time: control-query noise
             continue
         covered = (phases["network"] + phases["transitions"] +
-                   phases["crypto"] +
+                   phases["crypto"] + phases["paging"] +
                    sum(phases[p] for p in CONTROL_PHASES))
         pct = 100.0 * covered / total
         if pct < MIN_COVERAGE:
             errors.append(
-                f"trace {tid}: network+transitions+crypto covers "
+                f"trace {tid}: network+transitions+crypto+paging covers "
                 f"{pct:.2f}% of {fmt_us(total)}, below {MIN_COVERAGE}% "
                 f"(queueing={fmt_us(phases['queueing'])}, "
                 f"compute={fmt_us(phases['compute'])})")
