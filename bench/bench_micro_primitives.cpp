@@ -4,6 +4,7 @@
 // instruction counts printed by the table benches).
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -404,6 +405,29 @@ void BM_OnionWrap3Hops(benchmark::State& state) {
 }
 BENCHMARK(BM_OnionWrap3Hops);
 
+// With --export, the timed runs leave telemetry off: a case runs for up
+// to millions of iterations, and tracing them all wrote a ~2 GB trace.json
+// that tools/analyze.py could not load. google-benchmark re-runs each case
+// once more, untimed and for at most 16 iterations, when a MemoryManager
+// is registered; this one traces that run, under a trace root of its own,
+// instead of measuring memory (so --benchmark_format=json reports 0
+// allocations for every case).
+class TraceUntimedRun final : public benchmark::MemoryManager {
+ public:
+  void Start() override {
+    telemetry::set_enabled(true);
+    root_.emplace("bench", "untimed_run", /*mint_root=*/true);
+  }
+  void Stop(Result& /*result*/) override {
+    root_.reset();
+    telemetry::set_enabled(false);
+  }
+  void Stop(Result* result) override { Stop(*result); }
+
+ private:
+  std::optional<telemetry::SpanScope> root_;
+};
+
 }  // namespace
 
 // bench::Telemetry takes --export like every other bench. google-benchmark
@@ -411,6 +435,11 @@ BENCHMARK(BM_OnionWrap3Hops);
 // of argv before benchmark::Initialize.
 int main(int argc, char** argv) {
   const tenet::bench::Telemetry telemetry(argc, argv);
+  TraceUntimedRun traced_run;
+  if (telemetry.active()) {
+    tenet::telemetry::set_enabled(false);
+    benchmark::RegisterMemoryManager(&traced_run);
+  }
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i];

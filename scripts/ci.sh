@@ -33,6 +33,8 @@
 #                              # loss setter name outside FaultPlan) +
 #                              # one-bench-gate check (no retired baseline,
 #                              # comparer or summary-tool name) +
+#                              # one-hash-table check (no U64Map,
+#                              # erase_slot or netsim/flat_hash.h in src/) +
 #                              # one-export-bundle check (no retired
 #                              # artifact flag; fopen in src/telemetry/ only
 #                              # in the bundle writer) +
@@ -210,6 +212,14 @@ case "$mode" in
         bench scripts tests tools .github; then
       echo "lint: each bench gates itself; pin the value or threshold in" \
         "the bench with bench::Gate instead" >&2
+      exit 1
+    fi
+    # One hash table (DESIGN.md §12): crypto::FlatMap is the only
+    # open-addressing table. The netsim map and the EPC's private probing
+    # and backward-shift erase it replaced stay out.
+    if grep -rnE '\bU64Map\b|\berase_slot\b|netsim/flat_hash\.h' src; then
+      echo "lint: keyed hot state lives in crypto::FlatMap" \
+        "(src/crypto/flat_map.h); use it instead of a second table" >&2
       exit 1
     fi
     # One export bundle (DESIGN.md §8): a run's artifacts leave through

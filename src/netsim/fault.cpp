@@ -28,7 +28,7 @@ void FaultPlan::set_default(const LinkFaults& faults) {
 
 void FaultPlan::set_link(NodeId a, NodeId b, const LinkFaults& faults) {
   validate(faults);
-  per_link_[link_key(a, b)] = faults;
+  per_link_.insert(link_key(a, b)).value = faults;
 }
 
 const LinkFaults& FaultPlan::faults(NodeId a, NodeId b) const {
@@ -38,12 +38,12 @@ const LinkFaults& FaultPlan::faults(NodeId a, NodeId b) const {
 
 void FaultPlan::add_link_window(NodeId a, NodeId b, double from, double until) {
   if (until < from) throw std::invalid_argument("FaultPlan: window ends early");
-  link_windows_[link_key(a, b)].push_back(Window{from, until});
+  link_windows_.insert(link_key(a, b)).value.push_back(Window{from, until});
 }
 
 void FaultPlan::add_node_window(NodeId node, double from, double until) {
   if (until < from) throw std::invalid_argument("FaultPlan: window ends early");
-  node_windows_[node].push_back(Window{from, until});
+  node_windows_.insert(node).value.push_back(Window{from, until});
 }
 
 void FaultPlan::add_partition(const std::vector<NodeId>& side_a,
@@ -55,7 +55,8 @@ void FaultPlan::add_partition(const std::vector<NodeId>& side_a,
       if (a == b) {
         throw std::invalid_argument("FaultPlan: node on both partition sides");
       }
-      partition_windows_[link_key(a, b)].push_back(Window{from, until});
+      partition_windows_.insert(link_key(a, b))
+          .value.push_back(Window{from, until});
     }
   }
   all_partitions_.push_back(Window{from, until});

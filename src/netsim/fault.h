@@ -14,14 +14,15 @@
 // byte-identical to a simulator without a plan at all.
 //
 // Plan state is keyed by the same normalized link_key() the Simulator
-// uses (flat_hash.h), so per-event fault lookups are O(1) flat-hash
-// probes rather than ordered-map walks.
+// uses (message.h), so per-event fault lookups are O(1) probes of the
+// one flat table (crypto/flat_map.h) rather than ordered-map walks.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "netsim/flat_hash.h"
+#include "crypto/flat_map.h"
+#include "netsim/message.h"
 
 namespace tenet::netsim {
 
@@ -102,10 +103,11 @@ class FaultPlan {
   static bool in_any(const std::vector<Window>& windows, double t);
 
   LinkFaults default_;
-  U64Map<LinkFaults> per_link_;               // by link_key(a, b)
-  U64Map<std::vector<Window>> link_windows_;  // by link_key(a, b)
-  U64Map<std::vector<Window>> node_windows_;  // by node id
-  U64Map<std::vector<Window>> partition_windows_;  // by link_key(a, b)
+  using Windows = std::vector<Window>;
+  crypto::FlatMap<uint64_t, LinkFaults> per_link_;  // by link_key(a, b)
+  crypto::FlatMap<uint64_t, Windows> link_windows_;  // by link_key(a, b)
+  crypto::FlatMap<uint64_t, Windows> node_windows_;  // by node id
+  crypto::FlatMap<uint64_t, Windows> partition_windows_;  // by link_key(a, b)
   std::vector<Window> all_partitions_;  // one per add_partition call
   FaultCounters counters_;
 };

@@ -14,6 +14,19 @@ using NodeId = uint32_t;
 
 constexpr NodeId kInvalidNode = 0;  // node ids start at 1
 
+/// Packs a directed node pair into one 64-bit key (src in the high half).
+[[nodiscard]] constexpr uint64_t directed_link_key(NodeId a, NodeId b) {
+  return (static_cast<uint64_t>(a) << 32) | b;
+}
+
+/// Normalized (min,max) key: both directions of a link map to one key.
+/// The single place ordered-pair normalization happens — latency() and
+/// the fault plan share it, so a link's attributes are looked up once per
+/// event instead of re-normalizing in every accessor.
+[[nodiscard]] constexpr uint64_t link_key(NodeId a, NodeId b) {
+  return a < b ? directed_link_key(a, b) : directed_link_key(b, a);
+}
+
 /// Handle for a pending timer; 0 is never a valid id.
 using TimerId = uint64_t;
 

@@ -19,13 +19,12 @@ void SessionCache::install(uint64_t peer, crypto::BytesView key,
   if (key.size() != SecureChannel::kKeySize) {
     throw std::invalid_argument("SessionCache::install: bad key size");
   }
-  uint32_t* slot = index_.find(peer);
-  if (slot == nullptr) {
-    index_[peer] = static_cast<uint32_t>(sessions_.size());
+  auto [slot, inserted] = index_.insert(peer);
+  if (inserted) {
+    slot = static_cast<uint32_t>(sessions_.size());
     sessions_.emplace_back();
-    slot = index_.find(peer);
   }
-  Session& s = sessions_[*slot];
+  Session& s = sessions_[slot];
   std::copy(key.begin(), key.end(), s.key.begin());
   s.resume = SecureChannel::Resume{};  // fresh key -> sequences restart
   s.initiator = initiator;

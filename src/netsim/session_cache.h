@@ -8,7 +8,7 @@
 //
 // The cache is two tiers:
 //   * a compact per-peer record (32-byte key + sequence snapshot) in a flat
-//     open-addressing index (U64Map, DESIGN.md §12) — unbounded, ~64 bytes
+//     open-addressing index (crypto/flat_map.h) — unbounded, ~64 bytes
 //     per session, O(1) install/lookup at any session count;
 //   * a bounded hot tier of materialized SecureChannels, clock-evicted.
 //     Eviction writes the sequence snapshot back to the compact record, so
@@ -25,7 +25,7 @@
 #include <optional>
 #include <vector>
 
-#include "netsim/flat_hash.h"
+#include "crypto/flat_map.h"
 #include "netsim/secure_channel.h"
 
 namespace tenet::netsim {
@@ -88,7 +88,8 @@ class SessionCache {
   /// Clock sweep: returns a free hot slot, evicting if necessary.
   uint32_t claim_slot();
 
-  U64Map<uint32_t> index_;          ///< peer -> index into sessions_
+  /// peer -> index into sessions_, in 16-byte slots.
+  crypto::FlatMap<uint64_t, uint32_t> index_;
   std::vector<Session> sessions_;   ///< compact cold tier (grows, never shrinks)
   std::vector<HotEntry> hot_;       ///< fixed-capacity hot tier
   size_t hot_live_ = 0;

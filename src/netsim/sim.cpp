@@ -60,7 +60,7 @@ void Simulator::reserve_nodes(size_t n) {
 }
 
 void Simulator::set_latency(NodeId a, NodeId b, double seconds) {
-  latencies_[link_key(a, b)] = seconds;
+  latencies_.insert(link_key(a, b)).value = seconds;
 }
 
 double Simulator::latency(NodeId a, NodeId b) const {
@@ -162,7 +162,8 @@ void Simulator::enqueue(Message msg, uint32_t payload_slot, uint64_t lk,
   // FIFO per directed link: never schedule before an earlier message. A
   // reordered message is delayed extra and skips the horizon entirely, so
   // later messages on the link may overtake it.
-  double& horizon = link_horizon_[directed_link_key(msg.src, msg.dst)];
+  double& horizon =
+      link_horizon_.insert(directed_link_key(msg.src, msg.dst)).value;
   if (reorder) {
     ++faults_.counters().reordered;
     TENET_COUNT("net.fault.reorder");
@@ -179,7 +180,7 @@ void Simulator::enqueue(Message msg, uint32_t payload_slot, uint64_t lk,
     horizon_sweep_in_ = kHorizonSweepPeriod;
     if (link_horizon_.size() >= kHorizonSweepMin) {
       const double now = now_;
-      link_horizon_.retain([now](double h) { return h > now; });
+      link_horizon_.retain([now](uint64_t, double h) { return h > now; });
     }
   }
   const uint32_t ei = pool_.acquire();
@@ -343,7 +344,7 @@ size_t Simulator::run(size_t max_events) {
 
 TrafficStats& Simulator::stats_ref(NodeId id) {
   if (id < stats_.size()) return stats_[id];
-  return stats_overflow_[id];
+  return stats_overflow_.insert(id).value;
 }
 
 const TrafficStats& Simulator::stats(NodeId node) const {

@@ -25,10 +25,10 @@
 #include <vector>
 
 #include "crypto/bytes.h"
+#include "crypto/flat_map.h"
 #include "crypto/rng.h"
 #include "netsim/event_engine.h"
 #include "netsim/fault.h"
-#include "netsim/flat_hash.h"
 #include "netsim/message.h"
 #include "netsim/small_fn.h"
 #include "telemetry/trace.h"
@@ -193,8 +193,8 @@ class Simulator {
   std::vector<TrafficStats> stats_;
   /// Traffic posted with a forged/unregistered source id (wiretap
   /// injection) is still accounted, just off the dense path.
-  U64Map<TrafficStats> stats_overflow_;
-  U64Map<double> latencies_;  // by link_key(a, b)
+  crypto::FlatMap<uint64_t, TrafficStats> stats_overflow_;
+  crypto::FlatMap<uint64_t, double> latencies_;  // by link_key(a, b)
   uint64_t dropped_ = 0;
   FaultPlan faults_;
   /// True between the first message dropped by a partition window and the
@@ -203,7 +203,7 @@ class Simulator {
   // Directed per-link delivery horizon: links are ordered byte streams
   // (TCP-like), so a small message posted after a large one on the same
   // link must not overtake it.
-  U64Map<double> link_horizon_;  // by directed_link_key(src, dst)
+  crypto::FlatMap<uint64_t, double> link_horizon_;  // by directed key
   /// Enqueues until the next sweep of expired FIFO horizons, and the
   /// table size below which a sweep is skipped as not worth the rebuild
   /// (sim.cpp). Sweeps only discard entries that can no longer affect

@@ -81,7 +81,6 @@ void InterDomainControllerApp::handle_submission(core::Ctx& ctx,
   if (shard_active() && !shard()->serving()) {
     // Fail-closed: a minority partition must not admit state that the
     // majority side could be admitting differently.
-    ++submissions_dropped_;
     TENET_COUNT("app.routing.submissions_dropped");
     return;
   }
@@ -357,7 +356,7 @@ bool InterDomainControllerApp::store_policy(core::Ctx& ctx,
   const auto ab = admitted_by_.find(policy.asn);
   if (existing != policies_.end() && ab != admitted_by_.end() &&
       ab->second.shard == admitting_shard && ab->second.node == node &&
-      existing->second.serialize() == policy.serialize()) {
+      existing->second.same_encoding(policy)) {
     return false;
   }
   ctx.alloc(retained_size(policy));
@@ -750,10 +749,10 @@ void InterDomainControllerApp::on_restore(core::Ctx& ctx,
   } catch (const std::exception&) {
     return;  // partial restore: remaining policies arrive by re-submission
   }
-  // Unsharded: recompute locally so kCtlComputed/verification answer
-  // again, but do NOT push advertisements — the restarted enclave has no
-  // attested channels yet; each AS re-submits after re-attesting and that
-  // triggers a fresh (authenticated) distribution. Sharded: skip the full
+  // Unsharded: recompute locally so verification answers again, but do
+  // NOT push advertisements — the restarted enclave has no attested
+  // channels yet; each AS re-submits after re-attesting and that triggers
+  // a fresh (authenticated) distribution. Sharded: skip the full
   // fixpoint entirely — the slice machinery recomputes this shard's part
   // after the host re-issues the shard config.
   if (!was_sharded && policies_.size() >= expected_ases_) {
@@ -776,9 +775,6 @@ crypto::Bytes InterDomainControllerApp::on_control(core::Ctx& ctx,
     case kCtlPoliciesReceived:
       crypto::append_u64(out, policies_.size());
       return out;
-    case kCtlComputed:
-      out.push_back(result_.has_value() ? 1 : 0);
-      return out;
     case kCtlConfigureShard: {
       configure_shard(ctx, core::ShardConfig::deserialize(arg));
       return out;
@@ -790,19 +786,6 @@ crypto::Bytes InterDomainControllerApp::on_control(core::Ctx& ctx,
       if (shard() != nullptr && arg.size() >= 5) {
         shard()->set_reachable(ctx, crypto::read_u32(arg, 0), arg[4] != 0);
       }
-      return out;
-    }
-    case kCtlSubmissionsDropped:
-      crypto::append_u64(out, submissions_dropped_);
-      return out;
-    case kCtlCandidateCount: {
-      uint64_t n = 0;
-      if (result_.has_value()) {
-        for (const auto& [asn, per_prefix] : result_->candidates) {
-          for (const auto& [p, v] : per_prefix) n += v.size();
-        }
-      }
-      crypto::append_u64(out, n);
       return out;
     }
     default:
@@ -950,8 +933,6 @@ crypto::Bytes NativeInterDomainController::on_control(core::NativeNode&,
   crypto::Bytes out;
   if (subfn == kCtlPoliciesReceived) {
     crypto::append_u64(out, policies_.size());
-  } else if (subfn == kCtlComputed) {
-    out.push_back(result_.has_value() ? 1 : 0);
   }
   return out;
 }

@@ -32,12 +32,9 @@ enum AsControl : uint32_t {
 /// Host-side control sub-functions for the inter-domain controller.
 enum ControllerControl : uint32_t {
   kCtlPoliciesReceived = 1,  // -> u64 count
-  kCtlComputed = 2,          // -> u8 0/1
-  kCtlCandidateCount = 3,    // -> u64 (aggregate; leaks no per-AS data)
   kCtlConfigureShard = 4,    // payload: serialized core::ShardConfig
   kCtlBeginShardJoin = 5,    // payload: empty (rejoin after restart)
   kCtlShardReachable = 6,    // payload: u32 shard | u8 up (host liveness hint)
-  kCtlSubmissionsDropped = 7,  // -> u64 (fail-closed drops while minority)
 };
 
 /// Inter-domain controller (enclave). Collects policies from attested
@@ -160,7 +157,6 @@ class InterDomainControllerApp final : public core::SecureApp {
   std::optional<ComputationResult> result_;
   std::map<AsNumber, AdmittedBy> admitted_by_;
   std::map<netsim::NodeId, crypto::Bytes> pending_tables_;
-  uint64_t submissions_dropped_ = 0;
 
   size_t compute_arena_ = 0;  // fixpoint working-set high-water (bytes)
 

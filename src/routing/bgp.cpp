@@ -67,9 +67,10 @@ Route Route::deserialize(crypto::BytesView wire) {
   route.prefix = r.u32();
   const uint32_t n = r.u32();
   for (uint32_t i = 0; i < n; ++i) route.as_path.push_back(r.u32());
-  route.learned_from = static_cast<Relationship>(r.u8());
+  route.learned_from = relationship_from_wire(r.u8());
   route.pref = r.u32();
   route.self_originated = r.u8() != 0;
+  if (!r.done()) throw std::invalid_argument("Route: trailing bytes");
   return route;
 }
 

@@ -24,6 +24,13 @@ Relationship inverse(Relationship r) {
   return Relationship::kPeer;
 }
 
+Relationship relationship_from_wire(uint8_t byte) {
+  if (byte > static_cast<uint8_t>(Relationship::kProvider)) {
+    throw std::invalid_argument("bad relationship byte");
+  }
+  return static_cast<Relationship>(byte);
+}
+
 void AsGraph::add_as(AsNumber asn) { adj_[asn]; }
 
 void AsGraph::add_link(AsNumber a, Relationship rel_of_b_from_a, AsNumber b) {
@@ -156,6 +163,21 @@ crypto::Bytes RoutingPolicy::serialize() const {
   return out;
 }
 
+bool RoutingPolicy::same_encoding(const RoutingPolicy& other) const {
+  if (asn != other.asn || neighbor_rel != other.neighbor_rel ||
+      prefixes != other.prefixes) {
+    return false;
+  }
+  const auto pref_of = [](const RoutingPolicy& p, AsNumber n) {
+    const auto lp = p.local_pref.find(n);
+    return lp != p.local_pref.end() ? lp->second : 0;
+  };
+  for (const auto& [n, rel] : neighbor_rel) {
+    if (pref_of(*this, n) != pref_of(other, n)) return false;
+  }
+  return true;
+}
+
 RoutingPolicy RoutingPolicy::deserialize(crypto::BytesView wire) {
   crypto::Reader r(wire);
   RoutingPolicy p;
@@ -163,17 +185,15 @@ RoutingPolicy RoutingPolicy::deserialize(crypto::BytesView wire) {
   const uint32_t n_nbr = r.u32();
   for (uint32_t i = 0; i < n_nbr; ++i) {
     const AsNumber n = r.u32();
-    const auto rel = static_cast<Relationship>(r.u8());
-    if (rel != Relationship::kCustomer && rel != Relationship::kPeer &&
-        rel != Relationship::kProvider) {
-      throw std::invalid_argument("RoutingPolicy: bad relationship");
+    if (!p.neighbor_rel.emplace(n, relationship_from_wire(r.u8())).second) {
+      throw std::invalid_argument("RoutingPolicy: neighbor listed twice");
     }
-    p.neighbor_rel[n] = rel;
     const uint32_t lp = r.u32();
     if (lp != 0) p.local_pref[n] = lp;
   }
   const uint32_t n_pfx = r.u32();
   for (uint32_t i = 0; i < n_pfx; ++i) p.prefixes.push_back(r.u32());
+  if (!r.done()) throw std::invalid_argument("RoutingPolicy: trailing bytes");
   return p;
 }
 

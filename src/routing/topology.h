@@ -27,6 +27,9 @@ enum class Relationship : uint8_t { kCustomer = 0, kPeer = 1, kProvider = 2 };
 const char* to_string(Relationship r);
 /// The same edge seen from the other side.
 Relationship inverse(Relationship r);
+/// Decodes a relationship byte; throws std::invalid_argument on any value
+/// outside the three relationships.
+Relationship relationship_from_wire(uint8_t byte);
 
 /// Undirected business-annotated AS graph.
 class AsGraph {
@@ -77,6 +80,10 @@ struct RoutingPolicy {
 
   [[nodiscard]] crypto::Bytes serialize() const;
   static RoutingPolicy deserialize(crypto::BytesView wire);
+  /// serialize() == other.serialize(), without encoding either: compares
+  /// only what the encoding carries, so a local_pref of 0 equals an absent
+  /// one and a local_pref for a non-neighbor is ignored.
+  [[nodiscard]] bool same_encoding(const RoutingPolicy& other) const;
 
   /// Extracts every AS's policy from a topology, assigning deterministic
   /// pseudo-random local preferences and one self-prefix per AS.

@@ -21,7 +21,6 @@ struct MeeScope : crypto::work::Scope {
 /// A spilled page is sealed on a channel of its own, so its ciphertext
 /// never shares a keystream with the resident page's.
 constexpr uint64_t kSpillChannel = 0x5350494C;  // "SPIL"
-constexpr size_t kMinSlots = 16;
 
 crypto::Bytes vaddr_aad(uint64_t vaddr) {
   crypto::Bytes aad;
@@ -50,81 +49,21 @@ Epc::Epc(crypto::BytesView mee_key, size_t capacity_pages)
         MeeScope off;
         return crypto::Aead(mee_key);
       }()),
-      capacity_(capacity_pages),
-      table_(kMinSlots) {}
+      capacity_(capacity_pages) {}
 
-size_t Epc::home(EnclaveId owner, uint64_t vaddr) const {
-  // Fibonacci hashing: the multiply spreads consecutive vaddrs across the
-  // table, and the fold brings the product's best-mixed top bits down.
-  uint64_t h = (vaddr ^ (owner * 0x9E3779B97F4A7C15ull)) *
-               0xD6E8FEB86659FD93ull;
-  h ^= h >> 32;
-  return static_cast<size_t>(h) & (table_.size() - 1);
-}
-
-size_t Epc::slot_of(EnclaveId owner, uint64_t vaddr) const {
-  const size_t mask = table_.size() - 1;
-  for (size_t i = home(owner, vaddr);; i = (i + 1) & mask) {
-    const Page& page = table_[i];
-    if (!page.used || (page.owner == owner && page.vaddr == vaddr)) return i;
-  }
-}
-
-const Epc::Page* Epc::find(EnclaveId owner, uint64_t vaddr) const {
-  const Page& page = table_[slot_of(owner, vaddr)];
-  return page.used ? &page : nullptr;
-}
-
-Epc::Page* Epc::find(EnclaveId owner, uint64_t vaddr) {
-  return const_cast<Page*>(std::as_const(*this).find(owner, vaddr));
-}
-
-Epc::Page& Epc::insert(EnclaveId owner, uint64_t vaddr) {
-  if (4 * (mapped_ + 1) > 3 * table_.size()) rehash(2 * table_.size());
-  Page& page = table_[slot_of(owner, vaddr)];
-  page.owner = owner;
-  page.vaddr = vaddr;
-  page.used = true;
-  ++mapped_;
-  return page;
-}
-
-void Epc::erase_slot(size_t hole) {
-  // Backward-shift deletion: every later page of the probe run whose home
-  // is at or before the hole moves up into it, so no probe sequence is
-  // cut and the table needs no tombstones.
-  const size_t mask = table_.size() - 1;
-  table_[hole] = Page();
-  --mapped_;
-  for (size_t i = (hole + 1) & mask; table_[i].used; i = (i + 1) & mask) {
-    const Page& page = table_[i];
-    const size_t from_home = (i - home(page.owner, page.vaddr)) & mask;
-    if (from_home < ((i - hole) & mask)) continue;
-    table_[hole] = std::exchange(table_[i], Page());
-    hole = i;
-  }
-}
-
-void Epc::rehash(size_t slots) {
-  std::vector<Page> old = std::exchange(table_, std::vector<Page>(slots));
-  for (Page& page : old) {
-    if (page.used) table_[slot_of(page.owner, page.vaddr)] = std::move(page);
-  }
-}
-
-void Epc::push_victim(Page& page) {
+void Epc::push_victim(const PageKey& key, Page& page) {
   if (!paging_ || page.in_heap) return;
   page.in_heap = true;
-  victims_.emplace_back(page.owner, page.vaddr);
+  victims_.push_back(key);
   std::push_heap(victims_.begin(), victims_.end(), std::greater<PageKey>());
 }
 
 void Epc::rebuild_victims() {
   victims_.clear();
-  for (Page& page : table_) {
-    page.in_heap = page.used && page.resident;
-    if (page.in_heap) victims_.emplace_back(page.owner, page.vaddr);
-  }
+  table_.for_each([this](const PageKey& key, Page& page) {
+    page.in_heap = page.resident;
+    if (page.in_heap) victims_.push_back(key);
+  });
   std::make_heap(victims_.begin(), victims_.end(), std::greater<PageKey>());
 }
 
@@ -140,7 +79,7 @@ void Epc::make_room(EnclaveId requester) {
   }
   while (!victims_.empty()) {
     const PageKey key = victims_.front();
-    Page* page = find(key.first, key.second);
+    Page* page = table_.find(key);
     const bool victim = page->resident;
     if (victim) evict_page(key.first, key.second);
     page->in_heap = false;
@@ -161,17 +100,18 @@ void Epc::add_page(EnclaveId owner, uint64_t vaddr,
   if (plaintext.size() > kPageSize) {
     throw HardwareFault("EPC: page larger than 4096 bytes");
   }
-  if (find(owner, vaddr) != nullptr) {
+  const PageKey key{owner, vaddr};
+  if (table_.find(key) != nullptr) {
     throw HardwareFault("EPC: page already mapped");
   }
   if (resident_ >= capacity_) make_room(owner);
 
-  Page& page = insert(owner, vaddr);
+  Page& page = table_.insert(key).value;
   store(page, crypto::Bytes(plaintext.begin(), plaintext.end()),
         next_version_++);
   page.resident = true;
   ++resident_;
-  push_victim(page);
+  push_victim(key, page);
   TENET_COUNT("sgx.epc.pages_added");
   TENET_COUNT("sgx.epc.mee_seals");
 }
@@ -188,7 +128,8 @@ void Epc::store(Page& page, crypto::Bytes plain, uint64_t version) {
   }
 }
 
-std::optional<crypto::Bytes> Epc::open_page(const Page& page) const {
+std::optional<crypto::Bytes> Epc::open_page(uint64_t vaddr,
+                                            const Page& page) const {
   switch (page.state) {
     case PageState::kZero:
       return zero_page_bytes();
@@ -197,7 +138,7 @@ std::optional<crypto::Bytes> Epc::open_page(const Page& page) const {
     case PageState::kSealed:
       break;
   }
-  auto plain = mee_.open(page.bytes, vaddr_aad(page.vaddr));
+  auto plain = mee_.open(page.bytes, vaddr_aad(vaddr));
   if (!plain.has_value() ||
       crypto::Aead::record_seq(page.bytes) != page.version) {
     return std::nullopt;
@@ -205,21 +146,21 @@ std::optional<crypto::Bytes> Epc::open_page(const Page& page) const {
   return plain;
 }
 
-void Epc::materialize(const Page& page) const {
+void Epc::materialize(const PageKey& key, const Page& page) const {
   if (page.state == PageState::kSealed) return;
   MeeScope off;
   page.bytes = mee_.seal(
-      page.resident ? page.owner : page.owner ^ kSpillChannel,
+      page.resident ? key.first : key.first ^ kSpillChannel,
       page.resident ? page.version : page.spill_version,
       page.state == PageState::kZero ? zero_page_bytes() : page.bytes,
-      vaddr_aad(page.vaddr));
+      vaddr_aad(key.second));
   page.state = PageState::kSealed;
 }
 
 void Epc::evict_page(EnclaveId owner, uint64_t vaddr) {
   MeeScope off;
   TENET_SPAN("epc", "ewb");
-  Page* page = find(owner, vaddr);
+  Page* page = table_.find({owner, vaddr});
   if (page == nullptr || !page->resident) {
     throw HardwareFault("EWB: page not resident");
   }
@@ -232,7 +173,7 @@ void Epc::evict_page(EnclaveId owner, uint64_t vaddr) {
   const uint64_t version = next_version_++;
   TENET_COUNT("sgx.epc.mee_opens");
   if (page->state == PageState::kSealed) {
-    std::optional<crypto::Bytes> opened = open_page(*page);
+    std::optional<crypto::Bytes> opened = open_page(vaddr, *page);
     if (!opened.has_value()) {
       throw HardwareFault("EPC: MEE integrity check failed (page corrupted)");
     }
@@ -249,7 +190,7 @@ void Epc::evict_page(EnclaveId owner, uint64_t vaddr) {
   TENET_COUNT("sgx.epc.ewb");
 }
 
-void Epc::reload_page(Page& page) {
+void Epc::reload_page(const PageKey& key, Page& page) {
   MeeScope off;
   TENET_SPAN("epc", "eldu");
   if (page.spill_version != page.version) {
@@ -264,7 +205,7 @@ void Epc::reload_page(Page& page) {
   TENET_COUNT("sgx.epc.mee_opens");
   std::optional<crypto::Bytes> plain;
   if (page.state == PageState::kSealed) {
-    plain = mee_.open(page.bytes, vaddr_aad(page.vaddr));
+    plain = mee_.open(page.bytes, vaddr_aad(key.second));
     if (!plain.has_value()) {
       TENET_COUNT("sgx.epc.integrity_faults");
       throw HardwareFault("ELDU: MAC failure on spilled page");
@@ -279,7 +220,7 @@ void Epc::reload_page(Page& page) {
 
   // Make room before touching the spill: if no victim can be evicted, the
   // page stays spilled as it was instead of being lost.
-  if (resident_ >= capacity_) make_room(page.owner);
+  if (resident_ >= capacity_) make_room(key.first);
   if (plain.has_value()) {
     store(page, std::move(*plain), version);
   } else {
@@ -287,14 +228,15 @@ void Epc::reload_page(Page& page) {
   }
   page.resident = true;
   ++resident_;
-  push_victim(page);
+  push_victim(key, page);
   ++reloads_;
   TENET_COUNT("sgx.epc.eldu");
 }
 
 Epc::Page* Epc::find_page(EnclaveId owner, uint64_t vaddr) {
-  Page* page = find(owner, vaddr);
-  if (page != nullptr && !page->resident) reload_page(*page);  // page-in
+  const PageKey key{owner, vaddr};
+  Page* page = table_.find(key);
+  if (page != nullptr && !page->resident) reload_page(key, *page);  // page-in
   return page;
 }
 
@@ -302,7 +244,7 @@ crypto::Bytes Epc::read_page(EnclaveId owner, uint64_t vaddr) {
   MeeScope off;
   const Page* page = find_page(owner, vaddr);
   if (page == nullptr) throw HardwareFault("EPC: access to unmapped page");
-  auto plain = open_page(*page);
+  auto plain = open_page(vaddr, *page);
   if (!plain.has_value()) {
     throw HardwareFault("EPC: MEE integrity check failed (page corrupted)");
   }
@@ -331,7 +273,7 @@ void Epc::verify_owner_pages(EnclaveId owner) {
   // would defeat the point of paging them out.
   auto it = suspect_.lower_bound({owner, 0});
   while (it != suspect_.end() && it->first == owner) {
-    if (!open_page(*find(owner, it->second)).has_value()) {
+    if (!open_page(it->second, *table_.find(*it)).has_value()) {
       // The entry stays: the enclave faults again on every later entry.
       TENET_COUNT("sgx.epc.integrity_faults");
       throw HardwareFault("EPC: MEE integrity check failed (page corrupted)");
@@ -341,17 +283,13 @@ void Epc::verify_owner_pages(EnclaveId owner) {
 }
 
 void Epc::remove_enclave(EnclaveId owner) {
-  // A shift can move a later page into slot i, so slot i is checked again
-  // until it holds another owner's page or none. A shift never moves an
-  // unvisited page below i, so no page of `owner` is skipped.
   size_t removed = 0;
-  for (size_t i = 0; i < table_.size(); ++i) {
-    while (table_[i].used && table_[i].owner == owner) {
-      resident_ -= table_[i].resident ? 1 : 0;
-      erase_slot(i);
-      ++removed;
-    }
-  }
+  table_.retain([&](const PageKey& key, const Page& page) {
+    if (key.first != owner) return true;
+    resident_ -= page.resident ? 1 : 0;
+    ++removed;
+    return false;
+  });
   if (removed == 0) return;
   if (paging_) rebuild_victims();
   suspect_.erase(
@@ -360,37 +298,41 @@ void Epc::remove_enclave(EnclaveId owner) {
 }
 
 size_t Epc::pages_of(EnclaveId owner) const {
-  return static_cast<size_t>(std::count_if(
-      table_.begin(), table_.end(),
-      [owner](const Page& page) { return page.used && page.owner == owner; }));
+  size_t n = 0;
+  table_.for_each([&](const PageKey& key, const Page&) {
+    n += key.first == owner ? 1 : 0;
+  });
+  return n;
 }
 
 bool Epc::resident(EnclaveId owner, uint64_t vaddr) const {
-  const Page* page = find(owner, vaddr);
+  const Page* page = table_.find({owner, vaddr});
   return page != nullptr && page->resident;
 }
 
 std::optional<crypto::Bytes> Epc::adversary_read_ciphertext(
     EnclaveId owner, uint64_t vaddr) const {
-  const Page* page = find(owner, vaddr);
+  const PageKey key{owner, vaddr};
+  const Page* page = table_.find(key);
   if (page == nullptr) return std::nullopt;
-  materialize(*page);
+  materialize(key, *page);
   return page->bytes;
 }
 
 bool Epc::adversary_corrupt(EnclaveId owner, uint64_t vaddr,
                             size_t byte_offset) {
-  Page* page = find(owner, vaddr);
+  const PageKey key{owner, vaddr};
+  Page* page = table_.find(key);
   if (page == nullptr) return false;
-  materialize(*page);
+  materialize(key, *page);
   flip_bit(page->bytes, byte_offset);
-  if (page->resident) suspect_.insert({owner, vaddr});
+  if (page->resident) suspect_.insert(key);
   return true;
 }
 
 bool Epc::adversary_replace_resident(EnclaveId owner, uint64_t vaddr,
                                      crypto::Bytes old_ciphertext) {
-  Page* page = find(owner, vaddr);
+  Page* page = table_.find({owner, vaddr});
   if (page == nullptr || !page->resident) return false;
   page->bytes = std::move(old_ciphertext);
   page->state = PageState::kSealed;
@@ -400,9 +342,10 @@ bool Epc::adversary_replace_resident(EnclaveId owner, uint64_t vaddr,
 
 std::optional<crypto::Bytes> Epc::adversary_snapshot_spill(
     EnclaveId owner, uint64_t vaddr) const {
-  const Page* page = find(owner, vaddr);
+  const PageKey key{owner, vaddr};
+  const Page* page = table_.find(key);
   if (page == nullptr || page->resident) return std::nullopt;
-  materialize(*page);
+  materialize(key, *page);
   crypto::Bytes snapshot;
   crypto::append_u64(snapshot, page->spill_version);
   crypto::append(snapshot, page->bytes);
@@ -411,7 +354,7 @@ std::optional<crypto::Bytes> Epc::adversary_snapshot_spill(
 
 bool Epc::adversary_replace_spill(EnclaveId owner, uint64_t vaddr,
                                   crypto::Bytes old_snapshot) {
-  Page* page = find(owner, vaddr);
+  Page* page = table_.find({owner, vaddr});
   if (page == nullptr || page->resident || old_snapshot.size() < 8) {
     return false;
   }

@@ -26,6 +26,7 @@
 
 #include "crypto/aead.h"
 #include "crypto/bytes.h"
+#include "crypto/flat_map.h"
 #include "sgx/types.h"
 
 namespace tenet::sgx {
@@ -133,17 +134,11 @@ class Epc {
   // opens deferral does on observation are not either.
   enum class PageState : uint8_t { kZero, kPlain, kSealed };
 
-  // One mapped page: its EPCM identity (owner, vaddr), where it lives and
-  // its versions. EWB and ELDU flip `resident` in place; nothing moves.
+  // One mapped page, keyed in table_ by its EPCM identity (owner, vaddr):
+  // where it lives and its versions. EWB and ELDU flip `resident` in place;
+  // nothing moves. The flags come last, so the table slot's `used` fits in
+  // the tail padding.
   struct Page {
-    EnclaveId owner = 0;
-    uint64_t vaddr = 0;
-    bool used = false;  // this table slot holds a page
-    bool resident = false;
-    bool in_heap = false;  // its key is in victims_
-    // Exactly one representation at a time: nothing (kZero), the padded
-    // plaintext (kPlain) or the sealed page with its MAC (kSealed).
-    mutable PageState state = PageState::kZero;
     // Trusted (in-EPC) version, never writable by the adversary: a
     // resident page's version, fresh on every add, write and reload, or a
     // spilled page's Version Array slot, fresh on every EWB. The seal binds
@@ -154,38 +149,39 @@ class Epc {
     // against `version`. Only adversary_replace_spill makes them differ.
     uint64_t spill_version = 0;
     mutable crypto::Bytes bytes;
+    bool resident = false;
+    bool in_heap = false;  // its key is in victims_
+    // Exactly one representation at a time: nothing (kZero), the padded
+    // plaintext (kPlain) or the sealed page with its MAC (kSealed).
+    mutable PageState state = PageState::kZero;
   };
   using PageKey = std::pair<EnclaveId, uint64_t>;
-
-  /// Where the probe sequence of (owner, vaddr) starts.
-  [[nodiscard]] size_t home(EnclaveId owner, uint64_t vaddr) const;
-  /// The table slot of (owner, vaddr), or of the empty slot that ends its
-  /// probe sequence.
-  [[nodiscard]] size_t slot_of(EnclaveId owner, uint64_t vaddr) const;
-  [[nodiscard]] Page* find(EnclaveId owner, uint64_t vaddr);
-  [[nodiscard]] const Page* find(EnclaveId owner, uint64_t vaddr) const;
-  /// Maps a new, empty page; may move every page (rehash).
-  Page& insert(EnclaveId owner, uint64_t vaddr);
-  /// Unmaps the page in `slot`; may move later pages of its probe run.
-  void erase_slot(size_t slot);
-  /// Re-places every page into a table of `slots` slots.
-  void rehash(size_t slots);
+  /// Fibonacci hashing: the multiply spreads consecutive vaddrs across the
+  /// table, and the fold brings the product's best-mixed top bits down.
+  struct PageKeyHash {
+    [[nodiscard]] size_t operator()(const PageKey& key) const {
+      const uint64_t h = (key.second ^ (key.first * 0x9E3779B97F4A7C15ull)) *
+                         0xD6E8FEB86659FD93ull;
+      return static_cast<size_t>(h ^ (h >> 32));
+    }
+  };
 
   /// Installs `plain` (padded to kPageSize) as a page's plaintext under
   /// `version`; an all-zero page is kept as kZero.
   static void store(Page& page, crypto::Bytes plain, uint64_t version);
-  /// The plaintext of a resident page, or nullopt when its ciphertext
-  /// fails the MAC or carries another version.
-  [[nodiscard]] std::optional<crypto::Bytes> open_page(const Page& page) const;
+  /// The plaintext of the resident page at `vaddr`, or nullopt when its
+  /// ciphertext fails the MAC or carries another version.
+  [[nodiscard]] std::optional<crypto::Bytes> open_page(uint64_t vaddr,
+                                                       const Page& page) const;
   /// Seals a deferred page so its ciphertext becomes observable.
-  void materialize(const Page& page) const;
+  void materialize(const PageKey& key, const Page& page) const;
 
   /// Reloads a spilled page into the EPC (ELDU); throws HardwareFault on
   /// MAC failure or version (rollback) mismatch, or when no room can be
   /// made, and the page stays spilled.
-  void reload_page(Page& page);
+  void reload_page(const PageKey& key, Page& page);
   /// Queues a resident page's key as a victim, once victims_ is kept.
-  void push_victim(Page& page);
+  void push_victim(const PageKey& key, Page& page);
   /// Refills victims_ with the key of every resident page.
   void rebuild_victims();
   /// Evicts the lowest resident (owner, vaddr) to make room for a page of
@@ -197,13 +193,12 @@ class Epc {
 
   crypto::Aead mee_;
   size_t capacity_;
-  // Every mapped page, resident or spilled, in one open-addressing table
-  // (linear probing, a power-of-two size, at most three quarters full). A
-  // page's spill lives in its own entry: the bytes are untrusted RAM's copy
-  // and `version` is the trusted Version Array slot, which the adversary
-  // surface never reads.
-  std::vector<Page> table_;
-  size_t mapped_ = 0;
+  // Every mapped page, resident or spilled, in the one open-addressing
+  // table (crypto/flat_map.h). A page's spill lives in its own entry: the
+  // bytes are untrusted RAM's copy and `version` is the trusted Version
+  // Array slot, which the adversary surface never reads. Only add_page
+  // inserts, so a Page reference stays valid across an eviction.
+  crypto::FlatMap<PageKey, Page, PageKeyHash> table_;
   size_t resident_ = 0;
   // Min-heap of the keys of resident pages, for the victim choice. It is
   // kept from the first make_room on (paging_), so an EPC that never fills

@@ -58,6 +58,15 @@ TEST(Route, SerializationRoundTrips) {
   EXPECT_EQ(q.learned_from, Relationship::kPeer);
   EXPECT_EQ(q.pref, 217u);
   EXPECT_FALSE(q.self_originated);
+
+  // Only the exact encoding decodes: a trailing byte or a learned_from
+  // outside the three relationships is rejected, not ignored or cast.
+  crypto::Bytes trailing = r.serialize();
+  trailing.push_back(0);
+  EXPECT_THROW(Route::deserialize(trailing), std::invalid_argument);
+  crypto::Bytes bad_rel = r.serialize();
+  bad_rel[4 + 4 + 4 * 3] = 3;  // learned_from, after prefix, length, path
+  EXPECT_THROW(Route::deserialize(bad_rel), std::invalid_argument);
 }
 
 TEST(Bgp, ExportRulesAreValleyFree) {

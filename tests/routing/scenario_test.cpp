@@ -122,19 +122,20 @@ TEST(RoutingScenario, PolicyBytesNeverOnWireWithSgx) {
   }
 }
 
-TEST(RoutingScenario, VerificationWorkflow) {
-  ScenarioConfig cfg = small_sgx();
-  RoutingDeployment dep(cfg);
-  dep.run_attestation_phase();
-  dep.run_routing_phase();
-
+// The agreement workflow: one party's registration is not agreement,
+// both parties see the verdict, a false predicate reads kViolated, and a
+// third AS cannot probe it. Registrations live on the controller an AS
+// talks to, so `front` names it, and the two parties and the third AS are
+// picked among the ASes one controller fronts.
+template <typename Front>
+void check_verification_workflow(RoutingDeployment& dep, Front front) {
   // Find a pair (a, b) where b's chosen route for prefix a goes via a
   // (the "promise kept" case) by computing ground truth.
   const ComputationResult truth = BgpComputation::compute(dep.policies());
   AsNumber a = 0, b = 0;
   for (const auto& [asn, table] : truth.tables) {
     for (const auto& [prefix, route] : table) {
-      if (route.path_length() == 1) {
+      if (route.path_length() == 1 && front(route.next_hop()) == front(asn)) {
         a = route.next_hop();
         b = asn;
         break;
@@ -164,13 +165,35 @@ TEST(RoutingScenario, VerificationWorkflow) {
   // A third AS (not a party) cannot probe the agreement.
   AsNumber c = 0;
   for (const auto& [asn, p] : dep.policies()) {
-    if (asn != a && asn != b) {
+    if (asn != a && asn != b && front(asn) == front(a)) {
       c = asn;
       break;
     }
   }
   ASSERT_NE(c, 0u);
   EXPECT_EQ(dep.request_verification(c, 1), VerifyStatus::kNotAParty);
+}
+
+TEST(RoutingScenario, VerificationWorkflow) {
+  ScenarioConfig cfg = small_sgx();
+  RoutingDeployment dep(cfg);
+  dep.run_attestation_phase();
+  dep.run_routing_phase();
+  check_verification_workflow(dep, [](AsNumber) { return 0u; });
+}
+
+TEST(RoutingScenario, ShardedVerificationWorkflow) {
+  // Three controller shards: the parties' shard answers from the tables
+  // it assembled from every shard's partial rows. Twelve ASes, so one
+  // shard fronts both parties and a third AS.
+  ScenarioConfig cfg = small_sgx();
+  cfg.n_ases = 12;
+  cfg.shards = 3;
+  RoutingDeployment dep(cfg);
+  dep.run_attestation_phase();
+  dep.run_routing_phase();
+  check_verification_workflow(
+      dep, [&dep](AsNumber asn) { return dep.shard_of_as(asn); });
 }
 
 TEST(RoutingScenario, MismatchedRegistrationsNeverAgree) {

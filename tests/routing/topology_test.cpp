@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <random>
 #include <set>
+#include <vector>
+
+#include "test_seed.h"
 
 namespace tenet::routing {
 namespace {
@@ -145,6 +149,57 @@ TEST(RoutingPolicy, DeserializeRejectsBadRelationship) {
   crypto::Bytes wire = p.serialize();
   wire[8 + 4] = 77;  // corrupt the relationship byte of neighbor 2
   EXPECT_THROW(RoutingPolicy::deserialize(wire), std::invalid_argument);
+
+  // A trailing byte is rejected.
+  crypto::Bytes trailing = p.serialize();
+  trailing.push_back(0);
+  EXPECT_THROW(RoutingPolicy::deserialize(trailing), std::invalid_argument);
+
+  // So is a neighbor listed twice, which would otherwise decode to a
+  // policy that re-encodes to other bytes (the second entry's pref of 0
+  // left the first entry's pref standing).
+  crypto::Bytes twice;
+  crypto::append_u32(twice, 1);  // asn
+  crypto::append_u32(twice, 2);  // two neighbor entries
+  for (const uint32_t pref : {42u, 0u}) {
+    crypto::append_u32(twice, 2);
+    twice.push_back(static_cast<uint8_t>(Relationship::kPeer));
+    crypto::append_u32(twice, pref);
+  }
+  crypto::append_u32(twice, 0);  // no prefixes
+  EXPECT_THROW(RoutingPolicy::deserialize(twice), std::invalid_argument);
+}
+
+TEST(RoutingPolicy, SameEncodingAgreesWithEncodingEquality) {
+  // Small policies over a small space, so many pairs encode equally. Half
+  // the pool is decoded (the controller's view: no local_pref of 0, none
+  // for a non-neighbor); the other half keeps both, which the encoding
+  // drops, so the comparison must ignore them too.
+  std::mt19937_64 rng(test::seed(36));
+  std::vector<RoutingPolicy> pool;
+  for (int i = 0; i < 160; ++i) {
+    RoutingPolicy p;
+    p.asn = 1 + static_cast<AsNumber>(rng() % 2);
+    for (AsNumber n = 2; n <= 3; ++n) {
+      if (rng() % 2 == 0) continue;
+      p.neighbor_rel[n] = static_cast<Relationship>(rng() % 2);
+      const uint32_t lp = rng() % 3 == 0 ? 7 : 0;
+      if (lp != 0 || i % 2 == 1) p.local_pref[n] = lp;
+    }
+    if (i % 2 == 1 && rng() % 2 == 0) p.local_pref[9] = 5;  // not a neighbor
+    if (rng() % 2 == 0) p.prefixes.push_back(p.asn);
+    pool.push_back(i % 2 == 0 ? RoutingPolicy::deserialize(p.serialize())
+                              : std::move(p));
+  }
+  size_t equal = 0;
+  for (const RoutingPolicy& a : pool) {
+    for (const RoutingPolicy& b : pool) {
+      const bool same = a.serialize() == b.serialize();
+      ASSERT_EQ(a.same_encoding(b), same);
+      equal += same ? 1 : 0;
+    }
+  }
+  EXPECT_GT(equal, pool.size());  // not only each policy with itself
 }
 
 TEST(RoutingPolicy, FromGraphCoversEveryAs) {
