@@ -38,6 +38,10 @@
 #                              # one-export-bundle check (no retired
 #                              # artifact flag; fopen in src/telemetry/ only
 #                              # in the bundle writer) +
+#                              # one-sharded-app check (enable_sharding in
+#                              # src/ only in routing/apps.cpp) +
+#                              # dead-control-code check (every kCtl*/
+#                              # kQuery* enumerator has a sender or reader) +
 #                              # security lint gate (DESIGN.md §15): static
 #                              # taint pass over the tree (src/ findings are
 #                              # hard failures) + dynamic pass driving the
@@ -235,6 +239,34 @@ case "$mode" in
     if grep -rn 'fopen(' src/telemetry | grep -v '^src/telemetry/export\.cpp:'; then
       echo "lint: telemetry files are written only by write_bundle in" \
         "src/telemetry/export.cpp; add the artifact to the bundle" >&2
+      exit 1
+    fi
+    # One sharded application (DESIGN.md §14): the routing controller is
+    # the only src/ app that joins a shard group. The middlebox and the Tor
+    # directory each run as one enclave, as in the paper; their replicated
+    # variants had no caller and no test.
+    if grep -rn 'enable_sharding(' src \
+        | grep -vE '^src/(core/secure_app\.(h|cpp)|routing/apps\.cpp):'; then
+      echo "lint: only the routing controller joins a shard group;" \
+        "an app that replicates its state needs a caller and tests first" >&2
+      exit 1
+    fi
+    # No dead control codes: every kCtl*/kQuery* enumerator declared in src/
+    # is named somewhere besides its declaration and its case label, so a
+    # code no host sends and a tally no host reads do not linger.
+    dead=()
+    while IFS=: read -r file line name; do
+      uses="$(grep -rnw -- "$name" src tests bench tools examples perfbench \
+          | grep -v "^$file:$line:" \
+          | grep -vE "case[[:space:]]+([A-Za-z_]+::)*$name[[:space:]]*:" \
+          || true)"
+      [ -n "$uses" ] || dead+=("$file:$line: $name")
+    done < <(grep -rnoE '^[[:space:]]*k(Ctl|Query)[A-Za-z0-9_]+[[:space:]]*=' src \
+        | sed -E 's/^([^:]*:[0-9]+:)[[:space:]]*/\1/; s/[[:space:]]*=$//')
+    if [ "${#dead[@]}" -gt 0 ]; then
+      printf '%s\n' "${dead[@]}"
+      echo "lint: the control codes above are never sent or read; delete" \
+        "each enumerator and its case label" >&2
       exit 1
     fi
     # Any key material reaching an ocall buffer, telemetry label, or trace

@@ -28,7 +28,6 @@ enum CoreQuery : uint32_t {
   // Recovery counters (all zero unless RecoveryPolicy is enabled).
   kQueryAttestRetries = 5,   // backoff-timer retransmits of a challenge
   kQueryRehandshakes = 6,    // re-attestations of a previously attested peer
-  kQueryRekeys = 7,          // channel epochs beyond the first, summed
   kQueryPeerFailures = 8,    // peers given up on after the retry budget
   // Shard/replication selectors (DESIGN.md §14; all inert defaults when
   // the app is not sharded: serving=1, joined=1, counters=0).

@@ -1,12 +1,12 @@
 // Control-plane replication primitives (DESIGN.md §14).
 //
-// The three trusted cores (routing controller, Tor directory authority,
-// mbox provisioner) were single-enclave singletons. This header holds the
-// generic pieces that let N enclave replicas share one logical control
-// plane:
+// The inter-domain routing controller is the one sharded application:
+// N enclave replicas share one logical control plane. (The Tor directory
+// authority and the DPI middlebox run as one enclave each, as in the
+// paper.) This header holds the generic pieces the replicas use:
 //
 //  * ShardMap — a consistent-hash partition of application keys (AS
-//    numbers, relay node ids, mbox session ids) across shard replicas.
+//    numbers) across shard replicas.
 //    Each shard projects `kVirtualNodes` points onto a 64-bit ring; a key
 //    is owned by the first point clockwise of its hash. Deterministic
 //    (splitmix64 mixing, no RNG), so every replica and the untrusted

@@ -179,7 +179,6 @@ crypto::Bytes SecureApp::handle_call(uint32_t fn, crypto::BytesView arg,
 void SecureApp::install_channel_key(PeerState& st, crypto::BytesView key,
                                     bool initiator) {
   if (st.channel.epoch() > 0) {
-    ++rekeys_;
     // a = the channel epoch being replaced (1-based).
     TENET_EVENT(kRekey, self_, st.channel.epoch());
   }
@@ -481,7 +480,6 @@ crypto::Bytes SecureApp::query(uint32_t what) const {
     case kQueryRejectedRecords: value = rejected_records_; break;
     case kQueryAttestRetries: value = attest_retries_; break;
     case kQueryRehandshakes: value = rehandshakes_; break;
-    case kQueryRekeys: value = rekeys_; break;
     case kQueryPeerFailures: value = peer_failures_; break;
     case kQueryShardServing:
       value = shard_ == nullptr || shard_->serving() ? 1 : 0;

@@ -108,18 +108,7 @@ class SecureApp : public sgx::EnclaveApp {
   [[nodiscard]] ShardReplica* shard() { return shard_.get(); }
   [[nodiscard]] const ShardReplica* shard() const { return shard_.get(); }
 
-  // --- Introspection (also reachable via kFnQuery from the host) ---
-  [[nodiscard]] uint64_t attestations_initiated() const {
-    return attestations_initiated_;
-  }
-  [[nodiscard]] uint64_t attestations_served() const {
-    return attestations_served_;
-  }
-  [[nodiscard]] uint64_t rejected_records() const { return rejected_records_; }
-  [[nodiscard]] uint64_t attest_retries() const { return attest_retries_; }
-  [[nodiscard]] uint64_t rehandshakes() const { return rehandshakes_; }
-  [[nodiscard]] uint64_t rekeys() const { return rekeys_; }
-  [[nodiscard]] uint64_t peer_failures() const { return peer_failures_; }
+  // --- Introspection ---
   [[nodiscard]] bool is_attested(netsim::NodeId peer) const;
   [[nodiscard]] const sgx::AttestationOutcome* peer_info(
       netsim::NodeId peer) const;
@@ -168,10 +157,6 @@ class SecureApp : public sgx::EnclaveApp {
   virtual void on_peer_failed(Ctx& ctx, netsim::NodeId peer) {
     (void)ctx;
     (void)peer;
-  }
-
-  [[nodiscard]] const sgx::AttestationConfig& attestation_config() const {
-    return config_;
   }
 
   /// Joins this app to a shard group (idempotent reconfigure). Starts ring
@@ -236,12 +221,12 @@ class SecureApp : public sgx::EnclaveApp {
   std::unique_ptr<ShardReplica> shard_;     // null unless host-configured
   crypto::Bytes restored_shard_state_;      // vv from a pre-config restore
   std::map<netsim::NodeId, PeerState> peers_;
+  // Tallies the host reads through kFnQuery (core/ports.h).
   uint64_t attestations_initiated_ = 0;
   uint64_t attestations_served_ = 0;
   uint64_t rejected_records_ = 0;
   uint64_t attest_retries_ = 0;
   uint64_t rehandshakes_ = 0;
-  uint64_t rekeys_ = 0;
   uint64_t peer_failures_ = 0;
 };
 

@@ -87,9 +87,6 @@ class ShardReplica {
     return cfg_.members;
   }
   [[nodiscard]] const ShardMap& map() const { return map_; }
-  [[nodiscard]] uint32_t owner_shard(uint64_t key) const {
-    return map_.owner(key);
-  }
 
   /// Fail-closed availability: we serve admissions only while we can still
   /// reach a strict majority of the group (counting ourselves). A minority

@@ -196,11 +196,6 @@ DivRem BigInt::div_rem(const BigInt& divisor) const {
 
 BigInt BigInt::mod(const BigInt& m) const { return div_rem(m).remainder; }
 
-BigInt BigInt::mod_mul(const BigInt& a, const BigInt& b, const BigInt& m) {
-  const Montgomery ctx(m);
-  return ctx.from_mont(ctx.mul(ctx.to_mont(a), ctx.to_mont(b)));
-}
-
 BigInt BigInt::mod_exp(const BigInt& base, const BigInt& exp, const BigInt& m) {
   const Montgomery ctx(m);
   return ctx.exp(base, exp);

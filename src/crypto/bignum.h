@@ -66,8 +66,6 @@ class BigInt {
   [[nodiscard]] DivRem div_rem(const BigInt& divisor) const;
   [[nodiscard]] BigInt mod(const BigInt& m) const;
 
-  /// (a * b) mod m for odd m (Montgomery under the hood).
-  static BigInt mod_mul(const BigInt& a, const BigInt& b, const BigInt& m);
   /// (base ^ exp) mod m for odd m > 1.
   static BigInt mod_exp(const BigInt& base, const BigInt& exp, const BigInt& m);
 

@@ -274,12 +274,10 @@ void TlsServerApp::on_plain_message(core::Ctx& ctx, netsim::NodeId peer,
       if (!plain.has_value()) return;
       ctx.alloc(plain->size());
       crypto::append_lv(s.received, *plain);
-      if (echo_) {
-        crypto::Bytes response = crypto::to_bytes("ok:");
-        crypto::append(response, *plain);
-        send_sealed_record(ctx, s.prev_hop, sid, Direction::kServerToClient,
-                           s.tls->channel(), response);
-      }
+      crypto::Bytes response = crypto::to_bytes("ok:");
+      crypto::append(response, *plain);
+      send_sealed_record(ctx, s.prev_hop, sid, Direction::kServerToClient,
+                         s.tls->channel(), response);
       return;
     }
   } catch (const std::exception&) {
@@ -336,9 +334,6 @@ crypto::Bytes TlsServerApp::on_control(core::Ctx& ctx, uint32_t subfn,
       }
       return {};
     }
-    case kCtlServerEcho:
-      echo_ = !arg.empty() && arg[0] != 0;
-      return {};
     default:
       return {};
   }
@@ -461,7 +456,7 @@ void DpiMiddleboxApp::on_plain_message(core::Ctx& ctx, netsim::NodeId peer,
   }
 }
 
-void DpiMiddleboxApp::on_secure_message(core::Ctx& ctx, netsim::NodeId,
+void DpiMiddleboxApp::on_secure_message(core::Ctx&, netsim::NodeId,
                                         crypto::BytesView payload) {
   try {
     crypto::Reader r(payload);
@@ -470,119 +465,20 @@ void DpiMiddleboxApp::on_secure_message(core::Ctx& ctx, netsim::NodeId,
     }
     const uint32_t sid = r.u32();
     const auto role = static_cast<EndpointRole>(r.u8());
+    // Decoded before the session is touched: a malformed key leaves no
+    // state behind to refuse the right key that follows.
     TlsKeyMaterial keys = TlsKeyMaterial::deserialize(r.lv());
-    if (shard() != nullptr && shard()->active()) {
-      if (!shard()->serving()) return;  // fail-closed while in a minority
-      crypto::Bytes entry;
-      crypto::append_u32(entry, sid);
-      entry.push_back(static_cast<uint8_t>(role));
-      crypto::append_lv(entry, keys.serialize());
-      shard()->admit(ctx, sid, entry);
+    Session& s = sessions_[sid];
+    if (s.keys.has_value() &&
+        !crypto::ct_equal(s.keys->channel_key, keys.channel_key)) {
+      return;  // conflicting keys: refuse
     }
-    apply_provision(ctx, sid, role, std::move(keys));
+    s.keys = std::move(keys);
+    s.provisioned.insert(role);
+    maybe_activate(s);
   } catch (const std::exception&) {
     return;
   }
-}
-
-void DpiMiddleboxApp::apply_provision(core::Ctx&, uint32_t sid,
-                                      EndpointRole role, TlsKeyMaterial keys) {
-  Session& s = sessions_[sid];
-  if (s.keys.has_value() &&
-      !crypto::ct_equal(s.keys->channel_key, keys.channel_key)) {
-    return;  // conflicting keys: refuse
-  }
-  s.keys = std::move(keys);
-  s.provisioned.insert(role);
-  maybe_activate(s);
-}
-
-void DpiMiddleboxApp::configure_shard(core::Ctx& ctx, core::ShardConfig cfg) {
-  core::ShardReplica::Hooks hooks;
-  hooks.apply = [this](core::Ctx& c, uint32_t, uint64_t key,
-                       crypto::BytesView entry) {
-    try {
-      crypto::Reader r(entry);
-      const uint32_t sid = r.u32();
-      if (sid != key) return;  // entry/key mismatch: refuse
-      const auto role = static_cast<EndpointRole>(r.u8());
-      TlsKeyMaterial keys = TlsKeyMaterial::deserialize(r.lv());
-      c.alloc(128);
-      apply_provision(c, sid, role, std::move(keys));
-    } catch (const std::exception&) {
-    }
-  };
-  hooks.snapshot = [this](core::Ctx&) { return serialize_provisions(); };
-  hooks.install = [this](core::Ctx& c, crypto::BytesView state) {
-    return install_provisions(c, state);
-  };
-  enable_sharding(ctx, std::move(cfg), std::move(hooks));
-}
-
-crypto::Bytes DpiMiddleboxApp::serialize_provisions() const {
-  uint32_t n = 0;
-  for (const auto& [sid, s] : sessions_) {
-    if (s.keys.has_value()) ++n;
-  }
-  crypto::Bytes state;
-  crypto::append_u32(state, n);
-  for (const auto& [sid, s] : sessions_) {
-    if (!s.keys.has_value()) continue;
-    crypto::append_u32(state, sid);
-    crypto::append_u32(state, s.prev);
-    crypto::append_u32(state, s.next);
-    state.push_back(static_cast<uint8_t>(s.provisioned.size()));
-    for (const EndpointRole role : s.provisioned) {
-      state.push_back(static_cast<uint8_t>(role));
-    }
-    crypto::append_lv(state, s.keys->serialize());
-  }
-  return state;
-}
-
-bool DpiMiddleboxApp::install_provisions(core::Ctx& ctx,
-                                         crypto::BytesView state) {
-  // Parse fully before applying: a malformed blob must leave session
-  // state untouched (the shard install contract requires it).
-  struct Parsed {
-    uint32_t sid;
-    netsim::NodeId prev;
-    netsim::NodeId next;
-    std::vector<EndpointRole> roles;
-    TlsKeyMaterial keys;
-  };
-  std::vector<Parsed> parsed;
-  try {
-    crypto::Reader r(state);
-    const uint32_t n = r.u32();
-    parsed.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      Parsed p;
-      p.sid = r.u32();
-      p.prev = r.u32();
-      p.next = r.u32();
-      const uint8_t n_roles = r.u8();
-      for (uint8_t j = 0; j < n_roles; ++j) {
-        p.roles.push_back(static_cast<EndpointRole>(r.u8()));
-      }
-      p.keys = TlsKeyMaterial::deserialize(r.lv());
-      parsed.push_back(std::move(p));
-    }
-  } catch (const std::exception&) {
-    return false;
-  }
-  for (const Parsed& p : parsed) {
-    Session& s = sessions_[p.sid];
-    ctx.alloc(512);
-    // Keep local path bindings if present (the checkpoint restored
-    // them); otherwise adopt the donor's view of the session path.
-    if (s.prev == netsim::kInvalidNode) s.prev = p.prev;
-    if (s.next == netsim::kInvalidNode) s.next = p.next;
-    for (const EndpointRole role : p.roles) {
-      apply_provision(ctx, p.sid, role, p.keys);
-    }
-  }
-  return true;
 }
 
 crypto::Bytes DpiMiddleboxApp::on_checkpoint(core::Ctx&) {
@@ -615,21 +511,10 @@ void DpiMiddleboxApp::on_restore(core::Ctx& ctx, crypto::BytesView state) {
   }
 }
 
-crypto::Bytes DpiMiddleboxApp::on_control(core::Ctx& ctx, uint32_t subfn,
+crypto::Bytes DpiMiddleboxApp::on_control(core::Ctx&, uint32_t subfn,
                                           crypto::BytesView arg) {
   crypto::Bytes out;
   switch (subfn) {
-    case kCtlConfigureShard:
-      configure_shard(ctx, core::ShardConfig::deserialize(arg));
-      return out;
-    case kCtlBeginShardJoin:
-      if (shard() != nullptr) shard()->begin_join(ctx);
-      return out;
-    case kCtlShardReachable:
-      if (shard() != nullptr && arg.size() >= 5) {
-        shard()->set_reachable(ctx, crypto::read_u32(arg, 0), arg[4] != 0);
-      }
-      return out;
     case kCtlAlertCount:
       crypto::append_u64(out, alerts_.size());
       return out;

@@ -50,7 +50,6 @@ enum EndpointControl : uint32_t {
   kCtlSendData = 3,       // u32 sid | LV data
   kCtlReceived = 4,       // u32 sid -> LV... (all received, concatenated LVs)
   kCtlProvisionMbox = 5,  // u32 sid | u32 mbox node
-  kCtlServerEcho = 6,     // u8 on/off (server responds "ok:<data>")
 };
 
 // --- Middlebox controls ---
@@ -61,10 +60,6 @@ enum MboxControl : uint32_t {
   kCtlOpaqueForwarded = 4,  // -> u64 records forwarded without keys
   kCtlBlockedCount = 5,     // -> u64 records dropped by policy
   kCtlInspectedCount = 6,   // -> u64 records decrypted and scanned
-  kCtlConfigureShard = 7,   // serialized core::ShardConfig — replicate
-                            // session provisions across a DPI shard group
-  kCtlBeginShardJoin = 8,   // empty (rejoin after restart)
-  kCtlShardReachable = 9,   // u32 shard | u8 up (host liveness hint)
 };
 
 /// TLS client endpoint (runs in an enclave; attests middleboxes before
@@ -92,7 +87,7 @@ class TlsClientApp final : public core::SecureApp {
   uint32_t next_sid_ = 100;
 };
 
-/// TLS server endpoint.
+/// TLS server endpoint. Answers every record with "ok:<data>".
 class TlsServerApp final : public core::SecureApp {
  public:
   TlsServerApp(const sgx::Authority& authority, sgx::AttestationConfig config);
@@ -113,7 +108,6 @@ class TlsServerApp final : public core::SecureApp {
   };
   std::map<uint32_t, Session> sessions_;
   std::map<netsim::NodeId, std::vector<uint32_t>> pending_provision_;
-  bool echo_ = true;
 };
 
 /// Middlebox policy knobs.
@@ -166,15 +160,6 @@ class DpiMiddleboxApp final : public core::SecureApp {
   void maybe_activate(Session& s);
   void forward(core::Ctx& ctx, const Session& s, Direction dir,
                crypto::BytesView wire);
-
-  // Shard-group integration: session provisions (key material released by
-  // the endpoints) are the admitted state; a standby DPI replica holding
-  // the replicated provisions can take over a session mid-stream.
-  void configure_shard(core::Ctx& ctx, core::ShardConfig cfg);
-  void apply_provision(core::Ctx& ctx, uint32_t sid, EndpointRole role,
-                       TlsKeyMaterial keys);
-  [[nodiscard]] crypto::Bytes serialize_provisions() const;
-  bool install_provisions(core::Ctx& ctx, crypto::BytesView state);
 
   MboxPolicy policy_;
   PatternSet patterns_;

@@ -34,7 +34,6 @@ class PatternSet {
   /// Compiles the goto table, fail links and outputs. Idempotent.
   void build();
   [[nodiscard]] bool built() const { return built_; }
-  [[nodiscard]] size_t pattern_count() const { return patterns_.size(); }
   [[nodiscard]] const std::string& pattern(uint32_t id) const {
     return patterns_.at(id);
   }

@@ -38,7 +38,6 @@ class MboxDeployment {
   [[nodiscard]] core::EnclaveNode& client_node() { return *client_; }
   [[nodiscard]] core::EnclaveNode& server_node() { return *server_; }
   [[nodiscard]] core::EnclaveNode& mbox_node(size_t i) { return *mboxes_.at(i); }
-  [[nodiscard]] size_t mbox_count() const { return mboxes_.size(); }
 
   /// Opens a TLS session through the whole chain and completes the
   /// handshake. Returns the session id.

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <optional>
+#include <stdexcept>
 
 #include "crypto/dh.h"
 #include "crypto/rng.h"
@@ -32,7 +33,11 @@ struct TlsKeyMaterial {
   crypto::Bytes channel_key;  // 32B AEAD key for the record layer
 
   [[nodiscard]] crypto::Bytes serialize() const { return channel_key; }
+  /// Throws std::invalid_argument unless `wire` is one AEAD key.
   static TlsKeyMaterial deserialize(crypto::BytesView wire) {
+    if (wire.size() != crypto::Aead::kKeySize) {
+      throw std::invalid_argument("TlsKeyMaterial: key is not 32 bytes");
+    }
     return TlsKeyMaterial{crypto::Bytes(wire.begin(), wire.end())};
   }
 };

@@ -322,12 +322,6 @@ class CalendarQueue {
     return e.slot;
   }
 
-  /// Time of the minimum event without removing it. Precondition: !empty().
-  [[nodiscard]] double peek_time() {
-    if (ready_.empty()) advance();
-    return ready_.back().time;
-  }
-
  private:
   static constexpr size_t kInitBuckets = 256;
   // Width recalibration (Brown 1988 samples dequeue gaps): resize-time

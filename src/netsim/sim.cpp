@@ -96,7 +96,6 @@ void Simulator::post(Message msg) {
   if (!faults_.empty()) {
     if (!faults_.node_up(msg.src, now_) || !faults_.node_up(msg.dst, now_) ||
         !faults_.link_window_up(msg.src, msg.dst, now_)) {
-      ++dropped_;
       ++faults_.counters().window_dropped;
       TENET_COUNT("net.messages_dropped");
       TENET_COUNT("net.fault.window_drop");
@@ -105,7 +104,6 @@ void Simulator::post(Message msg) {
     if (!faults_.partition_up(msg.src, msg.dst, now_)) {
       // Symmetric partition cut (split-brain drill): both directions of
       // every cross-side pair drop for the window's duration.
-      ++dropped_;
       ++faults_.counters().partitioned;
       TENET_COUNT("net.messages_dropped");
       TENET_COUNT("net.fault.partition");
@@ -119,7 +117,6 @@ void Simulator::post(Message msg) {
     }
     lf = &faults_.faults(msg.src, msg.dst);
     if (lf->loss > 0 && rng_.uniform_real() < lf->loss) {
-      ++dropped_;
       ++faults_.counters().lost;
       TENET_COUNT("net.messages_dropped");
       TENET_COUNT("net.fault.loss");
@@ -266,7 +263,6 @@ bool Simulator::step() {
     return true;  // destination vanished: drop
   }
   if (!faults_.empty() && !faults_.node_up(dst, now_)) {
-    ++dropped_;
     ++faults_.counters().window_dropped;
     TENET_COUNT("net.messages_dropped");
     TENET_COUNT("net.fault.window_drop");

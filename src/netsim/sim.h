@@ -100,7 +100,10 @@ class Simulator {
   void set_bandwidth(double bytes_per_second) { bandwidth_ = bytes_per_second; }
 
   /// Messages dropped by the fault plan, on post or on arrival.
-  [[nodiscard]] uint64_t messages_dropped() const { return dropped_; }
+  [[nodiscard]] uint64_t messages_dropped() const {
+    const FaultCounters& c = faults_.counters();
+    return c.window_dropped + c.partitioned + c.lost;
+  }
 
   /// Fault-injection plan (loss/duplication/reordering/jitter/outage
   /// windows), the only way to fault the network. All probabilistic
@@ -149,7 +152,6 @@ class Simulator {
 
   /// Configures the default run() safety cap; 0 disables it entirely.
   void set_run_cap(size_t cap) { run_cap_ = cap; }
-  [[nodiscard]] size_t run_cap() const { return run_cap_; }
 
   [[nodiscard]] const TrafficStats& stats(NodeId node) const;
   [[nodiscard]] uint64_t total_messages_delivered() const { return delivered_; }
@@ -195,7 +197,6 @@ class Simulator {
   /// injection) is still accounted, just off the dense path.
   crypto::FlatMap<uint64_t, TrafficStats> stats_overflow_;
   crypto::FlatMap<uint64_t, double> latencies_;  // by link_key(a, b)
-  uint64_t dropped_ = 0;
   FaultPlan faults_;
   /// True between the first message dropped by a partition window and the
   /// first event after every window closes (cut/heal fleet events).

@@ -84,7 +84,6 @@ class OcallSnoop {
 
   [[nodiscard]] const std::vector<Hit>& hits() const { return hits_; }
   [[nodiscard]] uint64_t payloads_observed() const { return observed_; }
-  void clear_hits() { hits_.clear(); }
 
  private:
   struct Needle {

@@ -100,7 +100,6 @@ Platform::Platform(Authority& authority, std::string name)
       root_secret_(crypto::hkdf(crypto::to_bytes("tenet.platform.fuse"),
                                 crypto::to_bytes(name_), crypto::to_bytes("root"),
                                 32)),
-      host_rng_(crypto::Drbg::from_label(id_, "tenet.platform.host")),
       epc_(crypto::hkdf(crypto::to_bytes("tenet.platform.mee"), root_secret_,
                         crypto::to_bytes("mee"), 32)) {}
 

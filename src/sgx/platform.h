@@ -67,8 +67,6 @@ class Platform {
 
   /// Untrusted-side cost accounting (ocall handlers, host runtime).
   [[nodiscard]] CostModel& host_cost() { return host_cost_; }
-  /// Host-side randomness (untrusted; visible to the adversary).
-  [[nodiscard]] crypto::Drbg& host_rng() { return host_rng_; }
 
   /// Full launch sequence: ECREATE, EADD+EEXTEND per page, EINIT with
   /// sigstruct verification. Throws HardwareFault if the sigstruct does
@@ -116,7 +114,6 @@ class Platform {
   std::string name_;
   PlatformId id_;
   crypto::Bytes root_secret_;  // fused key material (never leaves the CPU)
-  crypto::Drbg host_rng_;
   CostModel host_cost_;
   Epc epc_;
   std::map<EnclaveId, std::unique_ptr<Enclave>> enclaves_;

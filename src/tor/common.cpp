@@ -25,14 +25,22 @@ crypto::Bytes RelayDescriptor::serialize() const {
   return out;
 }
 
+namespace {
+bool flag_from_wire(uint8_t byte) {
+  if (byte > 1) throw std::invalid_argument("RelayDescriptor: bad flag byte");
+  return byte == 1;
+}
+}  // namespace
+
 RelayDescriptor RelayDescriptor::deserialize(crypto::BytesView wire) {
   crypto::Reader r(wire);
   RelayDescriptor d;
   d.node = r.u32();
   d.nickname = crypto::to_string(r.lv());
   d.onion_public = r.lv();
-  d.exit = r.u8() != 0;
-  d.claims_sgx = r.u8() != 0;
+  d.exit = flag_from_wire(r.u8());
+  d.claims_sgx = flag_from_wire(r.u8());
+  if (!r.done()) throw std::invalid_argument("RelayDescriptor: trailing bytes");
   return d;
 }
 

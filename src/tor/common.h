@@ -39,6 +39,9 @@ struct RelayDescriptor {
   bool claims_sgx = false;  // triggers attestation-based auto-admission
 
   [[nodiscard]] crypto::Bytes serialize() const;
+  /// Accepts only serialize()'s exact output: a short input throws
+  /// std::out_of_range; a flag byte other than 0 or 1, or a trailing byte,
+  /// throws std::invalid_argument.
   static RelayDescriptor deserialize(crypto::BytesView wire);
 };
 

@@ -84,25 +84,16 @@ void AuthorityApp::handle_upload(core::Ctx& ctx, crypto::BytesView body) {
   // Otherwise: manual path — wait for the operator's approval vote.
 }
 
-void AuthorityApp::on_peer_attested(core::Ctx& ctx, netsim::NodeId peer) {
+void AuthorityApp::on_peer_attested(core::Ctx&, netsim::NodeId peer) {
   const auto it = pending_.find(peer);
   if (it != pending_.end() && policy_.auto_admit_sgx &&
       it->second.claims_sgx) {
-    if (admit_relay(ctx, peer, it->second)) pending_.erase(it);
+    admitted_[peer] = std::move(it->second);
+    pending_.erase(it);
     return;
   }
   // Otherwise: a co-authority completing the attested voting mesh.
   co_authorities_.insert(peer);
-}
-
-bool AuthorityApp::admit_relay(core::Ctx& ctx, netsim::NodeId node,
-                               RelayDescriptor desc) {
-  if (shard() != nullptr && shard()->active()) {
-    if (!shard()->serving()) return false;  // minority partition: hold off
-    shard()->admit(ctx, node, desc.serialize());
-  }
-  admitted_[node] = std::move(desc);
-  return true;
 }
 
 void AuthorityApp::handle_vote(core::Ctx& ctx, netsim::NodeId peer,
@@ -169,41 +160,12 @@ crypto::Bytes AuthorityApp::on_control(core::Ctx& ctx, uint32_t subfn,
     case kCtlApproveRelay: {
       const netsim::NodeId node = crypto::read_u32(arg, 0);
       const auto it = pending_.find(node);
-      if (it != pending_.end() && admit_relay(ctx, node, it->second)) {
+      if (it != pending_.end()) {
+        admitted_[node] = std::move(it->second);
         pending_.erase(it);
       }
       return {};
     }
-    case kCtlConfigureShard: {
-      core::ShardReplica::Hooks hooks;
-      hooks.apply = [this](core::Ctx& c, uint32_t, uint64_t key,
-                           crypto::BytesView entry) {
-        try {
-          RelayDescriptor d = RelayDescriptor::deserialize(entry);
-          if (d.node != key) return;  // entry/key mismatch: refuse
-          c.alloc(128 + d.onion_public.size());
-          admitted_[d.node] = std::move(d);
-        } catch (const std::exception&) {
-        }
-      };
-      hooks.snapshot = [this](core::Ctx&) { return serialize_admitted(); };
-      // Merge semantics: the donor only saw its slice of origins, so its
-      // snapshot unions into (never replaces) the local admitted set.
-      hooks.install = [this](core::Ctx&, crypto::BytesView state) {
-        return load_admitted(state);
-      };
-      enable_sharding(ctx, core::ShardConfig::deserialize(arg),
-                      std::move(hooks));
-      return {};
-    }
-    case kCtlBeginShardJoin:
-      if (shard() != nullptr) shard()->begin_join(ctx);
-      return {};
-    case kCtlShardReachable:
-      if (shard() != nullptr && arg.size() >= 5) {
-        shard()->set_reachable(ctx, crypto::read_u32(arg, 0), arg[4] != 0);
-      }
-      return {};
     case kCtlAttestPeers: {
       crypto::Reader r(arg);
       const uint32_t n = r.u32();
@@ -248,16 +210,6 @@ crypto::Bytes AuthorityApp::on_control(core::Ctx& ctx, uint32_t subfn,
       crypto::append_u64(out, admitted_.size());
       return out;
     }
-    case kCtlPendingCount: {
-      crypto::Bytes out;
-      crypto::append_u64(out, pending_.size());
-      return out;
-    }
-    case kCtlVotesReceived: {
-      crypto::Bytes out;
-      crypto::append_u64(out, votes_.size());
-      return out;
-    }
     case kCtlSealState:
       // §3.2: authorities "keep authority keys and list of Tor nodes
       // inside the enclaves" — sealed storage lets that state survive a
@@ -286,8 +238,8 @@ crypto::Bytes AuthorityApp::serialize_admitted() const {
 }
 
 bool AuthorityApp::load_admitted(crypto::BytesView state) {
-  // Parse fully before inserting: a malformed blob must leave the
-  // admitted set untouched (the shard install contract requires it).
+  // Parse fully before inserting: a malformed blob (a corrupted sealed
+  // state or checkpoint) must leave the admitted set untouched.
   std::vector<RelayDescriptor> parsed;
   try {
     crypto::Reader r(state);

@@ -28,14 +28,8 @@ enum AuthorityControl : uint32_t {
   kCtlStartVote = 3,         // u32 epoch | u32 total authorities
   kCtlGetConsensus2 = 4,     // -> serialized consensus (empty if none)
   kCtlAdmittedCount = 5,     // -> u64
-  kCtlPendingCount = 6,      // -> u64
-  kCtlVotesReceived = 7,     // -> u64
   kCtlSealState = 8,         // -> sealed blob of the admitted-relay set
   kCtlRestoreState = 9,      // sealed blob -> u8 success
-  kCtlConfigureShard = 10,   // serialized core::ShardConfig — replicate
-                             // admissions across an authority shard group
-  kCtlBeginShardJoin = 11,   // empty (rejoin after restart)
-  kCtlShardReachable = 12,   // u32 shard | u8 up (host liveness hint)
 };
 
 class AuthorityApp : public core::SecureApp {
@@ -71,11 +65,6 @@ class AuthorityApp : public core::SecureApp {
  private:
   [[nodiscard]] crypto::Bytes serialize_admitted() const;
   bool load_admitted(crypto::BytesView state);
-  /// Single admission point: updates the admitted set and, when part of an
-  /// active shard group, replicates the admission (key = relay node id) to
-  /// the ring successor. Fail-closed: refused while in a minority
-  /// partition — the relay stays pending.
-  bool admit_relay(core::Ctx& ctx, netsim::NodeId node, RelayDescriptor desc);
   void handle_upload(core::Ctx& ctx, crypto::BytesView body);
   void handle_vote(core::Ctx& ctx, netsim::NodeId peer,
                    crypto::BytesView body, bool over_secure_channel);

@@ -243,5 +243,75 @@ TEST(Middlebox, ServerProvisionAloneInsufficientUnderBilateral) {
   EXPECT_EQ(dep.alerts(0), 0u);
 }
 
+/// Attested stand-in for an endpoint that sends whatever secure payload
+/// the test hands it (control: u32 peer | LV payload).
+class RawProvisioner final : public core::SecureApp {
+ public:
+  using SecureApp::SecureApp;
+
+  void on_secure_message(core::Ctx&, netsim::NodeId,
+                         crypto::BytesView) override {}
+  crypto::Bytes on_control(core::Ctx& ctx, uint32_t,
+                           crypto::BytesView arg) override {
+    crypto::Reader r(arg);
+    const netsim::NodeId peer = r.u32();
+    ctx.send_secure(peer, r.lv());
+    return {};
+  }
+};
+
+TEST(Middlebox, WrongLengthKeyLeavesNoStateToRefuseTheRightOne) {
+  // A provisioned key that is not one AEAD key is refused before it
+  // touches the session, so the right keys that follow still activate DPI.
+  netsim::Simulator sim;
+  sgx::Authority authority;
+  const core::OpenProject mbox_project("dpi-middlebox", "test middlebox\n",
+                                       nullptr);
+  const core::OpenProject endpoint_project("raw-provisioner",
+                                           "test endpoint\n", nullptr);
+  const sgx::Authority* auth = &authority;
+  sgx::EnclaveImage mbox_image = mbox_project.build();
+  mbox_image.factory = [auth] {
+    return std::make_unique<DpiMiddleboxApp>(
+        *auth, sgx::AttestationConfig{}, MboxPolicy{},
+        std::vector<std::string>{"ATTACK"});
+  };
+  sgx::EnclaveImage endpoint_image = endpoint_project.build();
+  const sgx::AttestationConfig endpoint_cfg = mbox_project.policy();
+  endpoint_image.factory = [auth, endpoint_cfg] {
+    return std::make_unique<RawProvisioner>(*auth, endpoint_cfg);
+  };
+  core::EnclaveNode mbox(sim, authority, "mbox", mbox_project.foundation(),
+                         mbox_image);
+  core::EnclaveNode endpoint(sim, authority, "endpoint",
+                             endpoint_project.foundation(), endpoint_image);
+  mbox.start();
+  endpoint.start();
+  endpoint.connect_to(mbox.id());
+  sim.run();
+
+  constexpr uint32_t kSid = 7;
+  auto provision = [&](EndpointRole role, size_t key_size) {
+    crypto::Bytes arg;
+    crypto::append_u32(arg, mbox.id());
+    crypto::append_lv(arg, encode_provision(kSid, role,
+                                            {crypto::Bytes(key_size, 0x42)}));
+    (void)endpoint.control(0, arg);
+    sim.run();
+  };
+  auto active = [&] {
+    crypto::Bytes arg;
+    crypto::append_u32(arg, kSid);
+    const crypto::Bytes out = mbox.control(kCtlSessionActive, arg);
+    return !out.empty() && out[0] == 1;
+  };
+
+  provision(EndpointRole::kClient, crypto::Aead::kKeySize - 1);
+  provision(EndpointRole::kClient, crypto::Aead::kKeySize);
+  EXPECT_FALSE(active());  // bilateral: the server has not provisioned yet
+  provision(EndpointRole::kServer, crypto::Aead::kKeySize);
+  EXPECT_TRUE(active());
+}
+
 }  // namespace
 }  // namespace tenet::mbox

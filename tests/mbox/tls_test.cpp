@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "decoder_mutation.h"
+
 namespace tenet::mbox {
 namespace {
 
@@ -143,6 +145,31 @@ TEST(Tls, SecretsDeriveDeterministically) {
   // Nonces matter.
   const TlsSecrets c = TlsSecrets::derive(shared, ns, nc);
   EXPECT_NE(a.channel_key, c.channel_key);
+}
+
+TEST(TlsKeyMaterial, RejectsAnyLengthButOneAeadKey) {
+  const crypto::Bytes key(crypto::Aead::kKeySize, 0x42);
+  EXPECT_EQ(TlsKeyMaterial::deserialize(key).serialize(), key);
+  for (const size_t n : {size_t{0}, size_t{16}, crypto::Aead::kKeySize - 1,
+                         crypto::Aead::kKeySize + 1, size_t{64}}) {
+    EXPECT_THROW(TlsKeyMaterial::deserialize(crypto::Bytes(n, 0x42)),
+                 std::invalid_argument)
+        << n << "-byte key";
+  }
+}
+
+TEST(TlsKeyMaterial, SeededMutationsAreCanonicalOrRejected) {
+  Handshake h;
+  ASSERT_TRUE(h.run());
+  const test::MutationTally t = test::check_mutations(
+      h.client.keys().serialize(),
+      [](crypto::BytesView w) {
+        return TlsKeyMaterial::deserialize(w).serialize();
+      },
+      /*seed=*/33);
+  for (size_t kind = 0; kind < 3; ++kind) EXPECT_GT(t.by_kind[kind], 0u);
+  EXPECT_GT(t.accepted, 0u);  // flips keep the length
+  EXPECT_GT(t.rejected, 0u);
 }
 
 }  // namespace
