@@ -37,14 +37,6 @@ bool ShardReplica::is_reachable(uint32_t shard) const {
   return it == reachable_.end() || it->second;  // optimistic until told
 }
 
-uint32_t ShardReplica::lowest_reachable() const {
-  uint32_t best = cfg_.self;
-  for (const ShardMember& m : cfg_.members) {
-    if (m.shard < best && is_reachable(m.shard)) best = m.shard;
-  }
-  return best;
-}
-
 uint32_t ShardReplica::next_hop() const {
   uint32_t s = map_.successor(cfg_.self);
   while (s != cfg_.self && s != kInvalidShard) {

@@ -93,9 +93,6 @@ class ShardReplica {
   /// partition therefore stops admitting rather than diverging.
   [[nodiscard]] bool serving() const;
   [[nodiscard]] bool is_reachable(uint32_t shard) const;
-  /// Lowest-numbered shard currently believed reachable (incl. self) — the
-  /// deterministic choice of "compute owner" for global aggregation.
-  [[nodiscard]] uint32_t lowest_reachable() const;
 
   [[nodiscard]] const VersionVector& versions() const { return versions_; }
   [[nodiscard]] uint64_t entries_applied() const { return entries_applied_; }

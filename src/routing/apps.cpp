@@ -135,19 +135,8 @@ void InterDomainControllerApp::maybe_compute(core::Ctx& ctx) {
   if (policies_.size() < expected_ases_) return;
   // All parties submitted: run the BGP-equivalent computation inside the
   // enclave and return to each AS exactly its own routes.
-  ComputationResult result = BgpComputation::compute(policies_);
-  size_t retained = 0;
-  size_t candidates = 0;
-  for (const auto& [asn, table] : result.tables) retained += retained_size(table);
-  for (const auto& [asn, per_prefix] : result.candidates) {
-    for (const auto& [p, v] : per_prefix) candidates += v.size();
-  }
-  // The computation's transient allocations (candidate Route objects,
-  // path vectors) hit the enclave heap — "dynamic memory allocation that
-  // causes context switches" is exactly where Table 4 says the overhead
-  // comes from. Natively the same allocations are near-free.
-  charge_compute_arena(ctx, retained + candidates * 1'792);
-  result_ = std::move(result);
+  result_ = BgpComputation::compute(policies_);
+  charge_compute_arena(ctx, *result_);
   for (const auto& [asn, node] : asn_to_node_) {
     const auto it = result_->tables.find(asn);
     static const RoutingTable kEmpty;
@@ -187,17 +176,8 @@ void InterDomainControllerApp::maybe_compute_sharded(core::Ctx& ctx) {
     for (const auto& [asn, policy] : policies_) {
       if (index++ % live.size() == my_rank) origins.insert(asn);
     }
-    ComputationResult slice = BgpComputation::compute(policies_, origins);
-    size_t retained = 0;
-    size_t candidates = 0;
-    for (const auto& [asn, table] : slice.tables) {
-      retained += retained_size(table);
-    }
-    for (const auto& [asn, per_prefix] : slice.candidates) {
-      for (const auto& [p, v] : per_prefix) candidates += v.size();
-    }
-    charge_compute_arena(ctx, retained + candidates * 1'792);
-    slice_ = std::move(slice);
+    slice_ = BgpComputation::compute(policies_, origins);
+    charge_compute_arena(ctx, *slice_);
     slice_valid_ = true;
     distribution_current_ = false;
     send_partials(ctx);
@@ -205,18 +185,17 @@ void InterDomainControllerApp::maybe_compute_sharded(core::Ctx& ctx) {
   maybe_distribute_sharded(ctx);
 }
 
-void InterDomainControllerApp::send_partials(core::Ctx& ctx, uint32_t only) {
+void InterDomainControllerApp::send_partials(core::Ctx& ctx) {
   if (!slice_valid_ || !slice_.has_value()) return;
   const uint32_t self = shard()->self_shard();
   for (const core::ShardMember& m : shard()->members()) {
     if (m.shard == self || !shard()->is_reachable(m.shard)) continue;
-    if (only != core::kInvalidShard && m.shard != only) continue;
     // Bundle our slice's rows for every AS this member fronts. An empty
     // bundle still goes out: the receiver counts senders, not rows.
     std::vector<AsNumber> fronted;
     size_t bytes = 9;  // tag | from_shard | n, then LV-coded routes
-    for (const auto& [asn, ab] : admitted_by_) {
-      if (ab.shard != m.shard) continue;
+    for (const auto& [asn, front] : admitted_by_) {
+      if (front != m.shard) continue;
       fronted.push_back(asn);
       bytes += 12;  // asn | n_rows | n_cands
       const auto t = slice_->tables.find(asn);
@@ -268,12 +247,13 @@ void InterDomainControllerApp::send_partials(core::Ctx& ctx, uint32_t only) {
 void InterDomainControllerApp::maybe_distribute_sharded(core::Ctx& ctx) {
   if (!slice_valid_ || !slice_.has_value()) return;
   // A full pass is a function of slice_, partials_ and admitted_by_ (plus
-  // sent_tables_, which only this function writes): while none of them has
-  // changed since the last one, it would rebuild and re-encode every
-  // fronted table only to find each equal to what was sent. slice_ and
-  // partials_ clear the flag where they change; every write to
-  // admitted_by_ (store_policy, shard_install, reforward_admitted) also
-  // clears slice_valid_, and the recompute that follows assigns slice_.
+  // the node bindings, written only with it, and sent_tables_, which only
+  // this function writes): while none of them has changed since the last
+  // one, it would rebuild and re-encode every fronted table only to find
+  // each equal to what was sent. slice_ and partials_ clear the flag where
+  // they change; every write to admitted_by_ (store_policy, shard_install,
+  // reforward_admitted) also clears slice_valid_, and the recompute that
+  // follows assigns slice_.
   if (distribution_current_) return;
   const uint32_t self = shard()->self_shard();
   for (const core::ShardMember& m : shard()->members()) {
@@ -282,52 +262,49 @@ void InterDomainControllerApp::maybe_distribute_sharded(core::Ctx& ctx) {
       return;  // a live member's slice is still in flight
     }
   }
-  // Assemble complete tables for our fronted ASes: our slice's rows plus
-  // every member's partial (slices partition the prefix space, so the
-  // union is the full table; merge order is deterministic — own slice,
-  // then senders in shard-id order).
-  ComputationResult mine;
-  for (const auto& [asn, ab] : admitted_by_) {
-    if (ab.shard != self) continue;
+  // Build only what is sent: each bound fronted AS's chosen rows. The
+  // candidates stay where they are; handle_verify reads them from there.
+  for (const auto& [asn, front] : admitted_by_) {
+    if (front != self) continue;
+    const netsim::NodeId node = node_of(asn);
+    if (node == netsim::kInvalidNode) continue;
     RoutingTable table;
-    std::map<Prefix, std::vector<Route>> cands;
-    const auto t = slice_->tables.find(asn);
-    if (t != slice_->tables.end()) table = t->second;
-    const auto c = slice_->candidates.find(asn);
-    if (c != slice_->candidates.end()) cands = c->second;
-    for (const auto& [sender, rows] : partials_) {
-      const auto pr = rows.find(asn);
-      if (pr == rows.end()) continue;
-      for (const auto& [p, route] : pr->second.chosen) table[p] = route;
-      for (const auto& [p, v] : pr->second.candidates) {
-        auto& dst = cands[p];
-        dst.insert(dst.end(), v.begin(), v.end());
-      }
-    }
-    mine.tables[asn] = std::move(table);
-    mine.candidates[asn] = std::move(cands);
-  }
-  result_ = std::move(mine);
-  for (const auto& [asn, ab] : admitted_by_) {
-    if (ab.shard != self || ab.node == netsim::kInvalidNode) continue;
-    const auto it = result_->tables.find(asn);
-    static const RoutingTable kEmpty;
-    const RoutingTable& table =
-        it != result_->tables.end() ? it->second : kEmpty;
+    merge_rows(asn, table, nullptr);
     crypto::Bytes advert = encode_route_advertisement(table);
-    auto& last = sent_tables_[ab.node];
+    auto& last = sent_tables_[node];
     if (last == advert) continue;  // unchanged since the last push
-    if (is_attested(ab.node)) {
-      ctx.send_secure(ab.node, advert);
+    if (is_attested(node)) {
+      ctx.send_secure(node, advert);
     } else {
       // Not (re-)attested to this shard yet — hold the table; it flushes
       // from on_peer_attested when the AS's handshake lands.
       ctx.alloc(advert.size());
-      pending_tables_[ab.node] = advert;
+      pending_tables_[node] = advert;
     }
     last = std::move(advert);
   }
   distribution_current_ = true;
+}
+
+void InterDomainControllerApp::merge_rows(
+    AsNumber asn, RoutingTable& table,
+    std::map<Prefix, std::vector<Route>>* cands) const {
+  const auto t = slice_->tables.find(asn);
+  if (t != slice_->tables.end()) table = t->second;
+  if (cands != nullptr) {
+    const auto c = slice_->candidates.find(asn);
+    if (c != slice_->candidates.end()) *cands = c->second;
+  }
+  for (const auto& [sender, rows] : partials_) {
+    const auto pr = rows.find(asn);
+    if (pr == rows.end()) continue;
+    for (const auto& [p, route] : pr->second.chosen) table[p] = route;
+    if (cands == nullptr) continue;
+    for (const auto& [p, v] : pr->second.candidates) {
+      auto& dst = (*cands)[p];
+      dst.insert(dst.end(), v.begin(), v.end());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -338,8 +315,17 @@ bool InterDomainControllerApp::shard_active() const {
   return shard() != nullptr && shard()->active();
 }
 
-void InterDomainControllerApp::charge_compute_arena(core::Ctx& ctx,
-                                                    size_t bytes) {
+void InterDomainControllerApp::charge_compute_arena(
+    core::Ctx& ctx, const ComputationResult& result) {
+  // The computation's transient allocations (candidate Route objects,
+  // path vectors) hit the enclave heap — "dynamic memory allocation that
+  // causes context switches" is exactly where Table 4 says the overhead
+  // comes from. Natively the same allocations are near-free.
+  size_t bytes = 0;
+  for (const auto& [asn, table] : result.tables) bytes += retained_size(table);
+  for (const auto& [asn, per_prefix] : result.candidates) {
+    for (const auto& [p, v] : per_prefix) bytes += v.size() * 1'792;
+  }
   if (bytes <= compute_arena_) return;
   ctx.alloc(bytes - compute_arena_);
   compute_arena_ = bytes;
@@ -355,14 +341,14 @@ bool InterDomainControllerApp::store_policy(core::Ctx& ctx,
   const auto existing = policies_.find(policy.asn);
   const auto ab = admitted_by_.find(policy.asn);
   if (existing != policies_.end() && ab != admitted_by_.end() &&
-      ab->second.shard == admitting_shard && ab->second.node == node &&
+      ab->second == admitting_shard && node_of(policy.asn) == node &&
       existing->second.same_encoding(policy)) {
     return false;
   }
   ctx.alloc(retained_size(policy));
   node_to_asn_[node] = policy.asn;
   asn_to_node_[policy.asn] = node;
-  admitted_by_[policy.asn] = AdmittedBy{admitting_shard, node};
+  admitted_by_[policy.asn] = admitting_shard;
   policies_[policy.asn] = std::move(policy);
   slice_valid_ = false;  // every shard's slice depends on the full set
   return true;
@@ -379,8 +365,8 @@ void InterDomainControllerApp::flood_policies(
     const auto ab = admitted_by_.find(asn);
     const auto policy = policies_.find(asn);
     if (ab == admitted_by_.end() || policy == policies_.end()) continue;
-    crypto::append_u32(body, ab->second.shard);
-    crypto::append_u32(body, ab->second.node);
+    crypto::append_u32(body, ab->second);
+    crypto::append_u32(body, node_of(asn));
     crypto::append_lv(body, policy->second.serialize());
     ++count;
   }
@@ -488,13 +474,9 @@ crypto::Bytes InterDomainControllerApp::shard_snapshot(core::Ctx&) {
   crypto::Bytes state;
   crypto::append_u32(state, static_cast<uint32_t>(policies_.size()));
   for (const auto& [asn, policy] : policies_) {
-    const auto node = asn_to_node_.find(asn);
     const auto ab = admitted_by_.find(asn);
-    crypto::append_u32(state, node != asn_to_node_.end()
-                                  ? node->second
-                                  : netsim::kInvalidNode);
-    crypto::append_u32(state,
-                       ab != admitted_by_.end() ? ab->second.shard : 0);
+    crypto::append_u32(state, node_of(asn));
+    crypto::append_u32(state, ab != admitted_by_.end() ? ab->second : 0);
     crypto::append_lv(state, policy.serialize());
   }
   return state;
@@ -533,7 +515,7 @@ bool InterDomainControllerApp::shard_install(core::Ctx& ctx,
       node_to_asn_[p.node] = p.policy.asn;
       asn_to_node_[p.policy.asn] = p.node;
     }
-    admitted_by_[p.policy.asn] = AdmittedBy{p.admitting_shard, p.node};
+    admitted_by_[p.policy.asn] = p.admitting_shard;
     policies_[p.policy.asn] = std::move(p.policy);
   }
   // The merged picture may shift our slice; recompute through the slice
@@ -604,19 +586,19 @@ void InterDomainControllerApp::reforward_admitted(core::Ctx& ctx) {
   std::vector<AsNumber> adopted;
   std::map<uint32_t, uint64_t> adopted_from;  // dead shard -> entries taken
   bool changed = false;
-  for (auto& [asn, ab] : admitted_by_) {
-    if (shard()->is_reachable(ab.shard)) continue;
-    const uint32_t dead = ab.shard;
+  for (auto& [asn, front] : admitted_by_) {
+    if (shard()->is_reachable(front)) continue;
+    const uint32_t dead = front;
     // Deterministic adoption: the dead shard's ASes move to its first
     // reachable ring successor — the same fallback rule the untrusted
     // router applies, so every survivor re-assigns identically (the slice
     // partition stays a partition) and the AS re-points exactly where its
     // table will be computed. Terminates: self is always reachable.
-    uint32_t adopter = shard()->map().successor(ab.shard);
-    while (adopter != ab.shard && !shard()->is_reachable(adopter)) {
+    uint32_t adopter = shard()->map().successor(dead);
+    while (adopter != dead && !shard()->is_reachable(adopter)) {
       adopter = shard()->map().successor(adopter);
     }
-    ab.shard = adopter;
+    front = adopter;
     changed = true;
     // The adopter owns the re-announcement; everyone else just relabels.
     if (adopter == self) {
@@ -703,9 +685,28 @@ void InterDomainControllerApp::handle_verify(core::Ctx& ctx,
   for (const AsNumber p : parties) {
     if (!reg.registered_by.contains(p)) return respond(VerifyStatus::kNotAgreed);
   }
-  if (!result_.has_value()) return respond(VerifyStatus::kNotReady);
-  respond(reg.predicate.evaluate(*result_) ? VerifyStatus::kHolds
-                                           : VerifyStatus::kViolated);
+  auto answer = [&](const ComputationResult& state) {
+    respond(reg.predicate.evaluate(state) ? VerifyStatus::kHolds
+                                          : VerifyStatus::kViolated);
+  };
+  if (!shard_active()) {
+    if (!result_.has_value()) return respond(VerifyStatus::kNotReady);
+    return answer(*result_);
+  }
+  // Sharded: answer from exactly the inputs of the last complete pass, and
+  // not while a pass is pending. A predicate reads only its parties' rows,
+  // so the view holds just the parties this shard fronts.
+  if (!slice_valid_ || !distribution_current_) {
+    return respond(VerifyStatus::kNotReady);
+  }
+  ComputationResult view;
+  const uint32_t self = shard()->self_shard();
+  for (const AsNumber p : parties) {
+    const auto front = admitted_by_.find(p);
+    if (front == admitted_by_.end() || front->second != self) continue;
+    merge_rows(p, view.tables[p], &view.candidates[p]);
+  }
+  answer(view);
 }
 
 crypto::Bytes InterDomainControllerApp::on_checkpoint(core::Ctx&) {
@@ -715,10 +716,7 @@ crypto::Bytes InterDomainControllerApp::on_checkpoint(core::Ctx&) {
   crypto::Bytes state;
   crypto::append_u32(state, static_cast<uint32_t>(policies_.size()));
   for (const auto& [asn, policy] : policies_) {
-    const auto node = asn_to_node_.find(asn);
-    crypto::append_u32(state,
-                       node != asn_to_node_.end() ? node->second
-                                                  : netsim::kInvalidNode);
+    crypto::append_u32(state, node_of(asn));
     crypto::append_lv(state, policy.serialize());
   }
   // Trailing flag: was this controller part of an active shard group? A
@@ -765,6 +763,11 @@ std::optional<AsNumber> InterDomainControllerApp::asn_of(
   const auto it = node_to_asn_.find(peer);
   if (it == node_to_asn_.end()) return std::nullopt;
   return it->second;
+}
+
+netsim::NodeId InterDomainControllerApp::node_of(AsNumber asn) const {
+  const auto it = asn_to_node_.find(asn);
+  return it != asn_to_node_.end() ? it->second : netsim::kInvalidNode;
 }
 
 crypto::Bytes InterDomainControllerApp::on_control(core::Ctx& ctx,

@@ -69,14 +69,6 @@ class InterDomainControllerApp final : public core::SecureApp {
     std::set<AsNumber> registered_by;
   };
 
-  /// Which shard admitted an AS's policy (and the AS's node). The
-  /// admitting shard both fronts the AS (distributes its table) and owns
-  /// the slice of the BGP fixpoint for the prefixes the AS originates.
-  struct AdmittedBy {
-    uint32_t shard = 0;
-    netsim::NodeId node = netsim::kInvalidNode;
-  };
-
   /// One sender-shard's contribution to one of our fronted ASes: the rows
   /// (and candidate routes) for the prefixes that shard's slice covered.
   struct PartialRows {
@@ -92,6 +84,8 @@ class InterDomainControllerApp final : public core::SecureApp {
                      crypto::BytesView body);
   void maybe_compute(core::Ctx& ctx);
   [[nodiscard]] std::optional<AsNumber> asn_of(netsim::NodeId peer) const;
+  /// The node bound to `asn`, or kInvalidNode when it has no binding.
+  [[nodiscard]] netsim::NodeId node_of(AsNumber asn) const;
 
   // Shard-group integration (see DESIGN.md §14). No-ops when unsharded.
   //
@@ -130,13 +124,17 @@ class InterDomainControllerApp final : public core::SecureApp {
   /// Recomputes this shard's slice of the fixpoint if invalidated, sends
   /// partial rows to the other members, then tries to distribute.
   void maybe_compute_sharded(core::Ctx& ctx);
-  /// Sends our slice's rows for the ASes each member fronts (all members,
-  /// or just `only` when targeting a rejoined shard).
-  void send_partials(core::Ctx& ctx,
-                     uint32_t only = 0xFFFFFFFFu /* kInvalidShard */);
-  /// Once every reachable member's partial is in, assembles complete
-  /// tables for our fronted ASes and pushes them out.
+  /// Sends our slice's rows for the ASes each reachable member fronts.
+  void send_partials(core::Ctx& ctx);
+  /// Once every reachable member's partial is in, builds the complete
+  /// table of each AS we front and pushes the ones that changed.
   void maybe_distribute_sharded(core::Ctx& ctx);
+  /// One fronted AS's complete rows: our slice's plus every member's
+  /// partial (slices partition the prefix space, so the union is the full
+  /// table; merge order is own slice, then senders in shard-id order).
+  /// Candidates are gathered only when `cands` is given.
+  void merge_rows(AsNumber asn, RoutingTable& table,
+                  std::map<Prefix, std::vector<Route>>* cands) const;
   /// Membership changed: deterministically re-assign ASes fronted by dead
   /// shards (ring-successor fallback — the same rule the untrusted router
   /// applies, so the AS re-points exactly where its slice moved).
@@ -144,18 +142,21 @@ class InterDomainControllerApp final : public core::SecureApp {
   void on_shard_down(core::Ctx& ctx, uint32_t shard_id);
   void on_shard_up(core::Ctx& ctx, uint32_t shard_id);
   [[nodiscard]] bool shard_active() const;
-  /// Charges enclave heap growth for the fixpoint's working set. SGX1 heap
-  /// pages are EAUG'd once and the in-enclave allocator reuses the freed
-  /// arena on recompute, so only the high-water *increment* adds pages.
-  void charge_compute_arena(core::Ctx& ctx, size_t bytes);
+  /// Charges enclave heap growth for a fixpoint's working set (retained
+  /// tables plus its candidates). SGX1 heap pages are EAUG'd once and the
+  /// in-enclave allocator reuses the freed arena on recompute, so only the
+  /// high-water *increment* adds pages.
+  void charge_compute_arena(core::Ctx& ctx, const ComputationResult& result);
 
   size_t expected_ases_;
   std::map<AsNumber, RoutingPolicy> policies_;
   std::map<netsim::NodeId, AsNumber> node_to_asn_;
   std::map<AsNumber, netsim::NodeId> asn_to_node_;
   std::map<uint32_t, Registration> predicates_;
-  std::optional<ComputationResult> result_;
-  std::map<AsNumber, AdmittedBy> admitted_by_;
+  std::optional<ComputationResult> result_;  // unsharded only
+  // Which shard admitted each AS's policy. The admitting shard fronts the
+  // AS (distributes its table); the AS's node is asn_to_node_'s.
+  std::map<AsNumber, uint32_t> admitted_by_;
   std::map<netsim::NodeId, crypto::Bytes> pending_tables_;
 
   size_t compute_arena_ = 0;  // fixpoint working-set high-water (bytes)
@@ -168,7 +169,8 @@ class InterDomainControllerApp final : public core::SecureApp {
   std::map<uint32_t, std::map<AsNumber, PartialRows>> partials_;
   std::map<netsim::NodeId, crypto::Bytes> sent_tables_;  // de-dup re-sends
   // The last full distribution pass still reflects slice_, partials_ and
-  // admitted_by_ (see maybe_distribute_sharded).
+  // admitted_by_ (see maybe_distribute_sharded); handle_verify answers
+  // from those inputs only while this holds.
   bool distribution_current_ = false;
 };
 

@@ -196,6 +196,165 @@ TEST(RoutingScenario, ShardedVerificationWorkflow) {
       dep, [&dep](AsNumber asn) { return dep.shard_of_as(asn); });
 }
 
+// Twelve robust ASes on three controller shards: after a kill or a heal
+// the ASes re-attest and re-submit on their own.
+ScenarioConfig three_robust_shards() {
+  ScenarioConfig cfg = small_sgx();
+  cfg.n_ases = 12;
+  cfg.shards = 3;
+  cfg.robust = true;
+  return cfg;
+}
+
+// Both parties register `p` under `pred_id` on the shard fronting them.
+void agree(RoutingDeployment& dep, uint32_t pred_id, const Predicate& p) {
+  for (const AsNumber party : p.parties()) {
+    dep.register_predicate(party, pred_id, p);
+  }
+}
+
+VerifyStatus truth_of(const Predicate& p, const ComputationResult& truth) {
+  return p.evaluate(truth) ? VerifyStatus::kHolds : VerifyStatus::kViolated;
+}
+
+TEST(RoutingScenario, ShardedVerificationMergesCandidates) {
+  // received_from reads every route an AS heard, which its shard merges
+  // from its own slice and the other shards' partial rows. The slice
+  // partition is round-robin by rank over the sorted policy set, so with
+  // all three shards live the origin at rank i is computed by shard i % 3:
+  // the holding predicate names a prefix another shard computes.
+  RoutingDeployment dep(three_robust_shards());
+  dep.run_attestation_phase();
+  dep.run_routing_phase();
+  const ComputationResult truth = BgpComputation::compute(dep.policies());
+  std::map<Prefix, uint32_t> computed_by;
+  uint32_t rank = 0;
+  for (const auto& [asn, policy] : dep.policies()) {
+    for (const Prefix p : policy.prefixes) computed_by[p] = rank % 3;
+    ++rank;
+  }
+
+  AsNumber b = 0, a = 0;
+  Prefix heard = 0;
+  for (const auto& [asn, per_prefix] : truth.candidates) {
+    const uint32_t front = dep.shard_of_as(asn);
+    for (const auto& [prefix, cands] : per_prefix) {
+      for (const Route& r : cands) {
+        if (b == 0 && r.next_hop() != 0 &&
+            dep.shard_of_as(r.next_hop()) == front &&
+            computed_by.at(prefix) != front) {
+          b = asn;
+          a = r.next_hop();
+          heard = prefix;
+        }
+      }
+    }
+  }
+  ASSERT_NE(b, 0u) << "no co-fronted pair hears a remotely computed prefix";
+  const Predicate holds = Predicate::received_from(b, a, heard);
+  ASSERT_EQ(truth_of(holds, truth), VerifyStatus::kHolds);
+
+  // The same pair over a prefix b never hears from a.
+  std::optional<Predicate> violated;
+  for (const auto& [prefix, origin] : computed_by) {
+    const Predicate p = Predicate::received_from(b, a, prefix);
+    if (truth_of(p, truth) == VerifyStatus::kViolated) {
+      violated = p;
+      break;
+    }
+  }
+  ASSERT_TRUE(violated.has_value());
+
+  agree(dep, 1, holds);
+  agree(dep, 2, *violated);
+  const auto check = [&](const char* when) {
+    for (const AsNumber party : {a, b}) {
+      EXPECT_EQ(dep.request_verification(party, 1), VerifyStatus::kHolds)
+          << when << ", asked by AS " << party;
+      EXPECT_EQ(dep.request_verification(party, 2), VerifyStatus::kViolated)
+          << when << ", asked by AS " << party;
+    }
+  };
+  check("settled");
+
+  // Kill and heal a shard fronting neither party: the partition shifts
+  // twice, the parties' shard re-merges, and the verdicts stand.
+  const uint32_t front = dep.shard_of_as(b);
+  const size_t victim = front == 1 ? 2 : 1;
+  ASSERT_TRUE(dep.kill_shard(victim));
+  dep.sim().run();
+  check("after the kill");
+  ASSERT_TRUE(dep.heal_shard(victim));
+  dep.sim().run();
+  check("after the heal");
+}
+
+TEST(RoutingScenario, ShardedVerificationIsNotReadyWhileAPassIsPending) {
+  // A shard answers from the inputs of its last complete distribution
+  // pass. A heal leaves every survivor's pass waiting for the rejoined
+  // shard's partial rows, so a request that lands then reads kNotReady.
+  // Once the group is quiet, the verdict reflects the local-pref change
+  // submitted in the same window.
+  RoutingDeployment dep(three_robust_shards());
+  dep.run_attestation_phase();
+  dep.run_routing_phase();
+  const std::map<AsNumber, RoutingPolicy>& policies = dep.policies();
+  const ComputationResult truth = BgpComputation::compute(policies);
+
+  // An AS that hears a losing offer for some prefix from a neighbor on its
+  // own shard, where raising that neighbor's local pref to 99 makes the
+  // offer win (ground truth of the updated policy set).
+  AsNumber who = 0, favorite = 0;
+  Prefix prefix = 0;
+  for (const auto& [asn, per_prefix] : truth.candidates) {
+    for (const auto& [p, cands] : per_prefix) {
+      const Route* chosen = truth.route_of(asn, p);
+      for (const Route& c : cands) {
+        if (who != 0 || chosen == nullptr || c.next_hop() == 0 ||
+            c.next_hop() == chosen->next_hop() ||
+            dep.shard_of_as(c.next_hop()) != dep.shard_of_as(asn)) {
+          continue;
+        }
+        std::map<AsNumber, RoutingPolicy> updated = policies;
+        updated.at(asn).local_pref[c.next_hop()] = 99;
+        const Predicate flip =
+            Predicate::most_preferred_via(asn, c.next_hop(), p);
+        if (truth_of(flip, BgpComputation::compute(updated)) ==
+            VerifyStatus::kHolds) {
+          who = asn;
+          favorite = c.next_hop();
+          prefix = p;
+        }
+      }
+    }
+  }
+  ASSERT_NE(who, 0u) << "no co-fronted decision a local pref can flip";
+  const Predicate promise =
+      Predicate::most_preferred_via(who, favorite, prefix);
+  ASSERT_EQ(truth_of(promise, truth), VerifyStatus::kViolated);
+
+  agree(dep, 1, promise);
+  EXPECT_EQ(dep.request_verification(who, 1), VerifyStatus::kViolated);
+
+  const uint32_t front = dep.shard_of_as(who);
+  const size_t victim = front == 1 ? 2 : 1;
+  ASSERT_TRUE(dep.kill_shard(victim));
+  dep.sim().run();
+  EXPECT_EQ(dep.request_verification(who, 1), VerifyStatus::kViolated);
+
+  crypto::Bytes arg;
+  crypto::append_u32(arg, favorite);
+  crypto::append_u32(arg, 99);
+  (void)dep.as_node(who)->control(kCtlUpdateLocalPref, arg);
+  (void)dep.as_node(who)->control(kCtlSubmitPolicy, {});
+  ASSERT_TRUE(dep.heal_shard(victim));
+  EXPECT_EQ(dep.request_verification(who, 1), VerifyStatus::kNotReady);
+
+  // request_verification ran the group until quiet.
+  EXPECT_EQ(dep.request_verification(who, 1), VerifyStatus::kHolds);
+  EXPECT_EQ(dep.request_verification(favorite, 1), VerifyStatus::kHolds);
+}
+
 TEST(RoutingScenario, MismatchedRegistrationsNeverAgree) {
   ScenarioConfig cfg = small_sgx();
   cfg.n_ases = 4;
