@@ -40,6 +40,9 @@
 #                              # in the bundle writer) +
 #                              # one-sharded-app check (enable_sharding in
 #                              # src/ only in routing/apps.cpp) +
+#                              # derived-fronting check (no admitted_by_
+#                              # map or admitting-shard field in
+#                              # src/routing/) +
 #                              # dead-control-code check (every kCtl*/
 #                              # kQuery* enumerator has a sender or reader) +
 #                              # security lint gate (DESIGN.md §15): static
@@ -249,6 +252,15 @@ case "$mode" in
         | grep -vE '^src/(core/secure_app\.(h|cpp)|routing/apps\.cpp):'; then
       echo "lint: only the routing controller joins a shard group;" \
         "an app that replicates its state needs a caller and tests first" >&2
+      exit 1
+    fi
+    # Fronting is derived, not stored (DESIGN.md §14): each replica computes
+    # an AS's front shard from the shard map and its live set (front_of),
+    # so no map of it and no admitting-shard field in a wire format comes
+    # back to go stale after a heal.
+    if grep -rnE '\badmitted_by_?\b|\bAdmittedBy\b|\badmitting_shard\b' src/routing; then
+      echo "lint: an AS's front shard is InterDomainControllerApp::front_of;" \
+        "do not store or send it" >&2
       exit 1
     fi
     # No dead control codes: every kCtl*/kQuery* enumerator declared in src/

@@ -39,7 +39,8 @@ size_t retained_size(const RoutingTable& t) {
 
 /// Cross-shard application messages (inner payloads of core::kShardApp).
 enum AggMsg : uint8_t {
-  kAggPolicy = 1,   // u32 admitting_shard | u32 as_node | LV policy
+  kAggPolicy = 1,   // binding list (messages.h): u32 n | n × (u32 node |
+                    // LV policy)
   // u32 from_shard | u32 n | n × (u32 asn | u32 n_rows | rows… |
   //                              u32 n_cands | cands…), each route LV-coded.
   kAggPartial = 3,
@@ -96,23 +97,20 @@ void InterDomainControllerApp::handle_submission(core::Ctx& ctx,
     return;  // another (attested) node already claims this ASN
   }
   const AsNumber asn = policy.asn;
-  const uint32_t self =
-      shard_active() ? shard()->self_shard() : uint32_t{0};
   const bool first_admission = policies_.find(asn) == policies_.end();
-  const bool changed = store_policy(ctx, self, peer, std::move(policy));
+  const bool changed = store_policy(ctx, peer, std::move(policy));
   if (shard_active()) {
     // The admission is durable once replicated: the ring successor holds a
     // copy before any other shard ever sees it, so a shard death at any
     // point loses nothing that was admitted.
     crypto::Bytes entry;
-    crypto::append_u32(entry, peer);
-    crypto::append_lv(entry, policies_.at(asn).serialize());
+    append_binding(entry, peer, policies_.at(asn));
     shard()->admit(ctx, asn, entry);
     // Every replica needs every policy: the fixpoint is sharded by origin
     // and each shard computes its slice over the full policy set. First
     // admissions batch into one broadcast (initial fill is bursty and
-    // nobody can compute until the set is complete anyway); changes to an
-    // existing admission flood immediately — peers act on the binding.
+    // nobody can compute until the set is complete anyway); a change to
+    // an existing binding floods immediately — every slice depends on it.
     if (changed && first_admission) {
       pending_flood_.push_back(asn);
       maybe_flush_floods(ctx);
@@ -155,13 +153,13 @@ void InterDomainControllerApp::maybe_compute_sharded(core::Ctx& ctx) {
   if (policies_.size() < expected_ases_) return;
   if (!slice_valid_) {
     // The compute partition is deliberately decoupled from fronting:
-    // fronting follows the (hash-based, sticky) admission assignment, but
-    // hashing 96 dense keys over 8 buckets leaves the largest bucket ~2×
-    // the fair share — and the slowest slice bounds controller
-    // throughput. Round-robin over the sorted policy set is perfectly
-    // balanced, and every replica derives the same partition from state
-    // it already shares (the flooded policy set + the host's liveness
-    // hints), so no coordination message is needed.
+    // fronting follows the hash-based shard map (front_of), but hashing
+    // 96 dense keys over 8 buckets leaves the largest bucket ~2× the fair
+    // share — and the slowest slice bounds controller throughput.
+    // Round-robin over the sorted policy set is perfectly balanced, and
+    // every replica derives the same partition (and the same fronts) from
+    // state it already shares (the flooded policy set + the host's
+    // liveness hints), so no coordination message is needed.
     const uint32_t self = shard()->self_shard();
     std::vector<uint32_t> live;
     for (const core::ShardMember& m : shard()->members()) {
@@ -185,6 +183,15 @@ void InterDomainControllerApp::maybe_compute_sharded(core::Ctx& ctx) {
   maybe_distribute_sharded(ctx);
 }
 
+uint32_t InterDomainControllerApp::front_of(AsNumber asn) const {
+  const core::ShardMap& map = shard()->map();
+  uint32_t front = map.owner(asn);
+  if (!shard()->serving()) return front;
+  // Terminates within one lap: self is always reachable.
+  while (!shard()->is_reachable(front)) front = map.successor(front);
+  return front;
+}
+
 void InterDomainControllerApp::send_partials(core::Ctx& ctx) {
   if (!slice_valid_ || !slice_.has_value()) return;
   const uint32_t self = shard()->self_shard();
@@ -194,8 +201,8 @@ void InterDomainControllerApp::send_partials(core::Ctx& ctx) {
     // bundle still goes out: the receiver counts senders, not rows.
     std::vector<AsNumber> fronted;
     size_t bytes = 9;  // tag | from_shard | n, then LV-coded routes
-    for (const auto& [asn, front] : admitted_by_) {
-      if (front != m.shard) continue;
+    for (const auto& [asn, policy] : policies_) {
+      if (front_of(asn) != m.shard) continue;
       fronted.push_back(asn);
       bytes += 12;  // asn | n_rows | n_cands
       const auto t = slice_->tables.find(asn);
@@ -246,14 +253,14 @@ void InterDomainControllerApp::send_partials(core::Ctx& ctx) {
 
 void InterDomainControllerApp::maybe_distribute_sharded(core::Ctx& ctx) {
   if (!slice_valid_ || !slice_.has_value()) return;
-  // A full pass is a function of slice_, partials_ and admitted_by_ (plus
-  // the node bindings, written only with it, and sent_tables_, which only
-  // this function writes): while none of them has changed since the last
-  // one, it would rebuild and re-encode every fronted table only to find
-  // each equal to what was sent. slice_ and partials_ clear the flag where
-  // they change; every write to admitted_by_ (store_policy, shard_install,
-  // reforward_admitted) also clears slice_valid_, and the recompute that
-  // follows assigns slice_.
+  // A full pass is a function of slice_, partials_, the fronts (front_of:
+  // the shard map and the live set), the node bindings and sent_tables_
+  // (which only this function writes): while none of them has changed
+  // since the last one, it would rebuild and re-encode every fronted table
+  // only to find each equal to what was sent. slice_ and partials_ clear
+  // the flag where they change; a change of the live set (refront) or of
+  // a node binding (store_policy, shard_install) clears slice_valid_, and
+  // the recompute that follows assigns slice_.
   if (distribution_current_) return;
   const uint32_t self = shard()->self_shard();
   for (const core::ShardMember& m : shard()->members()) {
@@ -264,8 +271,8 @@ void InterDomainControllerApp::maybe_distribute_sharded(core::Ctx& ctx) {
   }
   // Build only what is sent: each bound fronted AS's chosen rows. The
   // candidates stay where they are; handle_verify reads them from there.
-  for (const auto& [asn, front] : admitted_by_) {
-    if (front != self) continue;
+  for (const auto& [asn, policy] : policies_) {
+    if (front_of(asn) != self) continue;
     const netsim::NodeId node = node_of(asn);
     if (node == netsim::kInvalidNode) continue;
     RoutingTable table;
@@ -332,26 +339,28 @@ void InterDomainControllerApp::charge_compute_arena(
 }
 
 bool InterDomainControllerApp::store_policy(core::Ctx& ctx,
-                                            uint32_t admitting_shard,
                                             netsim::NodeId node,
                                             RoutingPolicy policy) {
   // Change detection: floods, replication appends and re-submissions all
   // re-present policies a replica usually already holds — an unchanged
   // store must not invalidate every shard's computed slice.
   const auto existing = policies_.find(policy.asn);
-  const auto ab = admitted_by_.find(policy.asn);
-  if (existing != policies_.end() && ab != admitted_by_.end() &&
-      ab->second == admitting_shard && node_of(policy.asn) == node &&
+  if (existing != policies_.end() && node_of(policy.asn) == node &&
       existing->second.same_encoding(policy)) {
     return false;
   }
   ctx.alloc(retained_size(policy));
-  node_to_asn_[node] = policy.asn;
-  asn_to_node_[policy.asn] = node;
-  admitted_by_[policy.asn] = admitting_shard;
-  policies_[policy.asn] = std::move(policy);
+  bind(PolicyBinding{node, std::move(policy)});
   slice_valid_ = false;  // every shard's slice depends on the full set
   return true;
+}
+
+void InterDomainControllerApp::bind(PolicyBinding b) {
+  if (b.node != netsim::kInvalidNode) {
+    node_to_asn_[b.node] = b.policy.asn;
+    asn_to_node_[b.policy.asn] = b.node;
+  }
+  policies_[b.policy.asn] = std::move(b.policy);
 }
 
 void InterDomainControllerApp::flood_policies(
@@ -362,12 +371,9 @@ void InterDomainControllerApp::flood_policies(
   uint32_t count = 0;
   crypto::Bytes body;
   for (const AsNumber asn : asns) {
-    const auto ab = admitted_by_.find(asn);
     const auto policy = policies_.find(asn);
-    if (ab == admitted_by_.end() || policy == policies_.end()) continue;
-    crypto::append_u32(body, ab->second);
-    crypto::append_u32(body, node_of(asn));
-    crypto::append_lv(body, policy->second.serialize());
+    if (policy == policies_.end()) continue;
+    append_binding(body, node_of(asn), policy->second);
     ++count;
   }
   if (count == 0) return;
@@ -405,20 +411,17 @@ void InterDomainControllerApp::maybe_flush_floods(core::Ctx& ctx) {
 void InterDomainControllerApp::configure_shard(core::Ctx& ctx,
                                                core::ShardConfig cfg) {
   core::ShardReplica::Hooks hooks;
-  hooks.apply = [this](core::Ctx& c, uint32_t origin, uint64_t key,
-                       crypto::BytesView entry) {
-    shard_apply(c, origin, key, entry);
-  };
-  hooks.snapshot = [this](core::Ctx& c) { return shard_snapshot(c); };
+  hooks.apply = [this](core::Ctx& c, uint32_t, uint64_t key,
+                       crypto::BytesView entry) { shard_apply(c, key, entry); };
+  hooks.snapshot = [this](core::Ctx&) { return encode_policy_set(); };
   hooks.install = [this](core::Ctx& c, crypto::BytesView state) {
     return shard_install(c, state);
   };
-  hooks.app_message = [this](core::Ctx& c, uint32_t from,
-                             crypto::BytesView inner) {
-    shard_app(c, from, inner);
+  hooks.app_message = [this](core::Ctx& c, uint32_t, crypto::BytesView inner) {
+    shard_app(c, inner);
   };
   hooks.shard_down = [this](core::Ctx& c, uint32_t s) { on_shard_down(c, s); };
-  hooks.shard_up = [this](core::Ctx& c, uint32_t s) { on_shard_up(c, s); };
+  hooks.shard_up = [this](core::Ctx& c, uint32_t) { on_shard_up(c); };
   enable_sharding(ctx, std::move(cfg), std::move(hooks));
   if (shard_active()) {
     // Pre-attest the full member mesh: partial exchange rides direct
@@ -435,49 +438,66 @@ void InterDomainControllerApp::configure_shard(core::Ctx& ctx,
   maybe_compute(ctx);
 }
 
-void InterDomainControllerApp::on_shard_down(core::Ctx& ctx,
-                                             uint32_t shard_id) {
-  // The dead member's rows are void and the compute partition is derived
-  // from the live set — drop the stale partial and recompute our (now
-  // larger) slice.
-  partials_.erase(shard_id);
+void InterDomainControllerApp::on_shard_down(core::Ctx& ctx, uint32_t dead) {
+  // The dead member's rows are void.
+  partials_.erase(dead);
   distribution_current_ = false;
-  slice_valid_ = false;
-  reforward_admitted(ctx);
+  refront(ctx, dead);
 }
 
-void InterDomainControllerApp::on_shard_up(core::Ctx& ctx,
-                                           uint32_t shard_id) {
-  // The live set grew: the partition shifts, and the rejoined replica
-  // (which lost every partial) gets fresh rows from the recompute's
-  // send_partials.
-  (void)shard_id;
-  slice_valid_ = false;
-  reforward_admitted(ctx);
+void InterDomainControllerApp::on_shard_up(core::Ctx& ctx) {
+  // The rejoined replica lost every partial; it gets fresh rows from the
+  // recompute's send_partials.
+  refront(ctx, core::kInvalidShard);
 }
 
-void InterDomainControllerApp::shard_apply(core::Ctx& ctx, uint32_t origin,
-                                           uint64_t key,
+void InterDomainControllerApp::refront(core::Ctx& ctx, uint32_t dead) {
+  slice_valid_ = false;  // the compute partition follows the live set
+  if (!shard_active() || !shard()->serving()) return;
+  // The failover span covers the adoption count and the recompute kick —
+  // tools/analyze.py surfaces it as its own phase so heal latency is
+  // attributable, not "compute".
+  TENET_SPAN("failover", "refront");
+  TENET_SPAN_SHARD(shard()->self_shard());
+  if (dead != core::kInvalidShard) {
+    // An AS is one of the dead shard's that this shard now fronts when the
+    // successor walk from its owner to here passes the dead shard. Read
+    // only by TENET_EVENT, which telemetry-off builds compile out.
+    const uint32_t self = shard()->self_shard();
+    const core::ShardMap& map = shard()->map();
+    [[maybe_unused]] uint64_t adopted = 0;
+    for (const auto& [asn, policy] : policies_) {
+      if (front_of(asn) != self) continue;
+      for (uint32_t s = map.owner(asn); s != self; s = map.successor(s)) {
+        if (s == dead) {
+          ++adopted;
+          break;
+        }
+      }
+    }
+    // node = adopting shard, a = the dead shard, b = ASes adopted.
+    if (adopted > 0) TENET_EVENT(kFailoverAdopted, self, dead, adopted);
+  }
+  maybe_compute(ctx);
+}
+
+void InterDomainControllerApp::shard_apply(core::Ctx& ctx, uint64_t key,
                                            crypto::BytesView entry) {
   try {
     crypto::Reader r(entry);
-    const netsim::NodeId node = r.u32();
-    RoutingPolicy policy = RoutingPolicy::deserialize(r.lv());
-    if (policy.asn != key) return;  // entry/key mismatch: refuse
-    store_policy(ctx, origin, node, std::move(policy));
+    PolicyBinding b = read_binding(r);
+    if (b.policy.asn != key) return;  // entry/key mismatch: refuse
+    store_policy(ctx, b.node, std::move(b.policy));
   } catch (const std::exception&) {
     return;
   }
 }
 
-crypto::Bytes InterDomainControllerApp::shard_snapshot(core::Ctx&) {
+crypto::Bytes InterDomainControllerApp::encode_policy_set() const {
   crypto::Bytes state;
   crypto::append_u32(state, static_cast<uint32_t>(policies_.size()));
   for (const auto& [asn, policy] : policies_) {
-    const auto ab = admitted_by_.find(asn);
-    crypto::append_u32(state, node_of(asn));
-    crypto::append_u32(state, ab != admitted_by_.end() ? ab->second : 0);
-    crypto::append_lv(state, policy.serialize());
+    append_binding(state, node_of(asn), policy);
   }
   return state;
 }
@@ -488,36 +508,16 @@ bool InterDomainControllerApp::shard_install(core::Ctx& ctx,
   // (ring replication), so clobbering local maps would drop policies the
   // donor never saw. Parse everything before touching state so a
   // malformed snapshot changes nothing.
-  struct Parsed {
-    netsim::NodeId node;
-    uint32_t admitting_shard;
-    RoutingPolicy policy;
-  };
-  std::vector<Parsed> parsed;
+  std::vector<PolicyBinding> parsed;
   try {
-    crypto::Reader r(state);
-    const uint32_t n = r.u32();
-    parsed.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      const netsim::NodeId node = r.u32();
-      const uint32_t admitting_shard = r.u32();
-      RoutingPolicy policy = RoutingPolicy::deserialize(r.lv());
-      parsed.push_back(Parsed{node, admitting_shard, std::move(policy)});
-    }
+    parsed = decode_bindings(state);
   } catch (const std::exception&) {
     return false;
   }
   size_t retained = 0;
-  for (const Parsed& p : parsed) retained += retained_size(p.policy);
+  for (const PolicyBinding& b : parsed) retained += retained_size(b.policy);
   ctx.alloc(retained);
-  for (Parsed& p : parsed) {
-    if (p.node != netsim::kInvalidNode) {
-      node_to_asn_[p.node] = p.policy.asn;
-      asn_to_node_[p.policy.asn] = p.node;
-    }
-    admitted_by_[p.policy.asn] = p.admitting_shard;
-    policies_[p.policy.asn] = std::move(p.policy);
-  }
+  for (PolicyBinding& b : parsed) bind(std::move(b));
   // The merged picture may shift our slice; recompute through the slice
   // machinery (sends go only to member shards — safe before any AS has
   // re-attested).
@@ -526,18 +526,16 @@ bool InterDomainControllerApp::shard_install(core::Ctx& ctx,
   return true;
 }
 
-void InterDomainControllerApp::shard_app(core::Ctx& ctx, uint32_t from,
+void InterDomainControllerApp::shard_app(core::Ctx& ctx,
                                          crypto::BytesView inner) {
   try {
     crypto::Reader r(inner);
     const auto tag = static_cast<AggMsg>(r.u8());
     if (tag == kAggPolicy) {
-      const uint32_t count = r.u32();
-      for (uint32_t i = 0; i < count; ++i) {
-        const uint32_t admitting_shard = r.u32();
-        const netsim::NodeId node = r.u32();
-        RoutingPolicy policy = RoutingPolicy::deserialize(r.lv());
-        store_policy(ctx, admitting_shard, node, std::move(policy));
+      // The whole batch parses before any entry is stored: a malformed
+      // tail leaves the policy set untouched.
+      for (PolicyBinding& b : decode_bindings(inner.subspan(1))) {
+        store_policy(ctx, b.node, std::move(b.policy));
       }
       // One compute per batch: a 16-policy flood invalidates the slice
       // once, not sixteen times.
@@ -572,48 +570,6 @@ void InterDomainControllerApp::shard_app(core::Ctx& ctx, uint32_t from,
   } catch (const std::exception&) {
     return;
   }
-  (void)from;
-}
-
-void InterDomainControllerApp::reforward_admitted(core::Ctx& ctx) {
-  if (!shard_active() || !shard()->serving()) return;
-  // The failover span covers the whole adoption: relabeling, the adoption
-  // broadcast, and the recompute kick — tools/analyze.py surfaces it as
-  // its own phase so heal latency is attributable, not "compute".
-  TENET_SPAN("failover", "reforward_admitted");
-  TENET_SPAN_SHARD(shard()->self_shard());
-  const uint32_t self = shard()->self_shard();
-  std::vector<AsNumber> adopted;
-  std::map<uint32_t, uint64_t> adopted_from;  // dead shard -> entries taken
-  bool changed = false;
-  for (auto& [asn, front] : admitted_by_) {
-    if (shard()->is_reachable(front)) continue;
-    const uint32_t dead = front;
-    // Deterministic adoption: the dead shard's ASes move to its first
-    // reachable ring successor — the same fallback rule the untrusted
-    // router applies, so every survivor re-assigns identically (the slice
-    // partition stays a partition) and the AS re-points exactly where its
-    // table will be computed. Terminates: self is always reachable.
-    uint32_t adopter = shard()->map().successor(dead);
-    while (adopter != dead && !shard()->is_reachable(adopter)) {
-      adopter = shard()->map().successor(adopter);
-    }
-    front = adopter;
-    changed = true;
-    // The adopter owns the re-announcement; everyone else just relabels.
-    if (adopter == self) {
-      adopted.push_back(asn);
-      ++adopted_from[dead];
-    }
-  }
-  // Read only by TENET_EVENT, which telemetry-off builds compile out.
-  for ([[maybe_unused]] const auto& [dead, n] : adopted_from) {
-    // node = adopting shard, a = the dead shard, b = admissions adopted.
-    TENET_EVENT(kFailoverAdopted, self, dead, n);
-  }
-  flood_policies(ctx, adopted);  // one broadcast for the whole adoption
-  if (changed) slice_valid_ = false;
-  maybe_compute(ctx);
 }
 
 void InterDomainControllerApp::on_peer_attested(core::Ctx& ctx,
@@ -702,8 +658,7 @@ void InterDomainControllerApp::handle_verify(core::Ctx& ctx,
   ComputationResult view;
   const uint32_t self = shard()->self_shard();
   for (const AsNumber p : parties) {
-    const auto front = admitted_by_.find(p);
-    if (front == admitted_by_.end() || front->second != self) continue;
+    if (!policies_.contains(p) || front_of(p) != self) continue;
     merge_rows(p, view.tables[p], &view.candidates[p]);
   }
   answer(view);
@@ -713,12 +668,7 @@ crypto::Bytes InterDomainControllerApp::on_checkpoint(core::Ctx&) {
   // Predicates and the computed result are deliberately excluded: the
   // result is recomputed from the policies, and predicates must be
   // re-agreed by their parties after a restart (conservative choice).
-  crypto::Bytes state;
-  crypto::append_u32(state, static_cast<uint32_t>(policies_.size()));
-  for (const auto& [asn, policy] : policies_) {
-    crypto::append_u32(state, node_of(asn));
-    crypto::append_lv(state, policy.serialize());
-  }
+  crypto::Bytes state = encode_policy_set();
   // Trailing flag: was this controller part of an active shard group? A
   // restored shard must NOT run the whole fixpoint at restore time (its
   // slice machinery recomputes after re-configuration) — that full
@@ -730,22 +680,17 @@ crypto::Bytes InterDomainControllerApp::on_checkpoint(core::Ctx&) {
 void InterDomainControllerApp::on_restore(core::Ctx& ctx,
                                           crypto::BytesView state) {
   bool was_sharded = false;
+  std::vector<PolicyBinding> parsed;
   try {
     crypto::Reader r(state);
-    const uint32_t n = r.u32();
-    for (uint32_t i = 0; i < n; ++i) {
-      const netsim::NodeId node = r.u32();
-      RoutingPolicy policy = RoutingPolicy::deserialize(r.lv());
-      if (node != netsim::kInvalidNode) {
-        node_to_asn_[node] = policy.asn;
-        asn_to_node_[policy.asn] = node;
-      }
-      ctx.alloc(retained_size(policy));
-      policies_[policy.asn] = std::move(policy);
-    }
+    parsed = read_bindings(r);
     was_sharded = r.remaining() >= 1 && r.u8() != 0;
   } catch (const std::exception&) {
-    return;  // partial restore: remaining policies arrive by re-submission
+    return;  // nothing restored: the policies arrive by re-submission
+  }
+  for (PolicyBinding& b : parsed) {
+    ctx.alloc(retained_size(b.policy));
+    bind(std::move(b));
   }
   // Unsharded: recompute locally so verification answers again, but do
   // NOT push advertisements — the restarted enclave has no attested

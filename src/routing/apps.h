@@ -86,44 +86,53 @@ class InterDomainControllerApp final : public core::SecureApp {
   [[nodiscard]] std::optional<AsNumber> asn_of(netsim::NodeId peer) const;
   /// The node bound to `asn`, or kInvalidNode when it has no binding.
   [[nodiscard]] netsim::NodeId node_of(AsNumber asn) const;
+  /// Stores `b`'s policy and, when it names a node, the node↔ASN binding.
+  void bind(PolicyBinding b);
 
   // Shard-group integration (see DESIGN.md §14). No-ops when unsharded.
   //
   // Sharded computation: policies are flooded to every replica (ring
   // broadcast), but the BGP fixpoint is *partitioned* — each shard runs
-  // only the per-prefix fixpoints for the ASes it fronts, then exchanges
-  // the resulting rows shard-to-shard (kAggPartial, direct channels).
-  // A shard distributes a table to a fronted AS once its own slice is
-  // computed and every reachable member's partial has arrived. This is
-  // what makes controller throughput scale with the shard count: the
-  // dominant cost (the fixpoint) divides by N while the flood adds only
-  // linear message relay work.
+  // the per-prefix fixpoints for its share of the origins, then sends each
+  // member the resulting rows for the ASes that member fronts
+  // (kAggPartial, direct channels). A shard distributes a table to a
+  // fronted AS once its own slice is computed and every reachable
+  // member's partial has arrived. This is what makes controller
+  // throughput scale with the shard count: the dominant cost (the
+  // fixpoint) divides by N while the flood adds only linear message relay
+  // work.
   void configure_shard(core::Ctx& ctx, core::ShardConfig cfg);
-  /// Returns true when the stored policy / admitting shard / node binding
-  /// actually changed (an unchanged re-store must not invalidate slices).
-  bool store_policy(core::Ctx& ctx, uint32_t admitting_shard,
-                    netsim::NodeId node, RoutingPolicy policy);
-  void shard_apply(core::Ctx& ctx, uint32_t origin, uint64_t key,
-                   crypto::BytesView entry);
-  [[nodiscard]] crypto::Bytes shard_snapshot(core::Ctx& ctx);
+  /// Returns true when the stored policy or node binding actually changed
+  /// (an unchanged re-store must not invalidate slices), whichever shard
+  /// it came through.
+  bool store_policy(core::Ctx& ctx, netsim::NodeId node, RoutingPolicy policy);
+  void shard_apply(core::Ctx& ctx, uint64_t key, crypto::BytesView entry);
+  /// The whole policy set as a binding list (messages.h): the shard
+  /// snapshot, and the checkpoint's body.
+  [[nodiscard]] crypto::Bytes encode_policy_set() const;
   bool shard_install(core::Ctx& ctx, crypto::BytesView state);
-  void shard_app(core::Ctx& ctx, uint32_t from, crypto::BytesView inner);
-  /// Broadcasts a batch of admitted policies (each with its admitting
-  /// shard) to every other replica — the flood that keeps all policy sets
-  /// identical. Batched because the ring relay pays per-message enclave
-  /// transitions at every hop: one broadcast carrying a shard's whole
-  /// admission set costs ~1/16th of per-policy floods.
+  void shard_app(core::Ctx& ctx, crypto::BytesView inner);
+  /// Broadcasts a batch of admitted bindings to every other replica — the
+  /// flood that keeps all policy sets identical. Batched because the ring
+  /// relay pays per-message enclave transitions at every hop: one
+  /// broadcast carrying a shard's whole admission set costs ~1/16th of
+  /// per-policy floods.
   void flood_policies(core::Ctx& ctx, const std::vector<AsNumber>& asns);
   /// Flushes the pending first-admission flood batch once every attested
   /// AS client has submitted (or the policy set is already complete).
-  /// Only *first* admissions batch; changes to an existing admission
-  /// (policy updates, failover re-admissions) flood immediately — other
-  /// shards act on those bindings, so they must not sit in a buffer.
+  /// Only *first* admissions batch; a changed policy or node binding
+  /// floods immediately, because every replica's slice depends on it.
   void maybe_flush_floods(core::Ctx& ctx);
   [[nodiscard]] bool is_shard_member_node(netsim::NodeId node) const;
   /// Recomputes this shard's slice of the fixpoint if invalidated, sends
   /// partial rows to the other members, then tries to distribute.
   void maybe_compute_sharded(core::Ctx& ctx);
+  /// The shard that fronts `asn` (sends it its table): its ShardMap owner,
+  /// else the first reachable shard after it in successor order — the
+  /// rule ShardRouter::route_shard applies, over this replica's liveness
+  /// view. Fail-closed: a replica that is not serving adopts nothing, so
+  /// there a dead owner's ASes stay unfronted.
+  [[nodiscard]] uint32_t front_of(AsNumber asn) const;
   /// Sends our slice's rows for the ASes each reachable member fronts.
   void send_partials(core::Ctx& ctx);
   /// Once every reachable member's partial is in, builds the complete
@@ -135,12 +144,13 @@ class InterDomainControllerApp final : public core::SecureApp {
   /// Candidates are gathered only when `cands` is given.
   void merge_rows(AsNumber asn, RoutingTable& table,
                   std::map<Prefix, std::vector<Route>>* cands) const;
-  /// Membership changed: deterministically re-assign ASes fronted by dead
-  /// shards (ring-successor fallback — the same rule the untrusted router
-  /// applies, so the AS re-points exactly where its slice moved).
-  void reforward_admitted(core::Ctx& ctx);
-  void on_shard_down(core::Ctx& ctx, uint32_t shard_id);
-  void on_shard_up(core::Ctx& ctx, uint32_t shard_id);
+  /// Membership changed: the compute partition and every AS's front moved
+  /// with the live set, so recompute our slice. On a kill (`dead` is the
+  /// dead shard, else kInvalidShard) also report the dead shard's ASes
+  /// this shard now fronts.
+  void refront(core::Ctx& ctx, uint32_t dead);
+  void on_shard_down(core::Ctx& ctx, uint32_t dead);
+  void on_shard_up(core::Ctx& ctx);
   [[nodiscard]] bool shard_active() const;
   /// Charges enclave heap growth for a fixpoint's working set (retained
   /// tables plus its candidates). SGX1 heap pages are EAUG'd once and the
@@ -154,9 +164,6 @@ class InterDomainControllerApp final : public core::SecureApp {
   std::map<AsNumber, netsim::NodeId> asn_to_node_;
   std::map<uint32_t, Registration> predicates_;
   std::optional<ComputationResult> result_;  // unsharded only
-  // Which shard admitted each AS's policy. The admitting shard fronts the
-  // AS (distributes its table); the AS's node is asn_to_node_'s.
-  std::map<AsNumber, uint32_t> admitted_by_;
   std::map<netsim::NodeId, crypto::Bytes> pending_tables_;
 
   size_t compute_arena_ = 0;  // fixpoint working-set high-water (bytes)
@@ -168,9 +175,9 @@ class InterDomainControllerApp final : public core::SecureApp {
   std::optional<ComputationResult> slice_;  // fixpoint over our origins
   std::map<uint32_t, std::map<AsNumber, PartialRows>> partials_;
   std::map<netsim::NodeId, crypto::Bytes> sent_tables_;  // de-dup re-sends
-  // The last full distribution pass still reflects slice_, partials_ and
-  // admitted_by_ (see maybe_distribute_sharded); handle_verify answers
-  // from those inputs only while this holds.
+  // The last full distribution pass still reflects slice_ and partials_
+  // (see maybe_distribute_sharded); handle_verify answers from those
+  // inputs only while this holds.
   bool distribution_current_ = false;
 };
 

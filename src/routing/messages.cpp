@@ -72,4 +72,31 @@ RoutingTable decode_routing_table(crypto::BytesView wire) {
   return table;
 }
 
+void append_binding(crypto::Bytes& out, netsim::NodeId node,
+                    const RoutingPolicy& policy) {
+  crypto::append_u32(out, node);
+  crypto::append_lv(out, policy.serialize());
+}
+
+PolicyBinding read_binding(crypto::Reader& r) {
+  PolicyBinding b;
+  b.node = r.u32();
+  b.policy = RoutingPolicy::deserialize(r.lv_view());
+  return b;
+}
+
+std::vector<PolicyBinding> read_bindings(crypto::Reader& r) {
+  const uint32_t n = r.u32();
+  std::vector<PolicyBinding> out;  // not reserved: n is the peer's claim
+  for (uint32_t i = 0; i < n; ++i) out.push_back(read_binding(r));
+  return out;
+}
+
+std::vector<PolicyBinding> decode_bindings(crypto::BytesView wire) {
+  crypto::Reader r(wire);
+  std::vector<PolicyBinding> out = read_bindings(r);
+  if (!r.done()) throw std::invalid_argument("bindings: trailing bytes");
+  return out;
+}
+
 }  // namespace tenet::routing

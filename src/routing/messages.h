@@ -4,6 +4,9 @@
 // runtimes, not serialization formats.
 #pragma once
 
+#include <vector>
+
+#include "netsim/message.h"
 #include "routing/bgp.h"
 #include "routing/predicates.h"
 
@@ -39,5 +42,24 @@ crypto::BytesView message_body(crypto::BytesView wire);
 
 crypto::Bytes encode_routing_table(const RoutingTable& table);
 RoutingTable decode_routing_table(crypto::BytesView wire);
+
+/// One AS's binding in the sharded controller: the node that speaks for
+/// the AS and its policy, encoded `u32 node | LV policy`. A replication
+/// entry is one binding; a policy flood, the shard snapshot and the
+/// checkpoint carry a list, `u32 n | n × binding`.
+struct PolicyBinding {
+  netsim::NodeId node = netsim::kInvalidNode;
+  RoutingPolicy policy;
+};
+
+void append_binding(crypto::Bytes& out, netsim::NodeId node,
+                    const RoutingPolicy& policy);
+PolicyBinding read_binding(crypto::Reader& r);
+/// Reads a whole list before returning any of it, so a caller stores
+/// nothing of a list whose tail is malformed.
+std::vector<PolicyBinding> read_bindings(crypto::Reader& r);
+/// A list that is all of `wire`; throws std::invalid_argument on trailing
+/// bytes.
+std::vector<PolicyBinding> decode_bindings(crypto::BytesView wire);
 
 }  // namespace tenet::routing

@@ -185,9 +185,13 @@ RoutingPolicy RoutingPolicy::deserialize(crypto::BytesView wire) {
   const uint32_t n_nbr = r.u32();
   for (uint32_t i = 0; i < n_nbr; ++i) {
     const AsNumber n = r.u32();
-    if (!p.neighbor_rel.emplace(n, relationship_from_wire(r.u8())).second) {
-      throw std::invalid_argument("RoutingPolicy: neighbor listed twice");
+    // serialize() lists neighbors in ascending order; any other order (or a
+    // neighbor listed twice) would decode to a policy that re-encodes to
+    // other bytes.
+    if (!p.neighbor_rel.empty() && n <= p.neighbor_rel.rbegin()->first) {
+      throw std::invalid_argument("RoutingPolicy: neighbors out of order");
     }
+    p.neighbor_rel.emplace(n, relationship_from_wire(r.u8()));
     const uint32_t lp = r.u32();
     if (lp != 0) p.local_pref[n] = lp;
   }

@@ -14,6 +14,7 @@
 //     outage attributed — and is serving again after the heal.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -199,6 +200,53 @@ TEST(Observability, DrillEmitsFleetEventsAndRingStaysConsistent) {
   EXPECT_GT(r.failovers, 0u);    // admitted batch adopted across shards
   EXPECT_GT(r.snapshots, 0u);    // rejoin merged a snapshot
   EXPECT_FALSE(r.events_jsonl.empty());
+}
+
+// A kill emits one kFailoverAdopted per shard that now fronts some of the
+// dead shard's ASes (node = adopter, a = dead shard, b = ASes adopted),
+// together accounting for every one of them; a heal adopts nothing.
+TEST(Observability, KillReportsEachAdopterOnceAndHealReportsNone) {
+  TracingOn guard;
+  routing::ScenarioConfig cfg;
+  cfg.n_ases = 24;
+  cfg.seed = 11;
+  cfg.shards = 4;
+  cfg.robust = true;
+  routing::RoutingDeployment dep(cfg);
+  dep.run_attestation_phase();
+  dep.run_routing_phase();
+
+  const uint32_t victim = 1;
+  std::vector<routing::AsNumber> fronted;
+  for (const auto& [asn, policy] : dep.policies()) {
+    if (dep.shard_of_as(asn) == victim) fronted.push_back(asn);
+  }
+  ASSERT_FALSE(fronted.empty());
+
+  telemetry::event_log().clear();
+  ASSERT_TRUE(dep.kill_shard(victim));
+  dep.sim().run();
+  std::set<uint32_t> adopters;
+  uint64_t adopted = 0;
+  for (const telemetry::FleetEvent& e : telemetry::event_log().snapshot()) {
+    if (e.type != EventType::kFailoverAdopted) continue;
+    EXPECT_EQ(e.a, victim);
+    EXPECT_TRUE(adopters.insert(e.node).second)
+        << "shard " << e.node << " reported its adoption twice";
+    adopted += e.b;
+  }
+  EXPECT_EQ(adopted, fronted.size());
+  // The adopters are exactly the shards the router now sends those ASes to.
+  std::set<uint32_t> routed;
+  for (const routing::AsNumber asn : fronted) {
+    routed.insert(dep.shard_of_as(asn));
+  }
+  EXPECT_EQ(adopters, routed);
+
+  telemetry::event_log().clear();
+  ASSERT_TRUE(dep.heal_shard(victim));
+  dep.sim().run();
+  EXPECT_EQ(telemetry::event_log().count(EventType::kFailoverAdopted), 0u);
 }
 
 TEST(Observability, SameSeedReplayYieldsByteIdenticalEventLog) {

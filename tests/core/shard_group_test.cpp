@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <set>
 
 #include "core/node.h"
@@ -377,8 +378,9 @@ TEST(ShardGroup, KillAndRejoinLosesNoAdmittedState) {
 
 // ---------------------------------------------------------------------------
 // Sharded controller: a shard distributes tables only when the inputs of
-// its last distribution pass (own slice, members' partial rows, the
-// admission map) have changed, and every change still reaches every AS.
+// its last distribution pass (own slice, members' partial rows, the fronts
+// it derives from the live set) have changed, and every change still
+// reaches every AS from the shard the router points it at.
 // ---------------------------------------------------------------------------
 
 uint32_t local_pref_of(const routing::RoutingPolicy& p,
@@ -423,26 +425,61 @@ struct ShardedRouting {
   }
 
   /// Messages from any controller shard to any AS node while `fn` runs
-  /// (route advertisements and verdicts are the only such traffic).
+  /// (route advertisements and verdicts are the only such traffic). Each
+  /// one sent by a shard other than the one the router points the AS at
+  /// also counts in `misrouted`.
   size_t shard_to_as_messages(const std::function<void()>& fn) {
     std::set<netsim::NodeId> shards;
-    std::set<netsim::NodeId> ases;
+    std::map<netsim::NodeId, routing::AsNumber> ases;
     for (size_t i = 0; i < dep.shard_count(); ++i) {
       shards.insert(dep.shard_node(i)->id());
     }
     for (const auto& [asn, policy] : dep.policies()) {
-      ases.insert(dep.as_node(asn)->id());
+      ases[dep.as_node(asn)->id()] = asn;
     }
     size_t n = 0;
     dep.sim().set_wiretap([&](const netsim::Message& m) {
-      if (shards.contains(m.src) && ases.contains(m.dst)) ++n;
+      const auto as = ases.find(m.dst);
+      if (!shards.contains(m.src) || as == ases.end()) return;
+      ++n;
+      if (m.src != dep.router().route(as->second)) ++misrouted;
     });
     fn();
     dep.sim().set_wiretap(nullptr);
     return n;
   }
 
+  /// Messages between controller shards (replication, policy floods,
+  /// partial rows) while `fn` runs.
+  size_t shard_to_shard_messages(const std::function<void()>& fn) {
+    std::set<netsim::NodeId> shards;
+    for (size_t i = 0; i < dep.shard_count(); ++i) {
+      shards.insert(dep.shard_node(i)->id());
+    }
+    size_t n = 0;
+    dep.sim().set_wiretap([&](const netsim::Message& m) {
+      if (shards.contains(m.src) && shards.contains(m.dst)) ++n;
+    });
+    fn();
+    dep.sim().set_wiretap(nullptr);
+    return n;
+  }
+
+  /// Every AS resubmits its policy unchanged, one at a time, each run until
+  /// quiet; returns the shard-to-shard messages each resubmission caused.
+  std::map<routing::AsNumber, size_t> resubmit_all() {
+    std::map<routing::AsNumber, size_t> sent;
+    for (const auto& [asn, policy] : dep.policies()) {
+      sent[asn] = shard_to_shard_messages([&] {
+        (void)dep.as_node(asn)->control(routing::kCtlSubmitPolicy, {});
+        dep.sim().run();
+      });
+    }
+    return sent;
+  }
+
   routing::RoutingDeployment dep;
+  size_t misrouted = 0;
 };
 
 TEST(ShardedController, UnchangedResubmissionSendsNoAdvertisement) {
@@ -460,22 +497,21 @@ TEST(ShardedController, UnchangedResubmissionSendsNoAdvertisement) {
   EXPECT_TRUE(w.mismatched(truth).empty());
 }
 
-TEST(ShardedController, LivePolicyChangesReachEveryAffectedAs) {
-  ShardedRouting w;
+/// One change per AS that hears two same-class, same-length offers for
+/// some prefix: raising the losing neighbor's local pref flips its choice
+/// and that of the ASes routing through it. The changes are applied one at
+/// a time, each checked against the ground truth of the updated set, and
+/// every table must come from the shard the router points its AS at.
+/// `policies` ends as the changed policy set.
+void expect_live_changes_reach_every_affected_as(
+    ShardedRouting& w,
+    std::map<routing::AsNumber, routing::RoutingPolicy>& policies) {
   // Settle every shard on an unchanged resubmission first, so each change
   // below lands on shards whose last pass is current.
-  for (const auto& [asn, policy] : w.dep.policies()) {
-    (void)w.dep.as_node(asn)->control(routing::kCtlSubmitPolicy, {});
-    w.dep.sim().run();
-  }
-  std::map<routing::AsNumber, routing::RoutingPolicy> policies =
-      w.dep.policies();
+  (void)w.resubmit_all();
+  policies = w.dep.policies();
   ASSERT_TRUE(w.mismatched(routing::BgpComputation::compute(policies)).empty());
 
-  // One change per AS that hears two same-class, same-length offers for
-  // some prefix: raising the losing neighbor's local pref flips its choice
-  // and that of the ASes routing through it. The changes are applied one
-  // at a time, each checked against the ground truth of the updated set.
   size_t changes = 0;
   for (const auto& [who, policy] : w.dep.policies()) {
     const routing::ComputationResult before =
@@ -518,6 +554,69 @@ TEST(ShardedController, LivePolicyChangesReachEveryAffectedAs) {
     ++changes;
   }
   EXPECT_GE(changes, 4u);
+  EXPECT_EQ(w.misrouted, 0u);
+}
+
+TEST(ShardedController, LivePolicyChangesReachEveryAffectedAs) {
+  ShardedRouting w;
+  std::map<routing::AsNumber, routing::RoutingPolicy> policies;
+  expect_live_changes_reach_every_affected_as(w, policies);
+}
+
+// While a shard is down, every survivor derives the same front for each AS
+// as the router does: the dead shard's ASes get their changed tables from
+// its first live successor, and no other AS's front moves. The healed
+// shard restarts from a checkpoint taken before the changes; once its
+// rejoin settles, every table is at the changed set's ground truth.
+TEST(ShardedController, LivePolicyChangesDuringAnOutageComeFromTheRoutedShard) {
+  ShardedRouting w;
+  ASSERT_TRUE(w.dep.kill_shard(1));
+  w.dep.sim().run();
+  std::map<routing::AsNumber, routing::RoutingPolicy> policies;
+  expect_live_changes_reach_every_affected_as(w, policies);
+  ASSERT_TRUE(w.dep.heal_shard(1));
+  w.dep.sim().run();
+  EXPECT_EQ(w.mismatched(routing::BgpComputation::compute(policies)),
+            std::vector<routing::AsNumber>{});
+}
+
+// After a kill and a heal every replica derives the same front for each AS
+// as the router does, so a change still reaches every affected AS, and only
+// from the shard that AS is attached to.
+TEST(ShardedController, LivePolicyChangesAfterKillAndHealComeFromTheRoutedShard) {
+  ShardedRouting w;
+  ASSERT_TRUE(w.dep.kill_shard(1));
+  w.dep.sim().run();
+  ASSERT_TRUE(w.dep.heal_shard(1));
+  w.dep.sim().run();
+  std::map<routing::AsNumber, routing::RoutingPolicy> policies;
+  expect_live_changes_reach_every_affected_as(w, policies);
+}
+
+// Steady state survives failover: once a killed shard has healed, an
+// unchanged resubmission costs the shard group no more messages than it did
+// before the kill (no AS is re-bound, no slice is recomputed), and every
+// table stays at ground truth.
+TEST(ShardedController, KillAndHealLeaveUnchangedResubmissionsNoCostlier) {
+  ShardedRouting w;
+  const routing::ComputationResult truth =
+      routing::BgpComputation::compute(w.dep.policies());
+  const std::map<routing::AsNumber, size_t> before = w.resubmit_all();
+  ASSERT_TRUE(w.dep.kill_shard(1));
+  w.dep.sim().run();
+  ASSERT_TRUE(w.dep.heal_shard(1));
+  w.dep.sim().run();
+  EXPECT_EQ(w.mismatched(truth), std::vector<routing::AsNumber>{});
+  const std::map<routing::AsNumber, size_t> after = w.resubmit_all();
+  size_t total_before = 0;
+  size_t total_after = 0;
+  for (const auto& [asn, n] : before) {
+    EXPECT_LE(after.at(asn), n) << "AS " << asn;
+    total_before += n;
+    total_after += after.at(asn);
+  }
+  EXPECT_LE(total_after, total_before);
+  EXPECT_EQ(w.mismatched(truth), std::vector<routing::AsNumber>{});
 }
 
 TEST(ShardedController, KillThenHealLeavesEveryTableAtGroundTruth) {

@@ -168,6 +168,19 @@ TEST(RoutingPolicy, DeserializeRejectsBadRelationship) {
   }
   crypto::append_u32(twice, 0);  // no prefixes
   EXPECT_THROW(RoutingPolicy::deserialize(twice), std::invalid_argument);
+
+  // And neighbors out of ascending order, which would decode to a policy
+  // that re-encodes sorted.
+  crypto::Bytes unsorted;
+  crypto::append_u32(unsorted, 1);  // asn
+  crypto::append_u32(unsorted, 2);  // two neighbor entries
+  for (const uint32_t nbr : {3u, 2u}) {
+    crypto::append_u32(unsorted, nbr);
+    unsorted.push_back(static_cast<uint8_t>(Relationship::kPeer));
+    crypto::append_u32(unsorted, 0);
+  }
+  crypto::append_u32(unsorted, 0);  // no prefixes
+  EXPECT_THROW(RoutingPolicy::deserialize(unsorted), std::invalid_argument);
 }
 
 TEST(RoutingPolicy, SameEncodingAgreesWithEncodingEquality) {

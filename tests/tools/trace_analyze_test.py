@@ -174,7 +174,7 @@ def control_plane_doc():
              "ts": 1400, "dur": 200, "pid": 1, "tid": 1,
              "args": {"trace": 7, "span": 3, "parent": 2, "shard": 3,
                       "self": {"norm": 90}}},
-            {"name": "reforward_admitted", "cat": "failover", "ph": "X",
+            {"name": "refront", "cat": "failover", "ph": "X",
              "ts": 1600, "dur": 50, "pid": 1, "tid": 1,
              "args": {"trace": 7, "span": 4, "parent": 3, "shard": 3}},
         ]
