@@ -43,6 +43,8 @@
 #                              # derived-fronting check (no admitted_by_
 #                              # map or admitting-shard field in
 #                              # src/routing/) +
+#                              # one-mbox-codec check (mbox enums cast
+#                              # from a byte only in the two decoders) +
 #                              # dead-control-code check (every kCtl*/
 #                              # kQuery* enumerator has a sender or reader) +
 #                              # security lint gate (DESIGN.md §15): static
@@ -261,6 +263,19 @@ case "$mode" in
     if grep -rnE '\badmitted_by_?\b|\bAdmittedBy\b|\badmitting_shard\b' src/routing; then
       echo "lint: an AS's front shard is InterDomainControllerApp::front_of;" \
         "do not store or send it" >&2
+      exit 1
+    fi
+    # One middlebox frame codec (DESIGN.md §5.3): a byte becomes a
+    # Direction, EndpointRole or message tag only inside decode_frame and
+    # decode_provision, which reject every value no encoder writes.
+    if awk '/^(Frame decode_frame|Provision decode_provision)\(/ { inside = 1 }
+        inside && /^}/ { inside = 0; next }
+        !inside && /static_cast<(Direction|EndpointRole|MboxMsg|MboxSecureMsg)>/ {
+          print FILENAME ":" FNR ": " $0; found = 1
+        }
+        END { exit !found }' $(find src -name '*.h' -o -name '*.cpp'); then
+      echo "lint: decode mbox frames with decode_frame/decode_provision;" \
+        "do not cast a wire byte to a middlebox enum" >&2
       exit 1
     fi
     # No dead control codes: every kCtl*/kQuery* enumerator declared in src/

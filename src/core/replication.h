@@ -118,7 +118,8 @@ enum ShardMsg : uint8_t {
   kShardAppend = 0xE1,
   kShardJoinReq = 0xE2,   // joiner | LV version-vector
   kShardSnapshot = 0xE3,  // donor | LV version-vector | LV app-state
-  kShardApp = 0xE4,       // from | target | ttl | LV inner (ring-forwarded)
+  kShardApp = 0xE4,       // from | target | ttl | LV inner (target: the
+                          // receiving shard, or kShardBroadcast ring-walked)
   kShardTagHi = 0xEF,
 };
 

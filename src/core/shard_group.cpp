@@ -112,18 +112,13 @@ uint64_t ShardReplica::admit(Ctx& ctx, uint64_t key,
   return version;
 }
 
-void ShardReplica::send_app(Ctx& ctx, uint32_t target,
-                            crypto::BytesView inner) {
-  if (target == cfg_.self) {
-    if (hooks_.app_message) hooks_.app_message(ctx, cfg_.self, inner);
-    return;
-  }
+void ShardReplica::broadcast_app(Ctx& ctx, crypto::BytesView inner) {
   const uint32_t hop = next_hop();
   if (hop == kInvalidShard) return;
   TENET_SPAN("shard", "forward_app");
   TENET_COUNT("shard.app_sent");
   send_to_shard(ctx, hop,
-                encode_shard_app(cfg_.self, target,
+                encode_shard_app(cfg_.self, kShardBroadcast,
                                  static_cast<uint8_t>(cfg_.members.size()),
                                  inner));
 }
@@ -202,7 +197,6 @@ void ShardReplica::handle_append(Ctx& ctx, crypto::Reader& r) {
     if (hooks_.apply) hooks_.apply(ctx, origin, key, entry);
   } else {
     // Idempotent apply: duplicate or stale version for this origin.
-    ++dup_appends_;
     TENET_COUNT("shard.duplicate_appends");
   }
   if (copies > 1) {
@@ -257,7 +251,6 @@ void ShardReplica::handle_snapshot(Ctx& ctx, crypto::Reader& r) {
   TENET_SPAN_SHARD(cfg_.self);
   if (hooks_.install && hooks_.install(ctx, state)) {
     versions_.merge(incoming);
-    ++snapshots_installed_;
     joined_ = true;
     TENET_COUNT("shard.snapshots_installed");
     // a = installing shard, b = total versions the merged vector covers.
@@ -270,29 +263,18 @@ void ShardReplica::handle_app(Ctx& ctx, crypto::Reader& r) {
   const uint32_t target = r.u32();
   const uint8_t ttl = r.u8();
   const crypto::BytesView inner = r.lv_view();
-  if (target == cfg_.self || target == kShardBroadcast) {
-    TENET_SPAN("shard", "app_deliver");
-    if (hooks_.app_message) hooks_.app_message(ctx, from, inner);
-    if (target != kShardBroadcast) return;
-    // Broadcast: deliver here, then keep walking the ring until it closes
-    // on the originator. The TTL bounds total deliveries even if the walk
-    // skips past a freshly-dead originator.
-    if (ttl <= 1) return;
-    const uint32_t bhop = next_hop();
-    if (bhop == kInvalidShard || bhop == from) return;
-    send_to_shard(ctx, bhop, encode_shard_app(from, target, ttl - 1, inner));
-    return;
-  }
-  if (ttl <= 1) {
-    TENET_COUNT("shard.app_dropped");
-    return;
-  }
-  TENET_SPAN("shard", "app_forward");
+  // Direct frames address us; broadcasts address everyone. Anything else
+  // is for no one here.
+  if (target != cfg_.self && target != kShardBroadcast) return;
+  TENET_SPAN("shard", "app_deliver");
+  if (hooks_.app_message) hooks_.app_message(ctx, from, inner);
+  if (target != kShardBroadcast) return;
+  // Broadcast: deliver here, then keep walking the ring until it closes on
+  // the originator. The TTL bounds total deliveries even if the walk skips
+  // past a freshly-dead originator.
+  if (ttl <= 1) return;
   const uint32_t hop = next_hop();
-  if (hop == kInvalidShard) {
-    TENET_COUNT("shard.app_dropped");
-    return;
-  }
+  if (hop == kInvalidShard || hop == from) return;
   send_to_shard(ctx, hop, encode_shard_app(from, target, ttl - 1, inner));
 }
 

@@ -40,9 +40,9 @@ namespace tenet::core {
 class Ctx;
 class SecureApp;
 
-/// Pseudo-target for send_app: deliver the payload to every *other* member
-/// of the group, ring-forwarded (each hop delivers and passes it on until
-/// the walk closes back on the originator).
+/// Target of a broadcast_app frame: every *other* member of the group,
+/// ring-forwarded (each hop delivers and passes it on until the walk
+/// closes back on the originator).
 inline constexpr uint32_t kShardBroadcast = 0xFFFFFFFEu;
 
 class ShardReplica {
@@ -96,14 +96,10 @@ class ShardReplica {
 
   [[nodiscard]] const VersionVector& versions() const { return versions_; }
   [[nodiscard]] uint64_t entries_applied() const { return entries_applied_; }
-  [[nodiscard]] uint64_t duplicate_appends() const { return dup_appends_; }
   [[nodiscard]] uint64_t rollbacks_refused() const {
     return rollbacks_refused_;
   }
   [[nodiscard]] uint64_t rejected_peers() const { return rejected_peers_; }
-  [[nodiscard]] uint64_t snapshots_installed() const {
-    return snapshots_installed_;
-  }
   /// True once a join round-trip completed (or we never needed one).
   [[nodiscard]] bool joined() const { return joined_; }
 
@@ -115,10 +111,9 @@ class ShardReplica {
   /// replicates to the ring successors. Returns the assigned version.
   uint64_t admit(Ctx& ctx, uint64_t key, crypto::BytesView entry);
 
-  /// Sends an application payload to `target` shard, ring-forwarded.
-  /// `target` may be kShardBroadcast to reach every other member.
+  /// Sends an application payload to every other member, ring-forwarded.
   /// `inner` must not start with a byte in [0xE0, 0xEF].
-  void send_app(Ctx& ctx, uint32_t target, crypto::BytesView inner);
+  void broadcast_app(Ctx& ctx, crypto::BytesView inner);
 
   /// Sends an application payload straight to `target`'s node (one hop, no
   /// ring relay). For bulk exchange — a ring relay re-encrypts the payload
@@ -187,10 +182,8 @@ class ShardReplica {
   /// replication hop latency, fed from append send timestamps).
   telemetry::Histogram* hop_hist_ = nullptr;
   uint64_t entries_applied_ = 0;
-  uint64_t dup_appends_ = 0;
   uint64_t rollbacks_refused_ = 0;
   uint64_t rejected_peers_ = 0;
-  uint64_t snapshots_installed_ = 0;
   bool joined_ = true;  // cleared by begin_join until a snapshot answer
 };
 

@@ -6,15 +6,11 @@
 namespace tenet::mbox {
 
 namespace {
-MboxMsg tag_of(crypto::BytesView wire) {
-  if (wire.empty()) throw std::invalid_argument("mbox: empty message");
-  return static_cast<MboxMsg>(wire[0]);
-}
-
-/// Zero-copy counterpart of encode_record(sid, dir, channel.seal(data)):
-/// writes the record-frame header and seals `data` directly into the frame
-/// tail, which then moves into the ocall ring (Ctx::send_framed). On the
-/// wire the bytes are identical to the copying form.
+/// Zero-copy counterpart of encode_frame(kRecord, sid, dir,
+/// channel.seal(data)): writes the record-frame header and seals `data`
+/// directly into the frame tail, which then moves into the ocall ring
+/// (Ctx::send_framed). On the wire the bytes are identical to the copying
+/// form.
 void send_sealed_record(core::Ctx& ctx, netsim::NodeId hop, uint32_t sid,
                         Direction dir, netsim::SecureChannel& channel,
                         crypto::BytesView data) {
@@ -48,24 +44,48 @@ crypto::Bytes encode_open(uint32_t sid,
   return out;
 }
 
-crypto::Bytes encode_handshake(uint32_t sid, Direction dir,
-                               crypto::BytesView payload) {
+crypto::Bytes encode_frame(MboxMsg tag, uint32_t sid, Direction dir,
+                           crypto::BytesView body) {
   crypto::Bytes out;
-  out.push_back(static_cast<uint8_t>(MboxMsg::kHandshake));
+  out.push_back(static_cast<uint8_t>(tag));
   crypto::append_u32(out, sid);
   out.push_back(static_cast<uint8_t>(dir));
-  crypto::append_lv(out, payload);
+  crypto::append_lv(out, body);
   return out;
 }
 
-crypto::Bytes encode_record(uint32_t sid, Direction dir,
-                            crypto::BytesView record) {
-  crypto::Bytes out;
-  out.push_back(static_cast<uint8_t>(MboxMsg::kRecord));
-  crypto::append_u32(out, sid);
-  out.push_back(static_cast<uint8_t>(dir));
-  crypto::append_lv(out, record);
-  return out;
+Frame decode_frame(crypto::BytesView wire) {
+  crypto::Reader r(wire);
+  const uint8_t tag = r.u8();
+  Frame f;
+  f.sid = r.u32();
+  switch (tag) {
+    case static_cast<uint8_t>(MboxMsg::kOpen): {
+      // Checked against what the frame holds, so a hostile count reserves
+      // nothing.
+      const uint32_t n = r.u32();
+      if (r.remaining() != 4 * uint64_t{n}) {
+        throw std::invalid_argument("mbox frame: hop count does not fit");
+      }
+      f.tag = MboxMsg::kOpen;
+      f.body = r.view(r.remaining());
+      return f;
+    }
+    case static_cast<uint8_t>(MboxMsg::kHandshake):
+    case static_cast<uint8_t>(MboxMsg::kRecord): {
+      const uint8_t dir = r.u8();
+      if (dir > static_cast<uint8_t>(Direction::kServerToClient)) {
+        throw std::invalid_argument("mbox frame: unknown direction");
+      }
+      f.tag = static_cast<MboxMsg>(tag);
+      f.dir = static_cast<Direction>(dir);
+      f.body = r.lv_view();
+      if (!r.done()) throw std::invalid_argument("mbox frame: trailing bytes");
+      return f;
+    }
+    default:
+      throw std::invalid_argument("mbox frame: unknown tag");
+  }
 }
 
 crypto::Bytes encode_provision(uint32_t sid, EndpointRole role,
@@ -78,65 +98,147 @@ crypto::Bytes encode_provision(uint32_t sid, EndpointRole role,
   return out;
 }
 
+Provision decode_provision(crypto::BytesView wire) {
+  crypto::Reader r(wire);
+  if (r.u8() != static_cast<uint8_t>(MboxSecureMsg::kProvision)) {
+    throw std::invalid_argument("mbox provision: unknown tag");
+  }
+  Provision p;
+  p.sid = r.u32();
+  const uint8_t role = r.u8();
+  if (role != static_cast<uint8_t>(EndpointRole::kClient) &&
+      role != static_cast<uint8_t>(EndpointRole::kServer)) {
+    throw std::invalid_argument("mbox provision: unknown role");
+  }
+  p.role = static_cast<EndpointRole>(role);
+  p.keys = TlsKeyMaterial::deserialize(r.lv_view());
+  if (!r.done()) throw std::invalid_argument("mbox provision: trailing bytes");
+  return p;
+}
+
+// ---------------------------------------------------------------------------
+// TlsEndpointApp
+// ---------------------------------------------------------------------------
+
+template <typename Tls>
+TlsEndpointApp<Tls>::TlsEndpointApp(const sgx::Authority& authority,
+                                    sgx::AttestationConfig config,
+                                    EndpointRole role, Direction inbound)
+    : SecureApp(authority, config), role_(role), inbound_(inbound) {}
+
+template <typename Tls>
+typename TlsEndpointApp<Tls>::Session& TlsEndpointApp<Tls>::start_session(
+    core::Ctx& ctx, uint32_t sid, netsim::NodeId hop) {
+  ctx.alloc(256);
+  Session& s = sessions_[sid];
+  s.hop = hop;
+  s.tls.emplace(ctx.rng());
+  return s;
+}
+
+template <typename Tls>
+typename TlsEndpointApp<Tls>::Session* TlsEndpointApp<Tls>::established_session(
+    uint32_t sid) {
+  const auto it = sessions_.find(sid);
+  return it != sessions_.end() && it->second.tls->established() ? &it->second
+                                                                 : nullptr;
+}
+
+template <typename Tls>
+void TlsEndpointApp<Tls>::on_plain_message(core::Ctx& ctx, netsim::NodeId peer,
+                                           crypto::BytesView payload) {
+  try {
+    const Frame f = decode_frame(payload);
+    if (f.tag == MboxMsg::kOpen) {
+      on_open(ctx, peer, f);
+      return;
+    }
+    const auto it = sessions_.find(f.sid);
+    if (it == sessions_.end() || peer != it->second.hop || f.dir != inbound_) {
+      return;
+    }
+    Session& s = it->second;
+    if (f.tag == MboxMsg::kHandshake) {
+      on_handshake(ctx, f.sid, s, f.body);
+      return;
+    }
+    // A record: open it, keep the plaintext, then hand it to the end.
+    if (!s.tls->established()) return;
+    const auto plain = s.tls->channel().open(f.body);
+    if (!plain.has_value()) return;
+    ctx.alloc(plain->size());
+    crypto::append_lv(s.received, *plain);
+    on_record(ctx, f.sid, s, *plain);
+  } catch (const std::exception&) {
+    return;
+  }
+}
+
+template <typename Tls>
+void TlsEndpointApp<Tls>::on_peer_attested(core::Ctx& ctx,
+                                           netsim::NodeId peer) {
+  const auto it = pending_provision_.find(peer);
+  if (it == pending_provision_.end()) return;
+  for (const uint32_t sid : it->second) {
+    const Session* s = established_session(sid);
+    if (s == nullptr) continue;
+    ctx.send_secure(peer, encode_provision(sid, role_, s->tls->keys()));
+  }
+  pending_provision_.erase(it);
+}
+
+template <typename Tls>
+crypto::Bytes TlsEndpointApp<Tls>::on_control(core::Ctx& ctx, uint32_t subfn,
+                                              crypto::BytesView arg) {
+  switch (subfn) {
+    case kCtlIsEstablished: {
+      crypto::Bytes out;
+      out.push_back(established_session(crypto::read_u32(arg, 0)) != nullptr
+                        ? 1
+                        : 0);
+      return out;
+    }
+    case kCtlReceived: {
+      const auto it = sessions_.find(crypto::read_u32(arg, 0));
+      return it != sessions_.end() ? it->second.received : crypto::Bytes{};
+    }
+    case kCtlProvisionMbox: {
+      crypto::Reader r(arg);
+      const uint32_t sid = r.u32();
+      const netsim::NodeId mbox = r.u32();
+      const Session* s = established_session(sid);
+      if (s == nullptr) return {};
+      if (is_attested(mbox)) {
+        ctx.send_secure(mbox, encode_provision(sid, role_, s->tls->keys()));
+      } else {
+        pending_provision_[mbox].push_back(sid);
+        ctx.connect(mbox);
+      }
+      return {};
+    }
+    default:
+      return {};
+  }
+}
+
+template class TlsEndpointApp<TlsClientSession>;
+template class TlsEndpointApp<TlsServerSession>;
+
 // ---------------------------------------------------------------------------
 // TlsClientApp
 // ---------------------------------------------------------------------------
 
 TlsClientApp::TlsClientApp(const sgx::Authority& authority,
                            sgx::AttestationConfig config)
-    : SecureApp(authority, config) {}
+    : TlsEndpointApp(authority, config, EndpointRole::kClient,
+                     Direction::kServerToClient) {}
 
-void TlsClientApp::on_plain_message(core::Ctx& ctx, netsim::NodeId peer,
-                                    crypto::BytesView payload) {
-  try {
-    crypto::Reader r(payload);
-    const MboxMsg tag = tag_of(payload);
-    (void)r.u8();
-    const uint32_t sid = r.u32();
-    const auto it = sessions_.find(sid);
-    if (it == sessions_.end() || peer != it->second.first_hop) return;
-    Session& s = it->second;
-
-    if (tag == MboxMsg::kHandshake) {
-      const Direction dir = static_cast<Direction>(r.u8());
-      if (dir != Direction::kServerToClient || !s.tls.has_value()) return;
-      const auto finished = s.tls->handle_server_hello(r.lv());
-      if (!finished.has_value()) return;
-      ctx.send_plain(s.first_hop,
-                     encode_handshake(sid, Direction::kClientToServer,
-                                      *finished));
-      return;
-    }
-    if (tag == MboxMsg::kRecord) {
-      const Direction dir = static_cast<Direction>(r.u8());
-      if (dir != Direction::kServerToClient || !s.tls.has_value() ||
-          !s.tls->established()) {
-        return;
-      }
-      const auto plain = s.tls->channel().open(r.lv());
-      if (!plain.has_value()) return;
-      ctx.alloc(plain->size());
-      crypto::append_lv(s.received, *plain);
-      return;
-    }
-  } catch (const std::exception&) {
-    return;
-  }
-}
-
-void TlsClientApp::on_peer_attested(core::Ctx& ctx, netsim::NodeId peer) {
-  const auto it = pending_provision_.find(peer);
-  if (it == pending_provision_.end()) return;
-  for (const uint32_t sid : it->second) {
-    const auto st = sessions_.find(sid);
-    if (st == sessions_.end() || !st->second.tls.has_value() ||
-        !st->second.tls->established()) {
-      continue;
-    }
-    ctx.send_secure(peer, encode_provision(sid, EndpointRole::kClient,
-                                           st->second.tls->keys()));
-  }
-  pending_provision_.erase(it);
+void TlsClientApp::on_handshake(core::Ctx& ctx, uint32_t sid, Session& s,
+                                crypto::BytesView msg) {
+  const auto finished = s.tls->handle_server_hello(msg);
+  if (!finished.has_value()) return;
+  ctx.send_plain(s.hop, encode_frame(MboxMsg::kHandshake, sid,
+                                     Direction::kClientToServer, *finished));
 }
 
 crypto::Bytes TlsClientApp::on_control(core::Ctx& ctx, uint32_t subfn,
@@ -152,27 +254,14 @@ crypto::Bytes TlsClientApp::on_control(core::Ctx& ctx, uint32_t subfn,
       path.push_back(server);
 
       const uint32_t sid = next_sid_++;
-      Session& s = sessions_[sid];
-      ctx.alloc(256);
-      s.first_hop = path.front();
-      s.tls.emplace(ctx.rng());
-
+      Session& s = start_session(ctx, sid, path.front());
       const std::vector<netsim::NodeId> rest(path.begin() + 1, path.end());
-      ctx.send_plain(s.first_hop, encode_open(sid, rest));
-      ctx.send_plain(s.first_hop,
-                     encode_handshake(sid, Direction::kClientToServer,
-                                      s.tls->hello()));
+      ctx.send_plain(s.hop, encode_open(sid, rest));
+      ctx.send_plain(s.hop, encode_frame(MboxMsg::kHandshake, sid,
+                                         Direction::kClientToServer,
+                                         s.tls->hello()));
       crypto::Bytes out;
       crypto::append_u32(out, sid);
-      return out;
-    }
-    case kCtlIsEstablished: {
-      const auto it = sessions_.find(crypto::read_u32(arg, 0));
-      crypto::Bytes out;
-      out.push_back(it != sessions_.end() && it->second.tls.has_value() &&
-                            it->second.tls->established()
-                        ? 1
-                        : 0);
       return out;
     }
     case kCtlSendData: {
@@ -180,41 +269,19 @@ crypto::Bytes TlsClientApp::on_control(core::Ctx& ctx, uint32_t subfn,
       crypto::Reader r(arg);
       const uint32_t sid = r.u32();
       const crypto::Bytes data = r.lv();
-      const auto it = sessions_.find(sid);
-      if (it == sessions_.end() || !it->second.tls.has_value() ||
-          !it->second.tls->established()) {
-        return {};
-      }
-      send_sealed_record(ctx, it->second.first_hop, sid,
-                         Direction::kClientToServer,
-                         it->second.tls->channel(), data);
+      Session* s = established_session(sid);
+      if (s == nullptr) return {};
+      send_sealed_record(ctx, s->hop, sid, Direction::kClientToServer,
+                         s->tls->channel(), data);
       return {};
-    }
-    case kCtlReceived: {
-      const auto it = sessions_.find(crypto::read_u32(arg, 0));
-      return it != sessions_.end() ? it->second.received : crypto::Bytes{};
     }
     case kCtlProvisionMbox: {
+      // The client's provisioning is a trace of its own.
       TENET_TRACE_ROOT("mbox", "provision");
-      crypto::Reader r(arg);
-      const uint32_t sid = r.u32();
-      const netsim::NodeId mbox = r.u32();
-      const auto it = sessions_.find(sid);
-      if (it == sessions_.end() || !it->second.tls.has_value() ||
-          !it->second.tls->established()) {
-        return {};
-      }
-      if (is_attested(mbox)) {
-        ctx.send_secure(mbox, encode_provision(sid, EndpointRole::kClient,
-                                               it->second.tls->keys()));
-      } else {
-        pending_provision_[mbox].push_back(sid);
-        ctx.connect(mbox);
-      }
-      return {};
+      return TlsEndpointApp::on_control(ctx, subfn, arg);
     }
     default:
-      return {};
+      return TlsEndpointApp::on_control(ctx, subfn, arg);
   }
 }
 
@@ -224,119 +291,34 @@ crypto::Bytes TlsClientApp::on_control(core::Ctx& ctx, uint32_t subfn,
 
 TlsServerApp::TlsServerApp(const sgx::Authority& authority,
                            sgx::AttestationConfig config)
-    : SecureApp(authority, config) {}
+    : TlsEndpointApp(authority, config, EndpointRole::kServer,
+                     Direction::kClientToServer) {}
 
-void TlsServerApp::on_plain_message(core::Ctx& ctx, netsim::NodeId peer,
-                                    crypto::BytesView payload) {
-  try {
-    crypto::Reader r(payload);
-    const MboxMsg tag = tag_of(payload);
-    (void)r.u8();
-    const uint32_t sid = r.u32();
+void TlsServerApp::on_open(core::Ctx& ctx, netsim::NodeId peer,
+                           const Frame& f) {
+  if (f.hop_count() != 0) return;  // we are the path's end
+  start_session(ctx, f.sid, peer);
+}
 
-    if (tag == MboxMsg::kOpen) {
-      const uint32_t n = r.u32();
-      if (n != 0) return;  // we are the path's end
-      Session& s = sessions_[sid];
-      ctx.alloc(256);
-      s.prev_hop = peer;
-      s.tls.emplace(ctx.rng());
-      return;
-    }
-    const auto it = sessions_.find(sid);
-    if (it == sessions_.end() || peer != it->second.prev_hop) return;
-    Session& s = it->second;
-
-    if (tag == MboxMsg::kHandshake) {
-      const Direction dir = static_cast<Direction>(r.u8());
-      if (dir != Direction::kClientToServer || !s.tls.has_value()) return;
-      const crypto::Bytes payload_bytes = r.lv();
-      if (!s.tls->established()) {
-        // Either the hello or the finished.
-        const auto reply = s.tls->handle_hello(payload_bytes);
-        if (reply.has_value()) {
-          ctx.send_plain(s.prev_hop,
-                         encode_handshake(sid, Direction::kServerToClient,
-                                          *reply));
-          return;
-        }
-        (void)s.tls->handle_finished(payload_bytes);
-      }
-      return;
-    }
-    if (tag == MboxMsg::kRecord) {
-      const Direction dir = static_cast<Direction>(r.u8());
-      if (dir != Direction::kClientToServer || !s.tls.has_value() ||
-          !s.tls->established()) {
-        return;
-      }
-      const auto plain = s.tls->channel().open(r.lv());
-      if (!plain.has_value()) return;
-      ctx.alloc(plain->size());
-      crypto::append_lv(s.received, *plain);
-      crypto::Bytes response = crypto::to_bytes("ok:");
-      crypto::append(response, *plain);
-      send_sealed_record(ctx, s.prev_hop, sid, Direction::kServerToClient,
-                         s.tls->channel(), response);
-      return;
-    }
-  } catch (const std::exception&) {
+void TlsServerApp::on_handshake(core::Ctx& ctx, uint32_t sid, Session& s,
+                                crypto::BytesView msg) {
+  if (s.tls->established()) return;
+  // Either the hello or the finished.
+  const auto reply = s.tls->handle_hello(msg);
+  if (reply.has_value()) {
+    ctx.send_plain(s.hop, encode_frame(MboxMsg::kHandshake, sid,
+                                       Direction::kServerToClient, *reply));
     return;
   }
+  (void)s.tls->handle_finished(msg);
 }
 
-void TlsServerApp::on_peer_attested(core::Ctx& ctx, netsim::NodeId peer) {
-  const auto it = pending_provision_.find(peer);
-  if (it == pending_provision_.end()) return;
-  for (const uint32_t sid : it->second) {
-    const auto st = sessions_.find(sid);
-    if (st == sessions_.end() || !st->second.tls.has_value() ||
-        !st->second.tls->established()) {
-      continue;
-    }
-    ctx.send_secure(peer, encode_provision(sid, EndpointRole::kServer,
-                                           st->second.tls->keys()));
-  }
-  pending_provision_.erase(it);
-}
-
-crypto::Bytes TlsServerApp::on_control(core::Ctx& ctx, uint32_t subfn,
-                                       crypto::BytesView arg) {
-  switch (subfn) {
-    case kCtlIsEstablished: {
-      const auto it = sessions_.find(crypto::read_u32(arg, 0));
-      crypto::Bytes out;
-      out.push_back(it != sessions_.end() && it->second.tls.has_value() &&
-                            it->second.tls->established()
-                        ? 1
-                        : 0);
-      return out;
-    }
-    case kCtlReceived: {
-      const auto it = sessions_.find(crypto::read_u32(arg, 0));
-      return it != sessions_.end() ? it->second.received : crypto::Bytes{};
-    }
-    case kCtlProvisionMbox: {
-      crypto::Reader r(arg);
-      const uint32_t sid = r.u32();
-      const netsim::NodeId mbox = r.u32();
-      const auto it = sessions_.find(sid);
-      if (it == sessions_.end() || !it->second.tls.has_value() ||
-          !it->second.tls->established()) {
-        return {};
-      }
-      if (is_attested(mbox)) {
-        ctx.send_secure(mbox, encode_provision(sid, EndpointRole::kServer,
-                                               it->second.tls->keys()));
-      } else {
-        pending_provision_[mbox].push_back(sid);
-        ctx.connect(mbox);
-      }
-      return {};
-    }
-    default:
-      return {};
-  }
+void TlsServerApp::on_record(core::Ctx& ctx, uint32_t sid, Session& s,
+                             crypto::BytesView plain) {
+  crypto::Bytes response = crypto::to_bytes("ok:");
+  crypto::append(response, plain);
+  send_sealed_record(ctx, s.hop, sid, Direction::kServerToClient,
+                     s.tls->channel(), response);
 }
 
 // ---------------------------------------------------------------------------
@@ -355,8 +337,8 @@ DpiMiddleboxApp::DpiMiddleboxApp(const sgx::Authority& authority,
 void DpiMiddleboxApp::maybe_activate(Session& s) {
   if (s.active || !s.keys.has_value()) return;
   if (policy_.require_both_endpoints &&
-      (!s.provisioned.contains(EndpointRole::kClient) ||
-       !s.provisioned.contains(EndpointRole::kServer))) {
+      (s.client_peer == netsim::kInvalidNode ||
+       s.server_peer == netsim::kInvalidNode)) {
     return;
   }
   // Passive views: open client->server records like the server would and
@@ -379,102 +361,95 @@ void DpiMiddleboxApp::forward(core::Ctx& ctx, const Session& s, Direction dir,
 void DpiMiddleboxApp::on_plain_message(core::Ctx& ctx, netsim::NodeId peer,
                                        crypto::BytesView payload) {
   try {
-    crypto::Reader r(payload);
-    const MboxMsg tag = tag_of(payload);
-    (void)r.u8();
-    const uint32_t sid = r.u32();
-
-    if (tag == MboxMsg::kOpen) {
-      const uint32_t n = r.u32();
+    const Frame f = decode_frame(payload);
+    if (f.tag == MboxMsg::kOpen) {
+      const size_t n = f.hop_count();
       if (n == 0) return;  // malformed: a middlebox is never the endpoint
-      std::vector<netsim::NodeId> rest;
-      for (uint32_t i = 0; i < n; ++i) rest.push_back(r.u32());
-      Session& s = sessions_[sid];
+      Session& s = sessions_[f.sid];
       ctx.alloc(512);
       s.prev = peer;
-      s.next = rest.front();
-      ctx.send_plain(s.next, encode_open(sid, std::vector<netsim::NodeId>(
-                                                  rest.begin() + 1, rest.end())));
+      s.next = f.hop(0);
+      std::vector<netsim::NodeId> rest;
+      for (size_t i = 1; i < n; ++i) rest.push_back(f.hop(i));
+      ctx.send_plain(s.next, encode_open(f.sid, rest));
       return;
     }
 
-    const auto it = sessions_.find(sid);
+    const auto it = sessions_.find(f.sid);
     if (it == sessions_.end()) return;
     Session& s = it->second;
     // Only accept traffic from the session's actual neighbors.
     if (peer != s.prev && peer != s.next) return;
 
-    if (tag == MboxMsg::kHandshake) {
-      const Direction dir = static_cast<Direction>(r.u8());
-      forward(ctx, s, dir, payload);
+    if (f.tag == MboxMsg::kHandshake) {
+      forward(ctx, s, f.dir, payload);
       return;
     }
-    if (tag == MboxMsg::kRecord) {
-      const Direction dir = static_cast<Direction>(r.u8());
-      const crypto::BytesView record = r.lv_view();
-      if (!s.active) {
-        if (policy_.fail_closed) {
-          // No keys, fail-closed: an uninspectable record does not pass.
-          ++blocked_;
-          return;
-        }
-        // No keys, fail-open: the middlebox is blind — pass the
-        // ciphertext through.
-        ++opaque_forwarded_;
-        forward(ctx, s, dir, payload);
-        return;
-      }
-      auto& view = dir == Direction::kClientToServer ? s.c2s_view : s.s2c_view;
-      auto& scanner = dir == Direction::kClientToServer ? s.c2s_scan : s.s2c_scan;
-      // Stage the ciphertext in the reusable scratch and decrypt in place:
-      // the relay hot path makes no per-record allocations, and the original
-      // wire bytes stay untouched for the onward forward below.
-      scratch_.assign(record.begin(), record.end());
-      const auto plain_len = view->open_in_place(scratch_);
-      if (!plain_len.has_value()) {
-        // Unopenable record on a provisioned session: drop (integrity).
+    if (!s.active) {
+      if (policy_.fail_closed) {
+        // No keys, fail-closed: an uninspectable record does not pass.
         ++blocked_;
         return;
       }
-      ++inspected_;
-      const auto matches = scanner->scan(crypto::BytesView(
-          scratch_.data() + crypto::Aead::kHeaderSize, *plain_len));
-      bool block = false;
-      for (const DpiMatch& m : matches) {
-        alerts_.push_back(m);
-        if (policy_.block_on_match) block = true;
-      }
-      if (block) {
-        ++blocked_;
-        return;  // IPS mode: record dropped
-      }
-      forward(ctx, s, dir, payload);
+      // No keys, fail-open: the middlebox is blind — pass the ciphertext
+      // through.
+      ++opaque_forwarded_;
+      forward(ctx, s, f.dir, payload);
       return;
     }
+    const bool c2s = f.dir == Direction::kClientToServer;
+    auto& view = c2s ? s.c2s_view : s.s2c_view;
+    auto& scanner = c2s ? s.c2s_scan : s.s2c_scan;
+    // Stage the ciphertext in the reusable scratch and decrypt in place:
+    // the relay hot path makes no per-record allocations, and the original
+    // wire bytes stay untouched for the onward forward below.
+    scratch_.assign(f.body.begin(), f.body.end());
+    const auto plain_len = view->open_in_place(scratch_);
+    if (!plain_len.has_value()) {
+      // Unopenable record on a provisioned session: drop (integrity).
+      ++blocked_;
+      return;
+    }
+    ++inspected_;
+    const auto matches = scanner->scan(crypto::BytesView(
+        scratch_.data() + crypto::Aead::kHeaderSize, *plain_len));
+    bool block = false;
+    for (const DpiMatch& m : matches) {
+      alerts_.push_back(m);
+      if (policy_.block_on_match) block = true;
+    }
+    if (block) {
+      ++blocked_;
+      return;  // IPS mode: record dropped
+    }
+    forward(ctx, s, f.dir, payload);
   } catch (const std::exception&) {
     return;
   }
 }
 
-void DpiMiddleboxApp::on_secure_message(core::Ctx&, netsim::NodeId,
+void DpiMiddleboxApp::on_secure_message(core::Ctx&, netsim::NodeId peer,
                                         crypto::BytesView payload) {
   try {
-    crypto::Reader r(payload);
-    if (static_cast<MboxSecureMsg>(r.u8()) != MboxSecureMsg::kProvision) {
-      return;
-    }
-    const uint32_t sid = r.u32();
-    const auto role = static_cast<EndpointRole>(r.u8());
     // Decoded before the session is touched: a malformed key leaves no
     // state behind to refuse the right key that follows.
-    TlsKeyMaterial keys = TlsKeyMaterial::deserialize(r.lv());
-    Session& s = sessions_[sid];
+    Provision p = decode_provision(payload);
+    Session& s = sessions_[p.sid];
+    const bool client = p.role == EndpointRole::kClient;
+    netsim::NodeId& holder = client ? s.client_peer : s.server_peer;
+    const netsim::NodeId other = client ? s.server_peer : s.client_peer;
+    // A role is bound to the first peer that provisions it, and one peer
+    // cannot hold both roles of a session.
+    if (other == peer ||
+        (holder != netsim::kInvalidNode && holder != peer)) {
+      return;
+    }
     if (s.keys.has_value() &&
-        !crypto::ct_equal(s.keys->channel_key, keys.channel_key)) {
+        !crypto::ct_equal(s.keys->channel_key, p.keys.channel_key)) {
       return;  // conflicting keys: refuse
     }
-    s.keys = std::move(keys);
-    s.provisioned.insert(role);
+    s.keys = std::move(p.keys);
+    holder = peer;
     maybe_activate(s);
   } catch (const std::exception&) {
     return;

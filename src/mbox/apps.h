@@ -13,8 +13,6 @@
 // ciphertext and learns nothing.
 #pragma once
 
-#include <set>
-
 #include "core/secure_app.h"
 #include "mbox/dpi.h"
 #include "mbox/tls.h"
@@ -35,13 +33,41 @@ enum class MboxSecureMsg : uint8_t {
 };
 enum class EndpointRole : uint8_t { kClient = 1, kServer = 2 };
 
+/// One plain-port frame, decoded in place: `body` views the wire bytes.
+struct Frame {
+  MboxMsg tag = MboxMsg::kOpen;
+  uint32_t sid = 0;
+  Direction dir = Direction::kClientToServer;  // kHandshake and kRecord
+  /// kHandshake/kRecord: the LV's value. kOpen: the remaining path, one
+  /// u32 hop per 4 bytes.
+  crypto::BytesView body;
+
+  [[nodiscard]] size_t hop_count() const { return body.size() / 4; }
+  [[nodiscard]] netsim::NodeId hop(size_t i) const {
+    return crypto::read_u32(body, 4 * i);
+  }
+};
+
 crypto::Bytes encode_open(uint32_t sid, const std::vector<netsim::NodeId>& rest);
-crypto::Bytes encode_handshake(uint32_t sid, Direction dir,
-                               crypto::BytesView payload);
-crypto::Bytes encode_record(uint32_t sid, Direction dir,
-                            crypto::BytesView record);
+/// A kHandshake or kRecord frame.
+crypto::Bytes encode_frame(MboxMsg tag, uint32_t sid, Direction dir,
+                           crypto::BytesView body);
+/// Decodes any plain-port frame. Throws std::out_of_range on a short frame
+/// and std::invalid_argument on an unknown tag, a direction other than
+/// 0/1, a kOpen hop count the frame does not hold, or trailing bytes.
+Frame decode_frame(crypto::BytesView wire);
+
+struct Provision {
+  uint32_t sid = 0;
+  EndpointRole role = EndpointRole::kClient;
+  TlsKeyMaterial keys;
+};
 crypto::Bytes encode_provision(uint32_t sid, EndpointRole role,
                                const TlsKeyMaterial& keys);
+/// Throws std::out_of_range on a short message and std::invalid_argument
+/// on an unknown tag, a role other than 1/2, a key that is not one AEAD
+/// key, or trailing bytes.
+Provision decode_provision(crypto::BytesView wire);
 
 // --- Endpoint controls ---
 enum EndpointControl : uint32_t {
@@ -62,52 +88,84 @@ enum MboxControl : uint32_t {
   kCtlInspectedCount = 6,   // -> u64 records decrypted and scanned
 };
 
-/// TLS client endpoint (runs in an enclave; attests middleboxes before
-/// provisioning).
-class TlsClientApp final : public core::SecureApp {
+/// The half of a TLS endpoint (enclave app) both ends share: the session
+/// table, the log of received records, and provisioning the session key
+/// to middleboxes once they attest. `Tls` is the end's handshake class;
+/// the subclass adds its handshake steps.
+template <typename Tls>
+class TlsEndpointApp : public core::SecureApp {
+ public:
+  void on_plain_message(core::Ctx& ctx, netsim::NodeId peer,
+                        crypto::BytesView payload) override;
+  void on_secure_message(core::Ctx&, netsim::NodeId,
+                         crypto::BytesView) override {}  // endpoints expect none
+  void on_peer_attested(core::Ctx& ctx, netsim::NodeId peer) override;
+  /// kCtlIsEstablished, kCtlReceived and kCtlProvisionMbox.
+  crypto::Bytes on_control(core::Ctx& ctx, uint32_t subfn,
+                           crypto::BytesView arg) override;
+
+ protected:
+  /// `role` is what this end provisions as; it accepts frames travelling
+  /// in direction `inbound` only.
+  TlsEndpointApp(const sgx::Authority& authority, sgx::AttestationConfig config,
+                 EndpointRole role, Direction inbound);
+
+  struct Session {
+    netsim::NodeId hop = netsim::kInvalidNode;  // adjacent hop on the path
+    std::optional<Tls> tls;                     // set by start_session
+    crypto::Bytes received;                     // concatenated LV frames
+  };
+
+  /// (Re)starts session `sid` toward `hop` with a fresh handshake.
+  Session& start_session(core::Ctx& ctx, uint32_t sid, netsim::NodeId hop);
+  /// Session `sid` if its handshake finished, else null.
+  Session* established_session(uint32_t sid);
+
+  /// A kOpen frame arrived (only the server end of the path takes one).
+  virtual void on_open(core::Ctx&, netsim::NodeId, const Frame&) {}
+  /// An inbound handshake message on session `sid`.
+  virtual void on_handshake(core::Ctx& ctx, uint32_t sid, Session& s,
+                            crypto::BytesView msg) = 0;
+  /// An inbound record opened to `plain`, already kept in `s.received`.
+  virtual void on_record(core::Ctx&, uint32_t, Session&, crypto::BytesView) {}
+
+ private:
+  EndpointRole role_;
+  Direction inbound_;
+  std::map<uint32_t, Session> sessions_;
+  std::map<netsim::NodeId, std::vector<uint32_t>> pending_provision_;
+};
+
+extern template class TlsEndpointApp<TlsClientSession>;
+extern template class TlsEndpointApp<TlsServerSession>;
+
+/// TLS client endpoint: opens sessions, sends data, provisions as kClient.
+class TlsClientApp final : public TlsEndpointApp<TlsClientSession> {
  public:
   TlsClientApp(const sgx::Authority& authority, sgx::AttestationConfig config);
 
-  void on_plain_message(core::Ctx& ctx, netsim::NodeId peer,
-                        crypto::BytesView payload) override;
-  void on_secure_message(core::Ctx&, netsim::NodeId,
-                         crypto::BytesView) override {}  // endpoints expect none
-  void on_peer_attested(core::Ctx& ctx, netsim::NodeId peer) override;
   crypto::Bytes on_control(core::Ctx& ctx, uint32_t subfn,
                            crypto::BytesView arg) override;
 
  private:
-  struct Session {
-    netsim::NodeId first_hop = netsim::kInvalidNode;
-    std::optional<TlsClientSession> tls;
-    crypto::Bytes received;  // concatenated LV frames
-  };
-  std::map<uint32_t, Session> sessions_;
-  std::map<netsim::NodeId, std::vector<uint32_t>> pending_provision_;
+  void on_handshake(core::Ctx& ctx, uint32_t sid, Session& s,
+                    crypto::BytesView msg) override;
+
   uint32_t next_sid_ = 100;
 };
 
-/// TLS server endpoint. Answers every record with "ok:<data>".
-class TlsServerApp final : public core::SecureApp {
+/// TLS server endpoint: provisions as kServer and answers every record
+/// with "ok:<data>".
+class TlsServerApp final : public TlsEndpointApp<TlsServerSession> {
  public:
   TlsServerApp(const sgx::Authority& authority, sgx::AttestationConfig config);
 
-  void on_plain_message(core::Ctx& ctx, netsim::NodeId peer,
-                        crypto::BytesView payload) override;
-  void on_secure_message(core::Ctx&, netsim::NodeId,
-                         crypto::BytesView) override {}  // endpoints expect none
-  void on_peer_attested(core::Ctx& ctx, netsim::NodeId peer) override;
-  crypto::Bytes on_control(core::Ctx& ctx, uint32_t subfn,
-                           crypto::BytesView arg) override;
-
  private:
-  struct Session {
-    netsim::NodeId prev_hop = netsim::kInvalidNode;
-    std::optional<TlsServerSession> tls;
-    crypto::Bytes received;
-  };
-  std::map<uint32_t, Session> sessions_;
-  std::map<netsim::NodeId, std::vector<uint32_t>> pending_provision_;
+  void on_open(core::Ctx& ctx, netsim::NodeId peer, const Frame& f) override;
+  void on_handshake(core::Ctx& ctx, uint32_t sid, Session& s,
+                    crypto::BytesView msg) override;
+  void on_record(core::Ctx& ctx, uint32_t sid, Session& s,
+                 crypto::BytesView plain) override;
 };
 
 /// Middlebox policy knobs.
@@ -147,7 +205,10 @@ class DpiMiddleboxApp final : public core::SecureApp {
   struct Session {
     netsim::NodeId prev = netsim::kInvalidNode;
     netsim::NodeId next = netsim::kInvalidNode;
-    std::set<EndpointRole> provisioned;
+    /// The attested peer each role is bound to: the first to provision
+    /// it. One peer never holds both roles.
+    netsim::NodeId client_peer = netsim::kInvalidNode;
+    netsim::NodeId server_peer = netsim::kInvalidNode;
     std::optional<TlsKeyMaterial> keys;
     // Passive record-layer views (one per direction) + scanners.
     std::optional<netsim::SecureChannel> c2s_view;

@@ -47,6 +47,16 @@ TlsSecrets TlsSecrets::derive(crypto::BytesView shared,
   return s;
 }
 
+const TlsKeyMaterial& TlsSessionState::keys() const {
+  if (!established_) throw std::logic_error("TlsSession: not established");
+  return keys_;
+}
+
+netsim::SecureChannel& TlsSessionState::channel() {
+  if (!established_) throw std::logic_error("TlsSession: not established");
+  return *channel_;
+}
+
 TlsClientSession::TlsClientSession(crypto::Drbg& rng) : rng_(rng) {}
 
 crypto::Bytes TlsClientSession::hello() {
@@ -63,7 +73,7 @@ crypto::Bytes TlsClientSession::hello() {
 
 std::optional<crypto::Bytes> TlsClientSession::handle_server_hello(
     crypto::BytesView msg) {
-  if (!hello_sent_ || channel_.has_value()) return std::nullopt;
+  if (!hello_sent_ || established_) return std::nullopt;
   crypto::Reader r(msg);
   if (!check_tag(r, kServerTag)) return std::nullopt;
   crypto::Bytes pub_s, nonce_s, mac;
@@ -87,8 +97,8 @@ std::optional<crypto::Bytes> TlsClientSession::handle_server_hello(
     return std::nullopt;
   }
 
-  keys_.channel_key = secrets.channel_key;
-  channel_.emplace(keys_.channel_key, /*initiator=*/true);
+  key_channel(secrets.channel_key, /*initiator=*/true);
+  established_ = true;
 
   crypto::Bytes fin;
   crypto::append(fin, crypto::to_bytes(kFinTag));
@@ -96,20 +106,6 @@ std::optional<crypto::Bytes> TlsClientSession::handle_server_hello(
       crypto::hmac_sha256(secrets.client_mac_key, transcript);
   crypto::append_lv(fin, crypto::digest_bytes(fmac));
   return fin;
-}
-
-const TlsKeyMaterial& TlsClientSession::keys() const {
-  if (!channel_.has_value()) {
-    throw std::logic_error("TlsClientSession: not established");
-  }
-  return keys_;
-}
-
-netsim::SecureChannel& TlsClientSession::channel() {
-  if (!channel_.has_value()) {
-    throw std::logic_error("TlsClientSession: not established");
-  }
-  return *channel_;
 }
 
 TlsServerSession::TlsServerSession(crypto::Drbg& rng) : rng_(rng) {}
@@ -136,8 +132,7 @@ std::optional<crypto::Bytes> TlsServerSession::handle_hello(
   const TlsSecrets secrets = TlsSecrets::derive(shared, nonce_c, nonce_s);
   transcript_ = transcript_of(pub_c, nonce_c, dh.public_bytes(), nonce_s);
   client_mac_key_ = secrets.client_mac_key;
-  keys_.channel_key = secrets.channel_key;
-  channel_.emplace(keys_.channel_key, /*initiator=*/false);
+  key_channel(secrets.channel_key, /*initiator=*/false);
 
   crypto::Bytes reply;
   crypto::append(reply, crypto::to_bytes(kServerTag));
@@ -150,7 +145,7 @@ std::optional<crypto::Bytes> TlsServerSession::handle_hello(
 }
 
 bool TlsServerSession::handle_finished(crypto::BytesView msg) {
-  if (!channel_.has_value()) return false;
+  if (!keyed()) return false;
   crypto::Reader r(msg);
   if (!check_tag(r, kFinTag)) return false;
   crypto::Bytes mac;
@@ -159,22 +154,8 @@ bool TlsServerSession::handle_finished(crypto::BytesView msg) {
   } catch (const std::exception&) {
     return false;
   }
-  finished_ok_ = crypto::hmac_verify(client_mac_key_, transcript_, mac);
-  return finished_ok_;
-}
-
-const TlsKeyMaterial& TlsServerSession::keys() const {
-  if (!channel_.has_value()) {
-    throw std::logic_error("TlsServerSession: not established");
-  }
-  return keys_;
-}
-
-netsim::SecureChannel& TlsServerSession::channel() {
-  if (!channel_.has_value()) {
-    throw std::logic_error("TlsServerSession: not established");
-  }
-  return *channel_;
+  established_ = crypto::hmac_verify(client_mac_key_, transcript_, mac);
+  return established_;
 }
 
 }  // namespace tenet::mbox

@@ -42,50 +42,62 @@ struct TlsKeyMaterial {
   }
 };
 
-class TlsClientSession {
+/// The state a finished handshake leaves: the exportable key and the
+/// record channel keyed with it. Each handshake class below sets it.
+class TlsSessionState {
+ public:
+  [[nodiscard]] bool established() const { return established_; }
+  /// Both throw std::logic_error until the session is established.
+  [[nodiscard]] const TlsKeyMaterial& keys() const;
+  [[nodiscard]] netsim::SecureChannel& channel();
+
+ protected:
+  /// Keys the record layer; `initiator` picks this side's nonce direction.
+  void key_channel(crypto::Bytes channel_key, bool initiator) {
+    keys_.channel_key = std::move(channel_key);
+    channel_.emplace(keys_.channel_key, initiator);
+  }
+  [[nodiscard]] bool keyed() const { return channel_.has_value(); }
+
+  bool established_ = false;
+
+ private:
+  TlsKeyMaterial keys_;
+  std::optional<netsim::SecureChannel> channel_;
+};
+
+class TlsClientSession : public TlsSessionState {
  public:
   explicit TlsClientSession(crypto::Drbg& rng);
 
   /// Produces the ClientHello. Call once.
   crypto::Bytes hello();
   /// Consumes the ServerHello; returns the Finished message, or nullopt on
-  /// verification failure.
+  /// verification failure. Establishes the session on success.
   std::optional<crypto::Bytes> handle_server_hello(crypto::BytesView msg);
-
-  [[nodiscard]] bool established() const { return channel_.has_value(); }
-  [[nodiscard]] const TlsKeyMaterial& keys() const;
-  [[nodiscard]] netsim::SecureChannel& channel();
 
  private:
   crypto::Drbg& rng_;
   std::optional<crypto::DhKeyPair> dh_;
   crypto::Bytes nonce_;
-  TlsKeyMaterial keys_;
-  std::optional<netsim::SecureChannel> channel_;
   bool hello_sent_ = false;
 };
 
-class TlsServerSession {
+class TlsServerSession : public TlsSessionState {
  public:
   explicit TlsServerSession(crypto::Drbg& rng);
 
   /// Consumes the ClientHello and produces the ServerHello; nullopt on a
-  /// malformed hello.
+  /// malformed hello. Keys the channel; the session is not established
+  /// until the client's Finished verifies.
   std::optional<crypto::Bytes> handle_hello(crypto::BytesView msg);
-  /// Verifies the client Finished.
+  /// Verifies the client Finished; the session is established iff it does.
   bool handle_finished(crypto::BytesView msg);
-
-  [[nodiscard]] bool established() const { return finished_ok_; }
-  [[nodiscard]] const TlsKeyMaterial& keys() const;
-  [[nodiscard]] netsim::SecureChannel& channel();
 
  private:
   crypto::Drbg& rng_;
   crypto::Bytes client_mac_key_;
   crypto::Bytes transcript_;
-  TlsKeyMaterial keys_;
-  std::optional<netsim::SecureChannel> channel_;
-  bool finished_ok_ = false;
 };
 
 /// Key schedule shared by both sides (and by tests).

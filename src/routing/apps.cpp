@@ -379,7 +379,7 @@ void InterDomainControllerApp::flood_policies(
   if (count == 0) return;
   crypto::append_u32(inner, count);
   inner.insert(inner.end(), body.begin(), body.end());
-  shard()->send_app(ctx, core::kShardBroadcast, inner);
+  shard()->broadcast_app(ctx, inner);
 }
 
 bool InterDomainControllerApp::is_shard_member_node(

@@ -1,7 +1,5 @@
 #include "tor/directory.h"
 
-#include "sgx/sealing.h"
-
 namespace tenet::tor {
 
 crypto::Bytes encode_vote(uint32_t epoch,
@@ -210,25 +208,14 @@ crypto::Bytes AuthorityApp::on_control(core::Ctx& ctx, uint32_t subfn,
       crypto::append_u64(out, admitted_.size());
       return out;
     }
-    case kCtlSealState:
-      // §3.2: authorities "keep authority keys and list of Tor nodes
-      // inside the enclaves" — sealed storage lets that state survive a
-      // restart without ever being visible to the host.
-      return sgx::seal_data(ctx.env(), crypto::to_bytes("dirauth.admitted"),
-                            serialize_admitted());
-    case kCtlRestoreState: {
-      crypto::Bytes out;
-      const auto state = sgx::unseal_data(
-          ctx.env(), crypto::to_bytes("dirauth.admitted"), arg);
-      out.push_back(state.has_value() && load_admitted(*state) ? 1 : 0);
-      return out;
-    }
     default:
       return {};
   }
 }
 
-crypto::Bytes AuthorityApp::serialize_admitted() const {
+crypto::Bytes AuthorityApp::on_checkpoint(core::Ctx&) {
+  // The generic checkpoint path (kFnCheckpoint) seals this for us under
+  // the app-checkpoint label; EnclaveNode::restore feeds it back.
   crypto::Bytes state;
   crypto::append_u32(state, static_cast<uint32_t>(admitted_.size()));
   for (const auto& [node, desc] : admitted_) {
@@ -237,9 +224,9 @@ crypto::Bytes AuthorityApp::serialize_admitted() const {
   return state;
 }
 
-bool AuthorityApp::load_admitted(crypto::BytesView state) {
-  // Parse fully before inserting: a malformed blob (a corrupted sealed
-  // state or checkpoint) must leave the admitted set untouched.
+void AuthorityApp::on_restore(core::Ctx&, crypto::BytesView state) {
+  // Parse fully before inserting: a malformed checkpoint must leave the
+  // admitted set untouched.
   std::vector<RelayDescriptor> parsed;
   try {
     crypto::Reader r(state);
@@ -249,23 +236,12 @@ bool AuthorityApp::load_admitted(crypto::BytesView state) {
       parsed.push_back(RelayDescriptor::deserialize(r.lv()));
     }
   } catch (const std::exception&) {
-    return false;
+    return;
   }
   for (RelayDescriptor& d : parsed) {
     const netsim::NodeId node = d.node;
     admitted_[node] = std::move(d);
   }
-  return true;
-}
-
-crypto::Bytes AuthorityApp::on_checkpoint(core::Ctx&) {
-  // The generic checkpoint path (kFnCheckpoint) seals this for us under
-  // the app-checkpoint label; EnclaveNode::recover feeds it back.
-  return serialize_admitted();
-}
-
-void AuthorityApp::on_restore(core::Ctx&, crypto::BytesView state) {
-  (void)load_admitted(state);
 }
 
 }  // namespace tenet::tor

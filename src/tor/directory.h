@@ -28,8 +28,6 @@ enum AuthorityControl : uint32_t {
   kCtlStartVote = 3,         // u32 epoch | u32 total authorities
   kCtlGetConsensus2 = 4,     // -> serialized consensus (empty if none)
   kCtlAdmittedCount = 5,     // -> u64
-  kCtlSealState = 8,         // -> sealed blob of the admitted-relay set
-  kCtlRestoreState = 9,      // sealed blob -> u8 success
 };
 
 class AuthorityApp : public core::SecureApp {
@@ -45,8 +43,10 @@ class AuthorityApp : public core::SecureApp {
   crypto::Bytes on_control(core::Ctx& ctx, uint32_t subfn,
                            crypto::BytesView arg) override;
 
-  /// Checkpoint = the admitted-relay set (§3.2: "an updated list of Tor
-  /// nodes inside the enclaves" survives restarts via sealed storage).
+  /// Checkpoint = the admitted-relay set (§3.2: authorities "keep
+  /// authority keys and list of Tor nodes inside the enclaves"; the
+  /// generic checkpoint path seals it, so the list survives a restart
+  /// without ever being visible to the host).
   crypto::Bytes on_checkpoint(core::Ctx& ctx) override;
   void on_restore(core::Ctx& ctx, crypto::BytesView state) override;
 
@@ -63,8 +63,6 @@ class AuthorityApp : public core::SecureApp {
   std::map<netsim::NodeId, RelayDescriptor> admitted_;
 
  private:
-  [[nodiscard]] crypto::Bytes serialize_admitted() const;
-  bool load_admitted(crypto::BytesView state);
   void handle_upload(core::Ctx& ctx, crypto::BytesView body);
   void handle_vote(core::Ctx& ctx, netsim::NodeId peer,
                    crypto::BytesView body, bool over_secure_channel);

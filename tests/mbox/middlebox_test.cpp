@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ports.h"
+#include "decoder_mutation.h"
+
 namespace tenet::mbox {
 namespace {
 
@@ -260,57 +263,182 @@ class RawProvisioner final : public core::SecureApp {
   }
 };
 
+/// One middlebox and two attested RawProvisioners, each of which sends
+/// the middlebox whatever provision message the test hands it.
+class ProvisionRig {
+ public:
+  static constexpr uint32_t kSid = 7;
+
+  ProvisionRig() {
+    const sgx::Authority* auth = &authority_;
+    sgx::EnclaveImage mbox_image = mbox_project_.build();
+    mbox_image.factory = [auth] {
+      return std::make_unique<DpiMiddleboxApp>(
+          *auth, sgx::AttestationConfig{}, MboxPolicy{},
+          std::vector<std::string>{"ATTACK"});
+    };
+    sgx::EnclaveImage endpoint_image = endpoint_project_.build();
+    const sgx::AttestationConfig endpoint_cfg = mbox_project_.policy();
+    endpoint_image.factory = [auth, endpoint_cfg] {
+      return std::make_unique<RawProvisioner>(*auth, endpoint_cfg);
+    };
+    mbox_ = std::make_unique<core::EnclaveNode>(
+        sim_, authority_, "mbox", mbox_project_.foundation(), mbox_image);
+    mbox_->start();
+    for (const char* name : {"endpoint-a", "endpoint-b"}) {
+      endpoints_.push_back(std::make_unique<core::EnclaveNode>(
+          sim_, authority_, name, endpoint_project_.foundation(),
+          endpoint_image));
+      endpoints_.back()->start();
+      endpoints_.back()->connect_to(mbox_->id());
+    }
+    sim_.run();
+  }
+
+  /// Endpoint `e` provisions session kSid as `role` with a `key_size`-byte
+  /// key.
+  void provision(size_t e, EndpointRole role, size_t key_size) {
+    crypto::Bytes arg;
+    crypto::append_u32(arg, mbox_->id());
+    crypto::append_lv(arg, encode_provision(kSid, role,
+                                            {crypto::Bytes(key_size, 0x42)}));
+    (void)endpoints_.at(e)->control(0, arg);
+    sim_.run();
+  }
+
+  bool active() {
+    crypto::Bytes arg;
+    crypto::append_u32(arg, kSid);
+    const crypto::Bytes out = mbox_->control(kCtlSessionActive, arg);
+    return !out.empty() && out[0] == 1;
+  }
+
+ private:
+  netsim::Simulator sim_;
+  sgx::Authority authority_;
+  const core::OpenProject mbox_project_{"dpi-middlebox", "test middlebox\n",
+                                        nullptr};
+  const core::OpenProject endpoint_project_{"raw-provisioner",
+                                            "test endpoint\n", nullptr};
+  std::unique_ptr<core::EnclaveNode> mbox_;
+  std::vector<std::unique_ptr<core::EnclaveNode>> endpoints_;
+};
+
 TEST(Middlebox, WrongLengthKeyLeavesNoStateToRefuseTheRightOne) {
   // A provisioned key that is not one AEAD key is refused before it
   // touches the session, so the right keys that follow still activate DPI.
-  netsim::Simulator sim;
-  sgx::Authority authority;
-  const core::OpenProject mbox_project("dpi-middlebox", "test middlebox\n",
-                                       nullptr);
-  const core::OpenProject endpoint_project("raw-provisioner",
-                                           "test endpoint\n", nullptr);
-  const sgx::Authority* auth = &authority;
-  sgx::EnclaveImage mbox_image = mbox_project.build();
-  mbox_image.factory = [auth] {
-    return std::make_unique<DpiMiddleboxApp>(
-        *auth, sgx::AttestationConfig{}, MboxPolicy{},
-        std::vector<std::string>{"ATTACK"});
-  };
-  sgx::EnclaveImage endpoint_image = endpoint_project.build();
-  const sgx::AttestationConfig endpoint_cfg = mbox_project.policy();
-  endpoint_image.factory = [auth, endpoint_cfg] {
-    return std::make_unique<RawProvisioner>(*auth, endpoint_cfg);
-  };
-  core::EnclaveNode mbox(sim, authority, "mbox", mbox_project.foundation(),
-                         mbox_image);
-  core::EnclaveNode endpoint(sim, authority, "endpoint",
-                             endpoint_project.foundation(), endpoint_image);
-  mbox.start();
-  endpoint.start();
-  endpoint.connect_to(mbox.id());
-  sim.run();
+  ProvisionRig rig;
+  rig.provision(0, EndpointRole::kClient, crypto::Aead::kKeySize - 1);
+  rig.provision(0, EndpointRole::kClient, crypto::Aead::kKeySize);
+  EXPECT_FALSE(rig.active());  // bilateral: the server has not provisioned yet
+  rig.provision(1, EndpointRole::kServer, crypto::Aead::kKeySize);
+  EXPECT_TRUE(rig.active());
+}
 
-  constexpr uint32_t kSid = 7;
-  auto provision = [&](EndpointRole role, size_t key_size) {
-    crypto::Bytes arg;
-    crypto::append_u32(arg, mbox.id());
-    crypto::append_lv(arg, encode_provision(kSid, role,
-                                            {crypto::Bytes(key_size, 0x42)}));
-    (void)endpoint.control(0, arg);
-    sim.run();
-  };
-  auto active = [&] {
-    crypto::Bytes arg;
-    crypto::append_u32(arg, kSid);
-    const crypto::Bytes out = mbox.control(kCtlSessionActive, arg);
-    return !out.empty() && out[0] == 1;
-  };
+TEST(Middlebox, OnePeerCannotProvisionBothRoles) {
+  // Bilateral agreement means two endpoints: a peer holding the client
+  // role cannot also speak for the server, and a role already bound to
+  // one peer cannot be claimed by another.
+  ProvisionRig rig;
+  rig.provision(0, EndpointRole::kClient, crypto::Aead::kKeySize);
+  rig.provision(0, EndpointRole::kServer, crypto::Aead::kKeySize);
+  EXPECT_FALSE(rig.active());
+  rig.provision(1, EndpointRole::kClient, crypto::Aead::kKeySize);
+  EXPECT_FALSE(rig.active());
+  rig.provision(1, EndpointRole::kServer, crypto::Aead::kKeySize);
+  EXPECT_TRUE(rig.active());
+}
 
-  provision(EndpointRole::kClient, crypto::Aead::kKeySize - 1);
-  provision(EndpointRole::kClient, crypto::Aead::kKeySize);
-  EXPECT_FALSE(active());  // bilateral: the server has not provisioned yet
-  provision(EndpointRole::kServer, crypto::Aead::kKeySize);
-  EXPECT_TRUE(active());
+TEST(Middlebox, RecordWithUnknownDirectionIsNeitherForwardedNorCounted) {
+  // Direction 2 is neither way along the path: the middlebox must not
+  // read it as server->client and reflect the record to the sender.
+  MboxDeployment dep(basic());
+  const uint32_t sid = dep.open_session();
+  ASSERT_TRUE(dep.established(sid));
+  const netsim::NodeId mbox = dep.mbox_node(0).id();
+  size_t sent_by_mbox = 0;
+  dep.sim().set_wiretap([&](const netsim::Message& m) {
+    if (m.src == mbox) ++sent_by_mbox;
+  });
+  netsim::Message m;
+  m.src = dep.client_node().id();  // the session's prev hop
+  m.dst = mbox;
+  m.port = core::kPortPlain;
+  m.payload = encode_frame(MboxMsg::kRecord, sid, Direction::kClientToServer,
+                           crypto::Bytes(48, 0x5a));
+  m.payload[5] = 2;  // the direction byte
+  dep.sim().post(std::move(m));
+  dep.sim().run();
+  EXPECT_EQ(sent_by_mbox, 0u);
+  EXPECT_EQ(dep.opaque_forwarded(0), 0u);
+  EXPECT_EQ(dep.blocked(0), 0u);
+}
+
+/// Re-encodes a decoded frame with the encoder its tag calls for.
+crypto::Bytes reencode(const Frame& f) {
+  if (f.tag != MboxMsg::kOpen) return encode_frame(f.tag, f.sid, f.dir, f.body);
+  std::vector<netsim::NodeId> hops;
+  for (size_t i = 0; i < f.hop_count(); ++i) hops.push_back(f.hop(i));
+  return encode_open(f.sid, hops);
+}
+
+TEST(MboxFrame, SeededMutationsAreCanonicalOrRejected) {
+  const crypto::Bytes body = crypto::to_bytes("handshake or record body");
+  const std::vector<size_t> dir_byte = {5};
+  struct Case {
+    crypto::Bytes wire;
+    std::vector<size_t> flags;
+  };
+  const Case cases[] = {
+      {encode_frame(MboxMsg::kHandshake, 7, Direction::kServerToClient, body),
+       dir_byte},
+      {encode_frame(MboxMsg::kRecord, 7, Direction::kClientToServer, body),
+       dir_byte},
+      {encode_open(7, {3, 4, 5}), {}},
+  };
+  uint64_t seed = 41;
+  for (const Case& c : cases) {
+    const test::MutationTally t = test::check_mutations(
+        c.wire, [](crypto::BytesView w) { return reencode(decode_frame(w)); },
+        seed++, c.flags);
+    EXPECT_GT(t.accepted, 0u);  // flips inside the sid, body or hops
+    EXPECT_GT(t.rejected, 0u);
+    if (!c.flags.empty()) {
+      EXPECT_GT(t.by_kind[3], 0u);
+    }
+  }
+}
+
+TEST(MboxFrame, RejectsWhatNoEncoderWrites) {
+  crypto::Bytes frame =
+      encode_frame(MboxMsg::kRecord, 7, Direction::kClientToServer, {});
+  frame[5] = 2;
+  EXPECT_THROW(decode_frame(frame), std::invalid_argument);  // direction
+  frame[0] = 4;
+  EXPECT_THROW(decode_frame(frame), std::invalid_argument);  // tag
+  crypto::Bytes open = encode_open(7, {3, 4});
+  open.push_back(0);
+  EXPECT_THROW(decode_frame(open), std::invalid_argument);  // trailing
+  open.pop_back();
+  open[5] = 0xff;  // a hop count of ~4 billion over two hops
+  EXPECT_THROW(decode_frame(open), std::invalid_argument);
+}
+
+TEST(MboxProvision, SeededMutationsAreCanonicalOrRejected) {
+  const crypto::Bytes wire = encode_provision(
+      7, EndpointRole::kServer, {crypto::Bytes(crypto::Aead::kKeySize, 0x42)});
+  const test::MutationTally t = test::check_mutations(
+      wire,
+      [](crypto::BytesView w) {
+        const Provision p = decode_provision(w);
+        return encode_provision(p.sid, p.role, p.keys);
+      },
+      /*seed=*/44);
+  EXPECT_GT(t.accepted, 0u);  // flips inside the sid or key
+  EXPECT_GT(t.rejected, 0u);
+  crypto::Bytes bad_role = wire;
+  bad_role[5] = 3;
+  EXPECT_THROW(decode_provision(bad_role), std::invalid_argument);
 }
 
 }  // namespace

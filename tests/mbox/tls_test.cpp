@@ -132,6 +132,12 @@ TEST(Tls, KeysUnavailableBeforeEstablished) {
   EXPECT_THROW((void)h.client.keys(), std::logic_error);
   EXPECT_THROW((void)h.client.channel(), std::logic_error);
   EXPECT_THROW((void)h.server.keys(), std::logic_error);
+  // The server keys its channel at the hello but is established only once
+  // the client's Finished verifies.
+  ASSERT_TRUE(h.server.handle_hello(h.client.hello()).has_value());
+  EXPECT_FALSE(h.server.established());
+  EXPECT_THROW((void)h.server.keys(), std::logic_error);
+  EXPECT_THROW((void)h.server.channel(), std::logic_error);
 }
 
 TEST(Tls, SecretsDeriveDeterministically) {

@@ -30,7 +30,7 @@ TEST(DirauthPersistence, SealedStateSurvivesReboot) {
             net.relay_count());
 
   // Seal the admitted set; the blob lives with the untrusted host.
-  const crypto::Bytes blob = net.authority(0).control(kCtlSealState);
+  const crypto::Bytes blob = net.authority(0).checkpoint();
   ASSERT_FALSE(blob.empty());
 
   // Reboot the authority machine: all in-enclave state is lost...
@@ -39,9 +39,7 @@ TEST(DirauthPersistence, SealedStateSurvivesReboot) {
             0u);
 
   // ...until the host hands back the sealed blob.
-  const crypto::Bytes ok = net.authority(0).control(kCtlRestoreState, blob);
-  ASSERT_FALSE(ok.empty());
-  EXPECT_EQ(ok[0], 1);
+  ASSERT_TRUE(net.authority(0).restore(blob));
   EXPECT_EQ(crypto::read_u64(net.authority(0).control(kCtlAdmittedCount), 0),
             net.relay_count());
 }
@@ -51,7 +49,7 @@ TEST(DirauthPersistence, HostCannotForgeOrReadSealedState) {
   const auto auths = indices(3);
   net.publish_descriptors(auths);
   net.approve_all_pending(0);
-  const crypto::Bytes blob = net.authority(0).control(kCtlSealState);
+  const crypto::Bytes blob = net.authority(0).checkpoint();
 
   // The relay list must not be readable from the blob.
   const crypto::Bytes nickname = crypto::to_bytes("relay-0");
@@ -63,9 +61,7 @@ TEST(DirauthPersistence, HostCannotForgeOrReadSealedState) {
   crypto::Bytes forged = blob;
   forged[forged.size() / 2] ^= 1;
   net.authority(0).relaunch();
-  const crypto::Bytes ok = net.authority(0).control(kCtlRestoreState, forged);
-  ASSERT_FALSE(ok.empty());
-  EXPECT_EQ(ok[0], 0);
+  EXPECT_FALSE(net.authority(0).restore(forged));
   EXPECT_EQ(crypto::read_u64(net.authority(0).control(kCtlAdmittedCount), 0),
             0u);
 }
@@ -77,10 +73,10 @@ TEST(DirauthPersistence, AnotherAuthorityCannotUseTheBlob) {
   const auto auths = indices(3);
   net.publish_descriptors(auths);
   net.approve_all_pending(0);
-  const crypto::Bytes blob = net.authority(0).control(kCtlSealState);
-  const crypto::Bytes ok = net.authority(1).control(kCtlRestoreState, blob);
-  ASSERT_FALSE(ok.empty());
-  EXPECT_EQ(ok[0], 0);
+  const crypto::Bytes blob = net.authority(0).checkpoint();
+  EXPECT_FALSE(net.authority(1).restore(blob));
+  EXPECT_EQ(crypto::read_u64(net.authority(1).control(kCtlAdmittedCount), 0),
+            0u);
 }
 
 TEST(TorCircuit, ManySequentialRequestsOverOneCircuit) {
