@@ -45,6 +45,8 @@
 #                              # src/routing/) +
 #                              # one-mbox-codec check (mbox enums cast
 #                              # from a byte only in the two decoders) +
+#                              # one-routing-codec check (no Reader or
+#                              # wire deserializer in routing/apps.cpp) +
 #                              # dead-control-code check (every kCtl*/
 #                              # kQuery* enumerator has a sender or reader) +
 #                              # security lint gate (DESIGN.md §15): static
@@ -276,6 +278,15 @@ case "$mode" in
         END { exit !found }' $(find src -name '*.h' -o -name '*.cpp'); then
       echo "lint: decode mbox frames with decode_frame/decode_provision;" \
         "do not cast a wire byte to a middlebox enum" >&2
+      exit 1
+    fi
+    # One routing codec (DESIGN.md §14): every inter-domain controller
+    # message is encoded and decoded in src/routing/messages.{h,cpp}, so the
+    # controller apps parse no wire bytes of their own.
+    if grep -nE 'crypto::Reader|read_binding|Route::deserialize|Predicate::deserialize' \
+        src/routing/apps.cpp; then
+      echo "lint: decode routing messages with the decoders in" \
+        "src/routing/messages.h, not inline in src/routing/apps.cpp" >&2
       exit 1
     fi
     # No dead control codes: every kCtl*/kQuery* enumerator declared in src/

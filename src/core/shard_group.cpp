@@ -159,7 +159,7 @@ bool ShardReplica::handle_secure(Ctx& ctx, netsim::NodeId peer,
         handle_snapshot(ctx, r);
         return true;
       case kShardApp:
-        handle_app(ctx, r);
+        handle_app(ctx, peer, r);
         return true;
       default:
         return true;  // reserved shard-range tag: consume, ignore
@@ -258,7 +258,8 @@ void ShardReplica::handle_snapshot(Ctx& ctx, crypto::Reader& r) {
   }
 }
 
-void ShardReplica::handle_app(Ctx& ctx, crypto::Reader& r) {
+void ShardReplica::handle_app(Ctx& ctx, netsim::NodeId peer,
+                              crypto::Reader& r) {
   const uint32_t from = r.u32();
   const uint32_t target = r.u32();
   const uint8_t ttl = r.u8();
@@ -266,6 +267,9 @@ void ShardReplica::handle_app(Ctx& ctx, crypto::Reader& r) {
   // Direct frames address us; broadcasts address everyone. Anything else
   // is for no one here.
   if (target != cfg_.self && target != kShardBroadcast) return;
+  // A direct frame travels one hop, so its origin is the member on the
+  // other end of the channel; a frame naming another member is forged.
+  if (target != kShardBroadcast && from != map_.shard_of(peer)) return;
   TENET_SPAN("shard", "app_deliver");
   if (hooks_.app_message) hooks_.app_message(ctx, from, inner);
   if (target != kShardBroadcast) return;

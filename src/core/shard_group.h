@@ -66,7 +66,9 @@ class ShardReplica {
     /// discard local entries the donor lacks: under ring replication the
     /// donor sees only its slice of origins.
     std::function<bool(Ctx&, crypto::BytesView state)> install;
-    /// A cross-shard application message addressed to this shard.
+    /// A cross-shard application message addressed to this shard. For a
+    /// direct frame `from` is the member the channel authenticated; a
+    /// broadcast's is the origin its relay names.
     std::function<void(Ctx&, uint32_t from, crypto::BytesView inner)>
         app_message;
     /// A peer shard was declared down (host hint or retry-budget
@@ -160,7 +162,7 @@ class ShardReplica {
   void handle_append(Ctx& ctx, crypto::Reader& r);
   void handle_join(Ctx& ctx, uint32_t joiner, crypto::Reader& r);
   void handle_snapshot(Ctx& ctx, crypto::Reader& r);
-  void handle_app(Ctx& ctx, crypto::Reader& r);
+  void handle_app(Ctx& ctx, netsim::NodeId peer, crypto::Reader& r);
 
   /// A shard message queued behind an in-flight attestation, together with
   /// the trace context active when it was queued — flushing re-installs the

@@ -187,13 +187,6 @@ class MessagePool {
     return payloads_[i].data.size();
   }
 
-  /// Size of an event's payload wherever it lives (inline or shared).
-  [[nodiscard]] size_t event_payload_size(uint32_t event_slot) const {
-    const PooledEvent& s = slot(event_slot);
-    return s.payload_slot == kNilSlot ? s.msg.payload.size()
-                                      : payload_size(s.payload_slot);
-  }
-
   /// Materializes an event's payload for delivery. A shared payload is
   /// copied while other references remain and moved out on the last one;
   /// an inline payload is always moved. Clears the event's handle.

@@ -30,11 +30,7 @@ constexpr NodeId kInvalidNode = 0;  // node ids start at 1
 /// Handle for a pending timer; 0 is never a valid id.
 using TimerId = uint64_t;
 
-constexpr size_t kMtu = 1500;  // the paper's packet size (§5, Table 2)
-
-/// An application-level message. The simulator accounts for its size in
-/// MTU packets but delivers it whole (fragmentation is modelled in the
-/// statistics, not re-assembled by every app).
+/// An application-level message, delivered whole.
 struct Message {
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;

@@ -7,7 +7,7 @@
 //
 //  * tests/netsim/scale_test.cpp runs identical seeded workloads through
 //    both engines and asserts event-for-event equality — delivery order,
-//    timestamps, statistics, RNG stream consumption — which is the
+//    timestamps, delivery counts, RNG stream consumption — which is the
 //    machine-checked form of the determinism contract the rewrite claims.
 //  * bench/bench_scale.cpp times this engine against the new one on the
 //    same workload to report a genuine before/after speedup, not a
@@ -39,15 +39,6 @@
 #include "telemetry/trace.h"
 
 namespace tenet::netsim::refsim {
-
-/// Per-node traffic counters (same layout as netsim::TrafficStats).
-struct TrafficStats {
-  uint64_t messages_sent = 0;
-  uint64_t messages_received = 0;
-  uint64_t bytes_sent = 0;
-  uint64_t bytes_received = 0;
-  uint64_t packets_sent = 0;
-};
 
 class Simulator;
 
@@ -84,7 +75,6 @@ class Simulator {
   void set_latency(NodeId a, NodeId b, double seconds) {
     latencies_[ordered(a, b)] = seconds;
   }
-  void set_default_latency(double seconds) { default_latency_ = seconds; }
   [[nodiscard]] double latency(NodeId a, NodeId b) const {
     const auto it = latencies_.find(ordered(a, b));
     return it != latencies_.end() ? it->second : default_latency_;
@@ -92,7 +82,9 @@ class Simulator {
 
   void set_bandwidth(double bytes_per_second) { bandwidth_ = bytes_per_second; }
 
-  [[nodiscard]] uint64_t messages_dropped() const { return dropped_; }
+  [[nodiscard]] uint64_t messages_dropped() const {
+    return faults_.counters().window_dropped + faults_.counters().lost;
+  }
 
   [[nodiscard]] FaultPlan& fault_plan() { return faults_; }
 
@@ -126,11 +118,6 @@ class Simulator {
       throw std::invalid_argument("refsim: invalid destination");
     }
     if (msg.trace.empty()) TENET_TRACE_CAPTURE(msg.trace);
-    auto& s = stats_[msg.src];
-    s.messages_sent += 1;
-    s.bytes_sent += msg.payload.size();
-    s.packets_sent += (msg.payload.size() + kMtu - 1) / kMtu;
-    if (msg.payload.empty()) s.packets_sent += 1;
     TENET_COUNT("net.messages_sent");
     TENET_COUNT("net.bytes_sent", msg.payload.size());
     TENET_HISTOGRAM("net.message_bytes", msg.payload.size());
@@ -140,7 +127,6 @@ class Simulator {
     if (!faults_.empty()) {
       if (!faults_.node_up(msg.src, now_) || !faults_.node_up(msg.dst, now_) ||
           !faults_.link_window_up(msg.src, msg.dst, now_)) {
-        ++dropped_;
         ++faults_.counters().window_dropped;
         TENET_COUNT("net.messages_dropped");
         TENET_COUNT("net.fault.window_drop");
@@ -148,7 +134,6 @@ class Simulator {
       }
       lf = &faults_.faults(msg.src, msg.dst);
       if (lf->loss > 0 && rng_.uniform_real() < lf->loss) {
-        ++dropped_;
         ++faults_.counters().lost;
         TENET_COUNT("net.messages_dropped");
         TENET_COUNT("net.fault.loss");
@@ -187,16 +172,12 @@ class Simulator {
     const auto it = nodes_.find(ev.msg.dst);
     if (it == nodes_.end()) return true;
     if (!faults_.empty() && !faults_.node_up(ev.msg.dst, now_)) {
-      ++dropped_;
       ++faults_.counters().window_dropped;
       TENET_COUNT("net.messages_dropped");
       TENET_COUNT("net.fault.window_drop");
       return true;
     }
 
-    auto& s = stats_[ev.msg.dst];
-    s.messages_received += 1;
-    s.bytes_received += ev.msg.payload.size();
     ++delivered_;
     TENET_COUNT("net.messages_delivered");
     TENET_GAUGE_SET("net.pending_events", static_cast<int64_t>(queue_.size()));
@@ -217,11 +198,6 @@ class Simulator {
     return n;
   }
 
-  [[nodiscard]] const TrafficStats& stats(NodeId node) const {
-    static const TrafficStats kEmpty;
-    const auto it = stats_.find(node);
-    return it != stats_.end() ? it->second : kEmpty;
-  }
   [[nodiscard]] uint64_t total_messages_delivered() const { return delivered_; }
   [[nodiscard]] size_t pending_events() const { return queue_.size(); }
 
@@ -232,11 +208,9 @@ class Simulator {
     return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
   }
 
-  NodeId register_node(Node* node, const std::string& name) {
+  NodeId register_node(Node* node) {
     const NodeId id = next_id_++;
     nodes_[id] = node;
-    names_[id] = name;
-    stats_[id];
     return id;
   }
   void unregister_node(NodeId id) { nodes_.erase(id); }
@@ -289,10 +263,7 @@ class Simulator {
   NodeId next_id_ = 1;
   crypto::Drbg rng_;
   std::map<NodeId, Node*> nodes_;
-  std::map<NodeId, std::string> names_;
-  std::map<NodeId, TrafficStats> stats_;
   std::map<std::pair<NodeId, NodeId>, double> latencies_;
-  uint64_t dropped_ = 0;
   FaultPlan faults_;
   TimerId next_timer_id_ = 1;
   std::set<TimerId> pending_timers_;
@@ -302,7 +273,7 @@ class Simulator {
 };
 
 inline Node::Node(Simulator& sim, std::string name)
-    : sim_(sim), id_(sim.register_node(this, name)), name_(std::move(name)) {}
+    : sim_(sim), id_(sim.register_node(this)), name_(std::move(name)) {}
 
 inline Node::~Node() { sim_.unregister_node(id_); }
 

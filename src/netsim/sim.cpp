@@ -41,7 +41,6 @@ NodeId Simulator::register_node(Node* node, const std::string& name) {
   if (nodes_.size() <= id) {
     nodes_.resize(id + 1, nullptr);
     names_.resize(id + 1);
-    stats_.resize(id + 1);
   }
   nodes_[id] = node;
   names_[id] = name;
@@ -55,7 +54,6 @@ void Simulator::unregister_node(NodeId id) {
 void Simulator::reserve_nodes(size_t n) {
   nodes_.reserve(n + 1);
   names_.reserve(n + 1);
-  stats_.reserve(n + 1);
   pool_.reserve(n);
 }
 
@@ -75,11 +73,6 @@ void Simulator::post(Message msg) {
   // Stamp the sender's ambient trace context unless the caller already set
   // one (retransmission paths pre-stamp the original context + retx flag).
   if (msg.trace.empty()) TENET_TRACE_CAPTURE(msg.trace);
-  auto& s = stats_ref(msg.src);
-  s.messages_sent += 1;
-  s.bytes_sent += msg.payload.size();
-  s.packets_sent += (msg.payload.size() + kMtu - 1) / kMtu;
-  if (msg.payload.empty()) s.packets_sent += 1;  // empty message = 1 packet
   TENET_COUNT("net.messages_sent");
   TENET_COUNT("net.bytes_sent", msg.payload.size());
   TENET_HISTOGRAM("net.message_bytes", msg.payload.size());
@@ -270,9 +263,6 @@ bool Simulator::step() {
     return true;  // arrived while the destination was down
   }
 
-  auto& s = stats_ref(dst);
-  s.messages_received += 1;
-  s.bytes_received += pool_.event_payload_size(ei);
   ++delivered_;
   TENET_COUNT("net.messages_delivered");
   TENET_GAUGE_SET("net.pending_events", static_cast<int64_t>(queue_.size()));
@@ -336,22 +326,6 @@ size_t Simulator::run(size_t max_events) {
     throw std::runtime_error("Simulator::run: event cap hit (livelock?)");
   }
   return n;
-}
-
-TrafficStats& Simulator::stats_ref(NodeId id) {
-  if (id < stats_.size()) return stats_[id];
-  return stats_overflow_.insert(id).value;
-}
-
-const TrafficStats& Simulator::stats(NodeId node) const {
-  static const TrafficStats kEmpty;
-  if (node < stats_.size()) return stats_[node];
-  const TrafficStats* s = stats_overflow_.find(node);
-  return s != nullptr ? *s : kEmpty;
-}
-
-Node* Simulator::find_node(NodeId id) const {
-  return id < nodes_.size() ? nodes_[id] : nullptr;
 }
 
 const std::string& Simulator::node_name(NodeId id) const {

@@ -3,7 +3,7 @@
 // The paper's applications are protocol designs (controller <-> AS
 // controllers, Tor circuits, endpoint <-> middlebox); this module gives
 // them a network to run on: named nodes, latency-weighted links, FIFO
-// in-order delivery per link, byte/packet statistics. Determinism matters
+// in-order delivery per link, delivery counters. Determinism matters
 // because the benches print paper-style tables that must be reproducible,
 // so all tie-breaking is (time, sequence-number) ordered and all
 // randomness comes from the simulator's seeded DRBG.
@@ -68,15 +68,6 @@ class Node {
   std::string name_;
 };
 
-/// Per-node traffic counters.
-struct TrafficStats {
-  uint64_t messages_sent = 0;
-  uint64_t messages_received = 0;
-  uint64_t bytes_sent = 0;
-  uint64_t bytes_received = 0;
-  uint64_t packets_sent = 0;  // ceil(bytes / MTU) per message
-};
-
 class Simulator {
  public:
   explicit Simulator(uint64_t seed = 1);
@@ -93,7 +84,6 @@ class Simulator {
   /// Sets the one-way latency between two nodes (symmetric). Unset pairs
   /// use the default latency.
   void set_latency(NodeId a, NodeId b, double seconds);
-  void set_default_latency(double seconds) { default_latency_ = seconds; }
   [[nodiscard]] double latency(NodeId a, NodeId b) const;
 
   /// Link bandwidth used for serialization delay (bytes/second).
@@ -153,10 +143,8 @@ class Simulator {
   /// Configures the default run() safety cap; 0 disables it entirely.
   void set_run_cap(size_t cap) { run_cap_ = cap; }
 
-  [[nodiscard]] const TrafficStats& stats(NodeId node) const;
   [[nodiscard]] uint64_t total_messages_delivered() const { return delivered_; }
   [[nodiscard]] size_t pending_events() const { return queue_.size(); }
-  [[nodiscard]] Node* find_node(NodeId id) const;
   [[nodiscard]] const std::string& node_name(NodeId id) const;
 
  private:
@@ -170,8 +158,6 @@ class Simulator {
   /// computed once per post().
   void enqueue(Message msg, uint32_t payload_slot, uint64_t lk,
                const LinkFaults& faults);
-
-  [[nodiscard]] TrafficStats& stats_ref(NodeId id);
 
   /// Takes any scraper samples due at period boundaries <= now_.
   void maybe_scrape();
@@ -188,14 +174,10 @@ class Simulator {
   NodeId next_id_ = 1;
   crypto::Drbg rng_;
   // Dense node tables indexed by NodeId (ids are assigned sequentially
-  // from 1; slot 0 is unused). names_ and stats_ outlive unregistration,
-  // as before — only the Node* is cleared.
+  // from 1; slot 0 is unused). names_ outlives unregistration — only the
+  // Node* is cleared.
   std::vector<Node*> nodes_;
   std::vector<std::string> names_;
-  std::vector<TrafficStats> stats_;
-  /// Traffic posted with a forged/unregistered source id (wiretap
-  /// injection) is still accounted, just off the dense path.
-  crypto::FlatMap<uint64_t, TrafficStats> stats_overflow_;
   crypto::FlatMap<uint64_t, double> latencies_;  // by link_key(a, b)
   FaultPlan faults_;
   /// True between the first message dropped by a partition window and the

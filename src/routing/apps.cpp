@@ -1,5 +1,7 @@
 #include "routing/apps.h"
 
+#include <stdexcept>
+
 #include "core/ports.h"
 #include "crypto/work.h"
 #include "telemetry/events.h"
@@ -36,15 +38,6 @@ size_t retained_size(const RoutingTable& t) {
   for (const auto& [prefix, route] : t) s += 48 + route.as_path.size() * 8;
   return s;
 }
-
-/// Cross-shard application messages (inner payloads of core::kShardApp).
-enum AggMsg : uint8_t {
-  kAggPolicy = 1,   // binding list (messages.h): u32 n | n × (u32 node |
-                    // LV policy)
-  // u32 from_shard | u32 n | n × (u32 asn | u32 n_rows | rows… |
-  //                              u32 n_cands | cands…), each route LV-coded.
-  kAggPartial = 3,
-};
 
 }  // namespace
 
@@ -85,20 +78,17 @@ void InterDomainControllerApp::handle_submission(core::Ctx& ctx,
     TENET_COUNT("app.routing.submissions_dropped");
     return;
   }
-  RoutingPolicy policy;
-  try {
-    policy = RoutingPolicy::deserialize(body);
-  } catch (const std::exception&) {
-    return;
-  }
+  std::optional<RoutingPolicy> policy =
+      decode_or_drop(RoutingPolicy::deserialize, body);
+  if (!policy) return;
   // One node speaks for one AS; re-submission replaces (policy update).
-  const auto existing = asn_to_node_.find(policy.asn);
+  const AsNumber asn = policy->asn;
+  const auto existing = asn_to_node_.find(asn);
   if (existing != asn_to_node_.end() && existing->second != peer) {
     return;  // another (attested) node already claims this ASN
   }
-  const AsNumber asn = policy.asn;
   const bool first_admission = policies_.find(asn) == policies_.end();
-  const bool changed = store_policy(ctx, peer, std::move(policy));
+  const bool changed = store_policy(ctx, peer, std::move(*policy));
   if (shard_active()) {
     // The admission is durable once replicated: the ring successor holds a
     // copy before any other shard ever sees it, so a shard death at any
@@ -195,58 +185,17 @@ uint32_t InterDomainControllerApp::front_of(AsNumber asn) const {
 void InterDomainControllerApp::send_partials(core::Ctx& ctx) {
   if (!slice_valid_ || !slice_.has_value()) return;
   const uint32_t self = shard()->self_shard();
+  crypto::Bytes inner;
   for (const core::ShardMember& m : shard()->members()) {
     if (m.shard == self || !shard()->is_reachable(m.shard)) continue;
     // Bundle our slice's rows for every AS this member fronts. An empty
     // bundle still goes out: the receiver counts senders, not rows.
     std::vector<AsNumber> fronted;
-    size_t bytes = 9;  // tag | from_shard | n, then LV-coded routes
     for (const auto& [asn, policy] : policies_) {
-      if (front_of(asn) != m.shard) continue;
-      fronted.push_back(asn);
-      bytes += 12;  // asn | n_rows | n_cands
-      const auto t = slice_->tables.find(asn);
-      if (t != slice_->tables.end()) {
-        for (const auto& [p, r] : t->second) bytes += 4 + r.serialized_size();
-      }
-      const auto c = slice_->candidates.find(asn);
-      if (c != slice_->candidates.end()) {
-        for (const auto& [p, v] : c->second) {
-          for (const Route& r : v) bytes += 4 + r.serialized_size();
-        }
-      }
+      if (front_of(asn) == m.shard) fronted.push_back(asn);
     }
-    crypto::Bytes inner;
-    inner.reserve(bytes);
-    inner.push_back(kAggPartial);
-    crypto::append_u32(inner, self);
-    crypto::append_u32(inner, static_cast<uint32_t>(fronted.size()));
-    for (const AsNumber asn : fronted) {
-      crypto::append_u32(inner, asn);
-      const auto t = slice_->tables.find(asn);
-      const uint32_t n_rows =
-          t != slice_->tables.end() ? static_cast<uint32_t>(t->second.size())
-                                    : 0;
-      crypto::append_u32(inner, n_rows);
-      if (t != slice_->tables.end()) {
-        for (const auto& [p, route] : t->second) {
-          crypto::append_lv(inner, route.serialize());
-        }
-      }
-      const auto c = slice_->candidates.find(asn);
-      uint32_t n_cands = 0;
-      if (c != slice_->candidates.end()) {
-        for (const auto& [p, v] : c->second) {
-          n_cands += static_cast<uint32_t>(v.size());
-        }
-      }
-      crypto::append_u32(inner, n_cands);
-      if (c != slice_->candidates.end()) {
-        for (const auto& [p, v] : c->second) {
-          for (const Route& r : v) crypto::append_lv(inner, r.serialize());
-        }
-      }
-    }
+    inner.clear();
+    append_partial(inner, self, fronted, *slice_);
     shard()->send_app_direct(ctx, m.shard, inner);
   }
 }
@@ -366,29 +315,13 @@ void InterDomainControllerApp::bind(PolicyBinding b) {
 void InterDomainControllerApp::flood_policies(
     core::Ctx& ctx, const std::vector<AsNumber>& asns) {
   if (!shard_active()) return;
-  crypto::Bytes inner;
-  inner.push_back(kAggPolicy);
-  uint32_t count = 0;
-  crypto::Bytes body;
+  // Every flooded ASN was stored first, and policies_ never shrinks.
+  std::vector<BindingRef> batch;
   for (const AsNumber asn : asns) {
-    const auto policy = policies_.find(asn);
-    if (policy == policies_.end()) continue;
-    append_binding(body, node_of(asn), policy->second);
-    ++count;
+    batch.push_back({node_of(asn), policies_.at(asn)});
   }
-  if (count == 0) return;
-  crypto::append_u32(inner, count);
-  inner.insert(inner.end(), body.begin(), body.end());
-  shard()->broadcast_app(ctx, inner);
-}
-
-bool InterDomainControllerApp::is_shard_member_node(
-    netsim::NodeId node) const {
-  if (shard() == nullptr) return false;
-  for (const core::ShardMember& m : shard()->members()) {
-    if (m.node == node) return true;
-  }
-  return false;
+  if (batch.empty()) return;
+  shard()->broadcast_app(ctx, encode_policy_flood(batch));
 }
 
 void InterDomainControllerApp::maybe_flush_floods(core::Ctx& ctx) {
@@ -413,12 +346,13 @@ void InterDomainControllerApp::configure_shard(core::Ctx& ctx,
   core::ShardReplica::Hooks hooks;
   hooks.apply = [this](core::Ctx& c, uint32_t, uint64_t key,
                        crypto::BytesView entry) { shard_apply(c, key, entry); };
-  hooks.snapshot = [this](core::Ctx&) { return encode_policy_set(); };
+  hooks.snapshot = [this](core::Ctx&) { return encode_bindings(bindings()); };
   hooks.install = [this](core::Ctx& c, crypto::BytesView state) {
     return shard_install(c, state);
   };
-  hooks.app_message = [this](core::Ctx& c, uint32_t, crypto::BytesView inner) {
-    shard_app(c, inner);
+  hooks.app_message = [this](core::Ctx& c, uint32_t from,
+                             crypto::BytesView inner) {
+    shard_app(c, from, inner);
   };
   hooks.shard_down = [this](core::Ctx& c, uint32_t s) { on_shard_down(c, s); };
   hooks.shard_up = [this](core::Ctx& c, uint32_t) { on_shard_up(c); };
@@ -483,23 +417,17 @@ void InterDomainControllerApp::refront(core::Ctx& ctx, uint32_t dead) {
 
 void InterDomainControllerApp::shard_apply(core::Ctx& ctx, uint64_t key,
                                            crypto::BytesView entry) {
-  try {
-    crypto::Reader r(entry);
-    PolicyBinding b = read_binding(r);
-    if (b.policy.asn != key) return;  // entry/key mismatch: refuse
-    store_policy(ctx, b.node, std::move(b.policy));
-  } catch (const std::exception&) {
-    return;
-  }
+  std::optional<PolicyBinding> b = decode_or_drop(decode_binding, entry);
+  if (!b || b->policy.asn != key) return;  // entry/key mismatch: refuse
+  store_policy(ctx, b->node, std::move(b->policy));
 }
 
-crypto::Bytes InterDomainControllerApp::encode_policy_set() const {
-  crypto::Bytes state;
-  crypto::append_u32(state, static_cast<uint32_t>(policies_.size()));
+std::vector<BindingRef> InterDomainControllerApp::bindings() const {
+  std::vector<BindingRef> out;
   for (const auto& [asn, policy] : policies_) {
-    append_binding(state, node_of(asn), policy);
+    out.push_back({node_of(asn), policy});
   }
-  return state;
+  return out;
 }
 
 bool InterDomainControllerApp::shard_install(core::Ctx& ctx,
@@ -508,16 +436,13 @@ bool InterDomainControllerApp::shard_install(core::Ctx& ctx,
   // (ring replication), so clobbering local maps would drop policies the
   // donor never saw. Parse everything before touching state so a
   // malformed snapshot changes nothing.
-  std::vector<PolicyBinding> parsed;
-  try {
-    parsed = decode_bindings(state);
-  } catch (const std::exception&) {
-    return false;
-  }
+  std::optional<std::vector<PolicyBinding>> parsed =
+      decode_or_drop(decode_bindings, state);
+  if (!parsed) return false;
   size_t retained = 0;
-  for (const PolicyBinding& b : parsed) retained += retained_size(b.policy);
+  for (const PolicyBinding& b : *parsed) retained += retained_size(b.policy);
   ctx.alloc(retained);
-  for (PolicyBinding& b : parsed) bind(std::move(b));
+  for (PolicyBinding& b : *parsed) bind(std::move(b));
   // The merged picture may shift our slice; recompute through the slice
   // machinery (sends go only to member shards — safe before any AS has
   // re-attested).
@@ -526,46 +451,32 @@ bool InterDomainControllerApp::shard_install(core::Ctx& ctx,
   return true;
 }
 
-void InterDomainControllerApp::shard_app(core::Ctx& ctx,
+void InterDomainControllerApp::shard_app(core::Ctx& ctx, uint32_t from,
                                          crypto::BytesView inner) {
   try {
-    crypto::Reader r(inner);
-    const auto tag = static_cast<AggMsg>(r.u8());
-    if (tag == kAggPolicy) {
-      // The whole batch parses before any entry is stored: a malformed
-      // tail leaves the policy set untouched.
-      for (PolicyBinding& b : decode_bindings(inner.subspan(1))) {
-        store_policy(ctx, b.node, std::move(b.policy));
-      }
-      // One compute per batch: a 16-policy flood invalidates the slice
-      // once, not sixteen times.
-      maybe_compute(ctx);
-      return;
-    }
-    if (tag == kAggPartial) {
-      const uint32_t sender = r.u32();
-      const uint32_t n = r.u32();
-      std::map<AsNumber, PartialRows> rows;
-      for (uint32_t i = 0; i < n; ++i) {
-        const AsNumber asn = r.u32();
-        PartialRows pr;
-        const uint32_t n_rows = r.u32();
-        for (uint32_t j = 0; j < n_rows; ++j) {
-          Route route = Route::deserialize(r.lv());
-          pr.chosen[route.prefix] = std::move(route);
+    switch (agg_type(inner)) {
+      case AggMsg::kPolicy:
+        // The whole batch decodes before any entry is stored: a malformed
+        // tail leaves the policy set untouched.
+        for (PolicyBinding& b : decode_policy_flood(inner)) {
+          store_policy(ctx, b.node, std::move(b.policy));
         }
-        const uint32_t n_cands = r.u32();
-        for (uint32_t j = 0; j < n_cands; ++j) {
-          Route route = Route::deserialize(r.lv());
-          pr.candidates[route.prefix].push_back(std::move(route));
-        }
-        rows[asn] = std::move(pr);
+        // One compute per batch: a 16-policy flood invalidates the slice
+        // once, not sixteen times.
+        maybe_compute(ctx);
+        return;
+      case AggMsg::kPartial: {
+        Partial partial = decode_partial(inner);
+        // `from` is the member the authenticated frame came from
+        // (ShardReplica checks a direct frame's origin against its
+        // channel); a body naming another member would fill its slot.
+        if (partial.from_shard != from) return;
+        ctx.alloc(inner.size());
+        partials_[from] = std::move(partial.rows);
+        distribution_current_ = false;
+        maybe_compute(ctx);
+        return;
       }
-      ctx.alloc(inner.size());
-      partials_[sender] = std::move(rows);
-      distribution_current_ = false;
-      maybe_compute(ctx);
-      return;
     }
   } catch (const std::exception&) {
     return;
@@ -574,7 +485,10 @@ void InterDomainControllerApp::shard_app(core::Ctx& ctx,
 
 void InterDomainControllerApp::on_peer_attested(core::Ctx& ctx,
                                                 netsim::NodeId peer) {
-  if (!is_shard_member_node(peer)) attested_clients_.insert(peer);
+  if (shard() == nullptr ||
+      shard()->map().shard_of(peer) == core::kInvalidShard) {
+    attested_clients_.insert(peer);  // not a shard member: an AS client
+  }
   const auto it = pending_tables_.find(peer);
   if (it == pending_tables_.end()) return;
   ctx.send_secure(peer, it->second);
@@ -587,29 +501,24 @@ void InterDomainControllerApp::handle_register(core::Ctx& ctx,
   TENET_COUNT("app.routing.predicate_registrations");
   const auto asn = asn_of(peer);
   if (!asn.has_value()) return;
-  crypto::Reader r(body);
-  uint32_t pred_id = 0;
-  Predicate predicate = Predicate::path_length_at_most(0, 0, 0);
-  try {
-    pred_id = r.u32();
-    predicate = Predicate::deserialize(r.lv());
-  } catch (const std::exception&) {
-    return;
-  }
+  std::optional<PredicateRegistration> reg =
+      decode_or_drop(decode_register_predicate, body);
+  if (!reg) return;
   // Only the ASes named by the predicate may participate in it.
-  const std::vector<AsNumber> parties = predicate.parties();
+  const std::vector<AsNumber> parties = reg->predicate.parties();
   if (std::find(parties.begin(), parties.end(), *asn) == parties.end()) {
     return;
   }
-  auto it = predicates_.find(pred_id);
+  auto it = predicates_.find(reg->pred_id);
   if (it == predicates_.end()) {
     ctx.alloc(128);
-    predicates_.emplace(pred_id, Registration{std::move(predicate), {*asn}});
+    predicates_.emplace(reg->pred_id,
+                        Registration{std::move(reg->predicate), {*asn}});
     return;
   }
   // Second party must register a structurally identical predicate — that
   // is the "agreed upon by the two ASes" condition.
-  if (!it->second.predicate.equals(predicate)) return;
+  if (!it->second.predicate.equals(reg->predicate)) return;
   it->second.registered_by.insert(*asn);
 }
 
@@ -619,17 +528,14 @@ void InterDomainControllerApp::handle_verify(core::Ctx& ctx,
   TENET_COUNT("app.routing.verify_requests");
   const auto asn = asn_of(peer);
   if (!asn.has_value()) return;
-  uint32_t pred_id = 0;
-  try {
-    pred_id = crypto::read_u32(body, 0);
-  } catch (const std::exception&) {
-    return;
-  }
+  const std::optional<uint32_t> pred_id =
+      decode_or_drop(decode_verify_request, body);
+  if (!pred_id) return;
   auto respond = [&](VerifyStatus status) {
-    ctx.send_secure(peer, encode_verify_response(pred_id, status));
+    ctx.send_secure(peer, encode_verify_response(*pred_id, status));
   };
 
-  const auto it = predicates_.find(pred_id);
+  const auto it = predicates_.find(*pred_id);
   if (it == predicates_.end()) return respond(VerifyStatus::kNotAgreed);
   const Registration& reg = it->second;
 
@@ -668,27 +574,20 @@ crypto::Bytes InterDomainControllerApp::on_checkpoint(core::Ctx&) {
   // Predicates and the computed result are deliberately excluded: the
   // result is recomputed from the policies, and predicates must be
   // re-agreed by their parties after a restart (conservative choice).
-  crypto::Bytes state = encode_policy_set();
-  // Trailing flag: was this controller part of an active shard group? A
-  // restored shard must NOT run the whole fixpoint at restore time (its
-  // slice machinery recomputes after re-configuration) — that full
-  // compute is exactly the cost sharding removes from the heal path.
-  state.push_back(shard_active() ? 1 : 0);
-  return state;
+  // The flag says whether this controller was part of an active shard
+  // group. A restored shard must NOT run the whole fixpoint at restore
+  // time (its slice machinery recomputes after re-configuration) — that
+  // full compute is exactly the cost sharding removes from the heal path.
+  return encode_checkpoint(bindings(), shard_active());
 }
 
 void InterDomainControllerApp::on_restore(core::Ctx& ctx,
                                           crypto::BytesView state) {
-  bool was_sharded = false;
-  std::vector<PolicyBinding> parsed;
-  try {
-    crypto::Reader r(state);
-    parsed = read_bindings(r);
-    was_sharded = r.remaining() >= 1 && r.u8() != 0;
-  } catch (const std::exception&) {
-    return;  // nothing restored: the policies arrive by re-submission
-  }
-  for (PolicyBinding& b : parsed) {
+  std::optional<Checkpoint> checkpoint =
+      decode_or_drop(decode_checkpoint, state);
+  // Nothing restored: the policies arrive by re-submission.
+  if (!checkpoint) return;
+  for (PolicyBinding& b : checkpoint->bindings) {
     ctx.alloc(retained_size(b.policy));
     bind(std::move(b));
   }
@@ -698,7 +597,7 @@ void InterDomainControllerApp::on_restore(core::Ctx& ctx,
   // a fresh (authenticated) distribution. Sharded: skip the full
   // fixpoint entirely — the slice machinery recomputes this shard's part
   // after the host re-issues the shard config.
-  if (!was_sharded && policies_.size() >= expected_ases_) {
+  if (!checkpoint->was_sharded && policies_.size() >= expected_ases_) {
     result_ = BgpComputation::compute(policies_);
   }
 }
@@ -755,20 +654,18 @@ void AsLocalControllerApp::on_secure_message(core::Ctx& ctx, netsim::NodeId peer
   if (peer != controller_) return;  // only the attested controller talks to us
   switch (message_type(payload)) {
     case MsgType::kRouteAdvertisement: {
-      RoutingTable table;
-      try {
-        table = decode_routing_table(message_body(payload));
-      } catch (const std::exception&) {
-        return;
-      }
-      ctx.alloc(retained_size(table));
-      charge_route_install(table);
-      routes_ = std::move(table);
+      std::optional<RoutingTable> table =
+          decode_or_drop(decode_routing_table, message_body(payload));
+      if (!table) return;
+      ctx.alloc(retained_size(*table));
+      charge_route_install(*table);
+      routes_ = std::move(*table);
       has_routes_ = true;
       return;
     }
     case MsgType::kVerifyResponse: {
       const crypto::BytesView body = message_body(payload);
+      if (!decode_or_drop(decode_verify_response, body)) return;
       last_verdict_.assign(body.begin(), body.end());
       return;
     }
@@ -807,9 +704,9 @@ crypto::Bytes AsLocalControllerApp::on_control(core::Ctx& ctx, uint32_t subfn,
     case kCtlUpdateLocalPref: {
       // Operator reconfiguration: adjust this AS's preference for one
       // neighbor. Takes effect at the controller on the next submission.
-      crypto::Reader r(arg);
-      const AsNumber neighbor = r.u32();
-      const uint32_t pref = r.u32();
+      if (arg.size() != 8) throw std::invalid_argument("kCtlUpdateLocalPref");
+      const AsNumber neighbor = crypto::read_u32(arg, 0);
+      const uint32_t pref = crypto::read_u32(arg, 4);
       if (policy_.neighbor_rel.contains(neighbor)) {
         policy_.local_pref[neighbor] = pref;
       }
@@ -818,11 +715,9 @@ crypto::Bytes AsLocalControllerApp::on_control(core::Ctx& ctx, uint32_t subfn,
     case kCtlGetOwnTable:
       return encode_routing_table(routes_);
     case kCtlRegisterPredicate: {
-      crypto::Bytes msg(arg.begin(), arg.end());
-      crypto::Reader r(arg);
-      const uint32_t pred_id = r.u32();
-      const Predicate p = Predicate::deserialize(r.lv());
-      ctx.send_secure(controller_, encode_register_predicate(pred_id, p));
+      const PredicateRegistration reg = decode_register_predicate(arg);
+      ctx.send_secure(controller_,
+                      encode_register_predicate(reg.pred_id, reg.predicate));
       return {};
     }
     case kCtlRequestVerify:
@@ -848,30 +743,21 @@ crypto::Bytes AsLocalControllerApp::on_control(core::Ctx& ctx, uint32_t subfn,
 void NativeInterDomainController::on_message(core::NativeNode& node,
                                              netsim::NodeId src, uint32_t,
                                              crypto::BytesView payload) {
-  switch (message_type(payload)) {
-    case MsgType::kPolicySubmission: {
-      RoutingPolicy policy;
-      try {
-        policy = RoutingPolicy::deserialize(message_body(payload));
-      } catch (const std::exception&) {
-        return;
-      }
-      asn_to_node_[policy.asn] = src;
-      policies_[policy.asn] = std::move(policy);
-      if (!result_.has_value() && policies_.size() >= expected_ases_) {
-        result_ = BgpComputation::compute(policies_);
-        for (const auto& [asn, dst] : asn_to_node_) {
-          const auto it = result_->tables.find(asn);
-          static const RoutingTable kEmpty;
-          node.send_app(dst, core::kPortPlain,
-                        encode_route_advertisement(
-                            it != result_->tables.end() ? it->second : kEmpty));
-        }
-      }
-      return;
+  if (message_type(payload) != MsgType::kPolicySubmission) return;
+  std::optional<RoutingPolicy> policy =
+      decode_or_drop(RoutingPolicy::deserialize, message_body(payload));
+  if (!policy) return;
+  asn_to_node_[policy->asn] = src;
+  policies_[policy->asn] = std::move(*policy);
+  if (!result_.has_value() && policies_.size() >= expected_ases_) {
+    result_ = BgpComputation::compute(policies_);
+    for (const auto& [asn, dst] : asn_to_node_) {
+      const auto it = result_->tables.find(asn);
+      static const RoutingTable kEmpty;
+      node.send_app(dst, core::kPortPlain,
+                    encode_route_advertisement(
+                        it != result_->tables.end() ? it->second : kEmpty));
     }
-    default:
-      return;
   }
 }
 
@@ -888,15 +774,13 @@ crypto::Bytes NativeInterDomainController::on_control(core::NativeNode&,
 void NativeAsController::on_message(core::NativeNode&, netsim::NodeId src,
                                     uint32_t, crypto::BytesView payload) {
   if (src != controller_) return;
-  if (message_type(payload) == MsgType::kRouteAdvertisement) {
-    try {
-      RoutingTable table = decode_routing_table(message_body(payload));
-      charge_route_install(table);
-      routes_ = std::move(table);
-      has_routes_ = true;
-    } catch (const std::exception&) {
-    }
-  }
+  if (message_type(payload) != MsgType::kRouteAdvertisement) return;
+  std::optional<RoutingTable> table =
+      decode_or_drop(decode_routing_table, message_body(payload));
+  if (!table) return;
+  charge_route_install(*table);
+  routes_ = std::move(*table);
+  has_routes_ = true;
 }
 
 crypto::Bytes NativeAsController::on_control(core::NativeNode& node,

@@ -69,13 +69,6 @@ class InterDomainControllerApp final : public core::SecureApp {
     std::set<AsNumber> registered_by;
   };
 
-  /// One sender-shard's contribution to one of our fronted ASes: the rows
-  /// (and candidate routes) for the prefixes that shard's slice covered.
-  struct PartialRows {
-    RoutingTable chosen;
-    std::map<Prefix, std::vector<Route>> candidates;
-  };
-
   void handle_submission(core::Ctx& ctx, netsim::NodeId peer,
                          crypto::BytesView body);
   void handle_register(core::Ctx& ctx, netsim::NodeId peer,
@@ -107,11 +100,13 @@ class InterDomainControllerApp final : public core::SecureApp {
   /// it came through.
   bool store_policy(core::Ctx& ctx, netsim::NodeId node, RoutingPolicy policy);
   void shard_apply(core::Ctx& ctx, uint64_t key, crypto::BytesView entry);
-  /// The whole policy set as a binding list (messages.h): the shard
-  /// snapshot, and the checkpoint's body.
-  [[nodiscard]] crypto::Bytes encode_policy_set() const;
+  /// The whole policy set, each policy with its node: the shard snapshot,
+  /// and the checkpoint's body.
+  [[nodiscard]] std::vector<BindingRef> bindings() const;
   bool shard_install(core::Ctx& ctx, crypto::BytesView state);
-  void shard_app(core::Ctx& ctx, crypto::BytesView inner);
+  /// A cross-shard message from member `from`, the origin ShardReplica
+  /// passes for the frame.
+  void shard_app(core::Ctx& ctx, uint32_t from, crypto::BytesView inner);
   /// Broadcasts a batch of admitted bindings to every other replica — the
   /// flood that keeps all policy sets identical. Batched because the ring
   /// relay pays per-message enclave transitions at every hop: one
@@ -123,7 +118,6 @@ class InterDomainControllerApp final : public core::SecureApp {
   /// Only *first* admissions batch; a changed policy or node binding
   /// floods immediately, because every replica's slice depends on it.
   void maybe_flush_floods(core::Ctx& ctx);
-  [[nodiscard]] bool is_shard_member_node(netsim::NodeId node) const;
   /// Recomputes this shard's slice of the fixpoint if invalidated, sends
   /// partial rows to the other members, then tries to distribute.
   void maybe_compute_sharded(core::Ctx& ctx);

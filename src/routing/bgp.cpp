@@ -46,7 +46,8 @@ uint32_t local_pref_of(const RoutingPolicy& p, AsNumber nbr) {
 
 crypto::Bytes Route::serialize() const {
   crypto::Bytes out;
-  out.reserve(serialized_size());
+  // prefix | path length | path | learned_from | pref | self_originated
+  out.reserve(4 + 4 + 4 * as_path.size() + 1 + 4 + 1);
   crypto::append_u32(out, prefix);
   crypto::append_u32(out, static_cast<uint32_t>(as_path.size()));
   for (const AsNumber a : as_path) crypto::append_u32(out, a);
@@ -54,11 +55,6 @@ crypto::Bytes Route::serialize() const {
   crypto::append_u32(out, pref);
   out.push_back(self_originated ? 1 : 0);
   return out;
-}
-
-size_t Route::serialized_size() const {
-  // prefix | path length | path | learned_from | pref | self_originated
-  return 4 + 4 + 4 * as_path.size() + 1 + 4 + 1;
 }
 
 Route Route::deserialize(crypto::BytesView wire) {
@@ -69,7 +65,9 @@ Route Route::deserialize(crypto::BytesView wire) {
   for (uint32_t i = 0; i < n; ++i) route.as_path.push_back(r.u32());
   route.learned_from = relationship_from_wire(r.u8());
   route.pref = r.u32();
-  route.self_originated = r.u8() != 0;
+  const uint8_t self_originated = r.u8();
+  if (self_originated > 1) throw std::invalid_argument("Route: bad flag");
+  route.self_originated = self_originated == 1;
   if (!r.done()) throw std::invalid_argument("Route: trailing bytes");
   return route;
 }

@@ -144,6 +144,10 @@ crypto::Bytes Predicate::serialize() const {
 }
 
 Predicate Predicate::deserialize(crypto::BytesView wire) {
+  return decode(wire, kMaxDepth);
+}
+
+Predicate Predicate::decode(crypto::BytesView wire, int levels) {
   crypto::Reader r(wire);
   Predicate p;
   const uint8_t kind = r.u8();
@@ -170,9 +174,13 @@ Predicate Predicate::deserialize(crypto::BytesView wire) {
                             : p.kind_ == Kind::kNot                       ? 1
                                                                           : 0;
   if (n != expected) throw std::invalid_argument("Predicate: bad arity");
-  for (uint32_t i = 0; i < n; ++i) {
-    p.children_.push_back(deserialize(r.lv()));
+  if (n > 0 && levels <= 1) {
+    throw std::invalid_argument("Predicate: nested too deep");
   }
+  for (uint32_t i = 0; i < n; ++i) {
+    p.children_.push_back(decode(r.lv_view(), levels - 1));
+  }
+  if (!r.done()) throw std::invalid_argument("Predicate: trailing bytes");
   return p;
 }
 

@@ -68,12 +68,22 @@ class Predicate {
   [[nodiscard]] std::vector<AsNumber> parties() const;
 
   [[nodiscard]] crypto::Bytes serialize() const;
+  /// Throws std::invalid_argument on an unknown kind, a wrong arity,
+  /// trailing bytes or nesting deeper than kMaxDepth.
   static Predicate deserialize(crypto::BytesView wire);
+  /// Levels in the deepest predicate deserialize() accepts; a leaf is one
+  /// level. The deepest predicate anything in this repository builds is a
+  /// combinator over a combinator over a leaf. A host-supplied predicate
+  /// is parsed, compared and evaluated recursively inside the controller
+  /// enclave, so its depth is bounded by a constant and not by its length.
+  static constexpr int kMaxDepth = 3;
   /// Structural equality (used to match the two parties' registrations).
   [[nodiscard]] bool equals(const Predicate& other) const;
 
  private:
   Predicate() = default;
+  /// deserialize() with at most `levels` levels of nesting left.
+  static Predicate decode(crypto::BytesView wire, int levels);
 
   Kind kind_ = Kind::kAnd;
   AsNumber subject_ = 0;

@@ -211,24 +211,23 @@ bool RoutingDeployment::as_has_routes(AsNumber asn) {
 
 void RoutingDeployment::register_predicate(AsNumber asn, uint32_t pred_id,
                                            const Predicate& p) {
-  crypto::Bytes arg;
-  crypto::append_u32(arg, pred_id);
-  crypto::append_lv(arg, p.serialize());
-  control_as(asn, kCtlRegisterPredicate, arg);
+  // The host argument is the message body the AS forwards.
+  const crypto::Bytes msg = encode_register_predicate(pred_id, p);
+  control_as(asn, kCtlRegisterPredicate, message_body(msg));
   sim_.run();
 }
 
 VerifyStatus RoutingDeployment::request_verification(AsNumber asn,
                                                      uint32_t pred_id) {
-  crypto::Bytes arg;
-  crypto::append_u32(arg, pred_id);
-  control_as(asn, kCtlRequestVerify, arg);
+  const crypto::Bytes msg = encode_verify_request(pred_id);
+  control_as(asn, kCtlRequestVerify, message_body(msg));
   sim_.run();
+  // Empty until the AS has stored a response that decoded.
   const crypto::Bytes verdict = query_as(asn, kCtlLastVerdict);
-  if (verdict.size() < 5 || crypto::read_u32(verdict, 0) != pred_id) {
+  if (verdict.empty() || decode_verify_response(verdict).pred_id != pred_id) {
     throw std::runtime_error("no verification verdict received");
   }
-  return static_cast<VerifyStatus>(verdict[4]);
+  return decode_verify_response(verdict).status;
 }
 
 uint64_t RoutingDeployment::total_attestations() {
@@ -275,12 +274,27 @@ void RoutingDeployment::configure_shards() {
   }
   router_ = core::ShardRouter(core::ShardMap(members_));
   for (size_t i = 0; i < shard_count(); ++i) {
-    core::ShardConfig cfg;
-    cfg.self = static_cast<uint32_t>(i);
-    cfg.replication = config_.shard_replication;
-    cfg.members = members_;
-    shard_node(i)->control(kCtlConfigureShard, cfg.serialize());
+    shard_node(i)->control(kCtlConfigureShard, shard_config(i));
   }
+}
+
+crypto::Bytes RoutingDeployment::shard_config(size_t i) const {
+  core::ShardConfig cfg;
+  cfg.self = static_cast<uint32_t>(i);
+  cfg.replication = config_.shard_replication;
+  cfg.members = members_;
+  return cfg.serialize();
+}
+
+void RoutingDeployment::set_shard_reachable(size_t i, bool up) {
+  router_.set_down(static_cast<uint32_t>(i), !up);
+  crypto::Bytes hint;
+  crypto::append_u32(hint, static_cast<uint32_t>(i));
+  hint.push_back(up ? 1 : 0);
+  for (size_t s = 0; s < shard_count(); ++s) {
+    if (s != i) shard_node(s)->control(kCtlShardReachable, hint);
+  }
+  repoint_ases();
 }
 
 void RoutingDeployment::repoint_ases() {
@@ -302,14 +316,7 @@ bool RoutingDeployment::kill_shard(size_t i) {
   node.inject_fault();
   // Untrusted liveness hints: the router stops fronting the dead shard and
   // the survivors re-forward what they replicate on its behalf.
-  router_.set_down(static_cast<uint32_t>(i), true);
-  crypto::Bytes hint;
-  crypto::append_u32(hint, static_cast<uint32_t>(i));
-  hint.push_back(0);
-  for (size_t s = 0; s < shard_count(); ++s) {
-    if (s != i) shard_node(s)->control(kCtlShardReachable, hint);
-  }
-  repoint_ases();
+  set_shard_reachable(i, false);
   return true;
 }
 
@@ -319,20 +326,9 @@ bool RoutingDeployment::heal_shard(size_t i) {
   if (!node.recover()) return false;
   // Fresh enclave: re-issue the shard config (which replays the sealed
   // version vector the restore stashed) and start the attested rejoin.
-  core::ShardConfig cfg;
-  cfg.self = static_cast<uint32_t>(i);
-  cfg.replication = config_.shard_replication;
-  cfg.members = members_;
-  node.control(kCtlConfigureShard, cfg.serialize());
+  node.control(kCtlConfigureShard, shard_config(i));
   node.control(kCtlBeginShardJoin, {});
-  router_.set_down(static_cast<uint32_t>(i), false);
-  crypto::Bytes hint;
-  crypto::append_u32(hint, static_cast<uint32_t>(i));
-  hint.push_back(1);
-  for (size_t s = 0; s < shard_count(); ++s) {
-    if (s != i) shard_node(s)->control(kCtlShardReachable, hint);
-  }
-  repoint_ases();
+  set_shard_reachable(i, true);
   return true;
 }
 

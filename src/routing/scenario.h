@@ -124,6 +124,11 @@ class RoutingDeployment {
 
  private:
   void configure_shards();
+  /// Shard `i`'s serialized core::ShardConfig.
+  [[nodiscard]] crypto::Bytes shard_config(size_t i) const;
+  /// Tells the router and every other shard that shard `i` is up or down
+  /// (untrusted liveness hints), then re-points the ASes whose front moved.
+  void set_shard_reachable(size_t i, bool up);
   /// Re-points every AS whose routed shard changed (after a kill or heal)
   /// at its new front-end; robust ASes re-attest and re-submit on their own.
   void repoint_ases();

@@ -21,8 +21,9 @@ struct TorNetworkConfig {
   size_t n_relays = 6;       // every relay doubles as a possible exit
   size_t n_clients = 1;
   uint64_t seed = 2015;
-  /// Opt every enclave app into fault recovery (attestation retry,
-  /// re-handshake on peer restart) — for scenarios that inject faults.
+  /// Opt the directory authorities into fault recovery (attestation
+  /// retry, re-handshake on peer restart) — for scenarios that inject
+  /// faults. Relays and clients run without it either way.
   bool robust = false;
   netsim::RetryPolicy retry;  // used when robust
   /// Serve every enclave node's transitions through switchless rings

@@ -40,6 +40,7 @@ enum LedgerControl : uint32_t {
   kLedgerJoin = 4,       // empty (begin_join)
   kLedgerReachable = 5,  // u32 shard | u8 up
   kLedgerEntries = 6,    // -> u32 n | (u64 key | LV entry)...
+  kLedgerAppMessages = 7,  // -> u64 app messages delivered to the hook
   kLedgerInject = 100,   // u32 peer | LV frame -> u8 consumed (red-team)
 };
 
@@ -64,6 +65,9 @@ class LedgerApp final : public SecureApp {
         // entries into ours (load() inserts without clearing).
         hooks.install = [this](Ctx&, crypto::BytesView state) {
           return load(state);
+        };
+        hooks.app_message = [this](Ctx&, uint32_t, crypto::BytesView) {
+          ++app_messages_;
         };
         enable_sharding(ctx, ShardConfig::deserialize(arg), std::move(hooks));
         return {};
@@ -100,6 +104,11 @@ class LedgerApp final : public SecureApp {
         return {};
       case kLedgerEntries:
         return serialize();
+      case kLedgerAppMessages: {
+        crypto::Bytes out;
+        crypto::append_u64(out, app_messages_);
+        return out;
+      }
       case kLedgerInject: {
         // Red-team control port (mirrors the boundary fuzzer's): hands an
         // arbitrary byte string to ShardReplica::handle_secure as if it
@@ -148,6 +157,7 @@ class LedgerApp final : public SecureApp {
   }
 
   std::map<uint64_t, crypto::Bytes> entries_;
+  uint64_t app_messages_ = 0;
 };
 
 crypto::Bytes shard_cfg(uint32_t self, const std::vector<ShardMember>& members,
@@ -984,6 +994,25 @@ TEST(ShardWireHostility, HostileCopiesCountIsClampedToGroupSize) {
   for (const auto& n : w.nodes) applied += n->query(kQueryShardEntriesApplied);
   EXPECT_GE(applied, 1u);
   EXPECT_LE(applied, w.nodes.size());
+}
+
+TEST(ShardWireHostility, DirectAppFrameWithSpoofedOriginReachesNoHook) {
+  LedgerWorld w(3, /*seed=*/16);
+  w.configure();
+  EnclaveNode& node = *w.nodes[0];
+  const netsim::NodeId shard1 = w.nodes[1]->id();
+  const auto delivered = [&node] {
+    return crypto::read_u64(node.control(kLedgerAppMessages), 0);
+  };
+
+  // Over shard 1's channel, a direct frame whose origin field says shard 2.
+  EXPECT_TRUE(inject(node, shard1,
+                     encode_shard_app(2, 0, 1, crypto::to_bytes("forged"))));
+  EXPECT_EQ(delivered(), 0u);
+  // The same frame naming its real origin reaches the hook.
+  EXPECT_TRUE(inject(node, shard1,
+                     encode_shard_app(1, 0, 1, crypto::to_bytes("genuine"))));
+  EXPECT_EQ(delivered(), 1u);
 }
 
 TEST(ShardWireHostility, ReservedAndTruncatedFramesAreInertNoise) {

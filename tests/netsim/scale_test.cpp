@@ -46,8 +46,6 @@ struct WorkloadResult {
   uint64_t dropped = 0;
   double end_time = 0;
   netsim::FaultCounters faults;
-  std::vector<std::tuple<uint64_t, uint64_t, uint64_t, uint64_t, uint64_t>>
-      per_node_stats;
 };
 
 template <typename SimT, typename NodeT>
@@ -181,12 +179,6 @@ WorkloadResult run_chaos_workload(size_t n_nodes, size_t n_messages,
   out.dropped = sim.messages_dropped();
   out.end_time = sim.now();
   out.faults = sim.fault_plan().counters();
-  for (size_t i = 0; i < n_nodes; ++i) {
-    const auto& s = sim.stats(static_cast<netsim::NodeId>(1 + i));
-    out.per_node_stats.emplace_back(s.messages_sent, s.messages_received,
-                                    s.bytes_sent, s.bytes_received,
-                                    s.packets_sent);
-  }
   EXPECT_EQ(sim.pending_events(), 0u);
   return out;
 }
@@ -201,7 +193,6 @@ void expect_workloads_equal(const WorkloadResult& a, const WorkloadResult& b) {
   EXPECT_EQ(a.faults.reordered, b.faults.reordered);
   EXPECT_EQ(a.faults.jittered, b.faults.jittered);
   EXPECT_EQ(a.faults.window_dropped, b.faults.window_dropped);
-  EXPECT_EQ(a.per_node_stats, b.per_node_stats);
   ASSERT_EQ(a.sequence.size(), b.sequence.size());
   for (size_t i = 0; i < a.sequence.size(); ++i) {
     ASSERT_EQ(a.sequence[i], b.sequence[i]) << "first divergence at step " << i;

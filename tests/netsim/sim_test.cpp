@@ -73,29 +73,6 @@ TEST(Sim, SerializationDelayScalesWithSize) {
   EXPECT_NEAR(b.times[0], sim.latency(a.id(), b.id()) + 0.5, 1e-9);
 }
 
-TEST(Sim, TrafficStatsCount) {
-  Simulator sim;
-  Recorder a(sim, "a"), b(sim, "b");
-  a.send(b.id(), 1, crypto::Bytes(kMtu * 2 + 1, 0));  // 3 packets
-  a.send(b.id(), 1, crypto::Bytes(10, 0));            // 1 packet
-  sim.run();
-  const TrafficStats& sa = sim.stats(a.id());
-  EXPECT_EQ(sa.messages_sent, 2u);
-  EXPECT_EQ(sa.bytes_sent, kMtu * 2 + 11);
-  EXPECT_EQ(sa.packets_sent, 4u);
-  const TrafficStats& sb = sim.stats(b.id());
-  EXPECT_EQ(sb.messages_received, 2u);
-  EXPECT_EQ(sb.bytes_received, kMtu * 2 + 11);
-}
-
-TEST(Sim, EmptyMessageCountsOnePacket) {
-  Simulator sim;
-  Recorder a(sim, "a"), b(sim, "b");
-  a.send(b.id(), 1, {});
-  sim.run();
-  EXPECT_EQ(sim.stats(a.id()).packets_sent, 1u);
-}
-
 TEST(Sim, CutLinkDropsAndHealRestores) {
   Simulator sim;
   Recorder a(sim, "a"), b(sim, "b");

@@ -51,7 +51,6 @@ TEST(Route, SerializationRoundTrips) {
   r.as_path = {1, 2, 3};
   r.learned_from = Relationship::kPeer;
   r.pref = 217;
-  EXPECT_EQ(r.serialize().size(), r.serialized_size());
   const Route q = Route::deserialize(r.serialize());
   EXPECT_EQ(q.prefix, 42u);
   EXPECT_EQ(q.as_path, r.as_path);
@@ -67,6 +66,16 @@ TEST(Route, SerializationRoundTrips) {
   crypto::Bytes bad_rel = r.serialize();
   bad_rel[4 + 4 + 4 * 3] = 3;  // learned_from, after prefix, length, path
   EXPECT_THROW(Route::deserialize(bad_rel), std::invalid_argument);
+}
+
+TEST(Route, SelfOriginatedIsZeroOrOne) {
+  Route r;
+  r.prefix = 7;
+  r.self_originated = true;
+  crypto::Bytes wire = r.serialize();
+  EXPECT_TRUE(Route::deserialize(wire).self_originated);
+  wire.back() = 2;  // the flag is the last byte
+  EXPECT_THROW(Route::deserialize(wire), std::invalid_argument);
 }
 
 TEST(Bgp, ExportRulesAreValleyFree) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/rng.h"
+#include "decoder_mutation.h"
 
 namespace tenet::routing {
 namespace {
@@ -115,6 +116,43 @@ TEST(Predicate, DeserializeRejectsGarbage) {
   crypto::append_u32(bad_arity, 0);
   crypto::append_u32(bad_arity, 0);  // zero children
   EXPECT_THROW(Predicate::deserialize(bad_arity), std::invalid_argument);
+}
+
+TEST(Predicate, DeserializeRejectsTrailingBytes) {
+  crypto::Bytes wire = Predicate::received_from(3, 4, 1).serialize();
+  wire.push_back(0);
+  EXPECT_THROW(Predicate::deserialize(wire), std::invalid_argument);
+  // Inside a child's LV too.
+  crypto::Bytes child = Predicate::received_from(3, 4, 1).serialize();
+  child.push_back(0);
+  crypto::Bytes parent = Predicate::lnot(Predicate::received_from(3, 4, 1))
+                             .serialize();
+  parent.resize(1 + 5 * 4);  // kind | subject | object | prefix | k | n
+  crypto::append_lv(parent, child);
+  EXPECT_THROW(Predicate::deserialize(parent), std::invalid_argument);
+}
+
+TEST(Predicate, DeserializeBoundsNesting) {
+  // Three levels decode (the deepest predicate the repository builds);
+  // a fourth is refused before its leaf is read.
+  const Predicate leaf = Predicate::received_from(3, 4, 1);
+  const Predicate deepest = Predicate::lnot(Predicate::lnot(leaf));
+  EXPECT_TRUE(Predicate::deserialize(deepest.serialize()).equals(deepest));
+  EXPECT_THROW(Predicate::deserialize(Predicate::lnot(deepest).serialize()),
+               std::invalid_argument);
+}
+
+TEST(Predicate, SeededMutationsAreCanonicalOrRejected) {
+  const Predicate p = Predicate::lor(
+      Predicate::land(Predicate::path_length_at_most(5, 9, 3),
+                      Predicate::uses_customer_route(5, 9)),
+      Predicate::lnot(Predicate::route_traverses(5, 9, 666)));
+  const test::MutationTally t = test::check_mutations(
+      p.serialize(),
+      [](crypto::BytesView w) { return Predicate::deserialize(w).serialize(); },
+      /*seed=*/41);
+  EXPECT_GT(t.accepted, 0u);
+  EXPECT_GT(t.rejected, 0u);
 }
 
 TEST(Predicate, UnreachablePrefixEvaluatesFalseNotThrow) {
