@@ -272,7 +272,7 @@ int main(int argc, char** argv) {
   gate.pin("obs_unhealed_shards", unhealed, 0);
   if (TENET_TELEMETRY_ENABLED) {
     gate.pin("obs_fleet_events", evented.fleet_events, 18);
-    gate.pin("obs_scrape_samples", evented.scrape_samples, 14);
+    gate.pin("obs_scrape_samples", evented.scrape_samples, 13);
     gate.pin("obs_health_evals", healthy.health_evals, 4);
   }
   gate.pin("n_ases", kAses, 24);

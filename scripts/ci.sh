@@ -47,6 +47,9 @@
 #                              # from a byte only in the two decoders) +
 #                              # one-routing-codec check (no Reader or
 #                              # wire deserializer in routing/apps.cpp) +
+#                              # one-compute-partition check (the sharded
+#                              # controller computes only in fill_slice;
+#                              # no deal by rank among the live members) +
 #                              # dead-control-code check (every kCtl*/
 #                              # kQuery* enumerator has a sender or reader) +
 #                              # security lint gate (DESIGN.md §15): static
@@ -287,6 +290,24 @@ case "$mode" in
         src/routing/apps.cpp; then
       echo "lint: decode routing messages with the decoders in" \
         "src/routing/messages.h, not inline in src/routing/apps.cpp" >&2
+      exit 1
+    fi
+    # One compute partition (DESIGN.md §14): the sharded controller fills
+    # its slice in one place, over a deal of the configured members, so a
+    # kill or a heal computes only the origins that moved. The other
+    # computes are the unsharded controller's (maybe_compute, and
+    # on_restore) and the native baseline's.
+    if awk '/^[A-Za-z].*[A-Za-z_]+::[a-z_]+\(/ {
+          fn = $0; sub(/\(.*/, "", fn); sub(/.* /, "", fn)
+        }
+        /BgpComputation::compute\(/ &&
+        fn !~ /^(InterDomainControllerApp::(maybe_compute|on_restore|fill_slice)|NativeInterDomainController::on_message)$/ {
+          print FILENAME ":" FNR ": in " fn ": " $0; found = 1
+        }
+        END { exit !found }' src/routing/apps.cpp ||
+        grep -nE '\bmy_rank\b|live\.size\(\)' src/routing/apps.cpp; then
+      echo "lint: the sharded controller computes only in fill_slice, over" \
+        "dealt_origins(); do not deal origins by rank among the live members" >&2
       exit 1
     fi
     # No dead control codes: every kCtl*/kQuery* enumerator declared in src/

@@ -269,10 +269,11 @@ void ShardReplica::handle_app(Ctx& ctx, netsim::NodeId peer,
   if (target != cfg_.self && target != kShardBroadcast) return;
   // A direct frame travels one hop, so its origin is the member on the
   // other end of the channel; a frame naming another member is forged.
-  if (target != kShardBroadcast && from != map_.shard_of(peer)) return;
+  const bool direct = target != kShardBroadcast;
+  if (direct && from != map_.shard_of(peer)) return;
   TENET_SPAN("shard", "app_deliver");
-  if (hooks_.app_message) hooks_.app_message(ctx, from, inner);
-  if (target != kShardBroadcast) return;
+  if (hooks_.app_message) hooks_.app_message(ctx, from, direct, inner);
+  if (direct) return;
   // Broadcast: deliver here, then keep walking the ring until it closes on
   // the originator. The TTL bounds total deliveries even if the walk skips
   // past a freshly-dead originator.

@@ -66,10 +66,13 @@ class ShardReplica {
     /// discard local entries the donor lacks: under ring replication the
     /// donor sees only its slice of origins.
     std::function<bool(Ctx&, crypto::BytesView state)> install;
-    /// A cross-shard application message addressed to this shard. For a
-    /// direct frame `from` is the member the channel authenticated; a
-    /// broadcast's is the origin its relay names.
-    std::function<void(Ctx&, uint32_t from, crypto::BytesView inner)>
+    /// A cross-shard application message addressed to this shard.
+    /// `direct` tells a send_app_direct frame, whose `from` is the member
+    /// the channel authenticated, from a broadcast, whose `from` is only
+    /// the origin its relay names: any member can start a broadcast that
+    /// names another.
+    std::function<void(Ctx&, uint32_t from, bool direct,
+                       crypto::BytesView inner)>
         app_message;
     /// A peer shard was declared down (host hint or retry-budget
     /// exhaustion): re-forward anything we hold on its behalf.

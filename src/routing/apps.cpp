@@ -1,5 +1,7 @@
 #include "routing/apps.h"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "core/ports.h"
@@ -37,6 +39,16 @@ size_t retained_size(const RoutingTable& t) {
   size_t s = 64;
   for (const auto& [prefix, route] : t) s += 48 + route.as_path.size() * 8;
   return s;
+}
+
+/// Erases prefix `p` from every AS's rows in `by_as`, and ASes left with
+/// no row.
+template <typename Rows>
+void drop_prefix(std::map<AsNumber, Rows>& by_as, Prefix p) {
+  for (auto it = by_as.begin(); it != by_as.end();) {
+    it->second.erase(p);
+    it = it->second.empty() ? by_as.erase(it) : std::next(it);
+  }
 }
 
 }  // namespace
@@ -142,35 +154,80 @@ void InterDomainControllerApp::maybe_compute_sharded(core::Ctx& ctx) {
   maybe_flush_floods(ctx);
   if (policies_.size() < expected_ases_) return;
   if (!slice_valid_) {
-    // The compute partition is deliberately decoupled from fronting:
-    // fronting follows the hash-based shard map (front_of), but hashing
-    // 96 dense keys over 8 buckets leaves the largest bucket ~2× the fair
-    // share — and the slowest slice bounds controller throughput.
-    // Round-robin over the sorted policy set is perfectly balanced, and
-    // every replica derives the same partition (and the same fronts) from
-    // state it already shares (the flooded policy set + the host's
-    // liveness hints), so no coordination message is needed.
-    const uint32_t self = shard()->self_shard();
-    std::vector<uint32_t> live;
-    for (const core::ShardMember& m : shard()->members()) {
-      if (shard()->is_reachable(m.shard)) live.push_back(m.shard);
-    }
-    size_t my_rank = 0;
-    for (size_t i = 0; i < live.size(); ++i) {
-      if (live[i] == self) my_rank = i;
-    }
-    std::set<AsNumber> origins;
-    size_t index = 0;
-    for (const auto& [asn, policy] : policies_) {
-      if (index++ % live.size() == my_rank) origins.insert(asn);
-    }
-    slice_ = BgpComputation::compute(policies_, origins);
-    charge_compute_arena(ctx, *slice_);
-    slice_valid_ = true;
-    distribution_current_ = false;
+    fill_slice(ctx);
     send_partials(ctx);
   }
   maybe_distribute_sharded(ctx);
+}
+
+std::vector<uint32_t> InterDomainControllerApp::down_members() const {
+  std::vector<uint32_t> down;
+  for (const core::ShardMember& m : shard()->members()) {
+    if (!shard()->is_reachable(m.shard)) down.push_back(m.shard);
+  }
+  std::sort(down.begin(), down.end());
+  return down;
+}
+
+std::set<AsNumber> InterDomainControllerApp::dealt_origins() const {
+  // The compute partition is deliberately decoupled from fronting:
+  // fronting follows the hash-based shard map (front_of), but hashing 96
+  // dense keys over 8 buckets leaves the largest bucket ~2× the fair share
+  // — and the slowest slice bounds controller throughput. Round-robin over
+  // the sorted policy set is perfectly balanced, and every replica derives
+  // the same partition (and the same fronts) from state it already shares
+  // (the flooded policy set + the host's liveness hints), so no
+  // coordination message is needed. The deal is over the configured
+  // members, so a kill or a heal moves only the origins of the member
+  // whose liveness changed.
+  const std::vector<core::ShardMember>& members = shard()->members();
+  const size_t n = members.size();
+  const uint32_t self = shard()->self_shard();
+  std::set<AsNumber> origins;
+  size_t i = 0;
+  for (const auto& [asn, policy] : policies_) {
+    const size_t owner = i % n;
+    const size_t k = i / n;
+    ++i;
+    // Terminates within one lap of the others: self is always reachable.
+    size_t holder = owner;
+    for (size_t j = 0; !shard()->is_reachable(members[holder].shard); ++j) {
+      holder = (owner + 1 + (k + j) % (n - 1)) % n;
+    }
+    if (members[holder].shard == self) origins.insert(asn);
+  }
+  return origins;
+}
+
+void InterDomainControllerApp::fill_slice(core::Ctx& ctx) {
+  const std::set<AsNumber> dealt = dealt_origins();
+  // An origin's rows are its prefixes' rows (the fixpoint separates by
+  // origin), so giving one up is an erase, not a compute.
+  for (const AsNumber origin : slice_origins_) {
+    if (dealt.contains(origin)) continue;
+    for (const Prefix p : policies_.at(origin).prefixes) {
+      drop_prefix(slice_.tables, p);
+      drop_prefix(slice_.candidates, p);
+    }
+  }
+  std::set<AsNumber> missing;
+  std::set_difference(dealt.begin(), dealt.end(), slice_origins_.begin(),
+                      slice_origins_.end(),
+                      std::inserter(missing, missing.end()));
+  if (!missing.empty()) {
+    ComputationResult fresh = BgpComputation::compute(policies_, missing);
+    origins_computed_ += missing.size();
+    for (auto& [asn, table] : fresh.tables) {
+      slice_.tables[asn].merge(table);
+    }
+    for (auto& [asn, per_prefix] : fresh.candidates) {
+      slice_.candidates[asn].merge(per_prefix);
+    }
+    charge_compute_arena(ctx, slice_);
+  }
+  slice_origins_ = dealt;
+  slice_valid_ = true;
+  distribution_current_ = false;
 }
 
 uint32_t InterDomainControllerApp::front_of(AsNumber asn) const {
@@ -183,8 +240,9 @@ uint32_t InterDomainControllerApp::front_of(AsNumber asn) const {
 }
 
 void InterDomainControllerApp::send_partials(core::Ctx& ctx) {
-  if (!slice_valid_ || !slice_.has_value()) return;
+  if (!slice_valid_) return;
   const uint32_t self = shard()->self_shard();
+  const std::vector<uint32_t> down = down_members();
   crypto::Bytes inner;
   for (const core::ShardMember& m : shard()->members()) {
     if (m.shard == self || !shard()->is_reachable(m.shard)) continue;
@@ -195,13 +253,13 @@ void InterDomainControllerApp::send_partials(core::Ctx& ctx) {
       if (front_of(asn) == m.shard) fronted.push_back(asn);
     }
     inner.clear();
-    append_partial(inner, self, fronted, *slice_);
+    append_partial(inner, down, fronted, slice_);
     shard()->send_app_direct(ctx, m.shard, inner);
   }
 }
 
 void InterDomainControllerApp::maybe_distribute_sharded(core::Ctx& ctx) {
-  if (!slice_valid_ || !slice_.has_value()) return;
+  if (!slice_valid_) return;
   // A full pass is a function of slice_, partials_, the fronts (front_of:
   // the shard map and the live set), the node bindings and sent_tables_
   // (which only this function writes): while none of them has changed
@@ -209,14 +267,19 @@ void InterDomainControllerApp::maybe_distribute_sharded(core::Ctx& ctx) {
   // only to find each equal to what was sent. slice_ and partials_ clear
   // the flag where they change; a change of the live set (refront) or of
   // a node binding (store_policy, shard_install) clears slice_valid_, and
-  // the recompute that follows assigns slice_.
+  // the refill that follows clears the flag.
   if (distribution_current_) return;
+  // Only a complete pass pushes: one partial from every live member, each
+  // dealt over this replica's live set, so that with our slice they cover
+  // every origin once and every fronted AS. A partial dealt over another
+  // live set is a membership change still in flight, and a table built
+  // from it would be replaced as soon as the rest arrived.
   const uint32_t self = shard()->self_shard();
+  const std::vector<uint32_t> down = down_members();
   for (const core::ShardMember& m : shard()->members()) {
-    if (m.shard == self) continue;
-    if (shard()->is_reachable(m.shard) && !partials_.contains(m.shard)) {
-      return;  // a live member's slice is still in flight
-    }
+    if (m.shard == self || !shard()->is_reachable(m.shard)) continue;
+    const auto p = partials_.find(m.shard);
+    if (p == partials_.end() || p->second.down != down) return;
   }
   // Build only what is sent: each bound fronted AS's chosen rows. The
   // candidates stay where they are; handle_verify reads them from there.
@@ -245,15 +308,17 @@ void InterDomainControllerApp::maybe_distribute_sharded(core::Ctx& ctx) {
 void InterDomainControllerApp::merge_rows(
     AsNumber asn, RoutingTable& table,
     std::map<Prefix, std::vector<Route>>* cands) const {
-  const auto t = slice_->tables.find(asn);
-  if (t != slice_->tables.end()) table = t->second;
+  const auto t = slice_.tables.find(asn);
+  if (t != slice_.tables.end()) table = t->second;
   if (cands != nullptr) {
-    const auto c = slice_->candidates.find(asn);
-    if (c != slice_->candidates.end()) *cands = c->second;
+    const auto c = slice_.candidates.find(asn);
+    if (c != slice_.candidates.end()) *cands = c->second;
   }
-  for (const auto& [sender, rows] : partials_) {
-    const auto pr = rows.find(asn);
-    if (pr == rows.end()) continue;
+  for (const auto& [sender, partial] : partials_) {
+    // A down member's rows were dealt to the live ones.
+    if (!shard()->is_reachable(sender)) continue;
+    const auto pr = partial.rows.find(asn);
+    if (pr == partial.rows.end()) continue;
     for (const auto& [p, route] : pr->second.chosen) table[p] = route;
     if (cands == nullptr) continue;
     for (const auto& [p, v] : pr->second.candidates) {
@@ -287,21 +352,30 @@ void InterDomainControllerApp::charge_compute_arena(
   compute_arena_ = bytes;
 }
 
+bool InterDomainControllerApp::holds(netsim::NodeId node,
+                                     const RoutingPolicy& policy) const {
+  const auto existing = policies_.find(policy.asn);
+  return existing != policies_.end() && node_of(policy.asn) == node &&
+         existing->second.same_encoding(policy);
+}
+
 bool InterDomainControllerApp::store_policy(core::Ctx& ctx,
                                             netsim::NodeId node,
                                             RoutingPolicy policy) {
   // Change detection: floods, replication appends and re-submissions all
   // re-present policies a replica usually already holds — an unchanged
   // store must not invalidate every shard's computed slice.
-  const auto existing = policies_.find(policy.asn);
-  if (existing != policies_.end() && node_of(policy.asn) == node &&
-      existing->second.same_encoding(policy)) {
-    return false;
-  }
+  if (holds(node, policy)) return false;
   ctx.alloc(retained_size(policy));
   bind(PolicyBinding{node, std::move(policy)});
-  slice_valid_ = false;  // every shard's slice depends on the full set
+  invalidate_slice();
   return true;
+}
+
+void InterDomainControllerApp::invalidate_slice() {
+  slice_ = {};
+  slice_origins_.clear();
+  slice_valid_ = false;
 }
 
 void InterDomainControllerApp::bind(PolicyBinding b) {
@@ -350,9 +424,9 @@ void InterDomainControllerApp::configure_shard(core::Ctx& ctx,
   hooks.install = [this](core::Ctx& c, crypto::BytesView state) {
     return shard_install(c, state);
   };
-  hooks.app_message = [this](core::Ctx& c, uint32_t from,
+  hooks.app_message = [this](core::Ctx& c, uint32_t from, bool direct,
                              crypto::BytesView inner) {
-    shard_app(c, from, inner);
+    shard_app(c, from, direct, inner);
   };
   hooks.shard_down = [this](core::Ctx& c, uint32_t s) { on_shard_down(c, s); };
   hooks.shard_up = [this](core::Ctx& c, uint32_t) { on_shard_up(c); };
@@ -381,19 +455,20 @@ void InterDomainControllerApp::on_shard_down(core::Ctx& ctx, uint32_t dead) {
 
 void InterDomainControllerApp::on_shard_up(core::Ctx& ctx) {
   // The rejoined replica lost every partial; it gets fresh rows from the
-  // recompute's send_partials.
+  // refill's send_partials.
   refront(ctx, core::kInvalidShard);
 }
 
 void InterDomainControllerApp::refront(core::Ctx& ctx, uint32_t dead) {
   slice_valid_ = false;  // the compute partition follows the live set
-  if (!shard_active() || !shard()->serving()) return;
-  // The failover span covers the adoption count and the recompute kick —
+  if (!shard_active()) return;
+  // The failover span covers the adoption count and the refill kick —
   // tools/analyze.py surfaces it as its own phase so heal latency is
-  // attributable, not "compute".
+  // attributable, not "compute". A replica that is not serving still
+  // refills: its deal covers the same origins, whoever fronts them.
   TENET_SPAN("failover", "refront");
   TENET_SPAN_SHARD(shard()->self_shard());
-  if (dead != core::kInvalidShard) {
+  if (dead != core::kInvalidShard && shard()->serving()) {
     // An AS is one of the dead shard's that this shard now fronts when the
     // successor walk from its owner to here passes the dead shard. Read
     // only by TENET_EVENT, which telemetry-off builds compile out.
@@ -440,18 +515,24 @@ bool InterDomainControllerApp::shard_install(core::Ctx& ctx,
       decode_or_drop(decode_bindings, state);
   if (!parsed) return false;
   size_t retained = 0;
-  for (const PolicyBinding& b : *parsed) retained += retained_size(b.policy);
+  bool changed = false;
+  for (const PolicyBinding& b : *parsed) {
+    retained += retained_size(b.policy);
+    changed = changed || !holds(b.node, b.policy);
+  }
   ctx.alloc(retained);
   for (PolicyBinding& b : *parsed) bind(std::move(b));
-  // The merged picture may shift our slice; recompute through the slice
-  // machinery (sends go only to member shards — safe before any AS has
-  // re-attested).
-  slice_valid_ = false;
+  // A snapshot that changes no binding leaves our slice as computed (a
+  // healed replica computed it from its restored checkpoint); one that
+  // does refills it through the slice machinery (sends go only to member
+  // shards — safe before any AS has re-attested).
+  if (changed) invalidate_slice();
   if (shard_active()) maybe_compute(ctx);
   return true;
 }
 
 void InterDomainControllerApp::shard_app(core::Ctx& ctx, uint32_t from,
+                                         bool direct,
                                          crypto::BytesView inner) {
   try {
     switch (agg_type(inner)) {
@@ -466,13 +547,14 @@ void InterDomainControllerApp::shard_app(core::Ctx& ctx, uint32_t from,
         maybe_compute(ctx);
         return;
       case AggMsg::kPartial: {
+        // Honest partials travel only direct, where `from` is the member
+        // the channel authenticated. A broadcast's origin is whatever the
+        // member that started it wrote, so one relayed here would fill
+        // another member's slot.
+        if (!direct) return;
         Partial partial = decode_partial(inner);
-        // `from` is the member the authenticated frame came from
-        // (ShardReplica checks a direct frame's origin against its
-        // channel); a body naming another member would fill its slot.
-        if (partial.from_shard != from) return;
         ctx.alloc(inner.size());
-        partials_[from] = std::move(partial.rows);
+        partials_[from] = std::move(partial);
         distribution_current_ = false;
         maybe_compute(ctx);
         return;
@@ -635,6 +717,13 @@ crypto::Bytes InterDomainControllerApp::on_control(core::Ctx& ctx,
       }
       return out;
     }
+    case kCtlSlice:
+      crypto::append_u64(out, origins_computed_);
+      crypto::append_u32(out, static_cast<uint32_t>(slice_origins_.size()));
+      for (const AsNumber origin : slice_origins_) {
+        crypto::append_u32(out, origin);
+      }
+      return out;
     default:
       return out;
   }

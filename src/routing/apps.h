@@ -35,6 +35,7 @@ enum ControllerControl : uint32_t {
   kCtlConfigureShard = 4,    // payload: serialized core::ShardConfig
   kCtlBeginShardJoin = 5,    // payload: empty (rejoin after restart)
   kCtlShardReachable = 6,    // payload: u32 shard | u8 up (host liveness hint)
+  kCtlSlice = 7,             // -> u64 origins computed | u32 n | n × u32 held
 };
 
 /// Inter-domain controller (enclave). Collects policies from attested
@@ -88,25 +89,33 @@ class InterDomainControllerApp final : public core::SecureApp {
   // broadcast), but the BGP fixpoint is *partitioned* — each shard runs
   // the per-prefix fixpoints for its share of the origins, then sends each
   // member the resulting rows for the ASes that member fronts
-  // (kAggPartial, direct channels). A shard distributes a table to a
-  // fronted AS once its own slice is computed and every reachable
-  // member's partial has arrived. This is what makes controller
-  // throughput scale with the shard count: the dominant cost (the
-  // fixpoint) divides by N while the flood adds only linear message relay
-  // work.
+  // (kPartial, direct channels). A shard distributes a table to a fronted
+  // AS once its own slice is computed and every reachable member's
+  // partial, dealt over the same live set, has arrived. This is what makes
+  // controller throughput scale with the shard count: the dominant cost
+  // (the fixpoint) divides by N while the flood adds only linear message
+  // relay work.
   void configure_shard(core::Ctx& ctx, core::ShardConfig cfg);
+  /// True when `policy`, bound to `node`, is exactly what is stored: a
+  /// store of it would change nothing.
+  [[nodiscard]] bool holds(netsim::NodeId node,
+                           const RoutingPolicy& policy) const;
   /// Returns true when the stored policy or node binding actually changed
   /// (an unchanged re-store must not invalidate slices), whichever shard
   /// it came through.
   bool store_policy(core::Ctx& ctx, netsim::NodeId node, RoutingPolicy policy);
+  /// A binding changed: every origin's rows depend on the whole policy
+  /// set, so the slice is emptied and refilled.
+  void invalidate_slice();
   void shard_apply(core::Ctx& ctx, uint64_t key, crypto::BytesView entry);
   /// The whole policy set, each policy with its node: the shard snapshot,
   /// and the checkpoint's body.
   [[nodiscard]] std::vector<BindingRef> bindings() const;
   bool shard_install(core::Ctx& ctx, crypto::BytesView state);
   /// A cross-shard message from member `from`, the origin ShardReplica
-  /// passes for the frame.
-  void shard_app(core::Ctx& ctx, uint32_t from, crypto::BytesView inner);
+  /// passes for the frame; `direct` when the channel authenticated it.
+  void shard_app(core::Ctx& ctx, uint32_t from, bool direct,
+                 crypto::BytesView inner);
   /// Broadcasts a batch of admitted bindings to every other replica — the
   /// flood that keeps all policy sets identical. Batched because the ring
   /// relay pays per-message enclave transitions at every hop: one
@@ -118,9 +127,24 @@ class InterDomainControllerApp final : public core::SecureApp {
   /// Only *first* admissions batch; a changed policy or node binding
   /// floods immediately, because every replica's slice depends on it.
   void maybe_flush_floods(core::Ctx& ctx);
-  /// Recomputes this shard's slice of the fixpoint if invalidated, sends
-  /// partial rows to the other members, then tries to distribute.
+  /// Refills this shard's slice of the fixpoint if its deal or a binding
+  /// changed, sends partial rows to the other members, then tries to
+  /// distribute.
   void maybe_compute_sharded(core::Ctx& ctx);
+  /// The configured members this replica believes down, ascending: the
+  /// complement of the live set the compute partition is dealt over.
+  [[nodiscard]] std::vector<uint32_t> down_members() const;
+  /// The origins this shard computes over its live view. Origin i, in ASN
+  /// order, belongs to configured member i mod N. While that member is
+  /// down, the k-th of its origins (k = i / N) goes to the first live
+  /// member on its walk through the other members in ring order, starting
+  /// k mod (N-1) places after it: one dead member's origins are dealt
+  /// round-robin to the survivors, and a change of one member's liveness
+  /// moves only origins to or from that member.
+  [[nodiscard]] std::set<AsNumber> dealt_origins() const;
+  /// The one slice fill: drops the rows of held origins dealt elsewhere
+  /// now, computes the rows of dealt origins not held yet.
+  void fill_slice(core::Ctx& ctx);
   /// The shard that fronts `asn` (sends it its table): its ShardMap owner,
   /// else the first reachable shard after it in successor order — the
   /// rule ShardRouter::route_shard applies, over this replica's liveness
@@ -139,9 +163,9 @@ class InterDomainControllerApp final : public core::SecureApp {
   void merge_rows(AsNumber asn, RoutingTable& table,
                   std::map<Prefix, std::vector<Route>>* cands) const;
   /// Membership changed: the compute partition and every AS's front moved
-  /// with the live set, so recompute our slice. On a kill (`dead` is the
-  /// dead shard, else kInvalidShard) also report the dead shard's ASes
-  /// this shard now fronts.
+  /// with the live set, so refill our slice and re-send our partials. On a
+  /// kill (`dead` is the dead shard, else kInvalidShard) also report the
+  /// dead shard's ASes this shard now fronts.
   void refront(core::Ctx& ctx, uint32_t dead);
   void on_shard_down(core::Ctx& ctx, uint32_t dead);
   void on_shard_up(core::Ctx& ctx);
@@ -165,9 +189,13 @@ class InterDomainControllerApp final : public core::SecureApp {
   // Sharded-computation state (unused when unsharded).
   std::vector<AsNumber> pending_flood_;  // first admissions not yet flooded
   std::set<netsim::NodeId> attested_clients_;  // non-shard attested peers
+  // slice_ holds the rows of exactly slice_origins_ over the current
+  // policy set; slice_valid_ says slice_origins_ is also dealt_origins().
   bool slice_valid_ = false;
-  std::optional<ComputationResult> slice_;  // fixpoint over our origins
-  std::map<uint32_t, std::map<AsNumber, PartialRows>> partials_;
+  ComputationResult slice_;
+  std::set<AsNumber> slice_origins_;
+  uint64_t origins_computed_ = 0;  // origins the slice fill has computed
+  std::map<uint32_t, Partial> partials_;  // by sending member
   std::map<netsim::NodeId, crypto::Bytes> sent_tables_;  // de-dup re-sends
   // The last full distribution pass still reflects slice_ and partials_
   // (see maybe_distribute_sharded); handle_verify answers from those

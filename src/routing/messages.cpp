@@ -208,11 +208,12 @@ std::vector<PolicyBinding> decode_policy_flood(crypto::BytesView inner) {
   return decode_bindings(agg_body(inner, AggMsg::kPolicy));
 }
 
-void append_partial(crypto::Bytes& out, uint32_t from_shard,
+void append_partial(crypto::Bytes& out, const std::vector<uint32_t>& down,
                     const std::vector<AsNumber>& fronted,
                     const ComputationResult& slice) {
   out.push_back(static_cast<uint8_t>(AggMsg::kPartial));
-  crypto::append_u32(out, from_shard);
+  crypto::append_u32(out, static_cast<uint32_t>(down.size()));
+  for (const uint32_t shard : down) crypto::append_u32(out, shard);
   crypto::append_u32(out, static_cast<uint32_t>(fronted.size()));
   static const RoutingTable kNoRows;
   static const std::map<Prefix, std::vector<Route>> kNoCandidates;
@@ -234,7 +235,14 @@ void append_partial(crypto::Bytes& out, uint32_t from_shard,
 Partial decode_partial(crypto::BytesView inner) {
   crypto::Reader r(agg_body(inner, AggMsg::kPartial));
   Partial partial;
-  partial.from_shard = r.u32();
+  const uint32_t d = r.u32();
+  for (uint32_t i = 0; i < d; ++i) {
+    const uint32_t shard = r.u32();
+    if (!partial.down.empty() && shard <= partial.down.back()) {
+      throw std::invalid_argument("partial: down members out of order");
+    }
+    partial.down.push_back(shard);
+  }
   const uint32_t n = r.u32();
   for (uint32_t i = 0; i < n; ++i) {
     const AsNumber asn = r.u32();

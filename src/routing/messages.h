@@ -122,8 +122,8 @@ Checkpoint decode_checkpoint(crypto::BytesView wire);
 /// told apart by their first byte. Each decoder rejects the other's tag.
 enum class AggMsg : uint8_t {
   kPolicy = 1,   // u8 tag | binding list: admissions flooded to every replica
-  kPartial = 3,  // u8 tag | u32 from_shard | u32 n | n × (u32 asn |
-                 //   route list chosen | route list candidates)
+  kPartial = 3,  // u8 tag | u32 d | d × u32 down shard | u32 n | n × (u32 asn
+                 //   | route list chosen | route list candidates)
 };
 /// Peeks the tag; an empty message reads as tag 0, which no message uses.
 AggMsg agg_type(crypto::BytesView inner);
@@ -137,21 +137,24 @@ struct PartialRows {
   RoutingTable chosen;
   std::map<Prefix, std::vector<Route>> candidates;
 };
-/// A kPartial message. `from_shard` repeats the sender the shard frame
-/// names; the receiver keeps the partial only when the two agree.
+/// A kPartial message. Its sender is the member the authenticated direct
+/// frame came from. `down` is the live set the sender dealt its origins
+/// (and fronted ASes) over, written as the configured members it counted
+/// down, in ascending order: a receiver merges the partial only while its
+/// own view counts the same members down.
 struct Partial {
-  uint32_t from_shard = 0;
+  std::vector<uint32_t> down;
   std::map<AsNumber, PartialRows> rows;
 };
 /// Appends the kPartial message carrying `slice`'s rows for each AS in
-/// `fronted`, which must be strictly ascending. The candidates of one AS
-/// are one route list, prefix by prefix.
-void append_partial(crypto::Bytes& out, uint32_t from_shard,
+/// `fronted`. `down` and `fronted` must be strictly ascending. The
+/// candidates of one AS are one route list, prefix by prefix.
+void append_partial(crypto::Bytes& out, const std::vector<uint32_t>& down,
                     const std::vector<AsNumber>& fronted,
                     const ComputationResult& slice);
-/// Rejects ASes that are not strictly ascending, chosen rows whose
-/// prefixes are not strictly ascending and candidates whose prefixes
-/// descend.
+/// Rejects down members or ASes that are not strictly ascending, chosen
+/// rows whose prefixes are not strictly ascending and candidates whose
+/// prefixes descend.
 Partial decode_partial(crypto::BytesView inner);
 
 }  // namespace tenet::routing

@@ -292,7 +292,9 @@ void RoutingDeployment::set_shard_reachable(size_t i, bool up) {
   crypto::append_u32(hint, static_cast<uint32_t>(i));
   hint.push_back(up ? 1 : 0);
   for (size_t s = 0; s < shard_count(); ++s) {
-    if (s != i) shard_node(s)->control(kCtlShardReachable, hint);
+    if (s != i && !shard_node(s)->dead()) {
+      shard_node(s)->control(kCtlShardReachable, hint);
+    }
   }
   repoint_ases();
 }
@@ -325,8 +327,17 @@ bool RoutingDeployment::heal_shard(size_t i) {
   core::EnclaveNode& node = *shard_node(i);
   if (!node.recover()) return false;
   // Fresh enclave: re-issue the shard config (which replays the sealed
-  // version vector the restore stashed) and start the attested rejoin.
+  // version vector the restore stashed), hint the members still down (a
+  // fresh replica believes every member up until told), and start the
+  // attested rejoin.
   node.control(kCtlConfigureShard, shard_config(i));
+  for (size_t s = 0; s < shard_count(); ++s) {
+    if (s == i || !router_.is_down(static_cast<uint32_t>(s))) continue;
+    crypto::Bytes hint;
+    crypto::append_u32(hint, static_cast<uint32_t>(s));
+    hint.push_back(0);
+    node.control(kCtlShardReachable, hint);
+  }
   node.control(kCtlBeginShardJoin, {});
   set_shard_reachable(i, true);
   return true;

@@ -126,7 +126,7 @@ class RoutingDeployment {
   void configure_shards();
   /// Shard `i`'s serialized core::ShardConfig.
   [[nodiscard]] crypto::Bytes shard_config(size_t i) const;
-  /// Tells the router and every other shard that shard `i` is up or down
+  /// Tells the router and every other live shard that shard `i` is up or down
   /// (untrusted liveness hints), then re-points the ASes whose front moved.
   void set_shard_reachable(size_t i, bool up);
   /// Re-points every AS whose routed shard changed (after a kill or heal)

@@ -41,6 +41,7 @@ enum LedgerControl : uint32_t {
   kLedgerReachable = 5,  // u32 shard | u8 up
   kLedgerEntries = 6,    // -> u32 n | (u64 key | LV entry)...
   kLedgerAppMessages = 7,  // -> u64 app messages delivered to the hook
+  kLedgerSend = 8,       // u32 peer | LV frame: sent as is (red-team)
   kLedgerInject = 100,   // u32 peer | LV frame -> u8 consumed (red-team)
 };
 
@@ -66,9 +67,8 @@ class LedgerApp final : public SecureApp {
         hooks.install = [this](Ctx&, crypto::BytesView state) {
           return load(state);
         };
-        hooks.app_message = [this](Ctx&, uint32_t, crypto::BytesView) {
-          ++app_messages_;
-        };
+        hooks.app_message = [this](Ctx&, uint32_t, bool,
+                                   crypto::BytesView) { ++app_messages_; };
         enable_sharding(ctx, ShardConfig::deserialize(arg), std::move(hooks));
         return {};
       }
@@ -108,6 +108,13 @@ class LedgerApp final : public SecureApp {
         crypto::Bytes out;
         crypto::append_u64(out, app_messages_);
         return out;
+      }
+      case kLedgerSend: {
+        // A compromised member: any frame, over its attested channel.
+        crypto::Reader r(arg);
+        const netsim::NodeId peer = r.u32();
+        ctx.send_secure(peer, r.lv_view());
+        return {};
       }
       case kLedgerInject: {
         // Red-team control port (mirrors the boundary fuzzer's): hands an
@@ -645,6 +652,136 @@ TEST(ShardedController, KillThenHealLeavesEveryTableAtGroundTruth) {
   }
 }
 
+/// One controller replica's slice, read through kCtlSlice: the origins its
+/// slice fill has computed so far and the origins whose rows it holds.
+struct SliceView {
+  uint64_t computed = 0;
+  std::set<routing::AsNumber> held;
+};
+
+SliceView slice_of(EnclaveNode& node) {
+  const crypto::Bytes out = node.control(routing::kCtlSlice);
+  crypto::Reader r(out);
+  SliceView v;
+  v.computed = r.u64();
+  for (uint32_t n = r.u32(); n > 0; --n) v.held.insert(r.u32());
+  return v;
+}
+
+// Failover does only the work that moved. Kill 1, kill 2, heal 1, heal 2:
+//   * a kill computes exactly the origins the dead shard held, each on the
+//     survivor it is dealt to, and every survivor keeps the rows it held;
+//   * it pushes tables only to ASes whose front moved (the transient
+//     tables of a pass that lacks some partials are never sent);
+//   * a heal computes exactly the healed shard's origins, once, on the
+//     healed shard alone; the survivors only drop rows.
+// After every step the live replicas' slices partition the origins and
+// every table is at ground truth. The second kill leaves 2 of 4 shards,
+// no majority: the survivors stop adopting ASes, but still deal the dead
+// shards' origins among themselves.
+TEST(ShardedController, FailoverComputesOnlyWhatMoved) {
+  ShardedRouting w;
+  const routing::ComputationResult truth =
+      routing::BgpComputation::compute(w.dep.policies());
+  std::set<routing::AsNumber> origins;
+  for (const auto& [asn, policy] : w.dep.policies()) origins.insert(asn);
+  const auto live_slices = [&w] {
+    std::map<size_t, SliceView> out;
+    for (size_t i = 0; i < w.dep.shard_count(); ++i) {
+      if (!w.dep.shard_node(i)->dead()) out[i] = slice_of(*w.dep.shard_node(i));
+    }
+    return out;
+  };
+  const auto fronts = [&w] {
+    std::map<routing::AsNumber, uint32_t> out;
+    for (const auto& [asn, policy] : w.dep.policies()) {
+      out[asn] = w.dep.shard_of_as(asn);
+    }
+    return out;
+  };
+  std::map<netsim::NodeId, routing::AsNumber> as_of_node;
+  for (const auto& [asn, policy] : w.dep.policies()) {
+    as_of_node[w.dep.as_node(asn)->id()] = asn;
+  }
+
+  struct Step {
+    bool kill;
+    size_t shard;
+  };
+  for (const Step step : {Step{true, 1}, Step{true, 2}, Step{false, 1},
+                          Step{false, 2}}) {
+    const std::string what =
+        (step.kill ? "kill " : "heal ") + std::to_string(step.shard);
+    const std::map<size_t, SliceView> before = live_slices();
+    const std::map<routing::AsNumber, uint32_t> fronts_before = fronts();
+    std::set<routing::AsNumber> reached;  // ASes any shard sent anything
+    std::set<netsim::NodeId> shard_nodes;
+    for (size_t i = 0; i < w.dep.shard_count(); ++i) {
+      shard_nodes.insert(w.dep.shard_node(i)->id());
+    }
+    w.dep.sim().set_wiretap([&](const netsim::Message& m) {
+      const auto as = as_of_node.find(m.dst);
+      if (shard_nodes.contains(m.src) && as != as_of_node.end()) {
+        reached.insert(as->second);
+      }
+    });
+    ASSERT_TRUE(step.kill ? w.dep.kill_shard(step.shard)
+                          : w.dep.heal_shard(step.shard))
+        << what;
+    w.dep.sim().run();
+    w.dep.sim().set_wiretap(nullptr);
+    const std::map<size_t, SliceView> after = live_slices();
+    const std::map<routing::AsNumber, uint32_t> fronts_after = fronts();
+
+    // The live slices partition the origins.
+    std::set<routing::AsNumber> covered;
+    size_t held = 0;
+    for (const auto& [i, s] : after) {
+      covered.insert(s.held.begin(), s.held.end());
+      held += s.held.size();
+    }
+    EXPECT_EQ(covered, origins) << what;
+    EXPECT_EQ(held, origins.size()) << what << ": an origin held twice";
+
+    if (step.kill) {
+      uint64_t computed = 0;
+      for (const auto& [i, s] : after) {
+        const SliceView& was = before.at(i);
+        std::set<routing::AsNumber> adopted;
+        std::set_difference(s.held.begin(), s.held.end(), was.held.begin(),
+                            was.held.end(),
+                            std::inserter(adopted, adopted.end()));
+        EXPECT_TRUE(std::includes(s.held.begin(), s.held.end(),
+                                  was.held.begin(), was.held.end()))
+            << what << ": shard " << i << " gave up rows";
+        EXPECT_EQ(s.computed - was.computed, adopted.size())
+            << what << ": shard " << i;
+        computed += s.computed - was.computed;
+      }
+      EXPECT_EQ(computed, before.at(step.shard).held.size()) << what;
+      for (const routing::AsNumber asn : reached) {
+        EXPECT_NE(fronts_before.at(asn), fronts_after.at(asn))
+            << what << ": AS " << asn << " got a message, its front stayed";
+      }
+    } else {
+      for (const auto& [i, s] : after) {
+        if (i == step.shard) {
+          // A fresh enclave: its count starts at the heal.
+          EXPECT_EQ(s.computed, s.held.size()) << what;
+          continue;
+        }
+        EXPECT_EQ(s.computed, before.at(i).computed)
+            << what << ": survivor " << i << " computed";
+        EXPECT_TRUE(std::includes(before.at(i).held.begin(),
+                                  before.at(i).held.end(), s.held.begin(),
+                                  s.held.end()))
+            << what << ": survivor " << i << " adopted";
+      }
+    }
+    EXPECT_EQ(w.mismatched(truth), std::vector<routing::AsNumber>{}) << what;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // 3. Patched replica rejected at attested state transfer
 // ---------------------------------------------------------------------------
@@ -1013,6 +1150,90 @@ TEST(ShardWireHostility, DirectAppFrameWithSpoofedOriginReachesNoHook) {
   EXPECT_TRUE(inject(node, shard1,
                      encode_shard_app(1, 0, 1, crypto::to_bytes("genuine"))));
   EXPECT_EQ(delivered(), 1u);
+}
+
+// Any member can start a broadcast that names another member as its
+// origin, and honest members relay it. A partial that arrives that way
+// must fill no member's slot: the controller keeps only partials that came
+// direct. Shard 0 is a real controller; members 1 and 2 run its image
+// with hostile code.
+TEST(ShardWireHostility, RelayedPartialFillsNoSlot) {
+  netsim::Simulator sim(/*seed=*/17);
+  sgx::Authority authority;
+  OpenProject controller("controller", "tenet controller under test\n",
+                         nullptr);
+  OpenProject as_project("as-local", "tenet as-local under test\n", nullptr);
+  sgx::AttestationConfig ccfg = as_project.policy(/*mutual=*/true);
+  ccfg.expect.also_accept(controller.measurement());
+  ccfg.expect.mr_signer.reset();
+  const sgx::AttestationConfig acfg = controller.policy(/*mutual=*/true);
+  const sgx::Authority* auth = &authority;
+  sgx::EnclaveImage real = controller.build();
+  real.factory = [auth, ccfg] {
+    return std::make_unique<routing::InterDomainControllerApp>(*auth, ccfg,
+                                                               1);
+  };
+  sgx::EnclaveImage hostile = controller.build();
+  hostile.factory = [auth, ccfg] {
+    return std::make_unique<LedgerApp>(*auth, ccfg);
+  };
+  EnclaveNode r(sim, authority, "controller", controller.foundation(), real);
+  EnclaveNode h1(sim, authority, "hostile-1", controller.foundation(),
+                 hostile);
+  EnclaveNode h2(sim, authority, "hostile-2", controller.foundation(),
+                 hostile);
+  r.start();
+  h1.start();
+  h2.start();
+  const std::vector<ShardMember> members = {
+      ShardMember{0, r.id()}, ShardMember{1, h1.id()}, ShardMember{2, h2.id()}};
+
+  // One AS, which shard 0 fronts; its origin is the first dealt, to shard 0.
+  const ShardMap map(members);
+  routing::RoutingPolicy policy;
+  policy.asn = 1;
+  while (map.owner(policy.asn) != 0) ++policy.asn;
+  policy.prefixes = {policy.asn};
+  sgx::EnclaveImage as_image = as_project.build();
+  as_image.factory = [auth, acfg, policy] {
+    return std::make_unique<routing::AsLocalControllerApp>(*auth, acfg,
+                                                           policy);
+  };
+  EnclaveNode as(sim, authority, "as", as_project.foundation(), as_image);
+  as.start();
+
+  r.control(routing::kCtlConfigureShard, shard_cfg(0, members));
+  h1.control(kLedgerConfigure, shard_cfg(1, members));
+  h2.control(kLedgerConfigure, shard_cfg(2, members));
+  crypto::Bytes connect;
+  crypto::append_u32(connect, r.id());
+  as.control(routing::kCtlConnectController, connect);
+  sim.run();
+  as.control(routing::kCtlSubmitPolicy, {});
+  sim.run();
+  const auto has_routes = [&as] {
+    return as.control(routing::kCtlHasRoutes).at(0) == 1;
+  };
+  // Shard 0 computed its slice; its pass waits for members 1 and 2.
+  ASSERT_FALSE(has_routes());
+
+  crypto::Bytes partial;  // all members live, no AS fronted by the sender
+  routing::append_partial(partial, {}, {}, routing::ComputationResult{});
+  const auto send = [&sim, &r](EnclaveNode& from, crypto::BytesView frame) {
+    crypto::Bytes arg;
+    crypto::append_u32(arg, r.id());
+    crypto::append_lv(arg, frame);
+    from.control(kLedgerSend, arg);
+    sim.run();
+  };
+  // Member 1 sends its own partial direct, and one for member 2 in a
+  // broadcast that names member 2 as its origin.
+  send(h1, encode_shard_app(1, 0, 1, partial));
+  send(h1, encode_shard_app(2, kShardBroadcast, 3, partial));
+  EXPECT_FALSE(has_routes()) << "a relayed partial filled member 2's slot";
+  // Member 2's own partial, direct, completes the pass.
+  send(h2, encode_shard_app(2, 0, 1, partial));
+  EXPECT_TRUE(has_routes());
 }
 
 TEST(ShardWireHostility, ReservedAndTruncatedFramesAreInertNoise) {

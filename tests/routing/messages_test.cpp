@@ -208,15 +208,15 @@ crypto::Bytes encode_partial(const Partial& p) {
     slice.candidates[asn] = rows.candidates;
   }
   crypto::Bytes out;
-  append_partial(out, p.from_shard, fronted, slice);
+  append_partial(out, p.down, fronted, slice);
   return out;
 }
 
 TEST(Partial, RoundTripsTheFrontedRows) {
   crypto::Bytes wire;
-  append_partial(wire, 2, {3, 5, 8}, sample_slice());
+  append_partial(wire, {1, 6}, {3, 5, 8}, sample_slice());
   const Partial p = decode_partial(wire);
-  EXPECT_EQ(p.from_shard, 2u);
+  EXPECT_EQ(p.down, (std::vector<uint32_t>{1, 6}));
   ASSERT_EQ(p.rows.size(), 3u);
   EXPECT_EQ(p.rows.at(3).chosen.size(), 3u);
   EXPECT_EQ(p.rows.at(3).candidates.at(2).size(), 2u);
@@ -229,18 +229,24 @@ TEST(Partial, RoundTripsTheFrontedRows) {
 TEST(Partial, RejectsWhatNoEncoderWrites) {
   const ComputationResult slice = sample_slice();
   crypto::Bytes wire;
-  append_partial(wire, 2, {3, 8}, slice);
+  append_partial(wire, {2}, {3, 8}, slice);
 
   crypto::Bytes trailing = wire;
   trailing.push_back(0);
   EXPECT_THROW((void)decode_partial(trailing), std::invalid_argument);
 
   crypto::Bytes unsorted;  // the encoder trusts its caller's order
-  append_partial(unsorted, 2, {8, 3}, slice);
+  append_partial(unsorted, {2}, {8, 3}, slice);
   EXPECT_THROW((void)decode_partial(unsorted), std::invalid_argument);
   crypto::Bytes repeated;
-  append_partial(repeated, 2, {3, 3}, slice);
+  append_partial(repeated, {2}, {3, 3}, slice);
   EXPECT_THROW((void)decode_partial(repeated), std::invalid_argument);
+  crypto::Bytes down_unsorted;
+  append_partial(down_unsorted, {5, 2}, {3}, slice);
+  EXPECT_THROW((void)decode_partial(down_unsorted), std::invalid_argument);
+  crypto::Bytes down_repeated;
+  append_partial(down_repeated, {2, 2}, {3}, slice);
+  EXPECT_THROW((void)decode_partial(down_repeated), std::invalid_argument);
 
   // Candidates whose prefixes descend, then rows of one AS with a prefix
   // listed twice.
@@ -248,13 +254,13 @@ TEST(Partial, RejectsWhatNoEncoderWrites) {
   bad.candidates[3][9] = {route(2, {7, 2})};
   bad.candidates[3][2] = {route(9, {7, 9})};
   crypto::Bytes descending;
-  append_partial(descending, 2, {3}, bad);
+  append_partial(descending, {2}, {3}, bad);
   EXPECT_THROW((void)decode_partial(descending), std::invalid_argument);
   bad.candidates.clear();
   bad.tables[3][2] = route(2, {7, 2});
   bad.tables[3][4] = route(2, {8, 2});
   crypto::Bytes twice;
-  append_partial(twice, 2, {3}, bad);
+  append_partial(twice, {2}, {3}, bad);
   EXPECT_THROW((void)decode_partial(twice), std::invalid_argument);
 
   crypto::Bytes flood_tag = wire;
@@ -264,9 +270,9 @@ TEST(Partial, RejectsWhatNoEncoderWrites) {
 
 TEST(Partial, SeededMutationsAreCanonicalOrRejected) {
   crypto::Bytes wire;
-  append_partial(wire, 2, {3, 5, 8}, sample_slice());
+  append_partial(wire, {2}, {3, 5, 8}, sample_slice());
   std::vector<size_t> flags;
-  size_t off = 1 + 4;
+  size_t off = 1 + 4 + 4;  // tag, one down member
   const uint32_t n = crypto::read_u32(wire, off);
   off += 4;
   for (uint32_t i = 0; i < n; ++i) {
