@@ -224,7 +224,7 @@ int main(int argc, char** argv) {
   gate.pin("scale_x2", scale_x2, 1.81, 2);
   gate.pin("scale_x4", scale_x4, 3.38, 2);
   gate.pin("scale_x8", scale_x8, 6.35, 2);
-  gate.pin("heal_max_ms", chaos.heal_max_ms, 4.04, 2);
+  gate.pin("heal_max_ms", chaos.heal_max_ms, 5.02, 2);
   gate.pin("shards_top", kTopShards, 8);
   gate.pin("n_ases", kAses, 128);
 

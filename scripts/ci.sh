@@ -50,6 +50,10 @@
 #                              # one-compute-partition check (the sharded
 #                              # controller computes only in fill_slice;
 #                              # no deal by rank among the live members) +
+#                              # one-partial-store check (partials_ written
+#                              # only in apply_partial; append_partial
+#                              # called only from send_partials) +
+#                              # no EnclaveInspector outside tests +
 #                              # dead-control-code check (every kCtl*/
 #                              # kQuery* enumerator has a sender or reader) +
 #                              # security lint gate (DESIGN.md §15): static
@@ -308,6 +312,37 @@ case "$mode" in
         grep -nE '\bmy_rank\b|live\.size\(\)' src/routing/apps.cpp; then
       echo "lint: the sharded controller computes only in fill_slice, over" \
         "dealt_origins(); do not deal origins by rank among the live members" >&2
+      exit 1
+    fi
+    # One partial store (DESIGN.md §14): a held partial changes only in
+    # apply_partial, which applies a delta only to the partial it extends,
+    # so no pass runs on a mix; and partials are dealt only by
+    # send_partials, which remembers the base each member holds.
+    if awk 'FNR == 1 { fn = "" }
+        /^[A-Za-z].*[A-Za-z_]+::[a-z_]+\(/ {
+          fn = $0; sub(/\(.*/, "", fn); sub(/.* /, "", fn)
+        }
+        /(^|[^A-Za-z_])partials_[[:space:]]*(\[|=[^=]|\.(erase|emplace|try_emplace|insert|insert_or_assign|clear|extract|merge|swap)[^A-Za-z_])/ &&
+        fn != "InterDomainControllerApp::apply_partial" {
+          print FILENAME ":" FNR ": in " fn ": " $0; found = 1
+        }
+        /(^|[^A-Za-z_])append_partial\(/ &&
+        fn != "InterDomainControllerApp::send_partials" {
+          print FILENAME ":" FNR ": in " fn ": " $0; found = 1
+        }
+        END { exit !found }' \
+        $(find src -name '*.h' -o -name '*.cpp' | grep -v '^src/routing/messages\.'); then
+      echo "lint: write partials_ only in apply_partial, and call" \
+        "append_partial only from send_partials" >&2
+      exit 1
+    fi
+    # A host reads enclave state only through ecalls: the in-process
+    # reader tests/enclave_inspector.h defines is for tests, and src/ only
+    # names it as sgx::Enclave's friend.
+    if grep -rnw 'EnclaveInspector' src bench tools examples perfbench |
+        grep -v '^src/sgx/enclave\.h:[0-9]*:  friend struct EnclaveInspector;$'; then
+      echo "lint: EnclaveInspector is for tests; read enclave state through" \
+        "an ecall" >&2
       exit 1
     fi
     # No dead control codes: every kCtl*/kQuery* enumerator declared in src/

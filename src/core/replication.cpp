@@ -124,12 +124,16 @@ VersionVector VersionVector::deserialize(crypto::BytesView data) {
   for (uint32_t i = 0; i < n; ++i) {
     const uint32_t shard = r.u32();
     const uint64_t version = r.u64();
-    // Duplicate shard entries take the component-wise max. Last-wins would
-    // let a crafted duplicate LOWER a component, quietly weakening the
-    // dominance check that backs rollback protection.
-    uint64_t& high = vv.high_[shard];
-    if (version > high) high = version;
+    // serialize() writes a std::map: each shard once, ascending. A repeated
+    // entry is no honest encoding, and one that set a component to either
+    // copy could LOWER it, weakening the dominance check that backs
+    // rollback protection.
+    if (!vv.high_.empty() && shard <= vv.high_.rbegin()->first) {
+      throw std::invalid_argument("VersionVector: shards not ascending");
+    }
+    vv.high_.emplace_hint(vv.high_.end(), shard, version);
   }
+  if (!r.done()) throw std::invalid_argument("VersionVector: trailing bytes");
   return vv;
 }
 
@@ -158,12 +162,26 @@ ShardConfig ShardConfig::deserialize(crypto::BytesView data) {
     throw std::out_of_range("ShardConfig: truncated member list");
   }
   cfg.members.reserve(n);
+  bool self_member = false;
   for (uint32_t i = 0; i < n; ++i) {
     ShardMember m;
     m.shard = r.u32();
     m.node = r.u32();
+    // Ascending shard order: the compute deal indexes members(), so every
+    // replica must list them alike. One node hosts one shard.
+    if (!cfg.members.empty() && m.shard <= cfg.members.back().shard) {
+      throw std::invalid_argument("ShardConfig: shards not ascending");
+    }
+    for (const ShardMember& other : cfg.members) {
+      if (other.node == m.node) {
+        throw std::invalid_argument("ShardConfig: node repeated");
+      }
+    }
+    self_member = self_member || m.shard == cfg.self;
     cfg.members.push_back(m);
   }
+  if (!r.done()) throw std::invalid_argument("ShardConfig: trailing bytes");
+  if (!self_member) throw std::invalid_argument("ShardConfig: self not a member");
   return cfg;
 }
 

@@ -101,6 +101,8 @@ class VersionVector {
   [[nodiscard]] bool empty() const { return high_.empty(); }
 
   [[nodiscard]] crypto::Bytes serialize() const;
+  /// Accepts exactly what serialize() writes: shards strictly ascending, no
+  /// trailing bytes. Throws std::out_of_range or std::invalid_argument.
   static VersionVector deserialize(crypto::BytesView data);
 
  private:
@@ -138,6 +140,8 @@ struct ShardConfig {
   std::vector<ShardMember> members;
 
   [[nodiscard]] crypto::Bytes serialize() const;
+  /// Rejects trailing bytes, members not in strictly ascending shard order,
+  /// a node named twice, and a `self` that is not a member.
   static ShardConfig deserialize(crypto::BytesView data);
 };
 

@@ -47,6 +47,11 @@ netsim::NodeId Ctx::self() const { return app_.self_; }
 
 void Ctx::connect(netsim::NodeId peer) { app_.start_connect(env_, peer); }
 
+void Ctx::disconnect(netsim::NodeId peer) {
+  const auto it = app_.peers_.find(peer);
+  if (it != app_.peers_.end()) app_.reset_handshake(env_, it->second);
+}
+
 void Ctx::send_secure(netsim::NodeId peer, crypto::BytesView payload) {
   // Request origin: an application-level secure send starts a trace unless
   // the caller is already inside one (e.g. responding to a delivery).

@@ -42,6 +42,10 @@ class Ctx {
   /// progress). on_peer_attested fires when the handshake completes.
   void connect(netsim::NodeId peer);
 
+  /// Drops `peer`'s channel key and handshake state: records it sealed
+  /// under the old key are rejected, and the next connect() re-attests.
+  void disconnect(netsim::NodeId peer);
+
   /// Sends over the established secure channel; throws std::logic_error
   /// if the peer is not attested yet.
   void send_secure(netsim::NodeId peer, crypto::BytesView payload);

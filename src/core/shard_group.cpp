@@ -318,6 +318,10 @@ void ShardReplica::peer_failed(Ctx& ctx, netsim::NodeId peer) {
 void ShardReplica::mark_down(Ctx& ctx, uint32_t shard) {
   if (shard == cfg_.self || !is_reachable(shard)) return;
   reachable_[shard] = false;
+  // Whatever comes back (the same enclave or a restarted one) is re-attested
+  // before anything more is sent it: sends queue in pending_ until then.
+  const netsim::NodeId node = map_.node(shard);
+  if (node != netsim::kInvalidNode) ctx.disconnect(node);
   TENET_COUNT("shard.peer_down");
   TENET_EVENT(kShardDown, cfg_.self, shard);  // a = the shard believed down
   if (hooks_.shard_down) hooks_.shard_down(ctx, shard);
@@ -335,8 +339,8 @@ void ShardReplica::set_reachable(Ctx& ctx, uint32_t shard, bool up) {
   TENET_EVENT(kShardUp, cfg_.self, shard);
   if (hooks_.shard_up) hooks_.shard_up(ctx, shard);
   const netsim::NodeId node = map_.node(shard);
-  // The restarted replica lost its channel state; re-attest eagerly so
-  // queued replication traffic can flow (no-op if already attested).
+  // Its channel was dropped when it went down; re-attest eagerly so queued
+  // traffic can flow (no-op if already attested or in progress).
   if (node != netsim::kInvalidNode && !app_.is_attested(node)) {
     ctx.connect(node);
   }

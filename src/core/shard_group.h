@@ -139,7 +139,9 @@ class ShardReplica {
   void peer_attested(Ctx& ctx, netsim::NodeId peer);
   void peer_failed(Ctx& ctx, netsim::NodeId peer);
 
-  /// Host liveness hint (untrusted; availability-only).
+  /// Host liveness hint (untrusted; availability-only). A member marked
+  /// down loses its channel here, so a hint that was false costs one
+  /// re-attestation, never a message sealed for a dead enclave.
   void set_reachable(Ctx& ctx, uint32_t shard, bool up);
 
   /// Version vector for the sealed checkpoint (rollback-proof handoff: a

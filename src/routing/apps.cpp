@@ -50,6 +50,19 @@ void drop_prefix(std::map<AsNumber, Rows>& by_as, Prefix p) {
     it = it->second.empty() ? by_as.erase(it) : std::next(it);
   }
 }
+void drop_prefix(std::map<AsNumber, PartialRows>& by_as, Prefix p) {
+  for (auto it = by_as.begin(); it != by_as.end();) {
+    it->second.chosen.erase(p);
+    it->second.candidates.erase(p);
+    const bool empty =
+        it->second.chosen.empty() && it->second.candidates.empty();
+    it = empty ? by_as.erase(it) : std::next(it);
+  }
+}
+
+bool live_in(const std::vector<uint32_t>& down, uint32_t shard) {
+  return !std::binary_search(down.begin(), down.end(), shard);
+}
 
 }  // namespace
 
@@ -169,7 +182,8 @@ std::vector<uint32_t> InterDomainControllerApp::down_members() const {
   return down;
 }
 
-std::set<AsNumber> InterDomainControllerApp::dealt_origins() const {
+std::set<AsNumber> InterDomainControllerApp::dealt_origins(
+    uint32_t holder_shard, const std::vector<uint32_t>& down) const {
   // The compute partition is deliberately decoupled from fronting:
   // fronting follows the hash-based shard map (front_of), but hashing 96
   // dense keys over 8 buckets leaves the largest bucket ~2× the fair share
@@ -182,25 +196,25 @@ std::set<AsNumber> InterDomainControllerApp::dealt_origins() const {
   // whose liveness changed.
   const std::vector<core::ShardMember>& members = shard()->members();
   const size_t n = members.size();
-  const uint32_t self = shard()->self_shard();
   std::set<AsNumber> origins;
   size_t i = 0;
   for (const auto& [asn, policy] : policies_) {
     const size_t owner = i % n;
     const size_t k = i / n;
     ++i;
-    // Terminates within one lap of the others: self is always reachable.
+    // Terminates within one lap of the others: holder_shard is live.
     size_t holder = owner;
-    for (size_t j = 0; !shard()->is_reachable(members[holder].shard); ++j) {
+    for (size_t j = 0; !live_in(down, members[holder].shard); ++j) {
       holder = (owner + 1 + (k + j) % (n - 1)) % n;
     }
-    if (members[holder].shard == self) origins.insert(asn);
+    if (members[holder].shard == holder_shard) origins.insert(asn);
   }
   return origins;
 }
 
 void InterDomainControllerApp::fill_slice(core::Ctx& ctx) {
-  const std::set<AsNumber> dealt = dealt_origins();
+  const std::set<AsNumber> dealt =
+      dealt_origins(shard()->self_shard(), down_members());
   // An origin's rows are its prefixes' rows (the fixpoint separates by
   // origin), so giving one up is an erase, not a compute.
   for (const AsNumber origin : slice_origins_) {
@@ -230,32 +244,114 @@ void InterDomainControllerApp::fill_slice(core::Ctx& ctx) {
   distribution_current_ = false;
 }
 
-uint32_t InterDomainControllerApp::front_of(AsNumber asn) const {
+uint32_t InterDomainControllerApp::front_of(
+    AsNumber asn, const std::vector<uint32_t>& down) const {
   const core::ShardMap& map = shard()->map();
   uint32_t front = map.owner(asn);
-  if (!shard()->serving()) return front;
-  // Terminates within one lap: self is always reachable.
-  while (!shard()->is_reachable(front)) front = map.successor(front);
+  // ShardReplica::serving() over this live set: a strict live majority.
+  if (2 * (map.size() - down.size()) <= map.size()) return front;
+  // Terminates within one lap: a majority is live.
+  while (!live_in(down, front)) front = map.successor(front);
   return front;
 }
 
-void InterDomainControllerApp::send_partials(core::Ctx& ctx) {
+void InterDomainControllerApp::send_partials(core::Ctx& ctx, uint32_t to) {
   if (!slice_valid_) return;
   const uint32_t self = shard()->self_shard();
   const std::vector<uint32_t> down = down_members();
   crypto::Bytes inner;
   for (const core::ShardMember& m : shard()->members()) {
     if (m.shard == self || !shard()->is_reachable(m.shard)) continue;
-    // Bundle our slice's rows for every AS this member fronts. An empty
-    // bundle still goes out: the receiver counts senders, not rows.
-    std::vector<AsNumber> fronted;
-    for (const auto& [asn, policy] : policies_) {
-      if (front_of(asn) == m.shard) fronted.push_back(asn);
+    if (to != core::kInvalidShard && m.shard != to) continue;
+    // The member holds our rows (a, o) for each AS a it fronted and each
+    // origin o we were dealt over the base; it gets the rows of the ASes
+    // it fronts and the origins we are dealt now, less those. With no
+    // base it holds nothing, and the same rule deals a full partial.
+    const auto b = partial_bases_.find(m.shard);
+    const std::vector<uint32_t>* base =
+        b != partial_bases_.end() ? &b->second : nullptr;
+    std::set<Prefix> moved;  // prefixes of origins dealt to us since base
+    if (base != nullptr) {
+      const std::set<AsNumber> held = dealt_origins(self, *base);
+      for (const AsNumber origin : slice_origins_) {
+        if (held.contains(origin)) continue;
+        const std::vector<Prefix>& prefixes = policies_.at(origin).prefixes;
+        moved.insert(prefixes.begin(), prefixes.end());
+      }
     }
+    std::vector<PartialAs> ases;
+    for (const auto& [asn, policy] : policies_) {
+      if (front_of(asn, down) != m.shard) continue;
+      if (base == nullptr || front_of(asn, *base) != m.shard) {
+        ases.push_back({asn});
+      } else if (!moved.empty()) {
+        ases.push_back({asn, &moved});
+      }
+    }
+    // A partial with no row still goes out: the receiver counts senders,
+    // not rows, and checks its live set against ours.
     inner.clear();
-    append_partial(inner, down, fronted, slice_);
+    append_partial(inner, down, base, ases, slice_);
     shard()->send_app_direct(ctx, m.shard, inner);
+    partial_bytes_sent_ += inner.size();
+    partial_bases_[m.shard] = down;
   }
+}
+
+const Partial* InterDomainControllerApp::held_partial(uint32_t sender) const {
+  const auto held = partials_.find(sender);
+  return held != partials_.end() ? &held->second : nullptr;
+}
+
+bool InterDomainControllerApp::dealable(
+    uint32_t from, const std::vector<uint32_t>& down) const {
+  for (const uint32_t s : down) {
+    if (s == from || s == shard()->self_shard() ||
+        shard()->map().node(s) == netsim::kInvalidNode) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void InterDomainControllerApp::apply_partial(core::Ctx& ctx, uint32_t from,
+                                             std::optional<Partial> partial) {
+  distribution_current_ = false;
+  if (!partial) {
+    partials_.erase(from);
+    return;
+  }
+  if (!partial->base) {
+    partials_[from] = std::move(*partial);
+    return;
+  }
+  const auto held = partials_.find(from);
+  if (held == partials_.end() || held->second.down != *partial->base) {
+    // A delta extending a partial we do not hold (a record was lost, or we
+    // dropped `from`'s when it went down): no pass may run on a mix, so
+    // forget what we hold and ask for a full one.
+    if (held != partials_.end()) partials_.erase(held);
+    shard()->send_app_direct(ctx, from, encode_partial_request());
+    return;
+  }
+  Partial& p = held->second;
+  const uint32_t self = shard()->self_shard();
+  std::erase_if(p.rows, [&](const auto& row) {
+    return front_of(row.first, partial->down) != self;
+  });
+  const std::set<AsNumber> dealt = dealt_origins(from, partial->down);
+  for (const AsNumber origin : dealt_origins(from, p.down)) {
+    if (dealt.contains(origin)) continue;
+    for (const Prefix pfx : policies_.at(origin).prefixes) {
+      drop_prefix(p.rows, pfx);
+    }
+  }
+  for (auto& [asn, rows] : partial->rows) {
+    PartialRows& into = p.rows[asn];
+    into.chosen.merge(rows.chosen);
+    into.candidates.merge(rows.candidates);
+  }
+  p.down = std::move(partial->down);
 }
 
 void InterDomainControllerApp::maybe_distribute_sharded(core::Ctx& ctx) {
@@ -284,7 +380,7 @@ void InterDomainControllerApp::maybe_distribute_sharded(core::Ctx& ctx) {
   // Build only what is sent: each bound fronted AS's chosen rows. The
   // candidates stay where they are; handle_verify reads them from there.
   for (const auto& [asn, policy] : policies_) {
-    if (front_of(asn) != self) continue;
+    if (front_of(asn, down) != self) continue;
     const netsim::NodeId node = node_of(asn);
     if (node == netsim::kInvalidNode) continue;
     RoutingTable table;
@@ -376,6 +472,8 @@ void InterDomainControllerApp::invalidate_slice() {
   slice_ = {};
   slice_origins_.clear();
   slice_valid_ = false;
+  // Every row may change: each member gets a full partial next.
+  partial_bases_.clear();
 }
 
 void InterDomainControllerApp::bind(PolicyBinding b) {
@@ -447,15 +545,18 @@ void InterDomainControllerApp::configure_shard(core::Ctx& ctx,
 }
 
 void InterDomainControllerApp::on_shard_down(core::Ctx& ctx, uint32_t dead) {
-  // The dead member's rows are void.
-  partials_.erase(dead);
-  distribution_current_ = false;
+  // The dead member's rows are void, and it may come back holding none of
+  // ours.
+  apply_partial(ctx, dead, std::nullopt);
+  partial_bases_.erase(dead);
   refront(ctx, dead);
 }
 
 void InterDomainControllerApp::on_shard_up(core::Ctx& ctx) {
-  // The rejoined replica lost every partial; it gets fresh rows from the
-  // refill's send_partials.
+  // The refill's send_partials deals the other members deltas, and the
+  // rejoined one a full partial: its base was cleared when it went down,
+  // and the partial waits in the shard replica's queue until the member
+  // has re-attested (its channel was dropped then too).
   refront(ctx, core::kInvalidShard);
 }
 
@@ -474,9 +575,10 @@ void InterDomainControllerApp::refront(core::Ctx& ctx, uint32_t dead) {
     // only by TENET_EVENT, which telemetry-off builds compile out.
     const uint32_t self = shard()->self_shard();
     const core::ShardMap& map = shard()->map();
+    const std::vector<uint32_t> down = down_members();
     [[maybe_unused]] uint64_t adopted = 0;
     for (const auto& [asn, policy] : policies_) {
-      if (front_of(asn) != self) continue;
+      if (front_of(asn, down) != self) continue;
       for (uint32_t s = map.owner(asn); s != self; s = map.successor(s)) {
         if (s == dead) {
           ++adopted;
@@ -553,12 +655,18 @@ void InterDomainControllerApp::shard_app(core::Ctx& ctx, uint32_t from,
         // another member's slot.
         if (!direct) return;
         Partial partial = decode_partial(inner);
+        if (!dealable(from, partial.down)) return;
         ctx.alloc(inner.size());
-        partials_[from] = std::move(partial);
-        distribution_current_ = false;
+        apply_partial(ctx, from, std::move(partial));
         maybe_compute(ctx);
         return;
       }
+      case AggMsg::kPartialRequest:
+        if (!direct) return;
+        decode_partial_request(inner);
+        partial_bases_.erase(from);
+        send_partials(ctx, from);
+        return;
     }
   } catch (const std::exception&) {
     return;
@@ -645,8 +753,9 @@ void InterDomainControllerApp::handle_verify(core::Ctx& ctx,
   }
   ComputationResult view;
   const uint32_t self = shard()->self_shard();
+  const std::vector<uint32_t> down = down_members();
   for (const AsNumber p : parties) {
-    if (!policies_.contains(p) || front_of(p) != self) continue;
+    if (!policies_.contains(p) || front_of(p, down) != self) continue;
     merge_rows(p, view.tables[p], &view.candidates[p]);
   }
   answer(view);
@@ -723,6 +832,7 @@ crypto::Bytes InterDomainControllerApp::on_control(core::Ctx& ctx,
       for (const AsNumber origin : slice_origins_) {
         crypto::append_u32(out, origin);
       }
+      crypto::append_u64(out, partial_bytes_sent_);
       return out;
     default:
       return out;

@@ -36,6 +36,7 @@ enum ControllerControl : uint32_t {
   kCtlBeginShardJoin = 5,    // payload: empty (rejoin after restart)
   kCtlShardReachable = 6,    // payload: u32 shard | u8 up (host liveness hint)
   kCtlSlice = 7,             // -> u64 origins computed | u32 n | n × u32 held
+                             //    | u64 partial bytes sent
 };
 
 /// Inter-domain controller (enclave). Collects policies from attested
@@ -47,6 +48,10 @@ class InterDomainControllerApp final : public core::SecureApp {
   InterDomainControllerApp(const sgx::Authority& authority,
                            sgx::AttestationConfig config,
                            size_t expected_ases);
+
+  /// The partial this replica holds from member `sender`, or null. Trusted
+  /// state: no ecall reads it, since its rows carry other ASes' routes.
+  [[nodiscard]] const Partial* held_partial(uint32_t sender) const;
 
  protected:
   void on_secure_message(core::Ctx& ctx, netsim::NodeId peer,
@@ -89,7 +94,8 @@ class InterDomainControllerApp final : public core::SecureApp {
   // broadcast), but the BGP fixpoint is *partitioned* — each shard runs
   // the per-prefix fixpoints for its share of the origins, then sends each
   // member the resulting rows for the ASes that member fronts
-  // (kPartial, direct channels). A shard distributes a table to a fronted
+  // (kPartial, direct channels), each partial a delta against the one
+  // that member already holds. A shard distributes a table to a fronted
   // AS once its own slice is computed and every reachable member's
   // partial, dealt over the same live set, has arrived. This is what makes
   // controller throughput scale with the shard count: the dominant cost
@@ -134,25 +140,43 @@ class InterDomainControllerApp final : public core::SecureApp {
   /// The configured members this replica believes down, ascending: the
   /// complement of the live set the compute partition is dealt over.
   [[nodiscard]] std::vector<uint32_t> down_members() const;
-  /// The origins this shard computes over its live view. Origin i, in ASN
-  /// order, belongs to configured member i mod N. While that member is
+  /// The origins member `holder` computes over the live set whose down
+  /// members are `down` (ascending; `holder` not among them). Origin i, in
+  /// ASN order, belongs to configured member i mod N. While that member is
   /// down, the k-th of its origins (k = i / N) goes to the first live
   /// member on its walk through the other members in ring order, starting
   /// k mod (N-1) places after it: one dead member's origins are dealt
   /// round-robin to the survivors, and a change of one member's liveness
   /// moves only origins to or from that member.
-  [[nodiscard]] std::set<AsNumber> dealt_origins() const;
+  [[nodiscard]] std::set<AsNumber> dealt_origins(
+      uint32_t holder, const std::vector<uint32_t>& down) const;
   /// The one slice fill: drops the rows of held origins dealt elsewhere
   /// now, computes the rows of dealt origins not held yet.
   void fill_slice(core::Ctx& ctx);
-  /// The shard that fronts `asn` (sends it its table): its ShardMap owner,
-  /// else the first reachable shard after it in successor order — the
-  /// rule ShardRouter::route_shard applies, over this replica's liveness
-  /// view. Fail-closed: a replica that is not serving adopts nothing, so
-  /// there a dead owner's ASes stay unfronted.
-  [[nodiscard]] uint32_t front_of(AsNumber asn) const;
-  /// Sends our slice's rows for the ASes each reachable member fronts.
-  void send_partials(core::Ctx& ctx);
+  /// The shard that fronts `asn` (sends it its table) over the live set
+  /// whose down members are `down`: its ShardMap owner, else the first live
+  /// shard after it in successor order — the rule ShardRouter::route_shard
+  /// applies. Fail-closed: without a live majority nothing is adopted, so
+  /// a dead owner's ASes stay unfronted.
+  [[nodiscard]] uint32_t front_of(AsNumber asn,
+                                  const std::vector<uint32_t>& down) const;
+  /// Sends each reachable member (or only `to`) our slice's rows for the
+  /// ASes it fronts, leaving out those it holds under the base: the down
+  /// list of the last partial we sent it. With no base that is a full
+  /// partial.
+  void send_partials(core::Ctx& ctx, uint32_t to = core::kInvalidShard);
+  /// True when `down` is a live set member `from` can have dealt over:
+  /// configured members only, neither `from` nor this replica.
+  [[nodiscard]] bool dealable(uint32_t from,
+                              const std::vector<uint32_t>& down) const;
+  /// The one writer of partials_. A full partial replaces `from`'s; a
+  /// delta extends it when it was dealt over the delta's base (rows this
+  /// replica no longer fronts and origins no longer dealt to `from` are
+  /// pruned, the new rows merged); on any other base `from`'s partial is
+  /// dropped and a full one requested. Without a partial, forgets
+  /// `from`'s.
+  void apply_partial(core::Ctx& ctx, uint32_t from,
+                     std::optional<Partial> partial);
   /// Once every reachable member's partial is in, builds the complete
   /// table of each AS we front and pushes the ones that changed.
   void maybe_distribute_sharded(core::Ctx& ctx);
@@ -163,7 +187,8 @@ class InterDomainControllerApp final : public core::SecureApp {
   void merge_rows(AsNumber asn, RoutingTable& table,
                   std::map<Prefix, std::vector<Route>>* cands) const;
   /// Membership changed: the compute partition and every AS's front moved
-  /// with the live set, so refill our slice and re-send our partials. On a
+  /// with the live set, so refill our slice and send each member the rows
+  /// that moved to it. On a
   /// kill (`dead` is the dead shard, else kInvalidShard) also report the
   /// dead shard's ASes this shard now fronts.
   void refront(core::Ctx& ctx, uint32_t dead);
@@ -195,7 +220,11 @@ class InterDomainControllerApp final : public core::SecureApp {
   ComputationResult slice_;
   std::set<AsNumber> slice_origins_;
   uint64_t origins_computed_ = 0;  // origins the slice fill has computed
-  std::map<uint32_t, Partial> partials_;  // by sending member
+  std::map<uint32_t, Partial> partials_;  // held, by sending member
+  // Per member, the down list of the last partial sent to it: the base of
+  // the next. Absent when the member may hold nothing of ours.
+  std::map<uint32_t, std::vector<uint32_t>> partial_bases_;
+  uint64_t partial_bytes_sent_ = 0;
   std::map<netsim::NodeId, crypto::Bytes> sent_tables_;  // de-dup re-sends
   // The last full distribution pass still reflects slice_ and partials_
   // (see maybe_distribute_sharded); handle_verify answers from those

@@ -68,6 +68,70 @@ std::vector<PolicyBinding> read_bindings(crypto::Reader& r) {
   return out;
 }
 
+/// Overwrites the u32 that append_u32 wrote at `at`.
+void put_u32(crypto::Bytes& out, size_t at, uint32_t v) {
+  for (size_t i = 4; i > 0; --i, v >>= 8) {
+    out[at + i - 1] = static_cast<uint8_t>(v);
+  }
+}
+
+/// A live set on the wire: `u32 d | d × u32 shard`, strictly ascending.
+void append_shards(crypto::Bytes& out, const std::vector<uint32_t>& shards) {
+  crypto::append_u32(out, static_cast<uint32_t>(shards.size()));
+  for (const uint32_t shard : shards) crypto::append_u32(out, shard);
+}
+
+std::vector<uint32_t> read_shards(crypto::Reader& r) {
+  std::vector<uint32_t> shards;  // not reserved: d is the peer's claim
+  for (uint32_t d = r.u32(); d > 0; --d) {
+    const uint32_t shard = r.u32();
+    if (!shards.empty() && shard <= shards.back()) {
+      throw std::invalid_argument("partial: members out of order");
+    }
+    shards.push_back(shard);
+  }
+  return shards;
+}
+
+/// A kPartial's tag, down list and base.
+void append_partial_head(crypto::Bytes& out, const std::vector<uint32_t>& down,
+                         const std::vector<uint32_t>* base) {
+  out.push_back(static_cast<uint8_t>(AggMsg::kPartial));
+  append_shards(out, down);
+  out.push_back(base != nullptr ? 1 : 0);
+  if (base != nullptr) append_shards(out, *base);
+}
+
+/// Appends `u32 asn | chosen | candidates` with the rows whose prefix
+/// `keep` admits; writes nothing, and returns false, when none does.
+template <typename Keep>
+bool append_rows(crypto::Bytes& out, AsNumber asn, const RoutingTable& chosen,
+                 const std::map<Prefix, std::vector<Route>>& cands, Keep keep) {
+  const size_t start = out.size();
+  crypto::append_u32(out, asn);
+  size_t count_at = out.size();
+  crypto::append_u32(out, 0);
+  uint32_t rows = 0;
+  for (const auto& [p, route] : chosen) {
+    if (!keep(p)) continue;
+    crypto::append_lv(out, route.serialize());
+    ++rows;
+  }
+  put_u32(out, count_at, rows);
+  count_at = out.size();
+  crypto::append_u32(out, 0);
+  uint32_t n = 0;
+  for (const auto& [p, v] : cands) {
+    if (!keep(p)) continue;
+    for (const Route& route : v) crypto::append_lv(out, route.serialize());
+    n += static_cast<uint32_t>(v.size());
+  }
+  put_u32(out, count_at, n);
+  if (rows + n > 0) return true;
+  out.resize(start);
+  return false;
+}
+
 void append_bindings(crypto::Bytes& out,
                      const std::vector<BindingRef>& bindings) {
   crypto::append_u32(out, static_cast<uint32_t>(bindings.size()));
@@ -209,40 +273,37 @@ std::vector<PolicyBinding> decode_policy_flood(crypto::BytesView inner) {
 }
 
 void append_partial(crypto::Bytes& out, const std::vector<uint32_t>& down,
-                    const std::vector<AsNumber>& fronted,
+                    const std::vector<uint32_t>* base,
+                    const std::vector<PartialAs>& ases,
                     const ComputationResult& slice) {
-  out.push_back(static_cast<uint8_t>(AggMsg::kPartial));
-  crypto::append_u32(out, static_cast<uint32_t>(down.size()));
-  for (const uint32_t shard : down) crypto::append_u32(out, shard);
-  crypto::append_u32(out, static_cast<uint32_t>(fronted.size()));
+  append_partial_head(out, down, base);
   static const RoutingTable kNoRows;
   static const std::map<Prefix, std::vector<Route>> kNoCandidates;
-  for (const AsNumber asn : fronted) {
-    crypto::append_u32(out, asn);
-    const auto t = slice.tables.find(asn);
-    append_table(out, t != slice.tables.end() ? t->second : kNoRows);
-    const auto c = slice.candidates.find(asn);
+  const size_t count_at = out.size();
+  crypto::append_u32(out, 0);
+  uint32_t n = 0;
+  for (const PartialAs& a : ases) {
+    const auto t = slice.tables.find(a.asn);
+    const auto c = slice.candidates.find(a.asn);
+    const RoutingTable& chosen = t != slice.tables.end() ? t->second : kNoRows;
     const auto& cands = c != slice.candidates.end() ? c->second : kNoCandidates;
-    uint32_t n = 0;
-    for (const auto& [p, v] : cands) n += static_cast<uint32_t>(v.size());
-    crypto::append_u32(out, n);
-    for (const auto& [p, v] : cands) {
-      for (const Route& route : v) crypto::append_lv(out, route.serialize());
-    }
+    const bool wrote =
+        a.only == nullptr
+            ? append_rows(out, a.asn, chosen, cands, [](Prefix) { return true; })
+            : append_rows(out, a.asn, chosen, cands,
+                          [&a](Prefix p) { return a.only->contains(p); });
+    if (wrote) ++n;
   }
+  put_u32(out, count_at, n);
 }
 
 Partial decode_partial(crypto::BytesView inner) {
   crypto::Reader r(agg_body(inner, AggMsg::kPartial));
   Partial partial;
-  const uint32_t d = r.u32();
-  for (uint32_t i = 0; i < d; ++i) {
-    const uint32_t shard = r.u32();
-    if (!partial.down.empty() && shard <= partial.down.back()) {
-      throw std::invalid_argument("partial: down members out of order");
-    }
-    partial.down.push_back(shard);
-  }
+  partial.down = read_shards(r);
+  const uint8_t has_base = r.u8();
+  if (has_base > 1) throw std::invalid_argument("partial: bad base flag");
+  if (has_base == 1) partial.base = read_shards(r);
   const uint32_t n = r.u32();
   for (uint32_t i = 0; i < n; ++i) {
     const AsNumber asn = r.u32();
@@ -254,9 +315,22 @@ Partial decode_partial(crypto::BytesView inner) {
     read_routes(r, /*repeats=*/true, [&rows](Route route) {
       rows.candidates[route.prefix].push_back(std::move(route));
     });
+    if (rows.chosen.empty() && rows.candidates.empty()) {
+      throw std::invalid_argument("partial: an AS with no row");
+    }
   }
   expect_done(r);
   return partial;
+}
+
+crypto::Bytes encode_partial_request() {
+  return {static_cast<uint8_t>(AggMsg::kPartialRequest)};
+}
+
+void decode_partial_request(crypto::BytesView inner) {
+  if (!agg_body(inner, AggMsg::kPartialRequest).empty()) {
+    throw std::invalid_argument("partial request: trailing bytes");
+  }
 }
 
 }  // namespace tenet::routing

@@ -15,6 +15,7 @@
 #include <exception>
 #include <map>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "netsim/message.h"
@@ -122,8 +123,11 @@ Checkpoint decode_checkpoint(crypto::BytesView wire);
 /// told apart by their first byte. Each decoder rejects the other's tag.
 enum class AggMsg : uint8_t {
   kPolicy = 1,   // u8 tag | binding list: admissions flooded to every replica
-  kPartial = 3,  // u8 tag | u32 d | d × u32 down shard | u32 n | n × (u32 asn
-                 //   | route list chosen | route list candidates)
+  kPartial = 3,  // u8 tag | u32 d | d × u32 down shard | u8 has_base |
+                 //   [u32 b | b × u32 base shard] | u32 n | n × (u32 asn |
+                 //   route list chosen | route list candidates)
+  kPartialRequest = 4,  // u8 tag: the receiver holds no partial from this
+                        //   sender that its last delta extends
 };
 /// Peeks the tag; an empty message reads as tag 0, which no message uses.
 AggMsg agg_type(crypto::BytesView inner);
@@ -141,20 +145,37 @@ struct PartialRows {
 /// frame came from. `down` is the live set the sender dealt its origins
 /// (and fronted ASes) over, written as the configured members it counted
 /// down, in ascending order: a receiver merges the partial only while its
-/// own view counts the same members down.
+/// own view counts the same members down. A full partial (no `base`)
+/// carries every row the sender deals the receiver over `down`. A delta
+/// names as `base` the down list of the partial it extends, and carries
+/// only the rows the receiver did not hold under `base`.
 struct Partial {
   std::vector<uint32_t> down;
+  std::optional<std::vector<uint32_t>> base;
   std::map<AsNumber, PartialRows> rows;
 };
+/// One AS a partial carries rows for: all of the slice's rows for `asn`,
+/// or with `only` just the rows of the prefixes in it.
+struct PartialAs {
+  AsNumber asn = 0;
+  const std::set<Prefix>* only = nullptr;
+};
 /// Appends the kPartial message carrying `slice`'s rows for each AS in
-/// `fronted`. `down` and `fronted` must be strictly ascending. The
-/// candidates of one AS are one route list, prefix by prefix.
+/// `ases`, a delta over `*base` when `base` is given. `down`, `*base` and
+/// the ASes must be strictly ascending. An AS with no row to carry is left
+/// out. The candidates of one AS are one route list, prefix by prefix.
 void append_partial(crypto::Bytes& out, const std::vector<uint32_t>& down,
-                    const std::vector<AsNumber>& fronted,
+                    const std::vector<uint32_t>* base,
+                    const std::vector<PartialAs>& ases,
                     const ComputationResult& slice);
-/// Rejects down members or ASes that are not strictly ascending, chosen
-/// rows whose prefixes are not strictly ascending and candidates whose
-/// prefixes descend.
+/// Rejects down or base members or ASes that are not strictly ascending,
+/// a has_base byte other than 0 or 1, an AS with no row, chosen rows whose
+/// prefixes are not strictly ascending and candidates whose prefixes
+/// descend.
 Partial decode_partial(crypto::BytesView inner);
+
+crypto::Bytes encode_partial_request();
+/// Accepts exactly the one tag byte.
+void decode_partial_request(crypto::BytesView inner);
 
 }  // namespace tenet::routing

@@ -172,6 +172,9 @@ class Enclave {
 
  private:
   friend class EnvImpl;
+  // Tests read app_ in process (tests/enclave_inspector.h); nothing
+  // outside tests defines it.
+  friend struct EnclaveInspector;
 
   /// A switchless-eligible call fell back to a synchronous transition:
   /// notes why, and charges the host the kick a parked worker needs.

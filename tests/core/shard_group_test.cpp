@@ -23,6 +23,10 @@
 #include "core/open_project.h"
 #include "core/ports.h"
 #include "routing/scenario.h"
+#include "decoder_mutation.h"
+#include "enclave_inspector.h"
+#include "partial_wire.h"
+#include "test_seed.h"
 
 namespace tenet::core {
 namespace {
@@ -407,7 +411,8 @@ uint32_t local_pref_of(const routing::RoutingPolicy& p,
 }
 
 struct ShardedRouting {
-  ShardedRouting() : dep(config()) {
+  explicit ShardedRouting(const routing::ScenarioConfig& cfg = config())
+      : dep(cfg) {
     dep.run_attestation_phase();
     dep.run_routing_phase();
   }
@@ -653,10 +658,12 @@ TEST(ShardedController, KillThenHealLeavesEveryTableAtGroundTruth) {
 }
 
 /// One controller replica's slice, read through kCtlSlice: the origins its
-/// slice fill has computed so far and the origins whose rows it holds.
+/// slice fill has computed so far, the origins whose rows it holds, and
+/// the partial bytes it has sent.
 struct SliceView {
   uint64_t computed = 0;
   std::set<routing::AsNumber> held;
+  uint64_t partial_bytes = 0;
 };
 
 SliceView slice_of(EnclaveNode& node) {
@@ -665,6 +672,7 @@ SliceView slice_of(EnclaveNode& node) {
   SliceView v;
   v.computed = r.u64();
   for (uint32_t n = r.u32(); n > 0; --n) v.held.insert(r.u32());
+  v.partial_bytes = r.u64();
   return v;
 }
 
@@ -778,6 +786,243 @@ TEST(ShardedController, FailoverComputesOnlyWhatMoved) {
             << what << ": survivor " << i << " adopted";
       }
     }
+    EXPECT_EQ(w.mismatched(truth), std::vector<routing::AsNumber>{}) << what;
+  }
+}
+
+/// The members the deployment has killed and not healed, ascending.
+std::vector<uint32_t> down_shards(ShardedRouting& w) {
+  std::vector<uint32_t> down;
+  for (uint32_t s = 0; s < w.dep.shard_count(); ++s) {
+    if (w.dep.router().is_down(s)) down.push_back(s);
+  }
+  return down;
+}
+
+/// The full partial shard `sender` deals shard `receiver` over the
+/// deployment's live set, from ground truth: every row of each AS the
+/// receiver fronts for the prefixes of the origins the sender holds. A
+/// replica fronts as the router routes, but only while a majority is live.
+routing::Partial full_partial(ShardedRouting& w,
+                              const routing::ComputationResult& truth,
+                              size_t sender, size_t receiver) {
+  routing::Partial p;
+  p.down = down_shards(w);
+  const size_t n = w.dep.shard_count();
+  const bool serving = 2 * (n - p.down.size()) > n;
+  std::set<routing::Prefix> prefixes;
+  for (const routing::AsNumber origin : slice_of(*w.dep.shard_node(sender)).held) {
+    const auto& own = w.dep.policies().at(origin).prefixes;
+    prefixes.insert(own.begin(), own.end());
+  }
+  for (const auto& [asn, policy] : w.dep.policies()) {
+    const uint32_t front = serving ? w.dep.router().route_shard(asn)
+                                   : w.dep.router().map().owner(asn);
+    if (front != receiver) continue;
+    routing::PartialRows rows;
+    const auto t = truth.tables.find(asn);
+    const auto c = truth.candidates.find(asn);
+    for (const routing::Prefix prefix : prefixes) {
+      if (t != truth.tables.end() && t->second.contains(prefix)) {
+        rows.chosen[prefix] = t->second.at(prefix);
+      }
+      if (c != truth.candidates.end() && c->second.contains(prefix)) {
+        rows.candidates[prefix] = c->second.at(prefix);
+      }
+    }
+    if (!rows.chosen.empty() || !rows.candidates.empty()) {
+      p.rows[asn] = std::move(rows);
+    }
+  }
+  return p;
+}
+
+/// The partial replica `receiver` holds from member `sender`, or null.
+/// Trusted state that no ecall reveals, read in process.
+const routing::Partial* held_partial(ShardedRouting& w, size_t receiver,
+                                     uint32_t sender) {
+  return sgx::EnclaveInspector::app<routing::InterDomainControllerApp>(
+             w.dep.shard_node(receiver)->enclave())
+      .held_partial(sender);
+}
+
+/// Every live replica holds, from every other live one, exactly the full
+/// partial that member would deal it over the current live set.
+void expect_full_partials_held(ShardedRouting& w,
+                               const routing::ComputationResult& truth,
+                               const std::string& what) {
+  for (size_t r = 0; r < w.dep.shard_count(); ++r) {
+    if (w.dep.shard_node(r)->dead()) continue;
+    for (size_t s = 0; s < w.dep.shard_count(); ++s) {
+      if (s == r || w.dep.shard_node(s)->dead()) continue;
+      const routing::Partial* held =
+          held_partial(w, r, static_cast<uint32_t>(s));
+      ASSERT_NE(held, nullptr)
+          << what << ": shard " << r << " holds no partial from shard " << s;
+      EXPECT_EQ(test::encode_partial(*held),
+                test::encode_partial(full_partial(w, truth, s, r)))
+          << what << ": shard " << r << "'s partial from shard " << s;
+    }
+  }
+}
+
+// Partials are deltas against the live set the receiver holds. Through a
+// random sequence of kills and heals (never shard 0, at most two down at
+// once), each live replica's partial from each live member equals, row for
+// row, the full partial that member would deal it now, and every table is
+// at ground truth.
+class DeltaPartials : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DeltaPartials, EqualFullPartialsThroughRandomFailovers) {
+  ShardedRouting w;
+  const routing::ComputationResult truth =
+      routing::BgpComputation::compute(w.dep.policies());
+  expect_full_partials_held(w, truth, "before any failover");
+  crypto::Drbg rng = crypto::Drbg::from_label(GetParam(), "test.delta_partials");
+  std::set<size_t> dead;
+  for (int step = 0; step < 10; ++step) {
+    const bool kill = dead.empty() || (dead.size() < 2 && rng.uniform(2) == 0);
+    std::vector<size_t> pool;
+    for (size_t i = 1; i < w.dep.shard_count(); ++i) {
+      if (dead.contains(i) != kill) pool.push_back(i);
+    }
+    const size_t victim = pool[rng.uniform(pool.size())];
+    const std::string what = "step " + std::to_string(step) +
+                             (kill ? ": kill " : ": heal ") +
+                             std::to_string(victim);
+    ASSERT_TRUE(kill ? w.dep.kill_shard(victim) : w.dep.heal_shard(victim))
+        << what;
+    w.dep.sim().run();
+    if (kill) {
+      dead.insert(victim);
+    } else {
+      dead.erase(victim);
+    }
+    expect_full_partials_held(w, truth, what);
+    EXPECT_EQ(w.mismatched(truth), std::vector<routing::AsNumber>{}) << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DeltaPartials,
+                         ::testing::ValuesIn(test::seeds({1, 2, 3})));
+
+// A lost delta is replaced by a full partial. Every partial shards 0 and 3
+// deal each other at the first kill is dropped, so each still holds the
+// other's partial over the old live set. The second kill's deltas name a
+// base neither holds: each drops what it holds and asks for a full one,
+// after which every held partial and every table is exact again.
+TEST(ShardedController, LostDeltaIsReplacedByAFullPartial) {
+  ShardedRouting w;
+  const routing::ComputationResult truth =
+      routing::BgpComputation::compute(w.dep.policies());
+  // The live set of the partial `receiver` holds from `sender`.
+  const auto held_down = [&w](size_t receiver, uint32_t sender) {
+    const routing::Partial* held = held_partial(w, receiver, sender);
+    EXPECT_NE(held, nullptr) << "shard " << receiver << " from " << sender;
+    return held != nullptr ? held->down : std::vector<uint32_t>{};
+  };
+  const double now = w.dep.sim().now();
+  w.dep.sim().fault_plan().add_link_window(w.dep.shard_node(0)->id(),
+                                           w.dep.shard_node(3)->id(), now,
+                                           now + 1e-6);
+  ASSERT_TRUE(w.dep.kill_shard(1));
+  w.dep.sim().run();
+  EXPECT_EQ(w.dep.sim().messages_dropped(), 2u);
+  EXPECT_EQ(held_down(3, 0), std::vector<uint32_t>{});
+  EXPECT_EQ(held_down(0, 3), std::vector<uint32_t>{});
+  EXPECT_EQ(held_down(2, 0), std::vector<uint32_t>{1});
+
+  ASSERT_TRUE(w.dep.kill_shard(2));
+  w.dep.sim().run();
+  expect_full_partials_held(w, truth, "kill 2");
+  EXPECT_EQ(w.mismatched(truth), std::vector<routing::AsNumber>{});
+  for (const size_t healed : {1, 2}) {
+    ASSERT_TRUE(w.dep.heal_shard(healed));
+    w.dep.sim().run();
+    expect_full_partials_held(w, truth, "heal " + std::to_string(healed));
+    EXPECT_EQ(w.mismatched(truth), std::vector<routing::AsNumber>{});
+  }
+}
+
+// Liveness hints are untrusted and may be false. A member hinted down and
+// then up without a restart is re-attested by every replica that was
+// hinted (each dropped its channel to it at the down hint) and is dealt
+// partials again, so live policy changes afterwards reach every affected
+// AS.
+TEST(ShardedController, FalseDownHintLeavesNoMemberUndealt) {
+  ShardedRouting w;
+  const auto hint = [&w](uint32_t shard, bool up) {
+    crypto::Bytes arg;
+    crypto::append_u32(arg, shard);
+    arg.push_back(up ? 1 : 0);
+    for (size_t i = 0; i < w.dep.shard_count(); ++i) {
+      if (i != shard) {
+        (void)w.dep.shard_node(i)->control(routing::kCtlShardReachable, arg);
+      }
+    }
+    w.dep.sim().run();
+  };
+  const uint64_t attested = w.dep.shard_node(2)->query(kQueryAttestationsServed);
+  hint(2, false);
+  hint(2, true);
+  EXPECT_EQ(w.dep.shard_node(2)->query(kQueryAttestationsServed),
+            attested + w.dep.shard_count() - 1);
+  std::map<routing::AsNumber, routing::RoutingPolicy> policies;
+  expect_live_changes_reach_every_affected_as(w, policies);
+}
+
+// A kill or a heal sends each member only the rows it did not hold: at 8
+// shards the partial bytes of each step are at most 30% of what a full
+// re-send over the new live set would carry (every live member's full
+// partial to every other; 20% for a kill and 25% for a heal at this
+// seed). Between heal survivors nothing moved, so the heal's deltas among
+// them carry no row. One shard is down at a time, as in control-failover:
+// a second kill while one shard is down moves more (31% here), because
+// the dead shard's adopter may be the next to die.
+TEST(ShardedController, FailoverPartialsCarryOnlyWhatMoved) {
+  routing::ScenarioConfig cfg = ShardedRouting::config();
+  cfg.n_ases = 64;
+  cfg.shards = 8;
+  ShardedRouting w(cfg);
+  const routing::ComputationResult truth =
+      routing::BgpComputation::compute(w.dep.policies());
+  const auto sent = [&w] {
+    std::map<size_t, uint64_t> out;
+    for (size_t i = 0; i < w.dep.shard_count(); ++i) {
+      if (!w.dep.shard_node(i)->dead()) {
+        out[i] = slice_of(*w.dep.shard_node(i)).partial_bytes;
+      }
+    }
+    return out;
+  };
+  struct Step {
+    bool kill;
+    size_t shard;
+  };
+  for (const Step step : {Step{true, 1}, Step{false, 1}, Step{true, 2},
+                          Step{false, 2}}) {
+    const std::string what =
+        (step.kill ? "kill " : "heal ") + std::to_string(step.shard);
+    const std::map<size_t, uint64_t> before = sent();
+    ASSERT_TRUE(step.kill ? w.dep.kill_shard(step.shard)
+                          : w.dep.heal_shard(step.shard))
+        << what;
+    w.dep.sim().run();
+    uint64_t delta_bytes = 0;
+    for (const auto& [i, bytes] : sent()) {
+      // A healed replica is a fresh enclave: its count starts at the heal.
+      delta_bytes += bytes - (before.contains(i) ? before.at(i) : 0);
+    }
+    uint64_t full_bytes = 0;
+    for (const auto& [s, unused] : sent()) {
+      for (const auto& [r, unused2] : sent()) {
+        if (s == r) continue;
+        full_bytes += test::encode_partial(full_partial(w, truth, s, r)).size();
+      }
+    }
+    EXPECT_LE(10 * delta_bytes, 3 * full_bytes)
+        << what << ": " << delta_bytes << " of a full " << full_bytes << " B";
+    expect_full_partials_held(w, truth, what);
     EXPECT_EQ(w.mismatched(truth), std::vector<routing::AsNumber>{}) << what;
   }
 }
@@ -1018,22 +1263,22 @@ TEST(ShardWireHostility, TruncatedVersionVectorSnapshotIsDroppedCleanly) {
   EXPECT_TRUE(admit(node, 2, "still-serving"));
 }
 
-TEST(ShardWireHostility, DuplicateVnodeEntriesTakeComponentwiseMax) {
-  // Codec level: a crafted duplicate must not LOWER a component (last-wins
-  // would quietly weaken the dominance check behind rollback refusal).
+TEST(ShardWireHostility, DuplicateVnodeEntriesAreRejected) {
+  // Codec level: serialize() writes each shard once, ascending. A crafted
+  // duplicate must not set a component at all (either copy could LOWER
+  // it, weakening the dominance check behind rollback refusal).
   crypto::Bytes wire;
   crypto::append_u32(wire, 2);
   crypto::append_u32(wire, 7);
   crypto::append_u64(wire, 5);
   crypto::append_u32(wire, 7);
   crypto::append_u64(wire, 1);  // duplicate vnode, lower version
-  const VersionVector vv = VersionVector::deserialize(wire);
-  EXPECT_EQ(vv.get(7), 5u);
+  EXPECT_THROW((void)VersionVector::deserialize(wire), std::invalid_argument);
 }
 
-TEST(ShardWireHostility, DuplicateVnodeSnapshotMergesAtMax) {
-  // End to end: a snapshot frame carrying the duplicate-entry vector must
-  // merge at the component-wise max (+5), not at the last entry (+1).
+TEST(ShardWireHostility, DuplicateVnodeSnapshotInstallsNothing) {
+  // End to end: a snapshot frame carrying the duplicate-entry vector is
+  // dropped whole: no version merged, no entry installed.
   LedgerWorld w(3, /*seed=*/11);
   w.configure();
   EnclaveNode& node = *w.nodes[0];
@@ -1061,8 +1306,88 @@ TEST(ShardWireHostility, DuplicateVnodeSnapshotMergesAtMax) {
   crypto::append_lv(frame, state);
   EXPECT_TRUE(inject(node, w.nodes[1]->id(), frame));
 
-  EXPECT_EQ(node.query(kQueryShardVersionTotal), vv_before + 5);
-  EXPECT_EQ(entry_count(node), 3u);  // alpha, beta, planted
+  EXPECT_EQ(node.query(kQueryShardVersionTotal), vv_before);
+  EXPECT_EQ(entry_count(node), 2u);  // alpha, beta
+}
+
+// The replication codecs accept exactly what their encoders write.
+crypto::Bytes sample_vector() {
+  VersionVector vv;
+  vv.observe(1, 9);
+  vv.observe(4, 2);
+  vv.observe(7, 300);
+  return vv.serialize();
+}
+
+TEST(ShardCodec, VersionVectorRejectsWhatNoEncoderWrites) {
+  const crypto::Bytes wire = sample_vector();
+  EXPECT_EQ(VersionVector::deserialize(wire).serialize(), wire);
+  crypto::Bytes trailing = wire;
+  trailing.push_back(0);
+  EXPECT_THROW((void)VersionVector::deserialize(trailing),
+               std::invalid_argument);
+  crypto::Bytes descending;
+  crypto::append_u32(descending, 2);
+  crypto::append_u32(descending, 4);
+  crypto::append_u64(descending, 1);
+  crypto::append_u32(descending, 1);
+  crypto::append_u64(descending, 1);
+  EXPECT_THROW((void)VersionVector::deserialize(descending),
+               std::invalid_argument);
+}
+
+TEST(ShardCodec, VersionVectorSeededMutationsAreCanonicalOrRejected) {
+  const test::MutationTally t = test::check_mutations(
+      sample_vector(),
+      [](crypto::BytesView w) {
+        return VersionVector::deserialize(w).serialize();
+      },
+      /*seed=*/51);
+  EXPECT_GT(t.accepted, 0u);
+  EXPECT_GT(t.rejected, 0u);
+}
+
+ShardConfig sample_config() {
+  ShardConfig cfg;
+  cfg.self = 2;
+  cfg.replication = 2;
+  cfg.members = {ShardMember{0, 10}, ShardMember{2, 11}, ShardMember{5, 12}};
+  return cfg;
+}
+
+TEST(ShardCodec, ShardConfigRejectsWhatNoEncoderWrites) {
+  const crypto::Bytes wire = sample_config().serialize();
+  EXPECT_EQ(ShardConfig::deserialize(wire).serialize(), wire);
+  crypto::Bytes trailing = wire;
+  trailing.push_back(0);
+  EXPECT_THROW((void)ShardConfig::deserialize(trailing),
+               std::invalid_argument);
+  const auto rejects = [](const ShardConfig& cfg) {
+    EXPECT_THROW((void)ShardConfig::deserialize(cfg.serialize()),
+                 std::invalid_argument);
+  };
+  ShardConfig unsorted = sample_config();
+  std::swap(unsorted.members[0], unsorted.members[1]);
+  rejects(unsorted);
+  ShardConfig repeated_shard = sample_config();
+  repeated_shard.members[2].shard = 2;
+  rejects(repeated_shard);
+  ShardConfig repeated_node = sample_config();
+  repeated_node.members[2].node = 10;
+  rejects(repeated_node);
+  ShardConfig outsider = sample_config();
+  outsider.self = 3;
+  rejects(outsider);
+  rejects(ShardConfig{});  // no member at all, so self is none
+}
+
+TEST(ShardCodec, ShardConfigSeededMutationsAreCanonicalOrRejected) {
+  const test::MutationTally t = test::check_mutations(
+      sample_config().serialize(),
+      [](crypto::BytesView w) { return ShardConfig::deserialize(w).serialize(); },
+      /*seed=*/53);
+  EXPECT_GT(t.accepted, 0u);
+  EXPECT_GT(t.rejected, 0u);
 }
 
 TEST(ShardWireHostility, WrongMeasurementPeerAppendIsRefused) {
@@ -1152,88 +1477,170 @@ TEST(ShardWireHostility, DirectAppFrameWithSpoofedOriginReachesNoHook) {
   EXPECT_EQ(delivered(), 1u);
 }
 
-// Any member can start a broadcast that names another member as its
-// origin, and honest members relay it. A partial that arrives that way
-// must fill no member's slot: the controller keeps only partials that came
-// direct. Shard 0 is a real controller; members 1 and 2 run its image
-// with hostile code.
-TEST(ShardWireHostility, RelayedPartialFillsNoSlot) {
-  netsim::Simulator sim(/*seed=*/17);
-  sgx::Authority authority;
-  OpenProject controller("controller", "tenet controller under test\n",
-                         nullptr);
-  OpenProject as_project("as-local", "tenet as-local under test\n", nullptr);
-  sgx::AttestationConfig ccfg = as_project.policy(/*mutual=*/true);
-  ccfg.expect.also_accept(controller.measurement());
-  ccfg.expect.mr_signer.reset();
-  const sgx::AttestationConfig acfg = controller.policy(/*mutual=*/true);
-  const sgx::Authority* auth = &authority;
-  sgx::EnclaveImage real = controller.build();
-  real.factory = [auth, ccfg] {
-    return std::make_unique<routing::InterDomainControllerApp>(*auth, ccfg,
-                                                               1);
-  };
-  sgx::EnclaveImage hostile = controller.build();
-  hostile.factory = [auth, ccfg] {
-    return std::make_unique<LedgerApp>(*auth, ccfg);
-  };
-  EnclaveNode r(sim, authority, "controller", controller.foundation(), real);
-  EnclaveNode h1(sim, authority, "hostile-1", controller.foundation(),
-                 hostile);
-  EnclaveNode h2(sim, authority, "hostile-2", controller.foundation(),
-                 hostile);
-  r.start();
-  h1.start();
-  h2.start();
-  const std::vector<ShardMember> members = {
-      ShardMember{0, r.id()}, ShardMember{1, h1.id()}, ShardMember{2, h2.id()}};
+/// Shard 0 is a real controller; members 1 and 2 run its image with
+/// hostile code (LedgerApp), so a test can hand shard 0 any partial. One
+/// AS, which shard 0 fronts; its origin is the first dealt, to shard 0.
+/// Once built, shard 0 has computed its slice and its pass waits for
+/// members 1 and 2.
+struct HostileMembers {
+  HostileMembers()
+      : sim(/*seed=*/17),
+        controller("controller", "tenet controller under test\n", nullptr),
+        as_project("as-local", "tenet as-local under test\n", nullptr),
+        r(sim, authority, "controller", controller.foundation(),
+          image(/*real=*/true)),
+        h1(sim, authority, "hostile-1", controller.foundation(),
+           image(/*real=*/false)),
+        h2(sim, authority, "hostile-2", controller.foundation(),
+           image(/*real=*/false)),
+        as(sim, authority, "as", as_project.foundation(), as_image()) {
+    r.start();
+    h1.start();
+    h2.start();
+    as.start();
+    r.control(routing::kCtlConfigureShard, shard_cfg(0, members()));
+    h1.control(kLedgerConfigure, shard_cfg(1, members()));
+    h2.control(kLedgerConfigure, shard_cfg(2, members()));
+    crypto::Bytes connect;
+    crypto::append_u32(connect, r.id());
+    as.control(routing::kCtlConnectController, connect);
+    sim.run();
+    as.control(routing::kCtlSubmitPolicy, {});
+    sim.run();
+  }
 
-  // One AS, which shard 0 fronts; its origin is the first dealt, to shard 0.
-  const ShardMap map(members);
-  routing::RoutingPolicy policy;
-  policy.asn = 1;
-  while (map.owner(policy.asn) != 0) ++policy.asn;
-  policy.prefixes = {policy.asn};
-  sgx::EnclaveImage as_image = as_project.build();
-  as_image.factory = [auth, acfg, policy] {
-    return std::make_unique<routing::AsLocalControllerApp>(*auth, acfg,
-                                                           policy);
-  };
-  EnclaveNode as(sim, authority, "as", as_project.foundation(), as_image);
-  as.start();
+  std::vector<ShardMember> members() const {
+    return {ShardMember{0, r.id()}, ShardMember{1, h1.id()},
+            ShardMember{2, h2.id()}};
+  }
 
-  r.control(routing::kCtlConfigureShard, shard_cfg(0, members));
-  h1.control(kLedgerConfigure, shard_cfg(1, members));
-  h2.control(kLedgerConfigure, shard_cfg(2, members));
-  crypto::Bytes connect;
-  crypto::append_u32(connect, r.id());
-  as.control(routing::kCtlConnectController, connect);
-  sim.run();
-  as.control(routing::kCtlSubmitPolicy, {});
-  sim.run();
-  const auto has_routes = [&as] {
-    return as.control(routing::kCtlHasRoutes).at(0) == 1;
-  };
-  // Shard 0 computed its slice; its pass waits for members 1 and 2.
-  ASSERT_FALSE(has_routes());
+  sgx::EnclaveImage image(bool real) {
+    sgx::AttestationConfig ccfg = as_project.policy(/*mutual=*/true);
+    ccfg.expect.also_accept(controller.measurement());
+    ccfg.expect.mr_signer.reset();
+    const sgx::Authority* auth = &authority;
+    sgx::EnclaveImage out = controller.build();
+    if (real) {
+      out.factory = [auth, ccfg] {
+        return std::make_unique<routing::InterDomainControllerApp>(*auth,
+                                                                   ccfg, 1);
+      };
+    } else {
+      out.factory = [auth, ccfg] {
+        return std::make_unique<LedgerApp>(*auth, ccfg);
+      };
+    }
+    return out;
+  }
 
-  crypto::Bytes partial;  // all members live, no AS fronted by the sender
-  routing::append_partial(partial, {}, {}, routing::ComputationResult{});
-  const auto send = [&sim, &r](EnclaveNode& from, crypto::BytesView frame) {
+  sgx::EnclaveImage as_image() {
+    const ShardMap map(members());
+    routing::RoutingPolicy policy;
+    policy.asn = 1;
+    while (map.owner(policy.asn) != 0) ++policy.asn;
+    policy.prefixes = {policy.asn};
+    const sgx::AttestationConfig acfg = controller.policy(/*mutual=*/true);
+    const sgx::Authority* auth = &authority;
+    sgx::EnclaveImage out = as_project.build();
+    out.factory = [auth, acfg, policy] {
+      return std::make_unique<routing::AsLocalControllerApp>(*auth, acfg,
+                                                             policy);
+    };
+    return out;
+  }
+
+  bool has_routes() { return as.control(routing::kCtlHasRoutes).at(0) == 1; }
+
+  /// `from` sends shard 0 `frame` over its attested channel.
+  void send(EnclaveNode& from, crypto::BytesView frame) {
     crypto::Bytes arg;
     crypto::append_u32(arg, r.id());
     crypto::append_lv(arg, frame);
     from.control(kLedgerSend, arg);
     sim.run();
-  };
+  }
+
+  /// Shard-group app messages `member` has received.
+  static uint64_t received(EnclaveNode& member) {
+    return crypto::read_u64(member.control(kLedgerAppMessages), 0);
+  }
+
+  netsim::Simulator sim;
+  sgx::Authority authority;
+  OpenProject controller;
+  OpenProject as_project;
+  EnclaveNode r;
+  EnclaveNode h1;
+  EnclaveNode h2;
+  EnclaveNode as;
+};
+
+/// A partial with no row, dealt with every member live; a delta when
+/// `base` is given.
+crypto::Bytes rowless_partial(const std::vector<uint32_t>& down = {},
+                              const std::vector<uint32_t>* base = nullptr) {
+  crypto::Bytes partial;
+  routing::append_partial(partial, down, base, {},
+                          routing::ComputationResult{});
+  return partial;
+}
+
+// Any member can start a broadcast that names another member as its
+// origin, and honest members relay it. A partial that arrives that way
+// must fill no member's slot: the controller keeps only partials that came
+// direct.
+TEST(ShardWireHostility, RelayedPartialFillsNoSlot) {
+  HostileMembers w;
+  ASSERT_FALSE(w.has_routes());
+  const crypto::Bytes partial = rowless_partial();
   // Member 1 sends its own partial direct, and one for member 2 in a
   // broadcast that names member 2 as its origin.
-  send(h1, encode_shard_app(1, 0, 1, partial));
-  send(h1, encode_shard_app(2, kShardBroadcast, 3, partial));
-  EXPECT_FALSE(has_routes()) << "a relayed partial filled member 2's slot";
+  w.send(w.h1, encode_shard_app(1, 0, 1, partial));
+  w.send(w.h1, encode_shard_app(2, kShardBroadcast, 3, partial));
+  EXPECT_FALSE(w.has_routes()) << "a relayed partial filled member 2's slot";
   // Member 2's own partial, direct, completes the pass.
-  send(h2, encode_shard_app(2, 0, 1, partial));
-  EXPECT_TRUE(has_routes());
+  w.send(w.h2, encode_shard_app(2, 0, 1, partial));
+  EXPECT_TRUE(w.has_routes());
+}
+
+// A delta applies only to the partial it extends. Handed one whose base it
+// does not hold, the controller drops what it holds from that member, asks
+// it for a full partial (one kPartialRequest), and runs no pass until that
+// arrives. A live set the sender cannot have dealt over is dropped.
+TEST(ShardWireHostility, DeltaOverAnUnheldBaseRunsNoPass) {
+  HostileMembers w;
+  ASSERT_FALSE(w.has_routes());
+  const std::vector<uint32_t> all_live;
+  const std::vector<uint32_t> two_down = {2};
+  w.send(w.h2, encode_shard_app(2, 0, 1, rowless_partial()));
+
+  // Member 1 has sent nothing yet, so no delta of its can apply.
+  uint64_t asked = HostileMembers::received(w.h1);
+  w.send(w.h1, encode_shard_app(1, 0, 1, rowless_partial({}, &all_live)));
+  EXPECT_EQ(HostileMembers::received(w.h1), asked + 1);
+  EXPECT_FALSE(w.has_routes()) << "a pass ran on a delta over nothing held";
+
+  // A live set that counts the sender or the receiver down: dropped, with
+  // no request and no pass.
+  asked = HostileMembers::received(w.h1);
+  w.send(w.h1, encode_shard_app(1, 0, 1, rowless_partial({1})));
+  w.send(w.h1, encode_shard_app(1, 0, 1, rowless_partial({0})));
+  EXPECT_EQ(HostileMembers::received(w.h1), asked);
+  EXPECT_FALSE(w.has_routes());
+
+  // The full partial completes the pass; a delta over it applies quietly.
+  w.send(w.h1, encode_shard_app(1, 0, 1, rowless_partial()));
+  EXPECT_TRUE(w.has_routes());
+  asked = HostileMembers::received(w.h1);
+  w.send(w.h1, encode_shard_app(1, 0, 1, rowless_partial({}, &all_live)));
+  EXPECT_EQ(HostileMembers::received(w.h1), asked);
+
+  // A delta over a live set shard 0 never held from member 1: dropped,
+  // and member 1's partial with it, so the next delta asks again too.
+  w.send(w.h1, encode_shard_app(1, 0, 1, rowless_partial({}, &two_down)));
+  EXPECT_EQ(HostileMembers::received(w.h1), asked + 1);
+  w.send(w.h1, encode_shard_app(1, 0, 1, rowless_partial({}, &all_live)));
+  EXPECT_EQ(HostileMembers::received(w.h1), asked + 2);
 }
 
 TEST(ShardWireHostility, ReservedAndTruncatedFramesAreInertNoise) {

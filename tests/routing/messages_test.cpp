@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "decoder_mutation.h"
+#include "partial_wire.h"
 
 namespace tenet::routing {
 namespace {
@@ -199,54 +202,96 @@ ComputationResult sample_slice() {
   return slice;
 }
 
-crypto::Bytes encode_partial(const Partial& p) {
-  ComputationResult slice;
-  std::vector<AsNumber> fronted;
-  for (const auto& [asn, rows] : p.rows) {
-    fronted.push_back(asn);
-    slice.tables[asn] = rows.chosen;
-    slice.candidates[asn] = rows.candidates;
-  }
-  crypto::Bytes out;
-  append_partial(out, p.down, fronted, slice);
+/// Every row of each AS in `asns`.
+std::vector<PartialAs> all_rows(std::initializer_list<AsNumber> asns) {
+  std::vector<PartialAs> out;
+  for (const AsNumber asn : asns) out.push_back({asn});
   return out;
 }
 
 TEST(Partial, RoundTripsTheFrontedRows) {
   crypto::Bytes wire;
-  append_partial(wire, {1, 6}, {3, 5, 8}, sample_slice());
+  append_partial(wire, {1, 6}, nullptr, all_rows({3, 5, 8}), sample_slice());
   const Partial p = decode_partial(wire);
   EXPECT_EQ(p.down, (std::vector<uint32_t>{1, 6}));
-  ASSERT_EQ(p.rows.size(), 3u);
+  EXPECT_FALSE(p.base.has_value());
+  ASSERT_EQ(p.rows.size(), 2u);  // AS 5 has no row to carry
   EXPECT_EQ(p.rows.at(3).chosen.size(), 3u);
   EXPECT_EQ(p.rows.at(3).candidates.at(2).size(), 2u);
-  EXPECT_TRUE(p.rows.at(5).chosen.empty());
-  EXPECT_TRUE(p.rows.at(5).candidates.empty());
   EXPECT_EQ(p.rows.at(8).chosen.at(4).as_path, (std::vector<AsNumber>{3, 4}));
-  EXPECT_EQ(encode_partial(p), wire);
+  EXPECT_EQ(test::encode_partial(p), wire);
+}
+
+TEST(Partial, DeltaCarriesItsBaseAndOnlyTheListedPrefixes) {
+  const std::set<Prefix> moved = {2, 4};
+  const std::vector<uint32_t> base = {1};
+  crypto::Bytes wire;
+  append_partial(wire, {1, 6}, &base, {{3, &moved}, {5, &moved}, {8}},
+                 sample_slice());
+  const Partial p = decode_partial(wire);
+  EXPECT_EQ(p.down, (std::vector<uint32_t>{1, 6}));
+  EXPECT_EQ(p.base, std::optional<std::vector<uint32_t>>(base));
+  ASSERT_EQ(p.rows.size(), 2u);
+  EXPECT_EQ(p.rows.at(3).chosen.size(), 1u);
+  EXPECT_TRUE(p.rows.at(3).chosen.contains(2));
+  EXPECT_EQ(p.rows.at(3).candidates.size(), 1u);
+  EXPECT_EQ(p.rows.at(3).candidates.at(2).size(), 2u);
+  EXPECT_EQ(p.rows.at(8).chosen.size(), 1u);
+  EXPECT_EQ(test::encode_partial(p), wire);
+
+  // Nothing moved: a header-only delta.
+  const std::set<Prefix> none;
+  crypto::Bytes empty;
+  append_partial(empty, {1, 6}, &base, {{3, &none}, {8, &none}},
+                 sample_slice());
+  EXPECT_TRUE(decode_partial(empty).rows.empty());
+  EXPECT_EQ(empty.size(), 1 + 4 + 8 + 1 + 4 + 4 + 4u);
 }
 
 TEST(Partial, RejectsWhatNoEncoderWrites) {
   const ComputationResult slice = sample_slice();
   crypto::Bytes wire;
-  append_partial(wire, {2}, {3, 8}, slice);
+  append_partial(wire, {2}, nullptr, all_rows({3, 8}), slice);
 
   crypto::Bytes trailing = wire;
   trailing.push_back(0);
   EXPECT_THROW((void)decode_partial(trailing), std::invalid_argument);
 
   crypto::Bytes unsorted;  // the encoder trusts its caller's order
-  append_partial(unsorted, {2}, {8, 3}, slice);
+  append_partial(unsorted, {2}, nullptr, all_rows({8, 3}), slice);
   EXPECT_THROW((void)decode_partial(unsorted), std::invalid_argument);
   crypto::Bytes repeated;
-  append_partial(repeated, {2}, {3, 3}, slice);
+  append_partial(repeated, {2}, nullptr, all_rows({3, 3}), slice);
   EXPECT_THROW((void)decode_partial(repeated), std::invalid_argument);
   crypto::Bytes down_unsorted;
-  append_partial(down_unsorted, {5, 2}, {3}, slice);
+  append_partial(down_unsorted, {5, 2}, nullptr, all_rows({3}), slice);
   EXPECT_THROW((void)decode_partial(down_unsorted), std::invalid_argument);
   crypto::Bytes down_repeated;
-  append_partial(down_repeated, {2, 2}, {3}, slice);
+  append_partial(down_repeated, {2, 2}, nullptr, all_rows({3}), slice);
   EXPECT_THROW((void)decode_partial(down_repeated), std::invalid_argument);
+  const std::vector<uint32_t> base_unsorted = {4, 1};
+  crypto::Bytes bad_base;
+  append_partial(bad_base, {2}, &base_unsorted, all_rows({3}), slice);
+  EXPECT_THROW((void)decode_partial(bad_base), std::invalid_argument);
+  const std::vector<uint32_t> base_repeated = {1, 1};
+  crypto::Bytes twice_base;
+  append_partial(twice_base, {2}, &base_repeated, all_rows({3}), slice);
+  EXPECT_THROW((void)decode_partial(twice_base), std::invalid_argument);
+
+  // The base flag is 0 or 1.
+  crypto::Bytes flag = wire;
+  flag[1 + 4 + 4] = 2;
+  EXPECT_THROW((void)decode_partial(flag), std::invalid_argument);
+
+  // An AS listed with no row: no encoder writes one.
+  crypto::Bytes hollow = {static_cast<uint8_t>(AggMsg::kPartial)};
+  crypto::append_u32(hollow, 0);  // no member down
+  hollow.push_back(0);            // full
+  crypto::append_u32(hollow, 1);  // one AS
+  crypto::append_u32(hollow, 3);
+  crypto::append_u32(hollow, 0);  // no chosen row
+  crypto::append_u32(hollow, 0);  // no candidate
+  EXPECT_THROW((void)decode_partial(hollow), std::invalid_argument);
 
   // Candidates whose prefixes descend, then rows of one AS with a prefix
   // listed twice.
@@ -254,25 +299,31 @@ TEST(Partial, RejectsWhatNoEncoderWrites) {
   bad.candidates[3][9] = {route(2, {7, 2})};
   bad.candidates[3][2] = {route(9, {7, 9})};
   crypto::Bytes descending;
-  append_partial(descending, {2}, {3}, bad);
+  append_partial(descending, {2}, nullptr, all_rows({3}), bad);
   EXPECT_THROW((void)decode_partial(descending), std::invalid_argument);
   bad.candidates.clear();
   bad.tables[3][2] = route(2, {7, 2});
   bad.tables[3][4] = route(2, {8, 2});
   crypto::Bytes twice;
-  append_partial(twice, {2}, {3}, bad);
+  append_partial(twice, {2}, nullptr, all_rows({3}), bad);
   EXPECT_THROW((void)decode_partial(twice), std::invalid_argument);
 
   crypto::Bytes flood_tag = wire;
   flood_tag[0] = static_cast<uint8_t>(AggMsg::kPolicy);
   EXPECT_THROW((void)decode_partial(flood_tag), std::invalid_argument);
+  crypto::Bytes request_tag = wire;
+  request_tag[0] = static_cast<uint8_t>(AggMsg::kPartialRequest);
+  EXPECT_THROW((void)decode_partial(request_tag), std::invalid_argument);
 }
 
 TEST(Partial, SeededMutationsAreCanonicalOrRejected) {
+  // A delta: the base flag and the base list are mutated too.
+  const std::set<Prefix> moved = {2, 9};
+  const std::vector<uint32_t> base = {2, 5};
   crypto::Bytes wire;
-  append_partial(wire, {2}, {3, 5, 8}, sample_slice());
-  std::vector<size_t> flags;
-  size_t off = 1 + 4 + 4;  // tag, one down member
+  append_partial(wire, {2}, &base, {{3, &moved}, {5}, {8}}, sample_slice());
+  std::vector<size_t> flags = {1 + 4 + 4};  // has_base
+  size_t off = 1 + 4 + 4 + 1 + 4 + 8;       // tag, down, flag, base
   const uint32_t n = crypto::read_u32(wire, off);
   off += 4;
   for (uint32_t i = 0; i < n; ++i) {
@@ -282,10 +333,30 @@ TEST(Partial, SeededMutationsAreCanonicalOrRejected) {
   ASSERT_EQ(off, wire.size());
   const test::MutationTally t = test::check_mutations(
       wire,
-      [](crypto::BytesView w) { return encode_partial(decode_partial(w)); },
+      [](crypto::BytesView w) {
+        return test::encode_partial(decode_partial(w));
+      },
       /*seed=*/41, flags);
   EXPECT_GT(t.by_kind[3], 0u);
   EXPECT_GT(t.accepted, 0u);
+  EXPECT_GT(t.rejected, 0u);
+}
+
+TEST(PartialRequest, IsExactlyItsTag) {
+  const crypto::Bytes wire = encode_partial_request();
+  EXPECT_EQ(wire, crypto::Bytes{static_cast<uint8_t>(AggMsg::kPartialRequest)});
+  EXPECT_NO_THROW(decode_partial_request(wire));
+  EXPECT_THROW(decode_partial_request({}), std::invalid_argument);
+  crypto::Bytes partial_tag = wire;
+  partial_tag[0] = static_cast<uint8_t>(AggMsg::kPartial);
+  EXPECT_THROW(decode_partial_request(partial_tag), std::invalid_argument);
+  const test::MutationTally t = test::check_mutations(
+      wire,
+      [](crypto::BytesView w) {
+        decode_partial_request(w);
+        return encode_partial_request();
+      },
+      /*seed=*/43);
   EXPECT_GT(t.rejected, 0u);
 }
 
